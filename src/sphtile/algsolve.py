@@ -91,15 +91,6 @@ class AngleAssignment:
         except KeyError:
             raise vertexcomb.MissingAngle(m) from None
 
-    def with_angle(self, m: int, alpha: float) -> "AngleAssignment":
-        new = dict(self.angles)
-        new[m] = alpha
-        return AngleAssignment(new, self.edge)
-
-    def without_size(self, m: int) -> "AngleAssignment":
-        new = {k: v for k, v in self.angles.items() if k != m}
-        return AngleAssignment(new, self.edge)
-
     def max_companion_residual(self) -> float:
         worst = 0.0
         for m, n in itertools.combinations(self.sizes, 2):
@@ -365,10 +356,11 @@ def solve_vertex_system(
     list when no solution exists.  Deterministic for identical inputs.
     """
     entries = tuple(sorted(int(m) for m in t))
-    if len(entries) < 3 or len(entries) > 5 or min(entries) < 3:
-        raise DomainError(f"vertex type must have 3-5 entries of size >= 3: {entries}")
-    if not vertexcomb.angle_deficit_ok(entries):
-        raise DomainError(f"vertex type {entries} fails the admissibility bound")
+    if not vertexcomb.admissible(entries):
+        raise DomainError(
+            f"vertex type {entries} is not admissible: it needs 3-5 entries of "
+            "size >= 3 with sum (1 - 2/m) < 2"
+        )
 
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]

@@ -347,24 +347,7 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
 
 def shrink(t: TilingMap, face: int) -> TilingMap:
     """Collapse a face whose vertices all have degree 3 to a single vertex."""
-    if any(t.degree(v) != 3 for v in t.face_vertex_cycle(face)):
-        raise PreconditionFailed("shrinking needs all face vertices of degree 3")
-    fv = set(t.face_vertex_cycle(face))
-    centre = ("shrink-centre", face)
-    faces = []
-    for f in range(t.num_faces):
-        if f == face:
-            continue
-        cyc = [centre if v in fv else v for v in t.face_vertex_cycle(f)]
-        collapsed = []
-        for v in cyc:
-            if collapsed and collapsed[-1] == v:
-                continue
-            collapsed.append(v)
-        while len(collapsed) > 1 and collapsed[0] == collapsed[-1]:
-            collapsed.pop()
-        faces.append(tuple(collapsed))
-    return build_from_faces(faces)
+    return _shrink(t, [face])
 
 
 def truncate(t: TilingMap, vertex: int) -> TilingMap:
@@ -402,6 +385,11 @@ def shrink_all(t: TilingMap, size: int) -> TilingMap:
     targets = [f for f in range(t.num_faces) if t.face_size(f) == size]
     if not targets:
         return t
+    return _shrink(t, targets)
+
+
+def _shrink(t: TilingMap, targets: list) -> TilingMap:
+    """Collapse each target face to one new vertex, all at once."""
     owner: dict = {}
     for f in targets:
         for v in t.face_vertex_cycle(f):
@@ -688,35 +676,31 @@ def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
 # --------------------------------------------------------------------------
 
 
-def _assign(angles: dict, edge: float) -> AngleAssignment:
-    return AngleAssignment(angles, edge)
-
-
 @lru_cache(maxsize=None)
 def _golden_angles(group: str) -> AngleAssignment:
     if group == "T":
-        return _assign({3: 2 * PI / 3}, math.acos(-1.0 / 3.0))
+        return AngleAssignment({3: 2 * PI / 3}, math.acos(-1.0 / 3.0))
     if group == "C":
-        return _assign({4: 2 * PI / 3}, math.acos(1.0 / 3.0))
+        return AngleAssignment({4: 2 * PI / 3}, math.acos(1.0 / 3.0))
     if group == "D":
-        return _assign({5: 2 * PI / 3}, math.acos(_SQ5 / 3.0))
+        return AngleAssignment({5: 2 * PI / 3}, math.acos(_SQ5 / 3.0))
     if group == "tT":
         a3 = 4.0 * _acot(math.sqrt(11.0))
-        return _assign({3: a3, 6: PI - a3 / 2.0}, math.acos(7.0 / 11.0))
+        return AngleAssignment({3: a3, 6: PI - a3 / 2.0}, math.acos(7.0 / 11.0))
     if group == "tC":
         a3 = 4.0 * _acot(math.sqrt(7.0 + 4.0 * _SQ2))
-        return _assign({3: a3, 8: PI - a3 / 2.0}, math.acos((3.0 + 8.0 * _SQ2) / 17.0))
+        return AngleAssignment({3: a3, 8: PI - a3 / 2.0}, math.acos((3.0 + 8.0 * _SQ2) / 17.0))
     if group == "tO":
         a4 = 4.0 * _acot(_SQ5)
-        return _assign({4: a4, 6: PI - a4 / 2.0}, math.acos(4.0 / 5.0))
+        return AngleAssignment({4: a4, 6: PI - a4 / 2.0}, math.acos(4.0 / 5.0))
     if group == "tD":
         a3 = 4.0 * _acot(math.sqrt(9.0 + 2.0 * _SQ5))
-        return _assign(
+        return AngleAssignment(
             {3: a3, 10: PI - a3 / 2.0}, math.acos((24.0 + 15.0 * _SQ5) / 61.0)
         )
     if group == "tI":
         a5 = 4.0 * math.atan(math.sqrt((17.0 + 6.0 * _SQ5) / 109.0))
-        return _assign(
+        return AngleAssignment(
             {5: a5, 6: PI - a5 / 2.0}, math.acos((80.0 + 9.0 * _SQ5) / 109.0)
         )
     if group == "sC":
@@ -729,13 +713,13 @@ def _golden_angles(group: str) -> AngleAssignment:
         x = math.acos(
             (-1.0 + _cbrt(566.0 - 42.0 * _SQ33) + _cbrt(566.0 + 42.0 * _SQ33)) / 21.0
         )
-        return _assign({3: a3, 4: TWO_PI - 4.0 * a3}, x)
+        return AngleAssignment({3: a3, 4: TWO_PI - 4.0 * a3}, x)
     if group == "sD":
         xi = snub_dodecahedron_cos()
         a3 = math.acos(xi)
-        return _assign({3: a3, 5: TWO_PI - 4.0 * a3}, math.acos(xi / (1.0 - xi)))
+        return AngleAssignment({3: a3, 5: TWO_PI - 4.0 * a3}, math.acos(xi / (1.0 - xi)))
     if group == "bC":
-        return _assign(
+        return AngleAssignment(
             {
                 4: math.acos((_SQ2 - 2.0) / 12.0),
                 6: math.acos((_SQ2 - 6.0) / 8.0),
@@ -744,7 +728,7 @@ def _golden_angles(group: str) -> AngleAssignment:
             math.acos((71.0 + 12.0 * _SQ2) / 97.0),
         )
     if group == "bD":
-        return _assign(
+        return AngleAssignment(
             {
                 4: math.acos((2.0 * _SQ5 - 5.0) / 30.0),
                 6: math.acos((2.0 * _SQ5 - 15.0) / 20.0),
@@ -754,23 +738,23 @@ def _golden_angles(group: str) -> AngleAssignment:
         )
     if group == "O":
         # the octahedron group also hosts J1's hemisphere square
-        return _assign({3: PI / 2.0, 4: PI}, PI / 2.0)
+        return AngleAssignment({3: PI / 2.0, 4: PI}, PI / 2.0)
     if group == "I":
-        return _assign({3: 2.0 * PI / 5.0, 5: 4.0 * PI / 5.0}, math.acos(1.0 / _SQ5))
+        return AngleAssignment({3: 2.0 * PI / 5.0, 5: 4.0 * PI / 5.0}, math.acos(1.0 / _SQ5))
     if group == "J2":
-        return _assign({3: 2.0 * PI / 5.0, 5: 6.0 * PI / 5.0}, math.acos(1.0 / _SQ5))
+        return AngleAssignment({3: 2.0 * PI / 5.0, 5: 6.0 * PI / 5.0}, math.acos(1.0 / _SQ5))
     if group == "aC":
         a3 = math.acos(1.0 / 3.0)
-        return _assign({3: a3, 4: PI - a3, 6: PI}, PI / 3.0)
+        return AngleAssignment({3: a3, 4: PI - a3, 6: PI}, PI / 3.0)
     if group == "aD":
         a3 = math.acos(1.0 / _SQ5)
-        return _assign({3: a3, 5: PI - a3, 10: PI}, PI / 5.0)
+        return AngleAssignment({3: a3, 5: PI - a3, 10: PI}, PI / 5.0)
     if group == "eC":
         a4 = 2.0 * math.atan(math.sqrt(7.0 - 4.0 * _SQ2))
         x = math.acos((7.0 + 4.0 * _SQ2) / 17.0)
         # size 8 carries the convex octagon; J4's concave octagon is its
         # reflex complement 2*a4
-        return _assign({3: TWO_PI - 3.0 * a4, 4: a4, 8: TWO_PI - 2.0 * a4}, x)
+        return AngleAssignment({3: TWO_PI - 3.0 * a4, 4: a4, 8: TWO_PI - 2.0 * a4}, x)
     if group == "eD":
         a3 = math.acos((5.0 + 2.0 * _SQ5) / 20.0)
         a4 = math.acos((2.0 * _SQ5 - 5.0) / 10.0)
@@ -778,7 +762,7 @@ def _golden_angles(group: str) -> AngleAssignment:
         x = math.acos((19.0 + 8.0 * _SQ5) / 41.0)
         # size 10 carries the convex decagon of the diminished tilings;
         # J5's concave decagon is its reflex complement
-        return _assign({3: a3, 4: a4, 5: a5, 10: a3 + a4}, x)
+        return AngleAssignment({3: a3, 4: a4, 5: a5, 10: a3 + a4}, x)
     raise UnknownName(group)
 
 

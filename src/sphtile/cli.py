@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import catalog, embedder, tilemap, vertexcomb
 from .algsolve import solve_vertex_system
-from .sphkernel import TWO_PI
+from .sphkernel import TWO_PI, DomainError
 
 _F = "%.17g"
 
@@ -206,12 +206,38 @@ def _parse_sites(spec: str):
     return count, rel
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a float greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _cmd_derive(args) -> int:
     if args.base != "eD":
         print("derive: only the eD family recipes are supported", file=sys.stderr)
         return 2
-    dim, dim_rel = _parse_sites(args.dim)
-    rot, rot_rel = _parse_sites(args.rot)
+    dim, dim_rel = args.dim
+    rot, rot_rel = args.rot
     try:
         t = catalog.derive_from_ed(dim=dim, rot=rot, dim_rel=dim_rel, rot_rel=rot_rel)
     except catalog.InvalidSite as exc:
@@ -253,12 +279,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="validate catalog entries")
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate candidate vertex types")
-    p.add_argument("--max-size", type=int, default=19)
+    p.add_argument("--max-size", type=_int_at_least(3), default=19)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--with-triangle", action="store_true")
     g.add_argument("--triangle-free", action="store_true")
@@ -273,14 +299,16 @@ def main(argv=None) -> int:
     p.add_argument("name")
     p.add_argument("--format", choices=["obj", "json"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arc-steps", type=int, default=8)
+    p.add_argument("--arc-steps", type=_int_at_least(1), default=8)
     p.add_argument("--faces", action="store_true", help="include fan-triangulated faces (obj)")
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("derive", help="apply cupola recipes to eD")
     p.add_argument("base", help="base tiling (eD)")
-    p.add_argument("--dim", default="0", help="diminish count, e.g. 1, 2o, 2n")
-    p.add_argument("--rot", default="0", help="rotate count, e.g. 1, 2o, 2n")
+    p.add_argument("--dim", type=_parse_sites, default="0",
+                   help="diminish count, e.g. 1, 2o, 2n")
+    p.add_argument("--rot", type=_parse_sites, default="0",
+                   help="rotate count, e.g. 1, 2o, 2n")
     p.set_defaults(func=_cmd_derive)
 
     args = parser.parse_args(argv)
@@ -288,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except catalog.UnknownName as exc:
         print(f"unknown catalog entry: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 
 

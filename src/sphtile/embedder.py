@@ -317,13 +317,16 @@ def export_obj(
     if include_faces:
         for f in range(t.num_faces):
             cyc = t.face_vertex_cycle(f)
-            pts = [emb.positions[v] for v in cyc]
-            centre = np.sum(pts, axis=0)
-            norm = np.linalg.norm(centre)
-            if norm < 1e-9:
-                centre = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-                norm = np.linalg.norm(centre)
-            centre = centre / norm
+            if len(cyc) == 2:
+                # a digon's corners are antipodal poles; its centre lies
+                # midway between the midpoints of its two edges
+                centre = np.sum([emb.arc_midpoints[ids[d]] for d in t.faces[f]], axis=0)
+            else:
+                pts = [emb.positions[v] for v in cyc]
+                centre = np.sum(pts, axis=0)
+                if np.linalg.norm(centre) < 1e-9:
+                    centre = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            centre = centre / np.linalg.norm(centre)
             apex = emit(centre)
             for i in range(len(cyc)):
                 lines.append(

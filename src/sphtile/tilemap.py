@@ -14,17 +14,19 @@ built directly with ``digon_fan``.
 
 Validation covers the counting identities (Euler, degree and face
 handshakes), metric consistency of an angle assignment (vertex angle sums
-of 2*pi, total spherical area 4*pi, the companion relation), degree and
-vertex-type admissibility, and the at-most-one-non-strictly-convex-face
-rule.  Isomorphism (allowing reflection, preserving face sizes) uses a
-canonical rooted-dart traversal form.
+of 2*pi, total spherical area 4*pi, the companion relation), the degree
+bound, vertex-type admissibility, and the rule that at most one face is
+not strictly convex.  Admissibility is one exact predicate,
+``vertexcomb.admissible``, applied to each distinct vertex arrangement.
+Isomorphism (allowing reflection, preserving face sizes) uses a canonical
+rooted-dart traversal form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import vertexcomb
@@ -144,9 +146,6 @@ class TilingMap:
 
     def face_vertex_cycle(self, f: int) -> tuple:
         return tuple(self.origin[d] for d in self.faces[f])
-
-    def face_vertex_cycles(self) -> list:
-        return [self.face_vertex_cycle(f) for f in range(self.num_faces)]
 
     @cached_property
     def edges(self) -> tuple:
@@ -280,10 +279,11 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
     """Build a map from vertex-index cycles, one per face.
 
     Every undirected vertex pair adjacent in the cycles must occur in
-    exactly two faces (else ``NotEdgeToEdge``) and the complex must be
-    connected (else ``Disconnected``).  Per-face orientations are fixed up
-    automatically.  Vertex labels may be arbitrary hashables; they are
-    relabelled densely in first-seen order.
+    exactly two faces (else ``NotEdgeToEdge``) and the faces must be
+    connected through shared edges (else ``Disconnected``).  Per-face
+    orientations are fixed up automatically, starting from face 0.  Vertex
+    labels may be arbitrary hashables; they are relabelled densely in
+    first-seen order.
     """
     cycles = [tuple(f) for f in faces]
     if not cycles:
@@ -297,50 +297,42 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
             raise NotEdgeToEdge(f"face {f} repeats a vertex")
 
     incident: dict = {}
+    written = set()  # (face, u, v) for each edge u -> v in its written direction
     for fi, f in enumerate(cycles):
         k = len(f)
         for i in range(k):
             u, v = f[i], f[(i + 1) % k]
-            key = frozenset((u, v))
-            incident.setdefault(key, []).append(fi)
+            incident.setdefault(frozenset((u, v)), []).append(fi)
+            written.add((fi, u, v))
     for key, fs in incident.items():
         if len(fs) != 2:
             raise NotEdgeToEdge(
                 f"edge {tuple(key)} lies on {len(fs)} faces, expected 2"
             )
 
-    # orient faces consistently: each directed edge must appear exactly once
-    oriented: list = [None] * len(cycles)
-    seen_faces = 0
-    for seed in range(len(cycles)):
-        if oriented[seed] is not None:
-            continue
-        if seed > 0 and seen_faces:
-            raise Disconnected("face complex is not connected")
-        oriented[seed] = cycles[seed]
-        stack = [seed]
-        while stack:
-            fi = stack.pop()
-            f = oriented[fi]
-            k = len(f)
-            for i in range(k):
-                u, v = f[i], f[(i + 1) % k]
-                pair = incident[frozenset((u, v))]
-                gi = pair[0] if pair[1] == fi else pair[1]
-                if gi == fi:
-                    gi = pair[1] if pair[0] == fi else pair[0]
-                g = cycles[gi]
-                directed = _directed_edges(g)
-                if oriented[gi] is None:
-                    if (u, v) in directed:
-                        oriented[gi] = g[::-1]
-                    else:
-                        oriented[gi] = g
-                    stack.append(gi)
-                else:
-                    if (u, v) in _directed_edges(oriented[gi]):
-                        raise NotEdgeToEdge("faces cannot be oriented consistently")
-        seen_faces += 1
+    # orient faces consistently from face 0: each directed edge must appear
+    # exactly once; flipped[f] stays None until face f is reached
+    flipped: list = [None] * len(cycles)
+    flipped[0] = False
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        f = cycles[fi][::-1] if flipped[fi] else cycles[fi]
+        k = len(f)
+        for i in range(k):
+            u, v = f[i], f[(i + 1) % k]
+            pair = incident[frozenset((u, v))]
+            gi = pair[1] if pair[0] == fi else pair[0]
+            # the neighbour must run v -> u, so it is flipped iff written u -> v
+            forward = (gi, u, v) in written
+            if flipped[gi] is None:
+                flipped[gi] = forward
+                stack.append(gi)
+            elif forward != flipped[gi]:
+                raise NotEdgeToEdge("faces cannot be oriented consistently")
+    if None in flipped:
+        raise Disconnected("face complex is not connected")
+    oriented = [f[::-1] if flip else f for f, flip in zip(cycles, flipped)]
 
     # dense vertex ids in first-seen order
     vid: dict = {}
@@ -376,7 +368,7 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
         except KeyError:
             raise NotEdgeToEdge(f"edge ({u}, {v}) has no partner") from None
 
-    t = TilingMap(
+    return TilingMap(
         origin=tuple(origin),
         face_next=tuple(face_next),
         edge_pair=tuple(edge_pair),
@@ -384,32 +376,6 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
         faces=tuple(face_darts),
         family=family,
     )
-    _check_connected(t)
-    return t
-
-
-def _directed_edges(cycle) -> set:
-    k = len(cycle)
-    return {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-
-
-def _check_connected(t: TilingMap) -> None:
-    n = t.num_vertices
-    adj: list = [[] for _ in range(n)]
-    for u, v in t.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    if not all(seen):
-        raise Disconnected("vertex graph is not connected")
 
 
 def digon_fan(n: int) -> TilingMap:
@@ -481,11 +447,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@lru_cache(maxsize=8)
-def _candidate_types(max_size: int) -> frozenset:
-    return frozenset(vertexcomb.enumerate_candidate_types(max_size))
-
-
 def _has_cut_vertex(t: TilingMap) -> bool:
     n = t.num_vertices
     if n <= 2:
@@ -555,19 +516,15 @@ def validate(
     degrees = {t.degree(u) for u in range(v)}
     rep.add(
         "degrees",
-        exempt or degrees <= {3, 4, 5},
+        exempt or degrees <= set(range(vertexcomb.MIN_DEGREE, vertexcomb.MAX_DEGREE + 1)),
         detail=f"degrees {sorted(degrees)}",
     )
 
     if exempt:
         rep.add("vertex_feasibility", True, detail="family exemption")
     else:
-        max_size = max(max(c.face_counts), 19)
-        cands = _candidate_types(max_size)
         bad = [
-            arr
-            for arr in set(t.vertex_arrangements)
-            if tuple(sorted(arr)) not in cands
+            arr for arr in set(t.vertex_arrangements) if not vertexcomb.admissible(arr)
         ]
         rep.add("vertex_feasibility", not bad, detail=f"inadmissible {bad}")
 

@@ -1,16 +1,18 @@
 """Vertex types of spherical tilings by regular polygons.
 
 A vertex type is the multiset of face sizes meeting at a vertex,
-represented as a sorted tuple.  Two constraints cut the candidate space
-down to a finite list: the interior angle of a regular m-gon exceeds the
-planar value (1 - 2/m)*pi, so the angle sum forces
+represented as a sorted tuple.  Admissibility is one exact predicate,
+``admissible``: degree 3 to 5, every face size at least 3, and, because
+the interior angle of a regular m-gon exceeds the planar value
+(1 - 2/m)*pi, the angle-sum bound
 
     sum over entries of (1 - 2/m) < 2        (strictly),
 
-and the same bound caps the vertex degree at 5.  The inequality is
-evaluated exactly over the rationals so boundary cases (for example four
-squares, which tile the plane but not the sphere) are excluded without
-floating-point judgement calls.
+which also caps the vertex degree at 5.  The inequality is evaluated
+exactly over the rationals so boundary cases (for example four squares,
+which tile the plane but not the sphere) are excluded without
+floating-point judgement calls.  Map validation and the angle solver
+both decide admissibility by calling it.
 
 An arrangement is the cyclic order of the sizes around the vertex,
 canonicalised up to rotation and reflection.
@@ -19,11 +21,10 @@ canonicalised up to rotation and reflection.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-TWO_PI = 2.0 * math.pi
+from .sphkernel import TWO_PI
 
 VertexType = tuple  # sorted tuple of face sizes
 Arrangement = tuple  # canonical cyclic sequence of face sizes
@@ -42,11 +43,24 @@ def angle_deficit_ok(entries: Sequence[int]) -> bool:
     return total < 2
 
 
+def admissible(entries: Sequence[int]) -> bool:
+    """Whether a multiset of face sizes is an admissible vertex type.
+
+    Degree 3 to 5, every size at least 3, and the exact bound of
+    ``angle_deficit_ok``.
+    """
+    return (
+        MIN_DEGREE <= len(entries) <= MAX_DEGREE
+        and min(entries) >= 3
+        and angle_deficit_ok(entries)
+    )
+
+
 def enumerate_candidate_types(max_size: int = 19) -> list[VertexType]:
     """All candidate vertex types over face sizes 3..max_size.
 
-    Multisets of degree 3 to 5 passing the exact admissibility bound,
-    as ascending tuples in lexicographic order.
+    The admissible multisets of those sizes, as ascending tuples in
+    lexicographic order.
     """
     if max_size < 3:
         raise ValueError(f"max_size must be >= 3, got {max_size}")

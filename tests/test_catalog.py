@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from sphtile import catalog as cat, tilemap as tm
+from sphtile import catalog as cat, embedder, tilemap as tm
 from sphtile.sphkernel import DomainError
 
 PI = math.pi
@@ -19,6 +19,20 @@ def test_entry_validates_with_golden_census(name):
         expected=cat.expected_census(name), name=name,
     )
     assert rep.overall_pass, (name, rep.failures())
+
+
+@pytest.mark.parametrize("name", ["prism(200)", "antiprism(200)"])
+def test_large_family_members_validate_and_embed(name):
+    t = cat.make(name)
+    rep = tm.validate(
+        t.map, t.angles, tol=1e-9, area_tol=1e-8,
+        expected=cat.expected_census(name), name=name,
+    )
+    assert rep.overall_pass, (name, rep.failures())
+    emb = embedder.realize(t.map, t.angles, closure_tol=1e-7)
+    assert emb.closure_error <= 1e-7
+    assert emb.edge_error <= 1e-9
+    assert abs(embedder.total_area(t.map, emb) - 4 * PI) <= 1e-6
 
 
 def test_j19_octagon_forced_by_handshake():

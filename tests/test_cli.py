@@ -1,6 +1,9 @@
 import itertools
 import json
+import math
 from fractions import Fraction
+
+import pytest
 
 from sphtile import cli
 
@@ -114,6 +117,40 @@ def test_export_obj_and_json(tmp_path, capsys):
     code, _, _ = run(capsys, "export", "C", "--format", "json", "--out", str(out_json))
     doc = json.loads(out_json.read_text())
     assert len(doc["positions"]) == 8
+
+
+def test_export_hosohedron_obj_with_faces(tmp_path, capsys):
+    out_obj = tmp_path / "hoso.obj"
+    code, _, _ = run(capsys, "export", "hosohedron(6)", "--format", "obj", "--out", str(out_obj), "--faces")
+    assert code == 0
+    lines = out_obj.read_text().splitlines()
+    assert sum(1 for l in lines if l.startswith("f ")) == 12
+    for l in lines:
+        if l.startswith("v "):
+            x, y, z = (float(c) for c in l.split()[1:])
+            assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "prism(2)"],
+    ["catalog", "show", "prism(1)"],
+    ["solve", "--type", "3,3"],
+    ["solve", "--type", "4,4,4,4"],
+    ["derive", "eD", "--dim", "x"],
+    ["derive", "eD", "--rot", "2q"],
+    ["enumerate", "--max-size", "2"],
+    ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "0"],
+    ["verify", "T", "--tol", "0"],
+], ids=" ".join)
+def test_usage_errors_exit_2_without_traceback(capsys, argv):
+    # argparse rejects bad values by raising SystemExit(2); any other
+    # exception escaping main would print a traceback
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err
 
 
 def test_derive_recipes(capsys):

@@ -43,6 +43,14 @@ def test_build_errors():
         tm.build_from_faces(
             TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES]
         )
+    with pytest.raises(tm.NotEdgeToEdge, match="oriented consistently"):
+        # the 6-vertex triangulation of the projective plane is not orientable
+        tm.build_from_faces([
+            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+            (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+        ])
+    with pytest.raises(tm.NotEdgeToEdge, match="oriented consistently"):
+        tm.build_from_faces([(0, 1)], family="hosohedron")  # digon glued to itself
 
 
 def test_build_accepts_mixed_orientations():

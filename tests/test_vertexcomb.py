@@ -64,6 +64,16 @@ def test_boundary_cases_are_exact():
     assert (3, 11, 11) in vc.enumerate_candidate_types(19)
 
 
+def test_admissible_matches_candidate_set_membership():
+    # equivalence oracle: validation used to test membership in this set
+    cands = set(vc.enumerate_candidate_types(19))
+    for degree in range(1, 7):
+        for combo in itertools.combinations_with_replacement(range(3, 20), degree):
+            assert vc.admissible(combo) == (combo in cands), combo
+    assert not vc.admissible((2, 3, 3))
+    assert not vc.admissible((2, 2, 2, 2))
+
+
 def test_arrangements():
     assert vc.arrangements((3, 4, 4, 5)) == [(3, 4, 4, 5), (3, 4, 5, 4)]
     assert vc.arrangements((3, 3, 4, 4)) == [(3, 3, 4, 4), (3, 4, 3, 4)]
