@@ -6,7 +6,8 @@ face has both endpoints placed, the remaining vertices follow by rotating
 the previous vertex about the current one through the face's interior
 angle.  Every revisit of an already-placed vertex measures the closure
 discrepancy, so the walk doubles as a consistency check of the angle
-assignment.
+assignment.  Edge lengths, corner angles and areas are then measured per
+dart in one numpy pass over gathered position arrays.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly; their
 edges carry explicit midpoints because antipodal endpoints do not
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,27 +70,19 @@ def _geodesic(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
 
-def _tangent(at: np.ndarray, toward: np.ndarray) -> np.ndarray:
-    t = toward - at * float(np.dot(at, toward))
-    n = np.linalg.norm(t)
-    if n < 1e-14:
-        raise ClosureFailure("degenerate tangent between coincident/antipodal points")
-    return t / n
+def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Great-circle distances between matching rows of two (N, 3) arrays."""
+    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.sum(u * v, axis=1))
 
 
 def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
-    n = t.num_faces
     alpha = assign.angle(2)
-    north = np.array([0.0, 0.0, 1.0])
-    south = np.array([0.0, 0.0, -1.0])
-    positions = {0: north, 1: south}
-    ids = t.edge_ids()
-    mids = {}
-    # edge i of the fan is the meridian at longitude i*alpha
-    for d in range(t.num_darts):
-        if d % 2 == 0:
-            lon = (d // 2) * alpha
-            mids[ids[d]] = np.array([math.cos(lon), math.sin(lon), 0.0])
+    positions = {0: np.array([0.0, 0.0, 1.0]), 1: np.array([0.0, 0.0, -1.0])}
+    # edge i of the fan (darts 2i and 2i+1) is the meridian at longitude i*alpha
+    mids = {
+        i: np.array([math.cos(i * alpha), math.sin(i * alpha), 0.0])
+        for i in range(t.num_edges)
+    }
     return Embedding(positions=positions, closure_error=0.0, arc_midpoints=mids)
 
 
@@ -158,9 +152,9 @@ def realize(
 
     done = [False] * t.num_faces
     done[seed] = True
-    queue = [t.edge_pair[d] for d in t.faces[seed]]
+    queue = deque(t.edge_pair[d] for d in t.faces[seed])
     while queue:
-        d0 = queue.pop(0)
+        d0 = queue.popleft()
         f = t.face_of[d0]
         if done[f]:
             continue
@@ -193,43 +187,41 @@ def realize(
         positions=positions, closure_error=worst_closure, corner_sign=-sign
     )
 
-    worst_edge = 0.0
-    for u, v in t.edges:
-        worst_edge = max(worst_edge, abs(_geodesic(positions[u], positions[v]) - assign.edge))
-    emb.edge_error = worst_edge
-
-    worst_angle = 0.0
-    for f in range(t.num_faces):
-        af = assign.angle(t.face_size(f))
-        for ang in face_angles(t, emb, f):
-            worst_angle = max(worst_angle, abs(ang - af))
-    emb.angle_error = worst_angle
+    pos = np.array([positions[v] for v in range(t.num_vertices)])
+    u, v = np.array(t.edges).T
+    emb.edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
+    want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
+    emb.angle_error = float(np.max(np.abs(_corner_angles(t, emb) - want)))
     return emb
+
+
+def _corner_angles(t: TilingMap, emb: Embedding, darts=None, sign=None) -> np.ndarray:
+    """Realized interior angle at the origin of each dart (default: all darts)."""
+    ds = np.arange(t.num_darts) if darts is None else np.asarray(darts, dtype=np.intp)
+    nxt = np.asarray(t.face_next)[ds]
+    if t.family == "hosohedron":
+        # digon: angle between the meridians through its two edge midpoints
+        ids = t.edge_ids()
+        mids = np.array([emb.arc_midpoints[ids[d]] for d in range(t.num_darts)])
+        return _arc_lengths(mids[ds], mids[nxt])
+    origin = np.asarray(t.origin)
+    pos = np.array([emb.positions[v] for v in range(t.num_vertices)])
+    at = pos[origin[ds]]
+    # tangents at each corner toward the previous and the next face vertex
+    toward = pos[origin[np.stack([np.asarray(t.face_prev)[ds], nxt])]]
+    tv = toward - at * np.sum(at * toward, axis=2, keepdims=True)
+    norm = np.linalg.norm(tv, axis=2, keepdims=True)
+    if np.any(norm < 1e-14):
+        raise ClosureFailure("degenerate tangent between coincident/antipodal points")
+    t_prev, t_next = tv / norm
+    turn = np.sum(at * np.cross(t_prev, t_next), axis=1)
+    raw = np.arctan2(turn, np.sum(t_prev * t_next, axis=1))
+    return ((emb.corner_sign if sign is None else sign) * raw) % TWO_PI
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int, sign: Optional[float] = None) -> list:
     """Realized interior angles of a face, reflex angles included."""
-    if t.face_size(f) == 2:
-        # digon: angle between the two meridian planes through the poles
-        ids = t.edge_ids()
-        d1, d2 = t.faces[f]
-        m1, m2 = emb.arc_midpoints[ids[d1]], emb.arc_midpoints[ids[d2]]
-        ang = _geodesic(m1, m2)
-        return [ang, ang]
-    if sign is None:
-        sign = emb.corner_sign
-    cyc = t.face_vertex_cycle(f)
-    m = len(cyc)
-    out = []
-    for i in range(m):
-        at = emb.positions[cyc[i]]
-        t_prev = _tangent(at, emb.positions[cyc[(i - 1) % m]])
-        t_next = _tangent(at, emb.positions[cyc[(i + 1) % m]])
-        raw = math.atan2(
-            float(np.dot(at, np.cross(t_prev, t_next))), float(np.dot(t_prev, t_next))
-        )
-        out.append((sign * raw) % TWO_PI)
-    return out
+    return _corner_angles(t, emb, t.faces[f], sign).tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
@@ -239,7 +231,8 @@ def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
 
 
 def total_area(t: TilingMap, emb: Embedding) -> float:
-    return sum(face_area(t, emb, f) for f in range(t.num_faces))
+    """Spherical-excess area of the tiling: all corner angles less pi * sum(m - 2)."""
+    return float(_corner_angles(t, emb).sum()) - math.pi * (t.num_darts - 2 * t.num_faces)
 
 
 # --------------------------------------------------------------------------
@@ -320,11 +313,15 @@ def export_obj(
             if len(cyc) == 2:
                 # a digon's corners are antipodal poles; its centre lies
                 # midway between the midpoints of its two edges
-                centre = np.sum([emb.arc_midpoints[ids[d]] for d in t.faces[f]], axis=0)
+                pts = [emb.arc_midpoints[ids[d]] for d in t.faces[f]]
             else:
                 pts = [emb.positions[v] for v in cyc]
-                centre = np.sum(pts, axis=0)
-                if np.linalg.norm(centre) < 1e-9:
+            centre = np.sum(pts, axis=0)
+            if np.linalg.norm(centre) < 1e-9:
+                # a great-circle face, or a digon with antipodal edge midpoints
+                if len(cyc) == 2:
+                    centre = np.cross(emb.positions[cyc[0]], pts[0])
+                else:
                     centre = np.cross(pts[1] - pts[0], pts[2] - pts[0])
             centre = centre / np.linalg.norm(centre)
             apex = emit(centre)

@@ -447,27 +447,43 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _has_cut_vertex(t: TilingMap) -> bool:
-    n = t.num_vertices
+def _has_cut_vertex(n: int, edges: Sequence) -> bool:
+    """Whether removing some vertex disconnects the graph (or it is disconnected).
+
+    Tarjan's lowpoint test in one iterative depth-first search from vertex
+    0: the root is a cut vertex when it has two or more tree children, any
+    other vertex u when a child's subtree reaches no vertex above u.
+    """
     if n <= 2:
         return False
-    adj: list = [set() for _ in range(n)]
-    for u, v in t.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for cut in range(n):
-        start = 0 if cut != 0 else 1
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w != cut and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != n - 1:
-            return True
-    return False
+    adj: list = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [-1] * n  # discovery order
+    low = [0] * n  # lowest discovery order one edge away from the subtree
+    disc[0] = found = 0
+    root_children = 0
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        u, nbrs = stack[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                found += 1
+                disc[w] = low[w] = found
+                stack.append((w, iter(adj[w])))
+                break
+            low[u] = min(low[u], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if p == 0:
+                    root_children += 1
+                elif low[u] >= disc[p]:
+                    return True
+    return found < n - 1 or root_children > 1
 
 
 def validate(
@@ -544,7 +560,7 @@ def validate(
     comp = max(assign.max_companion_residual(), assign.max_edge_residual())
     rep.add("companion", comp <= tol, comp)
 
-    rep.add("two_connected", not _has_cut_vertex(t))
+    rep.add("two_connected", not _has_cut_vertex(t.num_vertices, t.edges))
 
     if expected is not None:
         same = (

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -139,3 +140,83 @@ def test_json_schema_fields():
     assert set(doc) == {"name", "family", "faces", "angles", "edge"}
     assert doc["angles"]["3"].startswith("2.0943951023931")
     assert isinstance(doc["angles"]["3"], str)
+
+
+def _scalar_corner_angles(t, emb):
+    """Reference: each dart's corner angle on single 3-vectors, one at a time."""
+    ids = t.edge_ids()
+    out = []
+    for d in range(t.num_darts):
+        if t.face_size(t.face_of[d]) == 2:
+            u = emb.arc_midpoints[ids[d]]
+            v = emb.arc_midpoints[ids[t.face_next[d]]]
+            out.append(math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v))))
+            continue
+        at = emb.positions[t.origin[d]]
+        tangents = []
+        for nb in (t.face_prev[d], t.face_next[d]):
+            toward = emb.positions[t.origin[nb]]
+            tv = toward - at * float(np.dot(at, toward))
+            tangents.append(tv / np.linalg.norm(tv))
+        tp, tn = tangents
+        raw = math.atan2(float(np.dot(at, np.cross(tp, tn))), float(np.dot(tp, tn)))
+        out.append((emb.corner_sign * raw) % (2 * PI))
+    return out
+
+
+def test_corner_angles_match_scalar_oracle():
+    for name in cat.all_entries():
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        want = np.array(_scalar_corner_angles(t.map, emb))
+        got = em._corner_angles(t.map, emb)
+        assert np.max(np.abs(got - want)) <= 1e-15, name
+        for f in range(t.map.num_faces):
+            one = np.array(em.face_angles(t.map, emb, f))
+            assert np.max(np.abs(one - want[list(t.map.faces[f])])) <= 1e-15, (name, f)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-15])
+def test_face_angles_coincident_neighbours_raise(offset):
+    t = cat.make("C")
+    emb = em.realize(t.map, t.angles)
+    a, b = t.map.face_vertex_cycle(0)[:2]
+    positions = dict(emb.positions)
+    positions[b] = positions[a] + np.array([offset, 0.0, 0.0])
+    bad = dataclasses.replace(emb, positions=positions)
+    with pytest.raises(em.ClosureFailure):
+        em.face_angles(t.map, bad, 0)
+    with pytest.raises(em.ClosureFailure):
+        em.total_area(t.map, bad)
+
+
+def test_family_embeddings_close_with_full_area():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=16, deadline=None)
+    @hyp.given(
+        st.sampled_from(["prism", "antiprism", "dihedron", "hosohedron"]),
+        st.integers(3, 400),
+    )
+    def closes(family, n):
+        t = cat.make(f"{family}({n})")
+        emb = em.realize(t.map, t.angles)
+        assert emb.closure_error <= 1e-7
+        assert abs(em.total_area(t.map, emb) - 4 * PI) <= 1e-6
+
+    closes()
+
+
+def test_export_obj_digon_fan_2_has_distinct_apexes():
+    t = tm.digon_fan(2)
+    emb = em.realize(t, AngleAssignment({2: PI}, PI))
+    lines = em.export_obj(t, emb, arc_steps=2, include_faces=True).decode().splitlines()
+    pts = [np.array(l.split()[1:], dtype=float) for l in lines if l.startswith("v ")]
+    apexes = sorted({int(l.split()[1]) for l in lines if l.startswith("f ")})
+    assert len(apexes) == 2
+    p, q = (pts[i - 1] for i in apexes)
+    assert np.linalg.norm(p) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+    # quarter turns either side of the edge midpoints (1, 0, 0) and (-1, 0, 0)
+    assert np.allclose(sorted([p.tolist(), q.tolist()]), [[0, -1, 0], [0, 1, 0]], atol=1e-15)

@@ -162,3 +162,48 @@ def test_counting_identities_across_catalog():
         rep = tm.validate(t.map, t.angles, name=name)
         for key in ("euler", "degree_sum", "face_sum", "angle_sums", "area"):
             assert rep.checks[key].passed, (name, key)
+
+
+def test_cut_vertex_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    def biconnected(n, edges):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        return nx.is_biconnected(g)
+
+    for name in catalog.all_entries():
+        t = catalog.make(name).map
+        cut = tm._has_cut_vertex(t.num_vertices, t.edges)
+        assert cut != biconnected(t.num_vertices, t.edges), name
+
+    graphs = st.integers(3, 10).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=3 * n,
+            ),
+        )
+    )
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(graphs)
+    def agrees(graph):
+        n, edges = graph
+        assert tm._has_cut_vertex(n, edges) != biconnected(n, edges)
+
+    agrees()
+
+
+def test_cut_vertex_on_long_cycle():
+    # a deep search: the test must not recurse once per vertex
+    n = 5000
+    ring = [(i, (i + 1) % n) for i in range(n)]
+    assert not tm._has_cut_vertex(n, ring)
+    assert tm._has_cut_vertex(n + 1, ring + [(n - 1, n)])
