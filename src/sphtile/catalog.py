@@ -584,9 +584,6 @@ def _straight_cycles(t: TilingMap) -> list:
             path.append(d)
         if not ok:
             continue
-        key = frozenset(min(x, t.edge_pair[x]) for x in path)
-        if key in {frozenset(min(x, t.edge_pair[x]) for x in c) for c in cycles}:
-            continue
         seen.update(path)
         seen.update(t.edge_pair[x] for x in path)
         cycles.append(path)

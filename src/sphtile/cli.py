@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import catalog, embedder, tilemap, vertexcomb
 from .algsolve import solve_vertex_system
@@ -21,64 +20,25 @@ from .sphkernel import TWO_PI, DomainError
 _F = "%.17g"
 
 
-@dataclass
-class VerificationReport:
-    """Per-entry verification record mirrored into the JSON report."""
+def verify_entry(name: str, tol: float = 1e-9) -> tilemap.ValidationReport:
+    """Validate one catalog entry structurally, metrically and by embedding.
 
-    name: str
-    checks: dict = field(default_factory=dict)
-
-    def add(self, key: str, passed: bool, residual=None):
-        self.checks[key] = {
-            "passed": bool(passed),
-            "residual": None if residual is None else float(residual),
-        }
-
-    @property
-    def overall(self) -> bool:
-        return all(c["passed"] for c in self.checks.values())
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.overall, "checks": {}}
-        for key in sorted(self.checks):
-            c = self.checks[key]
-            res = c["residual"]
-            out["checks"][key] = {
-                "passed": c["passed"],
-                "residual": None if res is None else _F % res,
-            }
-        return out
-
-
-def verify_entry(name: str, tol: float = 1e-9) -> VerificationReport:
-    """Validate one catalog entry structurally, metrically and by embedding."""
+    The embedding joins ``validate``'s report as one more check,
+    ``embedding_closure``; a ``ClosureFailure`` fails it with its message.
+    """
     t = catalog.make(name)
     expected = catalog.expected_census(name)
     area_tol = max(1e-8, tol)
     rep = tilemap.validate(t.map, t.angles, tol=tol, area_tol=area_tol, expected=expected, name=name)
-    out = VerificationReport(name=name)
-    out.add("euler", rep.checks["euler"].passed, rep.checks["euler"].residual)
-    ds_ok = rep.checks["degree_sum"].passed and rep.checks["face_sum"].passed
-    out.add("dehn_sommerville", ds_ok)
-    out.add("angle_sums", rep.checks["angle_sums"].passed, rep.checks["angle_sums"].residual)
-    out.add("area", rep.checks["area"].passed, rep.checks["area"].residual)
-    out.add("census", rep.checks["census"].passed)
-    out.add("companion", rep.checks["companion"].passed, rep.checks["companion"].residual)
-    structure_ok = all(
-        rep.checks[k].passed
-        for k in ("degrees", "vertex_feasibility", "convexity", "two_connected")
-    )
-    out.add("structure", structure_ok)
     try:
         emb = embedder.realize(t.map, t.angles, closure_tol=max(1e-7, tol))
-        closure = emb.closure_error
         ok = emb.edge_error <= max(1e-9, tol) and abs(
             embedder.total_area(t.map, emb) - 2 * TWO_PI
         ) <= max(1e-6, tol)
-        out.add("embedding_closure", ok, closure)
+        rep.add("embedding_closure", ok, emb.closure_error)
     except embedder.ClosureFailure as exc:
-        out.add("embedding_closure", False)
-    return out
+        rep.add("embedding_closure", False, detail=str(exc))
+    return rep
 
 
 def _cmd_catalog(args) -> int:
@@ -130,10 +90,11 @@ def _cmd_verify(args) -> int:
     for name in entries:
         rep = verify_entry(name, tol=args.tol)
         reports.append(rep)
-        ok &= rep.overall
-        status = "pass" if rep.overall else "FAIL"
-        bad = "" if rep.overall else "  [" + ", ".join(
-            k for k, c in sorted(rep.checks.items()) if not c["passed"]
+        ok &= rep.overall_pass
+        status = "pass" if rep.overall_pass else "FAIL"
+        bad = "" if rep.overall_pass else "  [" + ", ".join(
+            f"{k}: {rep.checks[k].detail}" if rep.checks[k].detail else k
+            for k in rep.failures()
         ) + "]"
         print(f"{status}  {name}{bad}")
     if args.report:
@@ -141,7 +102,7 @@ def _cmd_verify(args) -> int:
         with open(args.report, "w") as fh:
             json.dump(doc, fh, sort_keys=True, indent=1)
             fh.write("\n")
-    print(f"{sum(r.overall for r in reports)}/{len(reports)} entries pass")
+    print(f"{sum(r.overall_pass for r in reports)}/{len(reports)} entries pass")
     return 0 if ok else 1
 
 

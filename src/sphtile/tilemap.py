@@ -18,6 +18,9 @@ of 2*pi, total spherical area 4*pi, the companion relation), the degree
 bound, vertex-type admissibility, and the rule that at most one face is
 not strictly convex.  Admissibility is one exact predicate,
 ``vertexcomb.admissible``, applied to each distinct vertex arrangement.
+The same ``ValidationReport`` is the ``verify`` report: ``cli.verify_entry``
+adds the embedding as one more check, and ``as_dict`` folds the checks
+into the report keys of ``REPORT_GROUPS``.
 Isomorphism (allowing reflection, preserving face sizes) uses a canonical
 rooted-dart traversal form.
 """
@@ -38,6 +41,7 @@ __all__ = [
     "Census",
     "ValidationReport",
     "CheckResult",
+    "REPORT_GROUPS",
     "NotEdgeToEdge",
     "Disconnected",
     "build_from_faces",
@@ -244,14 +248,6 @@ class Census:
     e: int
     f: int
 
-    def type_counts(self) -> dict:
-        """Counts by unordered vertex type (multiset of sizes)."""
-        out: dict = {}
-        for arr, n in self.vertex_types.items():
-            key = tuple(sorted(arr))
-            out[key] = out.get(key, 0) + n
-        return out
-
 
 def census(t: TilingMap) -> Census:
     """Arrangement-level vertex census and face counts of a map."""
@@ -415,6 +411,19 @@ def digon_fan(n: int) -> TilingMap:
 # --------------------------------------------------------------------------
 
 
+# The ``verify`` report's keys and the checks each one folds.
+REPORT_GROUPS = {
+    "angle_sums": ("angle_sums",),
+    "area": ("area",),
+    "census": ("census",),
+    "companion": ("companion",),
+    "dehn_sommerville": ("degree_sum", "face_sum"),
+    "embedding_closure": ("embedding_closure",),
+    "euler": ("euler",),
+    "structure": ("degrees", "vertex_feasibility", "convexity", "two_connected"),
+}
+
+
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
@@ -437,14 +446,24 @@ class ValidationReport:
     def failures(self) -> list:
         return [k for k, c in self.checks.items() if not c.passed]
 
-    def summary(self) -> str:
-        lines = []
-        for k in sorted(self.checks):
-            c = self.checks[k]
-            res = "" if c.residual is None else f" residual={c.residual:.3e}"
-            extra = f" ({c.detail})" if c.detail and not c.passed else ""
-            lines.append(f"  {'pass' if c.passed else 'FAIL'}  {k}{res}{extra}")
-        return "\n".join(lines)
+    def as_dict(self) -> dict:
+        """The report view: each ``REPORT_GROUPS`` key folds its member checks.
+
+        A group passes when all of its members pass.  A one-member group
+        carries that member's residual (as a %.17g string); a group of
+        several carries ``None``.
+        """
+        checks = {}
+        for key, members in REPORT_GROUPS.items():
+            found = [self.checks[k] for k in members if k in self.checks]
+            if not found:
+                continue
+            res = found[0].residual if len(members) == 1 else None
+            checks[key] = {
+                "passed": all(c.passed for c in found),
+                "residual": None if res is None else "%.17g" % res,
+            }
+        return {"name": self.name, "pass": self.overall_pass, "checks": checks}
 
 
 def _has_cut_vertex(n: int, edges: Sequence) -> bool:

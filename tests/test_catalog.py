@@ -214,6 +214,16 @@ def test_rotate_hemisphere_identities():
     assert tm.isomorphic(cat.cut_hemisphere(ad, cyc[0]).map, cat.make("J6").map)
 
 
+@pytest.mark.parametrize(
+    "name, straight, equatorial",
+    [("aC", 4, 4), ("aD", 6, 6), ("O", 3, 3), ("eC", 6, 0)],
+)
+def test_straight_and_equatorial_cycle_counts(name, straight, equatorial):
+    t = cat.make(name)
+    assert len(cat._straight_cycles(t.map)) == straight
+    assert len(cat.equatorial_cycles(t)) == equatorial
+
+
 def test_even_boundary_when_arrangement_alternates():
     # census-level parity predicate: if every vertex of an m-gon carries
     # exactly one angle of each of three distinct sizes, the boundary edge

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphtile import cli
+from sphtile import cli, embedder, tilemap
 
 
 def run(capsys, *argv):
@@ -74,6 +74,51 @@ def test_verify_failure_exit_code(capsys):
     code, out, _ = run(capsys, "verify", "bD", "--tol", "1e-18")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_failure_names_check_and_witness(tmp_path, capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise embedder.ClosureFailure("boom")
+
+    monkeypatch.setattr(embedder, "realize", boom)
+    report = tmp_path / "r.json"
+    code, out, _ = run(capsys, "verify", "T", "--report", str(report))
+    assert code == 1
+    assert "FAIL  T  [embedding_closure: boom]" in out
+    entry = json.loads(report.read_text())["entries"][0]
+    assert entry["pass"] is False
+    assert entry["checks"]["embedding_closure"] == {"passed": False, "residual": None}
+
+
+def test_report_view_folds_component_checks():
+    rep = tilemap.ValidationReport(name="X")
+    rep.add("euler", True, 0.0)
+    rep.add("degree_sum", True, 0.5)
+    rep.add("face_sum", True, 0.0)
+    rep.add("degrees", True)
+    rep.add("vertex_feasibility", True)
+    rep.add("convexity", True, 0.0)
+    rep.add("two_connected", False)
+    doc = rep.as_dict()
+    assert doc == {
+        "name": "X",
+        "pass": False,
+        "checks": {
+            "euler": {"passed": True, "residual": "0"},
+            "dehn_sommerville": {"passed": True, "residual": None},
+            "structure": {"passed": False, "residual": None},
+        },
+    }
+
+
+@pytest.mark.parametrize("name", ["eD", "hosohedron(5)", "dihedron(5)"])
+def test_every_check_lies_in_one_report_group(name):
+    # a check outside every group could fail "pass" while staying invisible
+    rep = cli.verify_entry(name)
+    for key in rep.checks:
+        owners = [g for g, members in tilemap.REPORT_GROUPS.items() if key in members]
+        assert len(owners) == 1, (key, owners)
+    assert set(rep.as_dict()["checks"]) == set(tilemap.REPORT_GROUPS)
 
 
 def test_enumerate_triangle_free_matches_oracle(capsys):

@@ -137,6 +137,31 @@ def test_isomorphic_is_equivalence_on_samples():
             assert tm.isomorphic(maps[a], maps[b]) == tm.isomorphic(maps[b], maps[a])
 
 
+def test_rebuild_is_invariant_under_relabelling_and_reorientation():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # hosohedra need parallel edges and are built by digon_fan, not from faces
+    names = [n for n in catalog.all_entries() if not n.startswith("hosohedron")]
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(st.sampled_from(names), st.data())
+    def invariant(name, data):
+        t = catalog.make(name).map
+        label = data.draw(st.permutations(range(t.num_vertices)))
+        faces = []
+        for f in range(t.num_faces):
+            cyc = [label[v] for v in t.face_vertex_cycle(f)]
+            k = data.draw(st.integers(0, len(cyc) - 1))
+            cyc = cyc[k:] + cyc[:k]
+            faces.append(cyc[::-1] if data.draw(st.booleans()) else cyc)
+        faces = data.draw(st.permutations(faces))
+        other = tm.build_from_faces(faces, family=t.family)
+        assert tm.census(other) == tm.census(t)
+        assert tm.isomorphic(other, t)
+
+    invariant()
+
+
 def test_homogeneity():
     assert tm.homogeneity(catalog.make("J37").map) == "strong"
     assert tm.homogeneity(catalog.make("J27").map) == "weak-only"
