@@ -300,7 +300,17 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 # --------------------------------------------------------------------------
 
 
-def _polish_angles(sizes, counts, alphas, iterations=60):
+#: multistart grid points per face size in ``solve_vertex_system``
+_GRID_POINTS = 16
+#: damped Newton iterations of the multistart
+_MAX_ITER = 200
+#: solutions closer than this in every angle are one solution
+_DEDUP_TOL = 1e-9
+#: square Newton iterations of ``_polish_angles``
+_POLISH_ITERATIONS = 60
+
+
+def _polish_angles(sizes, counts, alphas):
     """Square Newton in angle space: angle sum + shared-edge consistency.
 
     Returns None if the iteration leaves the valid angle domain.
@@ -317,7 +327,7 @@ def _polish_angles(sizes, counts, alphas, iterations=60):
         ca, sa = math.cos(a[i]), math.sin(a[i])
         return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
 
-    for _ in range(iterations):
+    for _ in range(_POLISH_ITERATIONS):
         if any(not (1e-9 < v < TWO_PI - 1e-9) or math.cos(v) > 1.0 - 1e-12 for v in a):
             return None
         f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
@@ -340,13 +350,7 @@ def _polish_angles(sizes, counts, alphas, iterations=60):
     return a
 
 
-def solve_vertex_system(
-    t: Sequence[int],
-    *,
-    grid_points: int = 16,
-    max_iter: int = 200,
-    dedup_tol: float = 1e-9,
-) -> list[AngleAssignment]:
+def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     """All angle assignments realising the vertex type ``t``.
 
     Solves the angle-sum equation together with every pairwise companion
@@ -419,7 +423,7 @@ def solve_vertex_system(
         return jac
 
     axes = [
-        np.linspace(planar_angle(m), TWO_PI, grid_points + 2)[1:-1] for m in sizes
+        np.linspace(planar_angle(m), TWO_PI, _GRID_POINTS + 2)[1:-1] for m in sizes
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     alpha0 = np.stack([g.ravel() for g in grids], axis=1)
@@ -429,7 +433,7 @@ def solve_vertex_system(
     norm = np.max(np.abs(f), axis=1)
     alive = np.ones(v.shape[0], dtype=bool)
     lam = 1e-12
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         act = alive & (norm > 1e-13)
         idx = np.nonzero(act)[0]
         if idx.size == 0:
@@ -479,7 +483,7 @@ def solve_vertex_system(
     sols.sort()
     unique = []
     for s in sols:
-        if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > dedup_tol:
+        if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > _DEDUP_TOL:
             unique.append(s)
 
     out = []

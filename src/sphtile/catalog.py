@@ -50,6 +50,11 @@ __all__ = [
     "rotate_cupola",
     "diminish_cupola",
     "pyramid_diminish",
+    "shrink_all",
+    "truncate_all",
+    "equatorial_cycles",
+    "rotate_hemisphere",
+    "cut_hemisphere",
     "find_cupola_sites",
     "faces_of_size",
     "derive_from_ed",
@@ -210,14 +215,31 @@ def _elongated_square_cupola_faces() -> list:
 # --------------------------------------------------------------------------
 
 
-def _face_lists(t: TilingMap) -> list:
-    return [t.face_vertex_cycle(f) for f in range(t.num_faces)]
+def _kept_faces(t: TilingMap, removed) -> list:
+    """Vertex cycles of every face not in ``removed``, in face order."""
+    return [t.face_vertex_cycle(f) for f in range(t.num_faces) if f not in removed]
 
 
-def _prune_angles(assign: AngleAssignment, t: TilingMap) -> AngleAssignment:
-    present = {t.face_size(f) for f in range(t.num_faces)}
-    kept = {m: a for m, a in assign.angles.items() if m in present}
-    return AngleAssignment(kept, assign.edge)
+def _tiling(
+    t: TilingMap,
+    assign: AngleAssignment,
+    derived: Sequence = (),
+    error: type = PreconditionFailed,
+) -> Tiling:
+    """Pair a map with its angle assignment: the one way a Tiling is made.
+
+    Each derived ``(size, angle)`` pair is added in order; a size that
+    already has an angle must agree with it within 1e-9, or ``error`` is
+    raised.  The assignment then keeps exactly the face sizes of the map.
+    """
+    angles = dict(assign.angles)
+    for k, a in derived:
+        if k in angles and abs(angles[k] - a) > 1e-9:
+            raise error(f"size {k} angle {a!r} conflicts with the existing {angles[k]!r}")
+        angles[k] = a
+    present = {len(cyc) for cyc in t.faces}
+    kept = {m: a for m, a in angles.items() if m in present}
+    return Tiling(t, AngleAssignment(kept, assign.edge))
 
 
 def _require_angles(tiling: Tiling) -> AngleAssignment:
@@ -245,11 +267,10 @@ def pyramid_subdivide(tiling: Tiling, face: int) -> Tiling:
         )
     centre = ("pyramid-apex", face)
     cyc = t.face_vertex_cycle(face)
-    faces = [c for f, c in enumerate(_face_lists(t)) if f != face]
+    faces = _kept_faces(t, {face})
     for i in range(m):
         faces.append((cyc[i], cyc[(i + 1) % m], centre))
-    new_map = build_from_faces(faces)
-    return Tiling(new_map, _prune_angles(assign, new_map))
+    return _tiling(build_from_faces(faces), assign)
 
 
 def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
@@ -262,7 +283,6 @@ def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
     assign = _require_angles(tiling)
     removed_faces: set = set()
     new_faces = []
-    new_sizes = set()
     for v in vertices:
         star = [t.face_of[d] for d in t.darts_at(v)]
         if any(t.face_size(f) != 3 for f in star):
@@ -274,17 +294,9 @@ def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
         if any(u in vertices for u in link):
             raise InvalidSite("removed vertices are adjacent")
         new_faces.append(link)
-        new_sizes.add(len(link))
-    faces = [c for f, c in enumerate(_face_lists(t)) if f not in removed_faces]
-    faces += new_faces
-    new_map = build_from_faces(faces)
-    angles = dict(assign.angles)
-    for k in new_sizes:
-        derived = 2.0 * assign.angle(3)
-        if k in angles and abs(angles[k] - derived) > 1e-9:
-            raise PreconditionFailed(f"size {k} angle inconsistent with 2*angle(3)")
-        angles[k] = derived
-    return Tiling(new_map, _prune_angles(AngleAssignment(angles, assign.edge), new_map))
+    new_map = build_from_faces(_kept_faces(t, removed_faces) + new_faces)
+    # each corner of a link face spans the corners of two removed triangles
+    return _tiling(new_map, assign, [(len(link), 2.0 * assign.angle(3)) for link in new_faces])
 
 
 def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
@@ -307,18 +319,12 @@ def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
     cyc = t.face_vertex_cycle(face)
     b = [cyc[(i + phase) % m] for i in range(m)]
     top = [("cupola-top", face, j) for j in range(k)]
-    faces = [c for f, c in enumerate(_face_lists(t)) if f != face]
+    faces = _kept_faces(t, {face})
     for j in range(k):
         faces.append((b[2 * j], b[2 * j + 1], top[j]))
         faces.append((b[2 * j + 1], b[(2 * j + 2) % m], top[(j + 1) % k], top[j]))
     faces.append(tuple(top))
-    new_map = build_from_faces(faces)
-    angles = dict(assign.angles)
-    derived = TWO_PI - 2.0 * a4 - a3
-    if k in angles and abs(angles[k] - derived) > 1e-9:
-        raise PreconditionFailed(f"size {k} angle inconsistent with the cupola top")
-    angles[k] = derived
-    return Tiling(new_map, _prune_angles(AngleAssignment(angles, assign.edge), new_map))
+    return _tiling(build_from_faces(faces), assign, [(k, TWO_PI - 2.0 * a4 - a3)])
 
 
 def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
@@ -334,15 +340,15 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
         raise PreconditionFailed("prism subdivision needs angle(m) = 2*angle(4)")
     cyc = t.face_vertex_cycle(face)
     inner = [("prism-inner", face, i) for i in range(m)]
-    faces = [c for f, c in enumerate(_face_lists(t)) if f != face]
+    faces = _kept_faces(t, {face})
     for i in range(m):
         j = (i + 1) % m
         faces.append((cyc[i], cyc[j], inner[j], inner[i]))
     faces.append(tuple(inner))
-    new_map = build_from_faces(faces)
-    angles = dict(assign.angles)
-    angles[m] = TWO_PI - 2.0 * a4
-    return Tiling(new_map, _prune_angles(AngleAssignment(angles, assign.edge), new_map))
+    # the removed m-gon is the map's only one: its angle 2*angle(4) exceeds
+    # pi, so its area exceeds a hemisphere; size m now names the convex copy
+    convex = AngleAssignment({**assign.angles, m: TWO_PI - 2.0 * a4}, assign.edge)
+    return _tiling(build_from_faces(faces), convex)
 
 
 def shrink(t: TilingMap, face: int) -> TilingMap:
@@ -521,8 +527,8 @@ def _apply_cupola_ops(
     cap_faces: set = set()
     for s in sites:
         cap_faces |= s.faces
-    faces = [t.face_vertex_cycle(f) for f in range(t.num_faces) if f not in cap_faces]
-    angles = dict(assign.angles)
+    faces = _kept_faces(t, cap_faces)
+    derived = []
     for s in rotate_sites:
         n = len(s.boundary)
         relabel = {s.boundary[i]: s.boundary[(i + shift) % n] for i in range(n)}
@@ -536,13 +542,8 @@ def _apply_cupola_ops(
             for d in t.darts_at(b0)
             if t.face_of[d] not in s.faces
         ]
-        derived = TWO_PI - sum(assign.angle(m) for m in outside)
-        k = len(s.boundary)
-        if k in angles and abs(angles[k] - derived) > 1e-9:
-            raise InvalidSite(f"size {k} angle inconsistent at diminished site")
-        angles[k] = derived
-    new_map = build_from_faces(faces)
-    return Tiling(new_map, _prune_angles(AngleAssignment(angles, assign.edge), new_map))
+        derived.append((len(s.boundary), TWO_PI - sum(assign.angle(m) for m in outside)))
+    return _tiling(build_from_faces(faces), assign, derived, InvalidSite)
 
 
 def rotate_cupola(tiling: Tiling, site: CupolaSite) -> Tiling:
@@ -643,8 +644,7 @@ def rotate_hemisphere(tiling: Tiling, path: Sequence[int], shift: int = 1) -> Ti
     faces += [
         tuple(relabel.get(v, v) for v in t.face_vertex_cycle(f)) for f in side_b
     ]
-    new_map = build_from_faces(faces)
-    return Tiling(new_map, _prune_angles(assign, new_map))
+    return _tiling(build_from_faces(faces), assign)
 
 
 def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
@@ -659,13 +659,7 @@ def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
     ring = tuple(t.origin[d] for d in path)
     faces = [t.face_vertex_cycle(f) for f in side_a]
     faces.append(ring)
-    new_map = build_from_faces(faces)
-    angles = dict(assign.angles)
-    k = len(ring)
-    if k in angles and abs(angles[k] - PI) > 1e-9:
-        raise InvalidSite(f"size {k} angle conflicts with a hemisphere face")
-    angles[k] = PI
-    return Tiling(new_map, _prune_angles(AngleAssignment(angles, assign.edge), new_map))
+    return _tiling(build_from_faces(faces), assign, [(len(ring), PI)], InvalidSite)
 
 
 # --------------------------------------------------------------------------
@@ -763,10 +757,6 @@ def _golden_angles(group: str) -> AngleAssignment:
     raise UnknownName(group)
 
 
-def _restrict(assign: AngleAssignment, sizes) -> AngleAssignment:
-    return AngleAssignment({m: assign.angles[m] for m in sizes}, assign.edge)
-
-
 @lru_cache(maxsize=None)
 def _family_angles(kind: str, m: int) -> AngleAssignment:
     if kind == "prism":
@@ -787,60 +777,42 @@ def _family_angles(kind: str, m: int) -> AngleAssignment:
 
 def _tetrahedron() -> Tiling:
     m = build_from_faces([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
-    return Tiling(m, _golden_angles("T"))
+    return _tiling(m, _golden_angles("T"))
 
 
 def _cube() -> Tiling:
-    return Tiling(build_from_faces(_prism_faces(4)), _golden_angles("C"))
+    return _tiling(build_from_faces(_prism_faces(4)), _golden_angles("C"))
 
 
 def _octahedron() -> Tiling:
-    m = build_from_faces(_antiprism_faces(3))
-    return Tiling(m, _restrict(_golden_angles("O"), [3]))
+    return _tiling(build_from_faces(_antiprism_faces(3)), _golden_angles("O"))
 
 
 def _icosahedron() -> Tiling:
-    return Tiling(build_from_faces(_icosahedron_faces()), _restrict(_golden_angles("I"), [3]))
+    return _tiling(build_from_faces(_icosahedron_faces()), _golden_angles("I"))
 
 
 def _dodecahedron() -> Tiling:
     m = build_from_faces(_dual_faces(_icosahedron().map))
-    return Tiling(m, _golden_angles("D"))
+    return _tiling(m, _golden_angles("D"))
 
 
-def _truncated(seed_name: str, group: str) -> Tiling:
-    seed = make(seed_name)
-    return Tiling(truncate_all(seed.map), _golden_angles(group))
-
-
-def _rectified(seed_name: str, group: str, sizes) -> Tiling:
-    seed = make(seed_name)
-    m = build_from_faces(_rectified_faces(seed.map))
-    return Tiling(m, _restrict(_golden_angles(group), sizes))
-
-
-def _expanded(seed_name: str, group: str, sizes) -> Tiling:
-    seed = make(seed_name)
-    m = build_from_faces(_expanded_faces(seed.map))
-    return Tiling(m, _restrict(_golden_angles(group), sizes))
-
-
-def _snubbed(seed_name: str, group: str) -> Tiling:
-    seed = make(seed_name)
-    m = build_from_faces(_snub_faces(seed.map))
-    return Tiling(m, _golden_angles(group))
+def _derived(seed: str, faces_of, group: str) -> Tiling:
+    """The tiling whose faces ``faces_of`` derives from a seed entry's map:
+    its truncation, rectification, expansion or snub."""
+    return _tiling(build_from_faces(faces_of(make(seed).map)), _golden_angles(group))
 
 
 def _j1() -> Tiling:
     m = build_from_faces([(0, 1, 2, 3), (4, 1, 0), (4, 2, 1), (4, 3, 2), (4, 0, 3)])
-    return Tiling(m, _golden_angles("O"))
+    return _tiling(m, _golden_angles("O"))
 
 
 def _j2() -> Tiling:
     m = build_from_faces(
         [(0, 1, 2, 3, 4), (5, 1, 0), (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 0, 4)]
     )
-    return Tiling(m, _golden_angles("J2"))
+    return _tiling(m, _golden_angles("J2"))
 
 
 def _j3() -> Tiling:
@@ -850,19 +822,17 @@ def _j3() -> Tiling:
 
 
 def _j4() -> Tiling:
-    m = build_from_faces(_square_cupola_faces())
     base = _golden_angles("eC")
-    angles = dict(base.angles)
-    angles[8] = TWO_PI - angles[8]  # the standalone cupola's octagon is concave
-    return Tiling(m, AngleAssignment(angles, base.edge))
+    # the standalone cupola's octagon is concave
+    concave = AngleAssignment({**base.angles, 8: TWO_PI - base.angles[8]}, base.edge)
+    return _tiling(build_from_faces(_square_cupola_faces()), concave)
 
 
 def _j5() -> Tiling:
-    m = build_from_faces(_pentagonal_cupola_faces())
     base = _golden_angles("eD")
-    angles = dict(base.angles)
-    angles[10] = TWO_PI - angles[10]  # concave decagon under the cap
-    return Tiling(m, AngleAssignment(angles, base.edge))
+    # concave decagon under the cap
+    concave = AngleAssignment({**base.angles, 10: TWO_PI - base.angles[10]}, base.edge)
+    return _tiling(build_from_faces(_pentagonal_cupola_faces()), concave)
 
 
 def _j6() -> Tiling:
@@ -872,8 +842,7 @@ def _j6() -> Tiling:
 
 
 def _j19() -> Tiling:
-    m = build_from_faces(_elongated_square_cupola_faces())
-    return Tiling(m, _golden_angles("eC"))
+    return _tiling(build_from_faces(_elongated_square_cupola_faces()), _golden_angles("eC"))
 
 
 def _j27() -> Tiling:
@@ -895,10 +864,10 @@ def _j37() -> Tiling:
 
 
 def _icosa_distances():
-    ico = _icosahedron().map
-    n = ico.num_vertices
+    ico = _icosahedron()
+    n = ico.map.num_vertices
     adj = [set() for _ in range(n)]
-    for u, v in ico.edges:
+    for u, v in ico.map.edges:
         adj[u].add(v)
         adj[v].add(u)
     dist = [[-1] * n for _ in range(n)]
@@ -916,7 +885,6 @@ def _icosa_distances():
 
 def _diminished_icosahedron(n_removed: int, antipodal: bool = False) -> Tiling:
     ico, dist = _icosa_distances()
-    tiling = Tiling(ico, _restrict(_golden_angles("I"), [3]))
     v0 = 0
     if n_removed == 1:
         picks = [v0]
@@ -928,13 +896,13 @@ def _diminished_icosahedron(n_removed: int, antipodal: bool = False) -> Tiling:
         two = dist[v0].index(2)
         third = next(
             w
-            for w in range(ico.num_vertices)
+            for w in range(ico.map.num_vertices)
             if dist[v0][w] == 2 and dist[two][w] == 2 and w != two
         )
         picks = [v0, two, third]
     else:
         raise UnknownName(f"no {n_removed}-fold diminished icosahedron")
-    return pyramid_diminish(tiling, picks)
+    return pyramid_diminish(ico, picks)
 
 
 def _j11() -> Tiling:
@@ -1062,23 +1030,13 @@ _ED_RECIPES = {
 }
 
 
-def _ed_modified(name: str) -> Tiling:
-    r = _ED_RECIPES[name]
-    return derive_from_ed(
-        dim=r.get("dim", 0),
-        rot=r.get("rot", 0),
-        dim_rel=r.get("dim_rel"),
-        rot_rel=r.get("rot_rel"),
-    )
-
-
 def make_prism(m: int) -> Tiling:
     """Prism over an m-gon; prism(4) is the cube."""
     if m < 3:
         raise DomainError(f"prism needs m >= 3, got {m}")
     if m == 4:
         return _cube()
-    return Tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
+    return _tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
 
 
 def make_antiprism(m: int) -> Tiling:
@@ -1087,14 +1045,14 @@ def make_antiprism(m: int) -> Tiling:
         raise DomainError(f"antiprism needs m >= 3, got {m}")
     if m == 3:
         return _octahedron()
-    return Tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
+    return _tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
 
 
 def make_hosohedron(n: int) -> Tiling:
     """Fan of n digons between two poles; angle 2*pi/n, edge pi."""
     if n < 3:
         raise DomainError(f"hosohedron needs n >= 3, got {n}")
-    return Tiling(digon_fan(n), AngleAssignment({2: TWO_PI / n}, PI))
+    return _tiling(digon_fan(n), AngleAssignment({2: TWO_PI / n}, PI))
 
 
 def make_dihedron(n: int) -> Tiling:
@@ -1103,7 +1061,7 @@ def make_dihedron(n: int) -> Tiling:
         raise DomainError(f"dihedron needs n >= 3, got {n}")
     ring = tuple(range(n))
     m = build_from_faces([ring, ring], family="dihedron")
-    return Tiling(m, AngleAssignment({n: PI}, TWO_PI / n))
+    return _tiling(m, AngleAssignment({n: PI}, TWO_PI / n))
 
 
 _BUILDERS = {
@@ -1112,19 +1070,19 @@ _BUILDERS = {
     "O": _octahedron,
     "D": _dodecahedron,
     "I": _icosahedron,
-    "tT": lambda: _truncated("T", "tT"),
-    "tC": lambda: _truncated("C", "tC"),
-    "tO": lambda: _truncated("O", "tO"),
-    "tD": lambda: _truncated("D", "tD"),
-    "tI": lambda: _truncated("I", "tI"),
-    "aC": lambda: _rectified("C", "aC", [3, 4]),
-    "aD": lambda: _rectified("D", "aD", [3, 5]),
-    "eC": lambda: _expanded("C", "eC", [3, 4]),
-    "eD": lambda: _expanded("D", "eD", [3, 4, 5]),
-    "bC": lambda: _truncated("aC", "bC"),
-    "bD": lambda: _truncated("aD", "bD"),
-    "sC": lambda: _snubbed("C", "sC"),
-    "sD": lambda: _snubbed("D", "sD"),
+    "tT": lambda: _derived("T", _truncated_all_faces, "tT"),
+    "tC": lambda: _derived("C", _truncated_all_faces, "tC"),
+    "tO": lambda: _derived("O", _truncated_all_faces, "tO"),
+    "tD": lambda: _derived("D", _truncated_all_faces, "tD"),
+    "tI": lambda: _derived("I", _truncated_all_faces, "tI"),
+    "aC": lambda: _derived("C", _rectified_faces, "aC"),
+    "aD": lambda: _derived("D", _rectified_faces, "aD"),
+    "eC": lambda: _derived("C", _expanded_faces, "eC"),
+    "eD": lambda: _derived("D", _expanded_faces, "eD"),
+    "bC": lambda: _derived("aC", _truncated_all_faces, "bC"),
+    "bD": lambda: _derived("aD", _truncated_all_faces, "bD"),
+    "sC": lambda: _derived("C", _snub_faces, "sC"),
+    "sD": lambda: _derived("D", _snub_faces, "sD"),
     "J1": _j1,
     "J2": _j2,
     "J3": _j3,
@@ -1138,7 +1096,7 @@ _BUILDERS = {
     "J37": _j37,
     "J62": _j62,
     "J63": _j63,
-    **{name: (lambda n=name: _ed_modified(n)) for name in _ED_RECIPES},
+    **{name: (lambda r=recipe: derive_from_ed(**r)) for name, recipe in _ED_RECIPES.items()},
 }
 
 PLATONIC = ("T", "C", "O", "D", "I")

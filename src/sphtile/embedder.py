@@ -16,6 +16,7 @@ determine a great-circle arc.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -64,10 +65,6 @@ def _rotate(p: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of p about a unit axis."""
     c, s = math.cos(angle), math.sin(angle)
     return p * c + np.cross(axis, p) * s + axis * (np.dot(axis, p)) * (1.0 - c)
-
-
-def _geodesic(u: np.ndarray, v: np.ndarray) -> float:
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
 
 def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -195,7 +192,7 @@ def realize(
     return emb
 
 
-def _corner_angles(t: TilingMap, emb: Embedding, darts=None, sign=None) -> np.ndarray:
+def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
     """Realized interior angle at the origin of each dart (default: all darts)."""
     ds = np.arange(t.num_darts) if darts is None else np.asarray(darts, dtype=np.intp)
     nxt = np.asarray(t.face_next)[ds]
@@ -216,12 +213,12 @@ def _corner_angles(t: TilingMap, emb: Embedding, darts=None, sign=None) -> np.nd
     t_prev, t_next = tv / norm
     turn = np.sum(at * np.cross(t_prev, t_next), axis=1)
     raw = np.arctan2(turn, np.sum(t_prev * t_next, axis=1))
-    return ((emb.corner_sign if sign is None else sign) * raw) % TWO_PI
+    return (emb.corner_sign * raw) % TWO_PI
 
 
-def face_angles(t: TilingMap, emb: Embedding, f: int, sign: Optional[float] = None) -> list:
+def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
     """Realized interior angles of a face, reflex angles included."""
-    return _corner_angles(t, emb, t.faces[f], sign).tolist()
+    return _corner_angles(t, emb, t.faces[f]).tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
@@ -240,30 +237,25 @@ def total_area(t: TilingMap, emb: Embedding) -> float:
 # --------------------------------------------------------------------------
 
 
-def _slerp(u: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
-    ang = _geodesic(u, v)
-    if ang < 1e-14:
-        return u
-    return (
-        math.sin((1.0 - s) * ang) * u + math.sin(s * ang) * v
-    ) / math.sin(ang)
-
-
 def _arc_points(u, v, mid, steps):
-    """Interior sample points of the arc u->v (via mid when antipodal)."""
-    pts = []
+    """Interior sample points of the arc u->v (via mid when antipodal).
+
+    The arc is split into ``steps`` equal parts by spherical linear
+    interpolation; its angle is measured once.
+    """
     if mid is not None:
         # split at the stored midpoint to disambiguate the great circle
         half = steps // 2 or 1
-        for i in range(1, half):
-            pts.append(_slerp(u, mid, i / half))
-        pts.append(mid)
-        for i in range(1, steps - half):
-            pts.append(_slerp(mid, v, i / (steps - half)))
-    else:
-        for i in range(1, steps):
-            pts.append(_slerp(u, v, i / steps))
-    return pts
+        before = _arc_points(u, mid, None, half)
+        return before + [mid] + _arc_points(mid, v, None, steps - half)
+    ang = math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+    if ang < 1e-14:
+        return [u] * (steps - 1)
+    sin_ang = math.sin(ang)
+    return [
+        (math.sin((1.0 - s) * ang) * u + math.sin(s * ang) * v) / sin_ang
+        for s in (i / steps for i in range(1, steps))
+    ]
 
 
 def export_obj(
@@ -280,13 +272,11 @@ def export_obj(
     if arc_steps < 1:
         raise ValueError("arc_steps must be >= 1")
     lines = ["# sphtile unit-sphere tiling export"]
-    index: dict = {}
+    next_index = itertools.count(1)
 
     def emit(p: np.ndarray) -> int:
-        key = len(index) + 1
         lines.append("v %.17g %.17g %.17g" % (p[0], p[1], p[2]))
-        index[key] = p
-        return key
+        return next(next_index)
 
     vid = {}
     for v in sorted(emb.positions):

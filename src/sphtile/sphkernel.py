@@ -167,32 +167,31 @@ def solve_companion_angle(m: int, alpha_m: float, n: int) -> list[float]:
     return [base, TWO_PI - base]
 
 
-def solve_companion_size(
-    m: int,
-    alpha_m: float,
-    alpha_target: float,
-    lo: float = 3.0,
-    hi: float = 64.0,
-    scan_step: float = 0.25,
-) -> float:
+#: the real face sizes ``solve_companion_size`` scans, and its scan step
+_COMPANION_LO = 3.0
+_COMPANION_HI = 64.0
+_COMPANION_STEP = 0.25
+
+
+def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
     """Real face size n whose companion of the m-gon has angle alpha_target.
 
     The residual is monotone in n (linear in cos(2*pi/n)), so a coarse
     sign-bracket scan followed by bisection finds the unique root.  Raises
-    ``NoSolution`` when no sign change occurs on [lo, hi].
+    ``NoSolution`` when no sign change occurs on [3, 64].
     """
     _check_size(m)
 
     def f(n: float) -> float:
         return companion_residual(m, alpha_m, n, alpha_target)
 
-    a = lo
+    a = _COMPANION_LO
     fa = f(a)
     if fa == 0.0:
         return a
     bracket = None
-    while a < hi:
-        b = min(a + scan_step, hi)
+    while a < _COMPANION_HI:
+        b = min(a + _COMPANION_STEP, _COMPANION_HI)
         fb = f(b)
         if fb == 0.0:
             return b
@@ -202,7 +201,8 @@ def solve_companion_size(
         a, fa = b, fb
     if bracket is None:
         raise NoSolution(
-            f"companion size: no sign change on [{lo}, {hi}] for target {alpha_target}"
+            f"companion size: no sign change on [{_COMPANION_LO}, {_COMPANION_HI}] "
+            f"for target {alpha_target}"
         )
     a, b = bracket
     for _ in range(200):

@@ -108,7 +108,8 @@ def canonical_arrangement(cycle: Sequence[int]) -> Arrangement:
     """Lexicographically minimal representative under rotation and reflection."""
     seq = tuple(cycle)
     n = len(seq)
-    if n == 0:
+    if len(set(seq)) <= 1:
+        # a constant sequence (a hosohedron pole) is its own least rotation
         return seq
     best = None
     for candidate in (seq, seq[::-1]):

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from sphtile import catalog as cat, embedder, tilemap as tm
+from sphtile.algsolve import AngleAssignment
 from sphtile.sphkernel import DomainError
 
 PI = math.pi
@@ -131,6 +132,42 @@ def test_cupola_subdivide_j76_rebuilds_ed_family():
             if tm.isomorphic(r.map, cat.make(name).map):
                 results.add(name)
     assert results == {"eD", "J72"}
+
+
+def _with_angles(tiling, changes):
+    """The same map with some sizes' angles replaced or added."""
+    angles = {**tiling.angles.angles, **changes}
+    return tiling._replace(angles=AngleAssignment(angles, tiling.angles.edge))
+
+
+def test_pyramid_diminish_rejects_conflicting_pentagon_angle():
+    ico = _with_angles(cat.make("I"), {5: 1.0})
+    with pytest.raises(cat.PreconditionFailed, match="size 5 angle"):
+        cat.pyramid_diminish(ico, [0])
+
+
+def test_cut_hemisphere_rejects_conflicting_decagon_angle():
+    ad = cat.make("aD")
+    path = cat.equatorial_cycles(ad)[0]
+    with pytest.raises(cat.InvalidSite, match="size 10 angle"):
+        cat.cut_hemisphere(_with_angles(ad, {10: 1.0}), path)
+
+
+def test_diminish_cupola_rejects_conflicting_decagon_angle():
+    ed = cat.make("eD")
+    site = cat._canonical_sites(ed.map, cat.find_cupola_sites(ed.map))[0]
+    with pytest.raises(cat.InvalidSite, match="size 10 angle"):
+        cat.diminish_cupola(_with_angles(ed, {10: 1.0}), site)
+
+
+def test_cupola_subdivide_rejects_top_angle_off_the_squares():
+    # angle(8) = angle(3) + angle(4) still holds, but the new top square's
+    # derived angle 2*pi - 2*angle(4) - angle(3) now misses angle(4)
+    j19 = cat.make("J19")
+    a = j19.angles.angles
+    bumped = _with_angles(j19, {3: a[3] + 1e-6, 8: a[8] + 1e-6})
+    with pytest.raises(cat.PreconditionFailed, match="size 4 angle"):
+        cat.cupola_subdivide(bumped, cat.faces_of_size(j19.map, 8)[0])
 
 
 def test_shrink_all_truncated_tetrahedron():

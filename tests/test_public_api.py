@@ -1,0 +1,26 @@
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import sphtile
+
+MODULES = [
+    importlib.import_module(f"sphtile.{info.name}")
+    for info in pkgutil.iter_modules(sphtile.__path__)
+]
+
+
+@pytest.mark.parametrize(
+    "module", [m for m in MODULES if hasattr(m, "__all__")], ids=lambda m: m.__name__
+)
+def test_all_lists_every_public_function_and_class(module):
+    defined = [
+        name
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    ]
+    assert [name for name in defined if name not in module.__all__] == []

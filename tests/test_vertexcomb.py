@@ -95,6 +95,21 @@ def test_canonical_arrangement_idempotent_and_symmetric():
         assert vc.canonical_arrangement(cyc[::-1]) == can
 
 
+def test_canonical_arrangement_matches_brute_force_oracle():
+    def oracle(cyc):
+        return min(c[i:] + c[:i] for c in (cyc, cyc[::-1]) for i in range(len(cyc)))
+
+    rng = random.Random(5)
+    cases = [(4,) * n for n in (1, 2, 3, 7, 40)] + [(2,) * 1600, (3, 3, 3, 5)]
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        cases.append(tuple(rng.randint(3, 5) for _ in range(n)))
+        cases.append((rng.randint(2, 9),) * n)
+    for cyc in cases:
+        assert vc.canonical_arrangement(cyc) == oracle(cyc), cyc
+    assert vc.canonical_arrangement(()) == ()
+
+
 def test_remainder():
     assert vc.remainder((), {}) == pytest.approx(2 * PI)
     # triangular-prism relation: two squares leave exactly the triangle angle
