@@ -5,7 +5,8 @@ realising it must satisfy the angle sum 2*pi at the vertex together with
 the pairwise companion relation of :mod:`sphtile.sphkernel` (all faces
 share one edge length).  ``solve_vertex_system`` finds every solution of
 that system by damped multistart Newton iteration on the cos/sin
-formulation with unit-circle constraints.
+formulation with unit-circle constraints; it is the only angle solver
+here, and ``solve_snub`` is its 3.3.3.3.m case.
 
 The module also carries exact golden data for the hardest case, the
 degree-4 type {3,4,4,5}: the reduced Groebner basis of its polynomial
@@ -491,7 +492,12 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
         polished = _polish_angles(sizes, counts, s)
         if polished is None or any(not (1e-9 < a < TWO_PI - 1e-9) for a in polished):
             continue
-        assign = AngleAssignment.from_angles(dict(zip(sizes, polished)))
+        try:
+            assign = AngleAssignment.from_angles(dict(zip(sizes, polished)))
+        except DomainError:
+            # the smallest face sits at or below its planar angle: no
+            # spherical polygon
+            continue
         if assign.max_companion_residual() > 1e-9:
             continue
         if abs(sum(c * a for c, a in zip(counts, polished)) - TWO_PI) > 1e-9:
@@ -502,40 +508,18 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
 
 
 def solve_snub(m: int) -> AngleAssignment:
-    """Angles of the degree-5 snub type with four triangles and one m-gon.
+    """Angles of the snub vertex type 3.3.3.3.m, for m = 4 or 5.
 
-    Solves 4*a3 + a_m = 2*pi together with the companion relation, for
-    m = 4 (snub cube) or m = 5 (snub dodecahedron).
+    The single monotone-convex solution of ``solve_vertex_system`` on
+    (3, 3, 3, 3, m): the snub cube for m = 4, the snub dodecahedron for
+    m = 5.
     """
     if m not in (4, 5):
         raise DomainError(f"snub type requires m in {{4, 5}}, got {m}")
-    lo = math.pi / 3.0 + 1e-9
-    hi = (TWO_PI - planar_angle(m)) / 4.0 - 1e-9
-
-    def f(a3: float) -> float:
-        return companion_residual(3, a3, m, TWO_PI - 4.0 * a3)
-
-    a, fa = lo, f(lo)
-    bracket = None
-    steps = 2000
-    for i in range(1, steps + 1):
-        b = lo + (hi - lo) * i / steps
-        fb = f(b)
-        if fa * fb <= 0.0:
-            bracket = (a, b)
-            break
-        a, fa = b, fb
-    if bracket is None:
-        raise NoSolution(f"no snub solution bracket for m={m}")
-    a, b = bracket
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if f(a) * f(mid) <= 0.0:
-            b = mid
-        else:
-            a = mid
-    a3 = 0.5 * (a + b)
-    return AngleAssignment.from_angles({3: a3, m: TWO_PI - 4.0 * a3})
+    sols = [s for s in solve_vertex_system((3, 3, 3, 3, m)) if s.monotone_convex()]
+    if len(sols) != 1:
+        raise NoSolution(f"snub type 3.3.3.3.{m}: {len(sols)} monotone-convex solutions")
+    return sols[0]
 
 
 # --------------------------------------------------------------------------

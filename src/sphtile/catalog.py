@@ -883,13 +883,11 @@ def _icosa_distances():
     return ico, dist
 
 
-def _diminished_icosahedron(n_removed: int, antipodal: bool = False) -> Tiling:
+def _diminished_icosahedron(n_removed: int) -> Tiling:
     ico, dist = _icosa_distances()
     v0 = 0
     if n_removed == 1:
         picks = [v0]
-    elif n_removed == 2 and antipodal:
-        picks = [v0, dist[v0].index(3)]
     elif n_removed == 2:
         picks = [v0, dist[v0].index(2)]
     elif n_removed == 3:

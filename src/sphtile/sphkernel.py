@@ -44,7 +44,7 @@ class DomainError(ValueError):
 
 
 class NoSolution(RuntimeError):
-    """Raised when a bracketing search finds no root."""
+    """Raised when an equation has no root in the admissible range."""
 
 
 def planar_angle(m: int) -> float:
@@ -167,54 +167,34 @@ def solve_companion_angle(m: int, alpha_m: float, n: int) -> list[float]:
     return [base, TWO_PI - base]
 
 
-#: the real face sizes ``solve_companion_size`` scans, and its scan step
+#: the real face sizes ``solve_companion_size`` returns
 _COMPANION_LO = 3.0
 _COMPANION_HI = 64.0
-_COMPANION_STEP = 0.25
 
 
 def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
     """Real face size n whose companion of the m-gon has angle alpha_target.
 
-    The residual is monotone in n (linear in cos(2*pi/n)), so a coarse
-    sign-bracket scan followed by bisection finds the unique root.  Raises
-    ``NoSolution`` when no sign change occurs on [3, 64].
+    The companion relation is linear in cos(2*pi/n): the m-gon fixes the
+    shared edge's cosine cx = (1 + cos a_m + 2*cos(2*pi/m)) / (1 - cos a_m),
+    and then cos(2*pi/n) = (cx*(1 - cos a_t) - 1 - cos a_t) / 2.  Raises
+    ``NoSolution`` when that cosine lies outside (-1, 1) or n outside
+    [3, 64]; a size within 1e-9 of either end is clamped to it.
     """
     _check_size(m)
-
-    def f(n: float) -> float:
-        return companion_residual(m, alpha_m, n, alpha_target)
-
-    a = _COMPANION_LO
-    fa = f(a)
-    if fa == 0.0:
-        return a
-    bracket = None
-    while a < _COMPANION_HI:
-        b = min(a + _COMPANION_STEP, _COMPANION_HI)
-        fb = f(b)
-        if fb == 0.0:
-            return b
-        if fa * fb < 0.0:
-            bracket = (a, b)
-            break
-        a, fa = b, fb
-    if bracket is None:
+    cam = math.cos(alpha_m)
+    cat = math.cos(alpha_target)
+    if cam >= 1.0:
+        raise NoSolution(f"companion size: angle {alpha_m} has no {m}-gon edge")
+    cx = (1.0 + cam + 2.0 * math.cos(TWO_PI / m)) / (1.0 - cam)
+    cn = (cx * (1.0 - cat) - 1.0 - cat) / 2.0
+    n = TWO_PI / math.acos(cn) if -1.0 < cn < 1.0 else math.nan
+    if not _COMPANION_LO - 1e-9 <= n <= _COMPANION_HI + 1e-9:
         raise NoSolution(
-            f"companion size: no sign change on [{_COMPANION_LO}, {_COMPANION_HI}] "
+            f"companion size: no size in [{_COMPANION_LO}, {_COMPANION_HI}] "
             f"for target {alpha_target}"
         )
-    a, b = bracket
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0 or (b - a) < 1e-14:
-            return mid
-        if f(a) * fm < 0.0:
-            b = mid
-        else:
-            a = mid
-    return 0.5 * (a + b)
+    return min(max(n, _COMPANION_LO), _COMPANION_HI)
 
 
 @dataclass(frozen=True)

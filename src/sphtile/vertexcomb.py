@@ -60,18 +60,28 @@ def enumerate_candidate_types(max_size: int = 19) -> list[VertexType]:
     """All candidate vertex types over face sizes 3..max_size.
 
     The admissible multisets of those sizes, as ascending tuples in
-    lexicographic order.
+    lexicographic order.  A depth-first walk over nondecreasing prefixes
+    of the output: the sum that ``angle_deficit_ok`` bounds grows with
+    every entry, so a prefix takes the next size m only while its
+    cheapest completion by entries m passes the bound, and no larger m
+    can pass once one fails.
     """
     if max_size < 3:
         raise ValueError(f"max_size must be >= 3, got {max_size}")
     out = []
-    for degree in range(MIN_DEGREE, MAX_DEGREE + 1):
-        for combo in itertools.combinations_with_replacement(
-            range(3, max_size + 1), degree
-        ):
-            if angle_deficit_ok(combo):
-                out.append(combo)
-    out.sort()
+
+    def extend(prefix: tuple) -> None:
+        # preorder with ascending sizes yields lexicographic order
+        if len(prefix) >= MIN_DEGREE:
+            out.append(prefix)
+        if len(prefix) == MAX_DEGREE:
+            return
+        for m in range(prefix[-1] if prefix else 3, max_size + 1):
+            if not angle_deficit_ok(prefix + (m,) * max(1, MIN_DEGREE - len(prefix))):
+                break
+            extend(prefix + (m,))
+
+    extend(())
     return out
 
 

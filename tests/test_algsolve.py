@@ -143,6 +143,42 @@ def test_system_3356_continuation_rejects_integer_size():
     assert abs(q - round(q)) > 1e-3
 
 
+def _angle_sum_sign_changes(t, samples=4000):
+    # independent oracle on the one-unknown form: every face shares the
+    # edge x, so scan sum c_i*alpha(m_i, x) - 2*pi over (0, 2*pi/max m],
+    # all convex and with each size of count 1 reflex in turn
+    top = TWO_PI / max(t)
+    xs = [top * i / samples for i in range(1, samples + 1)]
+    changes = 0
+    for reflex in [None] + [m for m in sorted(set(t)) if t.count(m) == 1]:
+        vals = []
+        for x in xs:
+            total = sum(sk.angle_from_edge(m, x) for m in t) - TWO_PI
+            if reflex is not None:
+                total += TWO_PI - 2 * sk.angle_from_edge(reflex, x)
+            vals.append(total)
+        changes += sum(1 for a, b in zip(vals, vals[1:]) if (a < 0) != (b < 0))
+    return changes
+
+
+def test_sign_change_oracle_sees_solved_types():
+    assert _angle_sum_sign_changes((3, 4, 4)) == 1
+    assert _angle_sum_sign_changes((3, 3, 5, 7)) >= 1
+
+
+@pytest.mark.parametrize("t", [(3, 3, 7), (3, 3, 19), (3, 4, 12), (3, 4, 19)])
+def test_admissible_types_without_solution_return_empty(t):
+    # the Newton multistart polishes onto a root at or below the planar
+    # angle there; it is no spherical polygon, so no solution remains
+    assert _angle_sum_sign_changes(t) == 0
+    assert alg.solve_vertex_system(t) == []
+
+
+@pytest.mark.xfail(strict=True, reason="degenerate root with edge 8.4e-8 is still returned")
+def test_degenerate_3_3_6_returns_empty():
+    assert alg.solve_vertex_system((3, 3, 6)) == []
+
+
 def test_monotone_flag_on_synthetic_violation():
     bad = alg.AngleAssignment({3: 1.9, 4: 1.8}, 1.0)
     assert not bad.monotone_convex()
@@ -189,6 +225,12 @@ def test_snub_dodecahedron_closed_form():
     assert math.cos(s.angles[3]) == pytest.approx(xi, abs=1e-12)
     assert s.edge == pytest.approx(math.acos(xi / (1 - xi)), abs=1e-12)
     assert sk.edge_from_angle(5, s.angles[5]) == pytest.approx(s.edge, abs=1e-12)
+
+
+def test_snub_is_the_vertex_system_solution():
+    for m in (4, 5):
+        sols = alg.solve_vertex_system((3, 3, 3, 3, m))
+        assert [s.angles for s in sols] == [alg.solve_snub(m).angles]
 
 
 def test_snub_rejects_other_sizes():

@@ -63,7 +63,8 @@ def test_antiprism5_matches_icosahedron_family():
     assert ap.angles.angles[3] == pytest.approx(2 * PI / 5, abs=1e-9)
     assert ap.angles.angles[5] == pytest.approx(4 * PI / 5, abs=1e-9)
     # antiprism(5) is the icosahedron with two antipodal vertices removed
-    anti = cat._diminished_icosahedron(2, antipodal=True)
+    ico, dist = cat._icosa_distances()
+    anti = cat.pyramid_diminish(ico, [0, dist[0].index(3)])
     assert tm.isomorphic(ap.map, anti.map)
 
 

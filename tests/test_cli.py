@@ -147,6 +147,13 @@ def test_solve_prints_reference_angles(capsys):
     assert "0.342951" in out and "0.516810" in out and "0.623427" in out
 
 
+def test_solve_admissible_type_without_solution(capsys):
+    code, out, err = run(capsys, "solve", "--type", "3,3,7")
+    assert code == 0
+    assert out.strip() == "no solution"
+    assert not err
+
+
 def test_solve_bad_type(capsys):
     code, _, err = run(capsys, "solve", "--type", "3,x")
     assert code == 2

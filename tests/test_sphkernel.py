@@ -156,6 +156,26 @@ def test_solve_companion_size_no_bracket():
         sk.solve_companion_size(3, 2 * PI / 3, 0.05)
 
 
+def test_solve_companion_size_round_trip():
+    # an m-gon and an n-gon of the same edge x: the size comes back
+    for m in range(3, 13):
+        for n in range(3, 13):
+            top = TWO_PI / max(m, n)
+            for i in range(1, 20):
+                x = top * i / 20.0
+                got = sk.solve_companion_size(m, sk.angle_from_edge(m, x), sk.angle_from_edge(n, x))
+                assert got == pytest.approx(n, abs=1e-9), (m, n, x)
+
+
+def test_solve_companion_size_interval_end():
+    # a triangle companion lands on the end of [3, 64] and is clamped to it
+    n = sk.solve_companion_size(5, sk.angle_from_edge(5, 0.3), sk.angle_from_edge(3, 0.3))
+    assert 3.0 <= n <= 3.0 + 1e-9
+    with pytest.raises(sk.NoSolution):
+        # a zero m-gon angle fixes no edge
+        sk.solve_companion_size(3, 0.0, 1.0)
+
+
 def test_domain_errors():
     with pytest.raises(sk.DomainError):
         sk.angle_from_edge(3, 2 * PI / 3 + 0.2)  # beyond the triangle bound

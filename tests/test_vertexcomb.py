@@ -28,6 +28,15 @@ def test_enumeration_matches_brute_force_oracle():
     assert vc.enumerate_candidate_types(8) == brute_force_types(8)
 
 
+def test_enumeration_large_max_size():
+    # the pruned walk visits only the output, so a large bound returns
+    # at once; the smaller bound's types are exactly its restriction
+    types = vc.enumerate_candidate_types(200)
+    assert types == sorted(types)
+    assert all(vc.admissible(t) for t in types)
+    assert [t for t in types if max(t) <= 19] == vc.enumerate_candidate_types(19)
+
+
 def test_degree_five_types_with_triangle():
     got = [t for t in vc.enumerate_candidate_types(19) if len(t) == 5 and 3 in t]
     assert got == [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), (3, 3, 3, 3, 5)]
