@@ -1,13 +1,15 @@
 """Unit-sphere embeddings of validated tilings, plus OBJ/JSON export.
 
 ``realize`` places the seed face with its centre at the north pole using
-the circumradius, then propagates face by face: once a directed edge of a
-face has both endpoints placed, the remaining vertices follow by rotating
-the previous vertex about the current one through the face's interior
-angle.  Every revisit of an already-placed vertex measures the closure
-discrepancy, so the walk doubles as a consistency check of the angle
-assignment.  Edge lengths, corner angles and areas are then measured per
-dart in one numpy pass over gathered position arrays.
+the circumradius, then walks the faces breadth first.  Positions live in
+one (V, 3) array with a ``placed`` mask.  Once a directed edge of a face
+has both endpoints placed, the face centre follows from that edge, and
+one broadcast Rodrigues rotation about the centre carries the edge's
+first vertex to all the face's other vertices at once.  Every revisit of
+an already-placed vertex measures the closure discrepancy, so the walk
+doubles as a consistency check of the angle assignment.  Edge lengths,
+corner angles and areas are then measured per dart in one numpy pass
+over gathered position arrays.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly; their
 edges carry explicit midpoints because antipodal endpoints do not
@@ -61,10 +63,15 @@ class Embedding:
     arc_midpoints: dict = field(default_factory=dict)
 
 
-def _rotate(p: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation of p about a unit axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return p * c + np.cross(axis, p) * s + axis * (np.dot(axis, p)) * (1.0 - c)
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vectors.
+
+    The same products and differences, in the same order, as ``np.cross``,
+    so the result is bit-identical, without numpy's axis handling.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -95,8 +102,8 @@ def _face_centre(
     a = math.cos(r) / (1.0 + cosx)
     rem = max(1.0 - a * a * (2.0 + 2.0 * cosx), 0.0)
     beta = side * math.sqrt(rem / (1.0 - cosx * cosx))
-    c = a * (u + v) + beta * np.cross(u, v)
-    return c / np.linalg.norm(c)
+    c = a * (u + v) + beta * _cross(u, v)
+    return c / math.sqrt(c.dot(c))
 
 
 def realize(
@@ -107,25 +114,26 @@ def realize(
     """Embed a tiling on the unit sphere by geodesic propagation.
 
     The seed face is centred at the north pole with its vertices on the
-    circumradius circle; each further face is placed rigidly from one
-    shared, already-placed edge by rotating about the face centre.  Every
-    revisit of a placed vertex measures the closure discrepancy, so the
-    walk doubles as a verifier.  Raises ``ClosureFailure`` when revisits
-    disagree beyond ``closure_tol``, which signals an inconsistent angle
-    assignment.
+    circumradius circle.  Each further face is placed rigidly from one
+    shared, already-placed edge u -> v: its centre is computed once, and
+    one broadcast rotation of u about it through the multiples of
+    2*pi/m gives all m - 1 other vertices (the cosines and sines are
+    tabled once per face size).  Positions are kept in a (V, 3) array
+    with a ``placed`` mask.  Every revisit of a placed vertex measures the
+    closure discrepancy, the Euclidean distance between the stored and
+    the new position, so the walk doubles as a verifier.  Raises
+    ``ClosureFailure`` when the worst revisit exceeds ``closure_tol``,
+    which signals an inconsistent angle assignment; the message names
+    that vertex and the face whose placement revisited it.
     """
     if t.family == "hosohedron":
         return _realize_hosohedron(t, assign)
 
-    positions: dict = {}
-    worst_closure = 0.0
-
-    def place(v: int, p: np.ndarray):
-        nonlocal worst_closure
-        if v in positions:
-            worst_closure = max(worst_closure, float(np.linalg.norm(positions[v] - p)))
-        else:
-            positions[v] = p
+    n = t.num_vertices
+    pos = np.zeros((n, 3))
+    placed = np.zeros(n, dtype=bool)
+    origin = np.asarray(t.origin)
+    worst_closure, witness = 0.0, None
 
     cosx = math.cos(assign.edge)
     radii = {m: circumradius(m, assign.angle(m)) for m in {len(c) for c in t.faces}}
@@ -135,17 +143,25 @@ def realize(
     m0 = t.face_size(seed)
     r0 = radii[m0]
     sr, cr = math.sin(r0), math.cos(r0)
-    cyc0 = t.face_vertex_cycle(seed)
+    cyc0 = list(t.face_vertex_cycle(seed))
     for j, v in enumerate(cyc0):
         phi = TWO_PI * j / m0
-        place(v, np.array([sr * math.cos(phi), sr * math.sin(phi), cr]))
+        pos[v] = [sr * math.cos(phi), sr * math.sin(phi), cr]
+    placed[cyc0] = True
 
     # global chirality: the seed centre must come out at the north pole
-    p0, p1 = positions[cyc0[0]], positions[cyc0[1]]
     sign = 1.0
-    c_probe = _face_centre(p0, p1, cosx, r0, sign)
-    if c_probe[2] < 0.0:
+    if _face_centre(pos[cyc0[0]], pos[cyc0[1]], cosx, r0, sign)[2] < 0.0:
         sign = -1.0
+
+    # per face size, the columns of the Rodrigues rotation through
+    # i * step for i = 1 .. m-1: cos, sin and 1 - cos
+    turns = {}
+    for m in radii:
+        step = sign * TWO_PI / m
+        c = np.array([math.cos(i * step) for i in range(1, m)])[:, None]
+        s = np.array([math.sin(i * step) for i in range(1, m)])[:, None]
+        turns[m] = (c, s, 1.0 - c)
 
     done = [False] * t.num_faces
     done[seed] = True
@@ -156,35 +172,41 @@ def realize(
         if done[f]:
             continue
         done[f] = True
-        mf = t.face_size(f)
-        rf = radii[mf]
-        ds = [d0]
-        while len(ds) < mf:
-            ds.append(t.face_next[ds[-1]])
-        verts = [t.origin[d] for d in ds]
-        u, v = positions[verts[0]], positions[verts[1]]
-        centre = _face_centre(u, v, cosx, rf, sign)
-        step = sign * TWO_PI / mf
-        for i in range(1, mf):
-            place(verts[i], _rotate(u, centre, i * step))
-        for d in ds:
+        k = t.faces[f].index(d0)
+        darts = t.faces[f][k:] + t.faces[f][:k]
+        verts = origin[list(darts)]
+        # rotate the first vertex about the face centre to every other one
+        u = pos[verts[0]]
+        centre = _face_centre(u, pos[verts[1]], cosx, radii[len(darts)], sign)
+        c, s, c1 = turns[len(darts)]
+        ring = u * c + _cross(centre, u) * s + centre * np.dot(centre, u) * c1
+        for v, p in zip(verts[1:].tolist(), ring):
+            if placed[v]:
+                d = pos[v] - p
+                gap = math.sqrt(d.dot(d))
+                if gap > worst_closure:
+                    worst_closure, witness = gap, (v, f)
+            else:
+                pos[v] = p
+                placed[v] = True
+        for d in darts:
             nb = t.edge_pair[d]
             if not done[t.face_of[nb]]:
                 queue.append(nb)
 
-    if len(positions) != t.num_vertices:
+    if not placed.all():
         raise ClosureFailure("propagation did not reach every vertex")
     if worst_closure > closure_tol:
         raise ClosureFailure(
-            f"closure error {worst_closure:.3e} exceeds {closure_tol:.1e}"
+            f"closure error {worst_closure:.3e} at vertex {witness[0]} "
+            f"(face {witness[1]}) exceeds {closure_tol:.1e}"
         )
 
     # corner rotations run opposite to the centre rotation sense
     emb = Embedding(
-        positions=positions, closure_error=worst_closure, corner_sign=-sign
+        positions=dict(enumerate(pos)), closure_error=worst_closure, corner_sign=-sign
     )
 
-    pos = np.array([positions[v] for v in range(t.num_vertices)])
     u, v = np.array(t.edges).T
     emb.edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
     want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
@@ -248,7 +270,7 @@ def _arc_points(u, v, mid, steps):
         half = steps // 2 or 1
         before = _arc_points(u, mid, None, half)
         return before + [mid] + _arc_points(mid, v, None, steps - half)
-    ang = math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+    ang = math.atan2(float(np.linalg.norm(_cross(u, v))), float(np.dot(u, v)))
     if ang < 1e-14:
         return [u] * (steps - 1)
     sin_ang = math.sin(ang)
@@ -310,9 +332,9 @@ def export_obj(
             if np.linalg.norm(centre) < 1e-9:
                 # a great-circle face, or a digon with antipodal edge midpoints
                 if len(cyc) == 2:
-                    centre = np.cross(emb.positions[cyc[0]], pts[0])
+                    centre = _cross(emb.positions[cyc[0]], pts[0])
                 else:
-                    centre = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+                    centre = _cross(pts[1] - pts[0], pts[2] - pts[0])
             centre = centre / np.linalg.norm(centre)
             apex = emit(centre)
             for i in range(len(cyc)):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from sphtile import cli, embedder, tilemap
+from sphtile.algsolve import AngleAssignment
 
 
 def run(capsys, *argv):
@@ -88,6 +89,18 @@ def test_verify_failure_names_check_and_witness(tmp_path, capsys, monkeypatch):
     entry = json.loads(report.read_text())["entries"][0]
     assert entry["pass"] is False
     assert entry["checks"]["embedding_closure"] == {"passed": False, "residual": None}
+
+
+def test_verify_failure_line_carries_closure_witness(capsys, monkeypatch):
+    realize = embedder.realize
+    bad = AngleAssignment({4: 2.2}, 1.3)
+    monkeypatch.setattr(embedder, "realize", lambda t, assign, **kw: realize(t, bad, **kw))
+    code, out, _ = run(capsys, "verify", "C")
+    assert code == 1
+    assert (
+        "FAIL  C  [embedding_closure: closure error 5.749e-01 at vertex 4 (face 1) "
+        "exceeds 1.0e-07]" in out
+    )
 
 
 def test_report_view_folds_component_checks():

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from sphtile import catalog as cat, embedder as em, tilemap as tm
 from sphtile.algsolve import AngleAssignment
-from sphtile.sphkernel import polygon_area
+from sphtile.sphkernel import circumradius, polygon_area
 
 PI = math.pi
 
@@ -75,10 +76,15 @@ def test_face_areas_match_analytic_values():
 
 
 def test_closure_failure_on_inconsistent_angles():
+    # the message names the worst revisit and the face that made it
     cube = cat.make("C").map
     bad = AngleAssignment({4: 2.2}, 1.3)
-    with pytest.raises(em.ClosureFailure):
+    want, (vertex, face) = _scalar_realize(cube, bad)
+    with pytest.raises(em.ClosureFailure) as info:
         em.realize(cube, bad)
+    assert str(info.value) == (
+        f"closure error {want.closure_error:.3e} at vertex {vertex} (face {face}) exceeds 1.0e-07"
+    )
 
 
 def test_export_obj_counts():
@@ -220,3 +226,131 @@ def test_export_obj_digon_fan_2_has_distinct_apexes():
     assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
     # quarter turns either side of the edge midpoints (1, 0, 0) and (-1, 0, 0)
     assert np.allclose(sorted([p.tolist(), q.tolist()]), [[0, -1, 0], [0, 1, 0]], atol=1e-15)
+
+
+def _scalar_rotate(p, axis, angle):
+    """Reference: Rodrigues rotation of one 3-vector about a unit axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return p * c + np.cross(axis, p) * s + axis * (np.dot(axis, p)) * (1.0 - c)
+
+
+def _scalar_face_centre(u, v, cosx, r, side):
+    a = math.cos(r) / (1.0 + cosx)
+    rem = max(1.0 - a * a * (2.0 + 2.0 * cosx), 0.0)
+    beta = side * math.sqrt(rem / (1.0 - cosx * cosx))
+    c = a * (u + v) + beta * np.cross(u, v)
+    return c / np.linalg.norm(c)
+
+
+def _scalar_realize(t, assign):
+    """Reference: the propagation one vertex at a time, positions in a dict.
+
+    Each vertex is its own rotation with ``np.cross``, and each revisit its
+    own ``np.linalg.norm``.  Returns the embedding, edge and angle errors
+    filled in, and the (vertex, face) of the worst revisit.
+    """
+    positions = {}
+    worst, witness = 0.0, None
+
+    def place(v, p, f):
+        nonlocal worst, witness
+        if v in positions:
+            gap = float(np.linalg.norm(positions[v] - p))
+            if gap > worst:
+                worst, witness = gap, (v, f)
+        else:
+            positions[v] = p
+
+    cosx = math.cos(assign.edge)
+    radii = {m: circumradius(m, assign.angle(m)) for m in {len(c) for c in t.faces}}
+    m0 = t.face_size(0)
+    sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
+    cyc0 = t.face_vertex_cycle(0)
+    for j, v in enumerate(cyc0):
+        phi = 2 * PI * j / m0
+        place(v, np.array([sr * math.cos(phi), sr * math.sin(phi), cr]), 0)
+    c_probe = _scalar_face_centre(positions[cyc0[0]], positions[cyc0[1]], cosx, radii[m0], 1.0)
+    sign = -1.0 if c_probe[2] < 0.0 else 1.0
+
+    done = [False] * t.num_faces
+    done[0] = True
+    queue = deque(t.edge_pair[d] for d in t.faces[0])
+    while queue:
+        d0 = queue.popleft()
+        f = t.face_of[d0]
+        if done[f]:
+            continue
+        done[f] = True
+        mf = t.face_size(f)
+        ds = [d0]
+        while len(ds) < mf:
+            ds.append(t.face_next[ds[-1]])
+        verts = [t.origin[d] for d in ds]
+        u, v = positions[verts[0]], positions[verts[1]]
+        centre = _scalar_face_centre(u, v, cosx, radii[mf], sign)
+        step = sign * 2 * PI / mf
+        for i in range(1, mf):
+            place(verts[i], _scalar_rotate(u, centre, i * step), f)
+        for d in ds:
+            if not done[t.face_of[t.edge_pair[d]]]:
+                queue.append(t.edge_pair[d])
+
+    emb = em.Embedding(positions=positions, closure_error=worst, corner_sign=-sign)
+    pos = np.array([positions[v] for v in range(t.num_vertices)])
+    u, v = np.array(t.edges).T
+    emb.edge_error = float(np.max(np.abs(em._arc_lengths(pos[u], pos[v]) - assign.edge)))
+    want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
+    emb.angle_error = float(np.max(np.abs(em._corner_angles(t, emb) - want)))
+    return emb, witness
+
+
+FAMILY_MAPS = [f"{fam}({n})" for fam in ("prism", "antiprism", "dihedron") for n in (50, 200, 400)]
+
+
+def test_realize_matches_scalar_oracle_bit_for_bit():
+    for name in list(cat.all_entries()) + FAMILY_MAPS:
+        t = cat.make(name)
+        if t.map.family == "hosohedron":
+            continue
+        got = em.realize(t.map, t.angles)
+        want, _ = _scalar_realize(t.map, t.angles)
+        assert sorted(got.positions) == sorted(want.positions), name
+        for v in want.positions:
+            assert got.positions[v].tobytes() == want.positions[v].tobytes(), (name, v)
+        assert got.closure_error == want.closure_error, name
+        assert got.edge_error == want.edge_error, name
+        assert got.angle_error == want.angle_error, name
+        assert got.corner_sign == want.corner_sign, name
+
+
+@pytest.mark.parametrize("shift, fails", [(1e-6, True), (1e-13, False)])
+def test_closure_sees_a_small_angle_shift(shift, fails):
+    # a walk that skipped revisits would pass both shifts with error 0
+    t = cat.make("prism(12)")
+    angles = dict(t.angles.angles)
+    angles[4] += shift
+    shifted = AngleAssignment(angles, t.angles.edge)
+    if fails:
+        with pytest.raises(em.ClosureFailure):
+            em.realize(t.map, shifted)
+    else:
+        assert 0.0 < em.realize(t.map, shifted).closure_error <= 1e-7
+
+
+def test_cross_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+    b = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+    want = np.cross(a, b)
+    for i in range(len(a)):
+        assert em._cross(a[i], b[i]).tobytes() == want[i].tobytes(), i
+    u = np.array([0.3, -1.7, 2.9])
+    z = np.array([0.0, -0.0, 0.0])
+    specials = [
+        (z, u), (u, z), (-z, z), (z, -z),
+        (np.array([-0.0, 0.0, -0.0]), np.array([1.0, -1.0, 0.0])),
+        (u, u), (u, 3.0 * u), (u, -u), (u, -0.25 * u),
+        (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
+    ]
+    for p, q in specials:
+        assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes(), (p, q)
