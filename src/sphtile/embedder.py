@@ -18,7 +18,6 @@ determine a great-circle arc.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections import deque
@@ -259,25 +258,25 @@ def total_area(t: TilingMap, emb: Embedding) -> float:
 # --------------------------------------------------------------------------
 
 
-def _arc_points(u, v, mid, steps):
+def _arc_points(u, v, mid, steps) -> np.ndarray:
     """Interior sample points of the arc u->v (via mid when antipodal).
 
     The arc is split into ``steps`` equal parts by spherical linear
-    interpolation; its angle is measured once.
+    interpolation; its angle is measured once and its ``steps - 1``
+    points come out of one broadcast, as a (steps - 1, 3) array.
     """
     if mid is not None:
         # split at the stored midpoint to disambiguate the great circle
         half = steps // 2 or 1
         before = _arc_points(u, mid, None, half)
-        return before + [mid] + _arc_points(mid, v, None, steps - half)
+        return np.concatenate([before, mid[None], _arc_points(mid, v, None, steps - half)])
+    fracs = [i / steps for i in range(1, steps)]
     ang = math.atan2(float(np.linalg.norm(_cross(u, v))), float(np.dot(u, v)))
     if ang < 1e-14:
-        return [u] * (steps - 1)
-    sin_ang = math.sin(ang)
-    return [
-        (math.sin((1.0 - s) * ang) * u + math.sin(s * ang) * v) / sin_ang
-        for s in (i / steps for i in range(1, steps))
-    ]
+        return np.tile(u, (len(fracs), 1))
+    a = np.array([math.sin((1.0 - s) * ang) for s in fracs])
+    b = np.array([math.sin(s * ang) for s in fracs])
+    return (a[:, None] * u + b[:, None] * v) / math.sin(ang)
 
 
 def export_obj(
@@ -293,17 +292,10 @@ def export_obj(
     """
     if arc_steps < 1:
         raise ValueError("arc_steps must be >= 1")
-    lines = ["# sphtile unit-sphere tiling export"]
-    next_index = itertools.count(1)
-
-    def emit(p: np.ndarray) -> int:
-        lines.append("v %.17g %.17g %.17g" % (p[0], p[1], p[2]))
-        return next(next_index)
-
-    vid = {}
-    for v in sorted(emb.positions):
-        vid[v] = emit(emb.positions[v])
-
+    verts = sorted(emb.positions)
+    vid = {v: i for i, v in enumerate(verts, 1)}
+    points = [np.array([emb.positions[v] for v in verts])]
+    count = len(verts)
     ids = t.edge_ids()
     edge_polylines = []
     for d in range(t.num_darts):
@@ -311,11 +303,12 @@ def export_obj(
             continue
         u, v = t.origin[d], t.target(d)
         mid = emb.arc_midpoints.get(ids[d])
-        chain = [vid[u]]
-        for p in _arc_points(emb.positions[u], emb.positions[v], mid, arc_steps):
-            chain.append(emit(p))
-        chain.append(vid[v])
-        edge_polylines.append(chain)
+        arc = _arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
+        edge_polylines.append([vid[u], *range(count + 1, count + 1 + len(arc)), vid[v]])
+        count += len(arc)
+        points.append(arc)
+    lines = ["# sphtile unit-sphere tiling export"]
+    lines.extend("v %.17g %.17g %.17g" % (x, y, z) for x, y, z in np.concatenate(points).tolist())
     for chain in edge_polylines:
         lines.append("l " + " ".join(str(i) for i in chain))
 
@@ -336,10 +329,11 @@ def export_obj(
                 else:
                     centre = _cross(pts[1] - pts[0], pts[2] - pts[0])
             centre = centre / np.linalg.norm(centre)
-            apex = emit(centre)
+            lines.append("v %.17g %.17g %.17g" % tuple(centre.tolist()))
+            count += 1
             for i in range(len(cyc)):
                 lines.append(
-                    "f %d %d %d" % (apex, vid[cyc[i]], vid[cyc[(i + 1) % len(cyc)]])
+                    "f %d %d %d" % (count, vid[cyc[i]], vid[cyc[(i + 1) % len(cyc)]])
                 )
     return ("\n".join(lines) + "\n").encode()
 

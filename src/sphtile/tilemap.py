@@ -22,7 +22,8 @@ The same ``ValidationReport`` is the ``verify`` report: ``cli.verify_entry``
 adds the embedding as one more check, and ``as_dict`` folds the checks
 into the report keys of ``REPORT_GROUPS``.
 Isomorphism (allowing reflection, preserving face sizes) uses a canonical
-rooted-dart traversal form.
+rooted-dart traversal form, searched with early abort and pruned by the
+automorphisms found on the way.
 """
 
 from __future__ import annotations
@@ -172,29 +173,6 @@ class TilingMap:
 
     # -- canonical form ----------------------------------------------------
 
-    def _signature(self, start: int, reflected: bool) -> tuple:
-        nxt = self.face_prev if reflected else self.face_next
-        pair = self.edge_pair
-        n = self.num_darts
-        ids = [-1] * n
-        order = [start]
-        ids[start] = 0
-        head = 0
-        while head < len(order):
-            d = order[head]
-            head += 1
-            for nb in (nxt[d], pair[d]):
-                if ids[nb] < 0:
-                    ids[nb] = len(order)
-                    order.append(nb)
-        sig = []
-        sizes = self.face_of
-        for d in order:
-            sig.append(ids[nxt[d]])
-            sig.append(ids[pair[d]])
-            sig.append(len(self.faces[sizes[d]]))
-        return tuple(sig)
-
     @cached_property
     def _start_darts(self) -> tuple:
         # restrict canonical-form starts to an isomorphism-invariant dart
@@ -213,12 +191,73 @@ class TilingMap:
 
     @cached_property
     def canonical_form(self) -> tuple:
-        best = None
+        """The least breadth-first signature over the start darts, both orientations.
+
+        The signature from a start dart labels darts in breadth-first
+        order (face successor, then edge partner) and lists, per dart, the
+        labels of its successor and partner and its face size.  Starts run
+        in order, ``reflected`` False then True, each dart of
+        ``_start_darts``.  A signature is abandoned at its first triple
+        above the best one.  A start that ties the best gives the map
+        automorphism ``best_order[i] -> order[i]`` (orientation-reversing
+        when the two orientations differ), and one dart fixes a map
+        automorphism, so every (dart, orientation) state in its orbit has
+        the same signature: states are joined in a union-find and a start
+        whose orbit holds a tried start is skipped.
+        """
+        n = self.num_darts
+        pair = self.edge_pair
+        size = [len(self.faces[f]) for f in self.face_of]
+        root = list(range(2 * n))  # union-find over states d + n * reflected
+        tried = [False] * (2 * n)  # per root: the orbit holds a tried start
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = x = root[root[x]]
+            return x
+
+        best = best_order = None
+        best_reflected = False
         for reflected in (False, True):
-            for d in self._start_darts:
-                sig = self._signature(d, reflected)
-                if best is None or sig < best:
-                    best = sig
+            nxt = self.face_prev if reflected else self.face_next
+            for start in self._start_darts:
+                r = find(start + n * reflected)
+                if tried[r]:
+                    continue
+                tried[r] = True
+                ids = [-1] * n
+                ids[start] = 0
+                order = [start]
+                sig = []
+                tie = best is not None  # the prefix so far equals best's
+                for d in order:
+                    a, b = nxt[d], pair[d]
+                    if ids[a] < 0:
+                        ids[a] = len(order)
+                        order.append(a)
+                    if ids[b] < 0:
+                        ids[b] = len(order)
+                        order.append(b)
+                    triple = (ids[a], ids[b], size[d])
+                    if tie:
+                        k = len(sig)
+                        if triple != best[k : k + 3]:
+                            if triple > best[k : k + 3]:
+                                break
+                            tie = False
+                    sig.extend(triple)
+                else:  # not abandoned: a full tie or a new best
+                    if not tie:
+                        best, best_order, best_reflected = tuple(sig), order, reflected
+                        continue
+                    # join each state with its image under the automorphism
+                    flip = n * (reflected != best_reflected)
+                    for x, y in zip(best_order, order):
+                        for sx, sy in ((x, y + flip), (x + n, y + n - flip)):
+                            rx, ry = find(sx), find(sy)
+                            if rx != ry:
+                                root[rx] = ry
+                                tried[ry] = tried[ry] or tried[rx]
         return best
 
     @cached_property

@@ -197,6 +197,51 @@ def test_shrink_precondition():
         cat.shrink(ec, cat.faces_of_size(ec, 3)[0])
 
 
+def test_operator_round_trips():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    vertices = st.sampled_from(cat.names()).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, cat.make(n).map.num_vertices - 1))
+    )
+
+    @hyp.settings(max_examples=60, deadline=None)
+    @hyp.given(vertices)
+    def truncate_then_shrink(site):
+        name, v = site
+        t = cat.make(name).map
+        hyp.assume(t.degree(v) >= 3)
+        cut = cat.truncate(t, v)
+        new_face = cut.num_faces - 1
+        assert cut.face_size(new_face) == t.degree(v)
+        assert tm.isomorphic(cat.shrink(cut, new_face), t), site
+
+    # every catalog face where pyramid_subdivide's precondition holds
+    faces = []
+    for name in ALL:
+        tiling = cat.make(name)
+        for f in range(tiling.map.num_faces):
+            try:
+                cat.pyramid_subdivide(tiling, f)
+            except cat.PreconditionFailed:
+                continue
+            faces.append((name, f))
+    assert {name for name, _ in faces} >= {"J1", "J11", "J62", "J63", "antiprism(5)"}
+
+    @hyp.settings(max_examples=30, deadline=None)
+    @hyp.given(st.sampled_from(faces))
+    def subdivide_then_diminish(site):
+        name, f = site
+        tiling = cat.make(name)
+        coned = cat.pyramid_subdivide(tiling, f)
+        apex = coned.map.num_vertices - 1
+        assert coned.map.vertex_face_sizes(apex) == (3,) * tiling.map.face_size(f)
+        back = cat.pyramid_diminish(coned, [apex])
+        assert tm.isomorphic(back.map, tiling.map), site
+
+    truncate_then_shrink()
+    subdivide_then_diminish()
+
+
 def test_rotate_and_diminish_cupola_on_ed():
     ed = cat.make("eD")
     sites = cat._canonical_sites(ed.map, cat.find_cupola_sites(ed.map))

@@ -354,3 +354,87 @@ def test_cross_matches_numpy_bit_for_bit():
     ]
     for p, q in specials:
         assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes(), (p, q)
+
+
+def _scalar_arc_points(u, v, mid, steps):
+    """Reference: the arc samples one point at a time, as a list of 3-vectors."""
+    if mid is not None:
+        half = steps // 2 or 1
+        before = _scalar_arc_points(u, mid, None, half)
+        return before + [mid] + _scalar_arc_points(mid, v, None, steps - half)
+    ang = math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+    if ang < 1e-14:
+        return [u] * (steps - 1)
+    sin_ang = math.sin(ang)
+    return [
+        (math.sin((1.0 - s) * ang) * u + math.sin(s * ang) * v) / sin_ang
+        for s in (i / steps for i in range(1, steps))
+    ]
+
+
+def _scalar_export_obj(t, emb, arc_steps, include_faces):
+    """Reference: the OBJ text with each vertex line emitted as it is met."""
+    lines = ["# sphtile unit-sphere tiling export"]
+    count = 0
+
+    def emit(p):
+        nonlocal count
+        lines.append("v %.17g %.17g %.17g" % (p[0], p[1], p[2]))
+        count += 1
+        return count
+
+    vid = {v: emit(emb.positions[v]) for v in sorted(emb.positions)}
+    ids = t.edge_ids()
+    chains = []
+    for d in range(t.num_darts):
+        if d > t.edge_pair[d]:
+            continue
+        u, v = t.origin[d], t.target(d)
+        mid = emb.arc_midpoints.get(ids[d])
+        arc = _scalar_arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
+        chains.append([vid[u]] + [emit(p) for p in arc] + [vid[v]])
+    lines.extend("l " + " ".join(str(i) for i in chain) for chain in chains)
+    if include_faces:
+        for f in range(t.num_faces):
+            cyc = t.face_vertex_cycle(f)
+            if len(cyc) == 2:
+                pts = [emb.arc_midpoints[ids[d]] for d in t.faces[f]]
+            else:
+                pts = [emb.positions[v] for v in cyc]
+            centre = np.sum(pts, axis=0)
+            if np.linalg.norm(centre) < 1e-9:
+                if len(cyc) == 2:
+                    centre = np.cross(emb.positions[cyc[0]], pts[0])
+                else:
+                    centre = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+            apex = emit(centre / np.linalg.norm(centre))
+            for i in range(len(cyc)):
+                lines.append("f %d %d %d" % (apex, vid[cyc[i]], vid[cyc[(i + 1) % len(cyc)]]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_export_obj_matches_scalar_oracle_byte_for_byte():
+    fan = tm.digon_fan(2)
+    cases = [(fan, em.realize(fan, AngleAssignment({2: PI}, PI)), "digon_fan(2)")]
+    for name in cat.all_entries():
+        t = cat.make(name)
+        cases.append((t.map, em.realize(t.map, t.angles), name))
+    for t, emb, name in cases:
+        for steps in (1, 2, 3, 8, 16):
+            for faces in (False, True):
+                got = em.export_obj(t, emb, arc_steps=steps, include_faces=faces)
+                want = _scalar_export_obj(t, emb, steps, faces)
+                assert got == want, (name, steps, faces)
+
+
+def test_arc_points_match_scalar_oracle_on_degenerate_arcs():
+    # coincident endpoints and zero or one step, which no catalog edge has
+    u = np.array([0.6, 0.0, 0.8])
+    v = np.array([0.0, 0.6, 0.8])
+    mid = np.array([0.0, 0.0, 1.0])
+    for p, q, m in [(u, u, None), (u, v, None), (u, -u, mid), (u, u, mid)]:
+        for steps in (0, 1, 2, 3, 5):
+            got = em._arc_points(p, q, m, steps)
+            want = _scalar_arc_points(p, q, m, steps)
+            assert got.shape == (len(want), 3), (steps, m)
+            assert got.tobytes() == np.array(want).reshape(-1, 3).tobytes(), (steps, m)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -137,6 +138,80 @@ def test_isomorphic_is_equivalence_on_samples():
             assert tm.isomorphic(maps[a], maps[b]) == tm.isomorphic(maps[b], maps[a])
 
 
+def _brute_signature(t, start, reflected):
+    """Reference: the full breadth-first signature from one start dart."""
+    nxt = t.face_prev if reflected else t.face_next
+    ids = [-1] * t.num_darts
+    order = [start]
+    ids[start] = 0
+    head = 0
+    while head < len(order):
+        d = order[head]
+        head += 1
+        for nb in (nxt[d], t.edge_pair[d]):
+            if ids[nb] < 0:
+                ids[nb] = len(order)
+                order.append(nb)
+    sig = []
+    for d in order:
+        sig.append(ids[nxt[d]])
+        sig.append(ids[t.edge_pair[d]])
+        sig.append(len(t.faces[t.face_of[d]]))
+    return tuple(sig)
+
+
+def _brute_canonical_form(t):
+    """Reference: the least full signature over every start, both orientations."""
+    return min(
+        _brute_signature(t, d, reflected)
+        for reflected in (False, True)
+        for d in t._start_darts
+    )
+
+
+ORACLE_FAMILY_MAPS = [
+    f"{fam}({n})"
+    for fam in ("prism", "antiprism", "dihedron", "hosohedron")
+    for n in (3, 7, 50, 200)
+]
+
+
+def test_canonical_form_matches_brute_force():
+    for name in list(catalog.all_entries()) + ORACLE_FAMILY_MAPS:
+        t = catalog.make(name).map
+        assert t.canonical_form == _brute_canonical_form(t), name
+    fan = tm.digon_fan(2)
+    assert fan.canonical_form == _brute_canonical_form(fan)
+
+
+def test_canonical_form_ignores_orientation():
+    # every face reversed: the rebuild is the mirror-oriented map
+    for name in catalog.all_entries():
+        t = catalog.make(name).map
+        if t.family == "hosohedron":
+            continue
+        faces = [t.face_vertex_cycle(f)[::-1] for f in range(t.num_faces)]
+        mirror = tm.build_from_faces(faces, family=t.family)
+        assert mirror.canonical_form == t.canonical_form, name
+
+
+@pytest.mark.parametrize("name", ["prism(400)", "antiprism(400)"])
+def test_canonical_form_of_large_relabelled_family(name):
+    t = catalog.make(name).map
+    rng = random.Random(400)
+    label = list(range(t.num_vertices))
+    rng.shuffle(label)
+    faces = []
+    for f in range(t.num_faces):
+        cyc = [label[v] for v in t.face_vertex_cycle(f)]
+        k = rng.randrange(len(cyc))
+        faces.append(cyc[k:] + cyc[:k])
+    rng.shuffle(faces)
+    other = tm.build_from_faces(faces)
+    assert other.origin != t.origin
+    assert other.canonical_form == t.canonical_form
+
+
 def test_rebuild_is_invariant_under_relabelling_and_reorientation():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
@@ -158,6 +233,7 @@ def test_rebuild_is_invariant_under_relabelling_and_reorientation():
         other = tm.build_from_faces(faces, family=t.family)
         assert tm.census(other) == tm.census(t)
         assert tm.isomorphic(other, t)
+        assert other.canonical_form == _brute_canonical_form(other)
 
     invariant()
 
