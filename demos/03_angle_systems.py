@@ -1,9 +1,10 @@
 """Solving the trigonometric systems behind the hardest vertex types.
 
-A vertex type plus the shared-edge constraint gives a polynomial system in
-the cosines and sines of the angles.  The multistart Newton solver finds
-every root; the embedded exact data for the {3,4,4,5} system provides an
-independent cross-check of the pipeline.
+Every face at a vertex shares one edge length, so a vertex type is one
+equation in that edge: the angle sum 2*pi.  The solver brackets and
+bisects it on each convex/reflex branch and finds every root; the embedded
+exact data for the {3,4,4,5} system, a polynomial system in the cosines
+and sines of the angles, provides an independent cross-check.
 """
 
 import math

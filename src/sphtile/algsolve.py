@@ -2,16 +2,20 @@
 
 Given a vertex type (a multiset of face sizes), the angles of a tiling
 realising it must satisfy the angle sum 2*pi at the vertex together with
-the pairwise companion relation of :mod:`sphtile.sphkernel` (all faces
-share one edge length).  ``solve_vertex_system`` finds every solution of
-that system by damped multistart Newton iteration on the cos/sin
-formulation with unit-circle constraints; it is the only angle solver
-here, and ``solve_snub`` is its 3.3.3.3.m case.
+the pairwise companion relation of :mod:`sphtile.sphkernel`: all faces
+share one edge length x.  ``solve_vertex_system`` solves the system in
+that one unknown, bracketing and bisecting the angle sum as a function
+of x on each convex/reflex branch and deciding a hemisphere root at the
+end of the interval exactly; it is the public angle solver, and
+``solve_snub`` is its 3.3.3.3.m case.  The former multistart Newton
+solver survives only as ``_multistart_angles``, whose bits the catalog's
+prism and antiprism angles keep until the benchmark reference that pins
+them is re-recorded.
 
 The module also carries exact golden data for the hardest case, the
 degree-4 type {3,4,4,5}: the reduced Groebner basis of its polynomial
 system and the four closed-form candidate solutions, used as an
-independent check of the Newton pipeline rather than as the solver.
+independent check of the solver rather than as the solver.
 
 ``Polynomial`` implements exact rational univariate polynomials with
 Sturm-sequence real root isolation, used both for the Groebner check and
@@ -24,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,6 +39,7 @@ from .sphkernel import (
     TWO_PI,
     DomainError,
     NoSolution,
+    angle_from_edge,
     companion_residual,
     edge_from_angle,
     planar_angle,
@@ -300,83 +306,222 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 # vertex-type angle systems
 # --------------------------------------------------------------------------
 
-
-#: multistart grid points per face size in ``solve_vertex_system``
-_GRID_POINTS = 16
-#: damped Newton iterations of the multistart
-_MAX_ITER = 200
-#: solutions closer than this in every angle are one solution
-_DEDUP_TOL = 1e-9
-#: square Newton iterations of ``_polish_angles``
-_POLISH_ITERATIONS = 60
+#: sampled edges per branch in the sign-change scan of ``solve_vertex_system``
+_SCAN_POINTS = 32
 
 
-def _polish_angles(sizes, counts, alphas):
-    """Square Newton in angle space: angle sum + shared-edge consistency.
-
-    Returns None if the iteration leaves the valid angle domain.
-    """
-    k = len(sizes)
-    cm = [math.cos(TWO_PI / m) for m in sizes]
-    a = list(alphas)
-
-    def implied_cos(i):
-        ca = math.cos(a[i])
-        return (1.0 + ca + 2.0 * cm[i]) / (1.0 - ca)
-
-    def d_implied(i):
-        ca, sa = math.cos(a[i]), math.sin(a[i])
-        return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
-
-    for _ in range(_POLISH_ITERATIONS):
-        if any(not (1e-9 < v < TWO_PI - 1e-9) or math.cos(v) > 1.0 - 1e-12 for v in a):
-            return None
-        f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
-        for i in range(1, k):
-            f.append(implied_cos(i) - implied_cos(0))
-        if max(abs(v) for v in f) < 1e-15:
-            break
-        jac = np.zeros((k, k))
-        jac[0, :] = counts
-        for i in range(1, k):
-            jac[i, i] = d_implied(i)
-            jac[i, 0] = -d_implied(0)
-        try:
-            step = np.linalg.solve(jac, np.array(f))
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            return None
-        a = [ai - si for ai, si in zip(a, step)]
-    return a
-
-
-def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
-    """All angle assignments realising the vertex type ``t``.
-
-    Solves the angle-sum equation together with every pairwise companion
-    relation by damped multistart Newton on (cos a_i, sin a_i) with
-    unit-circle constraints, then filters to angles in (0, 2*pi) with
-    angle sum exactly 2*pi, deduplicates and polishes.  Returns an empty
-    list when no solution exists.  Deterministic for identical inputs.
-    """
+def _vertex_type(t: Sequence[int]) -> tuple:
+    """The sorted entries of ``t``; ``DomainError`` unless it is admissible."""
     entries = tuple(sorted(int(m) for m in t))
     if not vertexcomb.admissible(entries):
         raise DomainError(
             f"vertex type {entries} is not admissible: it needs 3-5 entries of "
             "size >= 3 with sum (1 - 2/m) < 2"
         )
+    return entries
 
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> Polynomial:
+    """The n-th cyclotomic polynomial: x^n - 1 over those of n's proper divisors."""
+    p = Polynomial.from_coeffs([-1] + [0] * (n - 1) + [1])
+    for d in range(1, n):
+        if n % d == 0:
+            p, _ = p._divmod(_cyclotomic(d))
+    return p
+
+
+def _hemisphere_end(entries: tuple) -> bool:
+    """Whether the vertex closes with its largest face a hemisphere.
+
+    At the edge x = 2*pi/M the M-gon's angle is exactly pi, so the other
+    faces must sum to pi.  Each exceeds its planar angle, at least pi/3,
+    and is convex there, so that takes one M-gon and exactly two others
+    a <= b.  With cos(alpha) = (cos x - 1 - 2*cos(2*pi/m)) / (1 + cos x),
+    their angles sum to pi exactly when
+
+        cos(2*pi/M) = 1 + cos(2*pi/a) + cos(2*pi/b).
+
+    The right side is at least 1 unless 1/a + 1/b > 1/2.  If it holds,
+    zeta_M is at most quadratic over Q(zeta_l), l = lcm(a, b), so with
+    n = lcm(a, b, M), phi(n) <= 2*phi(l) forces n/l in {1, 2, 3, 4, 6}.
+    Both sides lie in Q(zeta_n), and the equation holds iff the n-th
+    cyclotomic polynomial divides the integer polynomial it becomes in
+    zeta_n: decided in exact rationals, with no float tolerance.
+    """
+    *others, big = entries
+    if len(others) != 2 or others[-1] == big:
+        return False
+    a, b = others
+    if Fraction(1, a) + Fraction(1, b) <= Fraction(1, 2):
+        return False
+    n = math.lcm(a, b, big)
+    if n > 6 * math.lcm(a, b):
+        return False
+    coeffs = [0] * n
+    coeffs[0] = -2
+    for m, sign in ((big, 1), (a, -1), (b, -1)):
+        coeffs[n // m] += sign
+        coeffs[-(n // m) % n] += sign
+    _, rem = Polynomial.from_coeffs(coeffs)._divmod(_cyclotomic(n))
+    return rem.is_zero()
+
+
+def _branch_angles(sizes, x: float, reflex) -> dict:
+    """Angle per size at edge x, the ``reflex`` size (if any) reflex."""
+    angles = {m: angle_from_edge(m, x) for m in sizes}
+    if reflex is not None:
+        angles[reflex] = TWO_PI - angles[reflex]
+    return angles
+
+
+def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
+    """The sign change of f on [lo, hi], bisected down to adjacent floats."""
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if (f(mid) < 0) == lo_negative:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
+    """All angle assignments realising the vertex type ``t``.
+
+    Every face shares one edge length x, so the type (m_1^c_1 ... m_k^c_k)
+    is one equation, sum c_i * alpha(m_i, x) = 2*pi on (0, 2*pi/M] with M
+    the largest size and ``angle_from_edge`` giving the convex angle.  One
+    branch takes every face convex, and one more per size of count 1 takes
+    that face reflex (2*pi - alpha); two reflex faces exceed 2*pi.  Each
+    branch is sampled at ``_SCAN_POINTS`` edges and every sign change is
+    bisected in x to the last bit.  The open end x -> 0 is excluded: a
+    branch's value there is an exact rational multiple of pi, and a branch
+    that vanishes there (the planar limit) gets no bracket from it.  A root
+    at x = 2*pi/M puts the M-gon at exactly pi; ``_hemisphere_end`` decides
+    it exactly, and it is counted once.  Every solution passes the
+    companion and angle-sum checks to 1e-9.  Solutions come sorted by
+    their angles; an empty list when none exists.  Deterministic.
+    """
+    entries = _vertex_type(t)
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]
-    k = len(sizes)
-    degree = len(entries)
-
-    if k == 1:
-        alpha = TWO_PI / degree
+    if len(sizes) == 1:
+        alpha = TWO_PI / len(entries)
         if alpha <= planar_angle(sizes[0]):
             return []
         return [AngleAssignment.from_angles({sizes[0]: alpha})]
+
+    top = TWO_PI / sizes[-1]
+    grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
+    hemisphere = _hemisphere_end(entries)
+    roots = [(top, None)] if hemisphere else []
+    # the all-convex sum at the planar limit, minus 2*pi, in units of pi
+    planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2
+    for reflex in [None] + [m for m, c in zip(sizes, counts) if c == 1]:
+
+        def excess(x, reflex=reflex):
+            angles = _branch_angles(sizes, x, reflex)
+            return sum(c * angles[m] for m, c in zip(sizes, counts)) - TWO_PI
+
+        points = [(x, excess(x)) for x in grid]
+        if hemisphere and reflex in (None, sizes[-1]):
+            points.pop()  # the exact root counted above
+        limit = planar if reflex is None else planar + Fraction(4, reflex)
+        if limit:
+            points.insert(0, (0.0, float(limit)))
+        for (x0, v0), (x1, v1) in zip(points, points[1:]):
+            if (v0 < 0) != (v1 < 0):
+                roots.append((_bisect(excess, x0, x1, v0 < 0), reflex))
+
+    out = []
+    for x, reflex in roots:
+        try:
+            assign = AngleAssignment.from_angles(_branch_angles(sizes, x, reflex))
+        except DomainError:
+            # the smallest face sits at or below its planar angle: no
+            # spherical polygon
+            continue
+        if assign.max_companion_residual() > 1e-9:
+            continue
+        if abs(sum(c * assign.angles[m] for m, c in zip(sizes, counts)) - TWO_PI) > 1e-9:
+            continue
+        out.append(assign)
+    out.sort(key=lambda a: tuple(a.angles[m] for m in sizes))
+    return out
+
+
+def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
+    """The former solver: damped multistart Newton, kept for the catalog families.
+
+    ``catalog._family_angles`` takes the prism and antiprism angles from
+    here, because ``perfbench/reference.json`` pins export bytes of
+    prism(6), prism(12), antiprism(6) and antiprism(12) whose last bits
+    depend on which start of a root's cluster sorts first.  It agrees with
+    ``solve_vertex_system`` within 1e-12; delete it when the benchmark
+    reference is re-recorded.
+
+    Solves the angle-sum equation together with every pairwise companion
+    relation by damped multistart Newton on (cos a_i, sin a_i) with
+    unit-circle constraints, then filters to angles in (0, 2*pi) with
+    angle sum exactly 2*pi, deduplicates and polishes.
+    """
+    # multistart grid points per face size
+    grid_points = 16
+    # damped Newton iterations of the multistart
+    max_iter = 200
+    # solutions closer than this in every angle are one solution
+    dedup_tol = 1e-9
+    # square Newton iterations of polish_angles
+    polish_iterations = 60
+
+    def polish_angles(sizes, counts, alphas):
+        """Square Newton in angle space: angle sum + shared-edge consistency.
+
+        Returns None if the iteration leaves the valid angle domain.
+        """
+        k = len(sizes)
+        cm = [math.cos(TWO_PI / m) for m in sizes]
+        a = list(alphas)
+
+        def implied_cos(i):
+            ca = math.cos(a[i])
+            return (1.0 + ca + 2.0 * cm[i]) / (1.0 - ca)
+
+        def d_implied(i):
+            ca, sa = math.cos(a[i]), math.sin(a[i])
+            return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
+
+        for _ in range(polish_iterations):
+            if any(not (1e-9 < v < TWO_PI - 1e-9) or math.cos(v) > 1.0 - 1e-12 for v in a):
+                return None
+            f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
+            for i in range(1, k):
+                f.append(implied_cos(i) - implied_cos(0))
+            if max(abs(v) for v in f) < 1e-15:
+                break
+            jac = np.zeros((k, k))
+            jac[0, :] = counts
+            for i in range(1, k):
+                jac[i, i] = d_implied(i)
+                jac[i, 0] = -d_implied(0)
+            try:
+                step = np.linalg.solve(jac, np.array(f))
+            except np.linalg.LinAlgError:
+                break
+            if not np.all(np.isfinite(step)):
+                return None
+            a = [ai - si for ai, si in zip(a, step)]
+        return a
+
+    entries = _vertex_type(t)
+    sizes = sorted(set(entries))
+    counts = [entries.count(m) for m in sizes]
+    k = len(sizes)
+
+    if k == 1:
+        return solve_vertex_system(entries)
 
     cm = np.array([math.cos(TWO_PI / m) for m in sizes])
     pairs = list(itertools.combinations(range(k), 2))
@@ -424,7 +569,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
         return jac
 
     axes = [
-        np.linspace(planar_angle(m), TWO_PI, _GRID_POINTS + 2)[1:-1] for m in sizes
+        np.linspace(planar_angle(m), TWO_PI, grid_points + 2)[1:-1] for m in sizes
     ]
     grids = np.meshgrid(*axes, indexing="ij")
     alpha0 = np.stack([g.ravel() for g in grids], axis=1)
@@ -434,7 +579,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     norm = np.max(np.abs(f), axis=1)
     alive = np.ones(v.shape[0], dtype=bool)
     lam = 1e-12
-    for _ in range(_MAX_ITER):
+    for _ in range(max_iter):
         act = alive & (norm > 1e-13)
         idx = np.nonzero(act)[0]
         if idx.size == 0:
@@ -484,12 +629,12 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     sols.sort()
     unique = []
     for s in sols:
-        if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > _DEDUP_TOL:
+        if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > dedup_tol:
             unique.append(s)
 
     out = []
     for s in unique:
-        polished = _polish_angles(sizes, counts, s)
+        polished = polish_angles(sizes, counts, s)
         if polished is None or any(not (1e-9 < a < TWO_PI - 1e-9) for a in polished):
             continue
         try:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sphtile import algsolve as alg
+from sphtile import catalog
 from sphtile import sphkernel as sk
 
 PI = math.pi
@@ -168,15 +169,74 @@ def test_sign_change_oracle_sees_solved_types():
 
 @pytest.mark.parametrize("t", [(3, 3, 7), (3, 3, 19), (3, 4, 12), (3, 4, 19)])
 def test_admissible_types_without_solution_return_empty(t):
-    # the Newton multistart polishes onto a root at or below the planar
-    # angle there; it is no spherical polygon, so no solution remains
+    # no branch of the angle sum changes sign on (0, 2*pi/max m]: the only
+    # roots lie at or below the planar angles, which are no spherical polygons
     assert _angle_sum_sign_changes(t) == 0
     assert alg.solve_vertex_system(t) == []
 
 
-@pytest.mark.xfail(strict=True, reason="degenerate root with edge 8.4e-8 is still returned")
 def test_degenerate_3_3_6_returns_empty():
+    # with the hexagon reflex the angle sum is exactly 2*pi only in the
+    # planar limit x -> 0, which the solver excludes
     assert alg.solve_vertex_system((3, 3, 6)) == []
+
+
+@pytest.mark.parametrize("t", [(3, 3, 4), (3, 4, 6), (3, 5, 10)])
+def test_hemisphere_end_counted_once(t):
+    # J1, J3 and J6 tiles: the largest face is a hemisphere, angle exactly
+    # pi, at the end x = 2*pi/max m of the edge interval
+    sols = alg.solve_vertex_system(t)
+    assert len(sols) == 1
+    assert sols[0].angles[max(t)] == math.pi
+    assert alg._hemisphere_end(t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [(3, 3, 5), (3, 3, 6), (3, 4, 5), (3, 4, 7), (3, 5, 9), (3, 5, 11), (4, 4, 6), (3, 6, 6),
+     (3, 3, 3, 4)],
+)
+def test_hemisphere_end_rejects_neighbouring_types(t):
+    # one size off a hemisphere type, a repeated largest size, or three
+    # other faces: the other angles do not sum to pi at x = 2*pi/max m
+    assert not alg._hemisphere_end(t)
+
+
+def test_cyclotomic_polynomials():
+    assert alg._cyclotomic(1).coeffs == (-1, 1)
+    assert alg._cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
+    assert alg._cyclotomic(30).coeffs == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+
+
+# the named types of the benchmark's ``algebra`` workload
+ALGEBRA_TYPES = (
+    (3, 4, 4, 5), (4, 6, 8), (4, 6, 10), (3, 4, 6), (3, 4, 10), (3, 6, 6),
+    (3, 8, 8), (5, 6, 6), (3, 5, 5), (3, 4, 4, 4), (3, 3, 4, 4), (3, 3, 3, 5),
+    (3, 3, 3, 3, 4), (3, 3, 3, 3, 5),
+)
+FAMILY_TYPES = tuple((4, 4, m) for m in range(3, 13)) + tuple((3, 3, 3, m) for m in range(3, 13))
+
+
+@pytest.mark.parametrize("t", ALGEBRA_TYPES + FAMILY_TYPES, ids=lambda t: ",".join(map(str, t)))
+def test_edge_solver_matches_multistart(t):
+    # oracle: the kept multistart Newton solver, 16^k starts in 2k unknowns
+    new, old = alg.solve_vertex_system(t), alg._multistart_angles(t)
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.sizes == b.sizes
+        for m in a.sizes:
+            assert a.angles[m] == pytest.approx(b.angles[m], abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, t", [("prism", (4, 4)), ("antiprism", (3, 3, 3))])
+def test_catalog_families_match_edge_solver(kind, t):
+    for m in range(3, 13):
+        want = [s for s in alg.solve_vertex_system(t + (m,)) if s.monotone_convex()]
+        assert len(want) == 1
+        got = catalog.make(f"{kind}({m})").angles
+        assert got.sizes == want[0].sizes
+        for size in got.sizes:
+            assert got.angles[size] == pytest.approx(want[0].angles[size], abs=1e-12)
 
 
 def test_monotone_flag_on_synthetic_violation():

@@ -161,10 +161,12 @@ def test_solve_prints_reference_angles(capsys):
 
 
 def test_solve_admissible_type_without_solution(capsys):
-    code, out, err = run(capsys, "solve", "--type", "3,3,7")
-    assert code == 0
-    assert out.strip() == "no solution"
-    assert not err
+    # 3,3,6 solves only in the planar limit, which is no spherical vertex
+    for spec in ("3,3,7", "3,3,6"):
+        code, out, err = run(capsys, "solve", "--type", spec)
+        assert code == 0
+        assert out.strip() == "no solution"
+        assert not err
 
 
 def test_solve_bad_type(capsys):
