@@ -223,10 +223,13 @@ def _sign_variations(chain, x: Fraction) -> int:
 
 
 def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
-    """All distinct real roots of p in [lo, hi], each to ~1e-14.
+    """All distinct real roots of p in [lo, hi], each to below 1e-17 absolute.
 
-    Sturm-sequence isolation on the squarefree part followed by bisection
-    and a short Newton polish.  Multiple roots are reported once.
+    Sturm counts on the squarefree part split [lo, hi] at midpoints until
+    each half-open piece (a, b] holds one root; an exact bisection then
+    narrows that piece below 1e-17.  Every decision is an exact
+    ``Fraction`` sign, so roots closer than any float tolerance are still
+    told apart.  Multiple roots are reported once.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -235,71 +238,29 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     g = p.squarefree_part()
     if g.degree == 0:
         return []
-    a0, b0 = Fraction(lo), Fraction(hi)
     chain = _sturm_chain(g)
-    roots = []
-    if g.eval_exact(a0) == 0:
-        roots.append(float(a0))
-    if b0 != a0 and g.eval_exact(b0) == 0:
-        roots.append(float(b0))
-
-    def count(a: Fraction, b: Fraction) -> int:
-        # number of roots in the half-open interval (a, b]
-        n = _sign_variations(chain, a) - _sign_variations(chain, b)
-        if g.eval_exact(b) == 0:
-            n -= 1  # endpoint roots are collected separately
-        return n
-
-    stack = [(a0, b0)]
-    isolated = []
+    a0 = Fraction(lo)
+    roots = {float(a0)} if g.eval_exact(a0) == 0 else set()
+    stack = [(a0, Fraction(hi))]
     while stack:
         a, b = stack.pop()
-        n = count(a, b)
-        if n == 0:
-            continue
-        if n == 1 and (b - a) < Fraction(1, 1 << 16):
-            isolated.append((a, b))
-            continue
-        mid = (a + b) / 2
-        if g.eval_exact(mid) == 0:
-            roots.append(float(mid))
-            # exclude a gap around the exact root, shrinking it until no
-            # neighbouring root is swallowed (root-count conservation)
-            eps = (b - a) / (1 << 12)
-            for _ in range(8):
-                if count(a, mid - eps) + count(mid + eps, b) + 1 == n:
-                    break
-                eps /= 1 << 10
-            stack.append((a, mid - eps))
-            stack.append((mid + eps, b))
-        else:
-            stack.append((a, mid))
-            stack.append((mid, b))
-
-    for a, b in isolated:
-        # exact bisection: float evaluation cannot separate close roots
-        ga = g.eval_exact(a)
-        for _ in range(80):
-            if b - a < Fraction(1, 10**17):
-                break
+        # V(a) - V(b) counts the roots in (a, b]
+        n = _sign_variations(chain, a) - _sign_variations(chain, b)
+        if n > 1:
             mid = (a + b) / 2
-            gm = g.eval_exact(mid)
-            if gm == 0:
-                a = b = mid
-                break
-            if (ga < 0) != (gm < 0):
-                b = mid
-            else:
-                a, ga = mid, gm
-        roots.append(float((a + b) / 2))
-
-    roots.sort()
-    out = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-12:
-            if lo - 1e-12 <= r <= hi + 1e-12:
-                out.append(min(max(r, lo), hi))
-    return out
+            stack += [(a, mid), (mid, b)]
+        elif n == 1:
+            # the one root is b, or lies in (a, b) where g(b) != 0 fixes its side
+            gb = g.eval_exact(b)
+            while gb != 0 and b - a >= Fraction(1, 10**17):
+                mid = (a + b) / 2
+                gm = g.eval_exact(mid)
+                if gm == 0 or (gm > 0) == (gb > 0):
+                    b, gb = mid, gm
+                else:
+                    a = mid
+            roots.add(float(b) if gb == 0 else float((a + b) / 2))
+    return sorted(roots)
 
 
 # --------------------------------------------------------------------------

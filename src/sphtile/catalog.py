@@ -181,32 +181,13 @@ def _icosahedron_faces() -> list:
     return faces
 
 
-def _square_cupola_faces() -> list:
-    # octagon base 0..7 (concave), top square 8..11
-    faces = [tuple(range(8)), (8, 9, 10, 11)]
-    for i in range(4):
-        faces.append((2 * i, 2 * i + 1, 8 + i))
-        faces.append((2 * i + 1, (2 * i + 2) % 8, 8 + (i + 1) % 4, 8 + i))
-    return faces
-
-
-def _pentagonal_cupola_faces() -> list:
-    faces = [tuple(range(10)), (10, 11, 12, 13, 14)]
-    for i in range(5):
-        faces.append((2 * i, 2 * i + 1, 10 + i))
-        faces.append((2 * i + 1, (2 * i + 2) % 10, 10 + (i + 1) % 5, 10 + i))
-    return faces
-
-
-def _elongated_square_cupola_faces() -> list:
-    # top square 8..11, cupola ring 0..7, prism ring 12..19, octagon base
-    faces = [(8, 9, 10, 11)]
-    for i in range(4):
-        faces.append((2 * i, 2 * i + 1, 8 + i))
-        faces.append((2 * i + 1, (2 * i + 2) % 8, 8 + (i + 1) % 4, 8 + i))
-    for i in range(8):
-        faces.append((i, (i + 1) % 8, 12 + (i + 1) % 8, 12 + i))
-    faces.append(tuple(12 + i for i in range(8)))
+def _cupola_faces(k: int) -> list:
+    # concave 2k-gon base 0..2k-1, top k-gon 2k..3k-1, then the side ring
+    n = 2 * k
+    faces = [tuple(range(n)), tuple(range(n, n + k))]
+    for i in range(k):
+        faces.append((2 * i, 2 * i + 1, n + i))
+        faces.append((2 * i + 1, (2 * i + 2) % n, n + (i + 1) % k, n + i))
     return faces
 
 
@@ -827,14 +808,14 @@ def _j4() -> Tiling:
     base = _golden_angles("eC")
     # the standalone cupola's octagon is concave
     concave = AngleAssignment({**base.angles, 8: TWO_PI - base.angles[8]}, base.edge)
-    return _tiling(build_from_faces(_square_cupola_faces()), concave)
+    return _tiling(build_from_faces(_cupola_faces(4)), concave)
 
 
 def _j5() -> Tiling:
     base = _golden_angles("eD")
     # concave decagon under the cap
     concave = AngleAssignment({**base.angles, 10: TWO_PI - base.angles[10]}, base.edge)
-    return _tiling(build_from_faces(_pentagonal_cupola_faces()), concave)
+    return _tiling(build_from_faces(_cupola_faces(5)), concave)
 
 
 def _j6() -> Tiling:
@@ -844,7 +825,12 @@ def _j6() -> Tiling:
 
 
 def _j19() -> Tiling:
-    return _tiling(build_from_faces(_elongated_square_cupola_faces()), _golden_angles("eC"))
+    # the square cupola without its base, a ring of 8 squares 0..7 / 12..19
+    # and the octagon 12..19 closing it
+    faces = _cupola_faces(4)[1:]
+    faces += [(i, (i + 1) % 8, 12 + (i + 1) % 8, 12 + i) for i in range(8)]
+    faces.append(tuple(range(12, 20)))
+    return _tiling(build_from_faces(faces), _golden_angles("eC"))
 
 
 def _j27() -> Tiling:

@@ -55,9 +55,6 @@ class Embedding:
     closure_error: float
     edge_error: float = 0.0
     angle_error: float = 0.0
-    # sense of the corner rotation taking the previous face vertex to the
-    # next one; fixes which side of pi a measured reflex angle lies on
-    corner_sign: float = 1.0
     # midpoint per edge id, only for edges with antipodal endpoints
     arc_midpoints: dict = field(default_factory=dict)
 
@@ -89,18 +86,16 @@ def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
     return Embedding(positions=positions, closure_error=0.0, arc_midpoints=mids)
 
 
-def _face_centre(
-    u: np.ndarray, v: np.ndarray, cosx: float, r: float, side: float
-) -> np.ndarray:
+def _face_centre(u: np.ndarray, v: np.ndarray, cosx: float, r: float) -> np.ndarray:
     """Unit centre of the regular face through the directed edge u -> v.
 
-    The centre is equidistant (geodesic distance r) from both endpoints;
-    ``side`` (+1/-1) selects which side of the edge, consistently with the
-    global orientation.
+    The centre is equidistant (geodesic distance r) from both endpoints and
+    lies on the side of u x v, so the face's vertices run counterclockwise
+    about it, as the seed face's do about the north pole.
     """
     a = math.cos(r) / (1.0 + cosx)
     rem = max(1.0 - a * a * (2.0 + 2.0 * cosx), 0.0)
-    beta = side * math.sqrt(rem / (1.0 - cosx * cosx))
+    beta = math.sqrt(rem / (1.0 - cosx * cosx))
     c = a * (u + v) + beta * _cross(u, v)
     return c / math.sqrt(c.dot(c))
 
@@ -112,18 +107,20 @@ def realize(
 ) -> Embedding:
     """Embed a tiling on the unit sphere by geodesic propagation.
 
-    The seed face is centred at the north pole with its vertices on the
-    circumradius circle.  Each further face is placed rigidly from one
-    shared, already-placed edge u -> v: its centre is computed once, and
-    one broadcast rotation of u about it through the multiples of
-    2*pi/m gives all m - 1 other vertices (the cosines and sines are
-    tabled once per face size).  Positions are kept in a (V, 3) array
-    with a ``placed`` mask.  Every revisit of a placed vertex measures the
-    closure discrepancy, the Euclidean distance between the stored and
-    the new position, so the walk doubles as a verifier.  Raises
-    ``ClosureFailure`` when the worst revisit exceeds ``closure_tol``,
-    which signals an inconsistent angle assignment; the message names
-    that vertex and the face whose placement revisited it.
+    The seed face is centred at the north pole with its vertices
+    counterclockwise on the circumradius circle.  Each further face is
+    placed rigidly from one shared, already-placed edge u -> v: its centre
+    is computed once, on the side of u x v, and one broadcast rotation of
+    u about it through the multiples of 2*pi/m gives all m - 1 other
+    vertices (the cosines and sines are tabled once per face size).  So
+    every face runs counterclockwise about its centre, like the seed, and
+    corner angles are read in that one sense.  Positions are kept in a
+    (V, 3) array with a ``placed`` mask.  Every revisit of a placed vertex
+    measures the closure discrepancy, the Euclidean distance between the
+    stored and the new position, so the walk doubles as a verifier.
+    Raises ``ClosureFailure`` when the worst revisit exceeds
+    ``closure_tol``, which signals an inconsistent angle assignment; the
+    message names that vertex and the face whose placement revisited it.
     """
     if t.family == "hosohedron":
         return _realize_hosohedron(t, assign)
@@ -148,16 +145,11 @@ def realize(
         pos[v] = [sr * math.cos(phi), sr * math.sin(phi), cr]
     placed[cyc0] = True
 
-    # global chirality: the seed centre must come out at the north pole
-    sign = 1.0
-    if _face_centre(pos[cyc0[0]], pos[cyc0[1]], cosx, r0, sign)[2] < 0.0:
-        sign = -1.0
-
     # per face size, the columns of the Rodrigues rotation through
     # i * step for i = 1 .. m-1: cos, sin and 1 - cos
     turns = {}
     for m in radii:
-        step = sign * TWO_PI / m
+        step = TWO_PI / m
         c = np.array([math.cos(i * step) for i in range(1, m)])[:, None]
         s = np.array([math.sin(i * step) for i in range(1, m)])[:, None]
         turns[m] = (c, s, 1.0 - c)
@@ -176,7 +168,7 @@ def realize(
         verts = origin[list(darts)]
         # rotate the first vertex about the face centre to every other one
         u = pos[verts[0]]
-        centre = _face_centre(u, pos[verts[1]], cosx, radii[len(darts)], sign)
+        centre = _face_centre(u, pos[verts[1]], cosx, radii[len(darts)])
         c, s, c1 = turns[len(darts)]
         ring = u * c + _cross(centre, u) * s + centre * np.dot(centre, u) * c1
         for v, p in zip(verts[1:].tolist(), ring):
@@ -201,10 +193,7 @@ def realize(
             f"(face {witness[1]}) exceeds {closure_tol:.1e}"
         )
 
-    # corner rotations run opposite to the centre rotation sense
-    emb = Embedding(
-        positions=dict(enumerate(pos)), closure_error=worst_closure, corner_sign=-sign
-    )
+    emb = Embedding(positions=dict(enumerate(pos)), closure_error=worst_closure)
 
     u, v = np.array(t.edges).T
     emb.edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
@@ -234,7 +223,9 @@ def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
     t_prev, t_next = tv / norm
     turn = np.sum(at * np.cross(t_prev, t_next), axis=1)
     raw = np.arctan2(turn, np.sum(t_prev * t_next, axis=1))
-    return (emb.corner_sign * raw) % TWO_PI
+    # faces run counterclockwise about their centres, so the interior angle
+    # is the clockwise turn from t_prev to t_next
+    return (-raw) % TWO_PI
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:

@@ -1,4 +1,6 @@
 import math
+import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ PI = math.pi
 TWO_PI = 2 * PI
 SQ5 = math.sqrt(5.0)
 SQ33 = math.sqrt(33.0)
+#: the three roots of GROEBNER_UNIVARIATE_Y4 in (0, 1), pinned to the bit
+Y4_ROOTS_HEX = ["0x1.484c33c709a25p-2", "0x1.bb67ae8584caap-1", "0x1.ff494347942e0p-1"]
 
 
 # --------------------------------------------------------------------------
@@ -61,6 +65,7 @@ def test_degree4_system_univariate_roots():
     )
     got = alg.isolate_roots(alg.GROEBNER_UNIVARIATE_Y4, 1e-9, 1 - 1e-12)
     assert got == pytest.approx(expected, abs=1e-13)
+    assert [r.hex() for r in got] == Y4_ROOTS_HEX
 
 
 def test_snub_dodecahedron_sextic_root():
@@ -70,6 +75,97 @@ def test_snub_dodecahedron_sextic_root():
     # the sextic has another root in (0, 1) that the snub system rejects
     roots01 = alg.isolate_roots(alg.SNUB_DODECAHEDRON_SEXTIC, 0.0, 1.0)
     assert len(roots01) == 2
+    assert xi == roots01[1] and xi.hex() == "0x1.e2e4b8cb44730p-2"
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), failing with TimeoutError instead of hanging past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _product(*factors):
+    """Product of polynomials given as ascending coefficient lists."""
+    c = [Fraction(1)]
+    for f in factors:
+        out = [Fraction(0)] * (len(c) + len(f) - 1)
+        for i, a in enumerate(c):
+            for j, b in enumerate(f):
+                out[i + j] += a * b
+        c = out
+    return alg.Polynomial.from_coeffs(c)
+
+
+def _poly_from_roots(*roots):
+    """Monic polynomial with the given rational roots, repeats kept."""
+    return _product(*([-r, 1] for r in roots))
+
+
+@pytest.mark.parametrize("p, lo, hi, want", [
+    (_poly_from_roots(0, 0), 0.0, 0.0, [0.0]),  # lo == hi on a double root
+    (_poly_from_roots(0), 0.5, 0.5, []),
+    # roots on both ends and on the first midpoint
+    (_poly_from_roots(-1, 0, 1), -1.0, 1.0, [-1.0, 0.0, 1.0]),
+    # two roots 2^-45 apart, both dyadic midpoints of [0, 1]
+    (_poly_from_roots(Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**45)), 0.0, 1.0,
+     [0.5, 0.5 + 2.0**-45]),
+], ids=["double-root-point", "point-no-root", "ends-and-midpoint", "pair-2^-45"])
+def test_isolate_roots_degenerate_inputs(p, lo, hi, want):
+    assert _within(5, alg.isolate_roots, p, lo, hi) == want
+
+
+def _oracle_cases():
+    """Both production polynomials and 100 seeded ones with awkward intervals.
+
+    The seeded ones multiply rational linear factors (some repeated, many
+    with dyadic roots that land on bisection midpoints) by irreducible
+    quadratics with and without real roots.  Intervals include lo == hi,
+    roots on an endpoint and wide dyadic ones.
+    """
+    cases = [
+        (alg.SNUB_DODECAHEDRON_SEXTIC, 0.0, 1.0),
+        (alg.GROEBNER_UNIVARIATE_Y4, 1e-9, 1.0 - 1e-12),
+    ]
+    rng = random.Random(20261018)
+    for _ in range(100):
+        roots = []
+        for _ in range(rng.randint(1, 4)):
+            r = Fraction(rng.randint(-16, 16), rng.choice([1, 2, 3, 4, 5, 8, 16, 1024]))
+            roots += [r] * rng.choice([1, 1, 2])
+        factors = [[-r, 1] for r in roots]
+        for _ in range(rng.randint(0, 2)):
+            s, k = Fraction(rng.randint(-4, 4), 2), rng.choice([2, 3, 5, -1, -2])
+            # (x - s)^2 - k: irrational roots s +- sqrt(k), or none for k < 0
+            factors.append([s * s - k, -2 * s, 1])
+        p = _product(*factors)
+        r = float(rng.choice(roots))
+        lo, hi = rng.choice([(r, r), (r, r + 1.0), (r - 1.0, r), (-16.0, 16.0), (-1.0, 1.0), (0.0, 1.0)])
+        cases.append((p, lo, hi))
+    return cases
+
+
+def test_isolate_roots_matches_sympy_real_roots():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, lo, hi in _oracle_cases():
+        got = _within(5, alg.isolate_roots, p, lo, hi)
+        exact = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)], x)
+        want = [
+            float(v) for v in (w.evalf(40) for w in exact.sqf_part().real_roots())
+            if sympy.Rational(lo) <= v <= sympy.Rational(hi)
+        ]
+        assert len(got) == len(want), (p, lo, hi, got, want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= max(math.ulp(w), 1e-17), (p, lo, hi, g, w)
 
 
 # --------------------------------------------------------------------------
@@ -314,6 +410,7 @@ def test_groebner_candidates():
         assert cand.x5 == pytest.approx(ref[2], abs=1e-9)
     # exactly the second row passes both admissibility filters
     assert rep.surviving == (1,)
+    assert [r.hex() for r in rep.y4_roots] == Y4_ROOTS_HEX
     flags = [(c.ordered_ok, c.sum_ok) for c in rep.candidates]
     assert flags[1] == (True, True)
     for i in (0, 2, 3):

@@ -208,6 +208,10 @@ def test_export_hosohedron_obj_with_faces(tmp_path, capsys):
     ["enumerate", "--max-size", "2"],
     ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "0"],
     ["verify", "T", "--tol", "0"],
+    ["verify"],
+    ["enumerate", "--max-size", "x"],
+    ["verify", "T", "--tol", "abc"],
+    ["derive", "C"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_without_traceback(capsys, argv):
     # argparse rejects bad values by raising SystemExit(2); any other
@@ -241,3 +245,7 @@ def test_catalog_dump_matches_manifest_file(tmp_path, capsys):
 
     golden = pathlib.Path(__file__).resolve().parent.parent / "catalog_manifest.json"
     assert out.read_text() == golden.read_text()
+    # without --out the same text goes to stdout
+    code, printed, _ = run(capsys, "catalog", "dump")
+    assert code == 0 and printed == golden.read_text()
+

@@ -83,6 +83,15 @@ def test_validate_flags_wrong_angle():
     assert not rep.overall_pass
 
 
+def test_validate_missing_face_size_fails_without_raising():
+    cube = tm.build_from_faces(CUBE_FACES)
+    rep = tm.validate(cube, AngleAssignment.from_angles({3: 2 * PI / 5}))
+    for check in ("angle_sums", "area", "convexity"):
+        assert not rep.checks[check].passed, check
+        assert "missing angle" in rep.checks[check].detail, check
+    assert not rep.overall_pass
+
+
 def test_validate_area_residual_positive_check():
     cube = tm.build_from_faces(CUBE_FACES)
     good = AngleAssignment.from_angles({4: 2 * PI / 3})
