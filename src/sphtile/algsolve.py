@@ -481,9 +481,6 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     counts = [entries.count(m) for m in sizes]
     k = len(sizes)
 
-    if k == 1:
-        return solve_vertex_system(entries)
-
     cm = np.array([math.cos(TWO_PI / m) for m in sizes])
     pairs = list(itertools.combinations(range(k), 2))
     n_eq = k + len(pairs) + 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
@@ -26,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 from .algsolve import AngleAssignment, _multistart_angles, snub_dodecahedron_cos
 from .sphkernel import TWO_PI, DomainError
 from .tilemap import Census, TilingMap, build_from_faces, digon_fan
+from .vertexcomb import canonical_arrangement
 
 __all__ = [
     "Tiling",
@@ -135,15 +137,26 @@ def _snub_faces(t: TilingMap) -> list:
     return faces
 
 
-def _truncated_all_faces(t: TilingMap) -> list:
+def _truncated_faces(t: TilingMap, vertices: Optional[Sequence[int]] = None) -> list:
+    """Vertex cycles of ``t`` with each of ``vertices`` (default: all) cut
+    off by a new face.
+
+    The corner cut from a vertex on an edge is labelled by the dart that
+    leaves that vertex along the edge.  The new faces come last, in the
+    order of ``vertices``.
+    """
+    if vertices is None:
+        vertices = range(t.num_vertices)
+    cut = set(vertices)
     faces = []
     for cyc in t.faces:
         grown = []
         for d in cyc:
-            grown.append(d)
-            grown.append(t.edge_pair[d])
+            grown.append(("corner", d) if t.origin[d] in cut else t.origin[d])
+            if t.target(d) in cut:
+                grown.append(("corner", t.edge_pair[d]))
         faces.append(tuple(grown))
-    faces += [tuple(t.darts_at(v)) for v in range(t.num_vertices)]
+    faces += [tuple(("corner", d) for d in t.darts_at(v)) for v in vertices]
     return faces
 
 
@@ -339,27 +352,7 @@ def shrink(t: TilingMap, face: int) -> TilingMap:
 
 def truncate(t: TilingMap, vertex: int) -> TilingMap:
     """Replace a degree-k vertex by a k-gon (the inverse of shrinking)."""
-    star = t.darts_at(vertex)
-    ids = t.edge_ids()
-    corner = {d: ("trunc", vertex, ids[d]) for d in star}
-    new_faces = []
-    for f in range(t.num_faces):
-        if vertex not in t.face_vertex_cycle(f):
-            new_faces.append(t.face_vertex_cycle(f))
-            continue
-        cyc = []
-        darts = t.faces[f]
-        k = len(darts)
-        for i, d in enumerate(darts):
-            if t.origin[d] != vertex:
-                cyc.append(t.origin[d])
-            else:
-                arriving = t.edge_pair[t.face_prev[d]]
-                cyc.append(corner[arriving])
-                cyc.append(corner[d])
-        new_faces.append(tuple(cyc))
-    new_faces.append(tuple(corner[d] for d in star))
-    return build_from_faces(new_faces)
+    return build_from_faces(_truncated_faces(t, [vertex]))
 
 
 def shrink_all(t: TilingMap, size: int) -> TilingMap:
@@ -403,7 +396,7 @@ def _shrink(t: TilingMap, targets: list) -> TilingMap:
 
 def truncate_all(t: TilingMap) -> TilingMap:
     """Truncate every vertex simultaneously."""
-    return build_from_faces(_truncated_all_faces(t))
+    return build_from_faces(_truncated_faces(t))
 
 
 # --------------------------------------------------------------------------
@@ -804,18 +797,12 @@ def _j3() -> Tiling:
     return diminish_cupola(ac, _canonical_sites(ac.map, sites)[0])
 
 
-def _j4() -> Tiling:
-    base = _golden_angles("eC")
-    # the standalone cupola's octagon is concave
-    concave = AngleAssignment({**base.angles, 8: TWO_PI - base.angles[8]}, base.edge)
-    return _tiling(build_from_faces(_cupola_faces(4)), concave)
-
-
-def _j5() -> Tiling:
-    base = _golden_angles("eD")
-    # concave decagon under the cap
-    concave = AngleAssignment({**base.angles, 10: TWO_PI - base.angles[10]}, base.edge)
-    return _tiling(build_from_faces(_cupola_faces(5)), concave)
+def _cupola(k: int, group: str) -> Tiling:
+    """The standalone k-gonal cupola, whose 2k-gon base is concave: the
+    reflex complement of the group's convex 2k-gon."""
+    base = _golden_angles(group)
+    concave = AngleAssignment({**base.angles, 2 * k: TWO_PI - base.angles[2 * k]}, base.edge)
+    return _tiling(build_from_faces(_cupola_faces(k)), concave)
 
 
 def _j6() -> Tiling:
@@ -833,16 +820,10 @@ def _j19() -> Tiling:
     return _tiling(build_from_faces(faces), _golden_angles("eC"))
 
 
-def _j27() -> Tiling:
-    ac = make("aC")
-    path = equatorial_cycles(ac)[0]
-    return rotate_hemisphere(ac, path)
-
-
-def _j34() -> Tiling:
-    ad = make("aD")
-    path = equatorial_cycles(ad)[0]
-    return rotate_hemisphere(ad, path)
+def _gyro(seed: str) -> Tiling:
+    """A seed entry with one hemisphere turned across its first equatorial cycle."""
+    t = make(seed)
+    return rotate_hemisphere(t, equatorial_cycles(t)[0])
 
 
 def _j37() -> Tiling:
@@ -851,24 +832,25 @@ def _j37() -> Tiling:
     return rotate_cupola(ec, sites[0])
 
 
+def _distances(adj: Sequence, source: int) -> list:
+    """Breadth-first step counts from ``source`` over adjacency lists, -1 if unreached."""
+    dist = [-1] * len(adj)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
 def _icosa_distances():
     ico = _icosahedron()
-    n = ico.map.num_vertices
-    adj = [set() for _ in range(n)]
-    for u, v in ico.map.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    dist = [[-1] * n for _ in range(n)]
-    for s in range(n):
-        dist[s][s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if dist[s][w] < 0:
-                    dist[s][w] = dist[s][u] + 1
-                    queue.append(w)
-    return ico, dist
+    t = ico.map
+    adj = [[t.target(d) for d in t.darts_at(v)] for v in range(t.num_vertices)]
+    return ico, [_distances(adj, s) for s in range(t.num_vertices)]
 
 
 def _diminished_icosahedron(n_removed: int) -> Tiling:
@@ -891,18 +873,6 @@ def _diminished_icosahedron(n_removed: int) -> Tiling:
     return pyramid_diminish(ico, picks)
 
 
-def _j11() -> Tiling:
-    return _diminished_icosahedron(1)
-
-
-def _j62() -> Tiling:
-    return _diminished_icosahedron(2)
-
-
-def _j63() -> Tiling:
-    return _diminished_icosahedron(3)
-
-
 # --- eD cupola machinery ----------------------------------------------------
 
 
@@ -920,22 +890,8 @@ def _ed_site_data():
     if len(sites) != 12:
         raise RuntimeError(f"expected 12 cupola sites in eD, found {len(sites)}")
     # dual-graph distances between top faces
-    nf = t.num_faces
-    fadj = [set() for _ in range(nf)]
-    for d in range(t.num_darts):
-        fadj[t.face_of[d]].add(t.face_of[t.edge_pair[d]])
-    tops = [s.top for s in sites]
-    dual_dist = {}
-    for s in sites:
-        dist = {s.top: 0}
-        queue = [s.top]
-        while queue:
-            u = queue.pop(0)
-            for w in fadj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        dual_dist[s.top] = dist
+    fadj = [[t.face_of[t.edge_pair[d]] for d in cyc] for cyc in t.faces]
+    dual_dist = {s.top: _distances(fadj, s.top) for s in sites}
     max_d = max(dual_dist[a.top][b.top] for a in sites for b in sites)
     opposite = {}
     for a in sites:
@@ -975,7 +931,8 @@ def derive_from_ed(
 
     ``dim``/``rot`` count the operations; a relation ``"o"`` (opposite) or
     ``"n"`` (non-opposite) qualifies a pair, either within one kind or,
-    when one of each is requested, between the two sites.
+    when one of each is requested, between the two sites.  A relation
+    without a pair, or two different relations, raise ``InvalidSite``.
     """
     ed, sites, opposite, disjoint, triple = _ed_site_data()
     a, b, c = triple
@@ -983,9 +940,14 @@ def derive_from_ed(
         raise InvalidSite("negative operation counts")
     if dim + rot > 3:
         raise InvalidSite("at most three pairwise disjoint cupolas exist")
+    rels = {r for r in (dim_rel, rot_rel) if r is not None}
+    if rels and dim + rot != 2:
+        raise InvalidSite("an 'o' or 'n' qualifier applies to a pair of cupola operations only")
+    if len(rels) > 1:
+        raise InvalidSite(f"conflicting qualifiers {dim_rel!r} and {rot_rel!r}")
     if dim + rot == 2:
         # two sites can sit opposite or not, and the results differ
-        rel = dim_rel or rot_rel
+        rel = rels.pop() if rels else None
         if rel not in ("o", "n"):
             raise InvalidSite(
                 "a pair of cupola operations needs an 'o' or 'n' qualifier"
@@ -1056,32 +1018,32 @@ _BUILDERS = {
     "O": _octahedron,
     "D": _dodecahedron,
     "I": _icosahedron,
-    "tT": lambda: _derived("T", _truncated_all_faces, "tT"),
-    "tC": lambda: _derived("C", _truncated_all_faces, "tC"),
-    "tO": lambda: _derived("O", _truncated_all_faces, "tO"),
-    "tD": lambda: _derived("D", _truncated_all_faces, "tD"),
-    "tI": lambda: _derived("I", _truncated_all_faces, "tI"),
+    "tT": lambda: _derived("T", _truncated_faces, "tT"),
+    "tC": lambda: _derived("C", _truncated_faces, "tC"),
+    "tO": lambda: _derived("O", _truncated_faces, "tO"),
+    "tD": lambda: _derived("D", _truncated_faces, "tD"),
+    "tI": lambda: _derived("I", _truncated_faces, "tI"),
     "aC": lambda: _derived("C", _rectified_faces, "aC"),
     "aD": lambda: _derived("D", _rectified_faces, "aD"),
     "eC": lambda: _derived("C", _expanded_faces, "eC"),
     "eD": lambda: _derived("D", _expanded_faces, "eD"),
-    "bC": lambda: _derived("aC", _truncated_all_faces, "bC"),
-    "bD": lambda: _derived("aD", _truncated_all_faces, "bD"),
+    "bC": lambda: _derived("aC", _truncated_faces, "bC"),
+    "bD": lambda: _derived("aD", _truncated_faces, "bD"),
     "sC": lambda: _derived("C", _snub_faces, "sC"),
     "sD": lambda: _derived("D", _snub_faces, "sD"),
     "J1": _j1,
     "J2": _j2,
     "J3": _j3,
-    "J4": _j4,
-    "J5": _j5,
+    "J4": lambda: _cupola(4, "eC"),
+    "J5": lambda: _cupola(5, "eD"),
     "J6": _j6,
-    "J11": _j11,
+    "J11": lambda: _diminished_icosahedron(1),
     "J19": _j19,
-    "J27": _j27,
-    "J34": _j34,
+    "J27": lambda: _gyro("aC"),
+    "J34": lambda: _gyro("aD"),
     "J37": _j37,
-    "J62": _j62,
-    "J63": _j63,
+    "J62": lambda: _diminished_icosahedron(2),
+    "J63": lambda: _diminished_icosahedron(3),
     **{name: (lambda r=recipe: derive_from_ed(**r)) for name, recipe in _ED_RECIPES.items()},
 }
 
@@ -1207,13 +1169,9 @@ def expected_census(name: str) -> Census:
     if m:
         kind, n = m.group(1), int(m.group(2))
         if kind == "prism":
-            from .vertexcomb import canonical_arrangement
-
             return Census({canonical_arrangement((4, 4, n)): 2 * n},
                           ({4: 6} if n == 4 else {4: n, n: 2}), 2 * n, 3 * n, n + 2)
         if kind == "antiprism":
-            from .vertexcomb import canonical_arrangement
-
             fc = {3: 8} if n == 3 else {3: 2 * n, n: 2}
             return Census({canonical_arrangement((3, 3, 3, n)): 2 * n}, fc, 2 * n, 4 * n, 2 * n + 2)
         if kind == "hosohedron":

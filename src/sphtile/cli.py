@@ -1,7 +1,8 @@
 """Command-line interface: catalog, verification, enumeration, solving,
 derivation and export.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
+an output path that cannot be written among them.
 All output is deterministic: sorted keys, floats at 17 significant digits,
 catalog order fixed.
 """
@@ -18,6 +19,18 @@ from .algsolve import solve_vertex_system
 from .sphkernel import TWO_PI, DomainError
 
 _F = "%.17g"
+
+
+class _CannotWrite(Exception):
+    """An output path that cannot be written: a usage error."""
+
+
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def verify_entry(name: str, tol: float = 1e-9) -> tilemap.ValidationReport:
@@ -52,8 +65,7 @@ def _cmd_catalog(args) -> int:
     if args.action == "dump":
         text = json.dumps(catalog.manifest(), sort_keys=True, indent=1)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.out, (text + "\n").encode())
         else:
             print(text)
         return 0
@@ -99,9 +111,7 @@ def _cmd_verify(args) -> int:
         print(f"{status}  {name}{bad}")
     if args.report:
         doc = {"entries": [r.as_dict() for r in reports], "pass": ok}
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write(args.report, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
     print(f"{sum(r.overall_pass for r in reports)}/{len(reports)} entries pass")
     return 0 if ok else 1
 
@@ -146,8 +156,7 @@ def _cmd_export(args) -> int:
         data = embedder.export_obj(t.map, emb, arc_steps=args.arc_steps, include_faces=args.faces)
     else:
         data = embedder.export_json(t.map, t.angles, emb, name=args.name)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    _write(args.out, data)
     print(f"wrote {args.out}")
     return 0
 
@@ -183,13 +192,13 @@ def _int_at_least(lo: int):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a float greater than zero."""
+    """argparse type: a finite float greater than zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
 
 
@@ -280,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except DomainError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except _CannotWrite as exc:
+        print(f"sphtile: {exc}", file=sys.stderr)
         return 2
 
 

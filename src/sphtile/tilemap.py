@@ -260,22 +260,6 @@ class TilingMap:
                                 tried[ry] = tried[ry] or tried[rx]
         return best
 
-    @cached_property
-    def _invariant_key(self) -> tuple:
-        fc = {}
-        for f in self.faces:
-            fc[len(f)] = fc.get(len(f), 0) + 1
-        arr = {}
-        for a in self.vertex_arrangements:
-            arr[a] = arr.get(a, 0) + 1
-        return (
-            self.num_vertices,
-            self.num_edges,
-            self.num_faces,
-            tuple(sorted(fc.items())),
-            tuple(sorted(arr.items())),
-        )
-
 
 @dataclass(frozen=True)
 class Census:
@@ -637,9 +621,7 @@ def validate(
 
 def isomorphic(a: TilingMap, b: TilingMap) -> bool:
     """Face-size-preserving map isomorphism, allowing reflection."""
-    if a._invariant_key != b._invariant_key:
-        return False
-    return a.canonical_form == b.canonical_form
+    return census(a) == census(b) and a.canonical_form == b.canonical_form
 
 
 def homogeneity(t: TilingMap) -> str:

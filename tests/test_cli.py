@@ -1,12 +1,17 @@
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
 from sphtile import cli, embedder, tilemap
 from sphtile.algsolve import AngleAssignment
+
+
+# a path below a file, which no directory can be made for
+UNWRITABLE = os.path.join(os.devnull, "out")
 
 
 def run(capsys, *argv):
@@ -212,6 +217,10 @@ def test_export_hosohedron_obj_with_faces(tmp_path, capsys):
     ["enumerate", "--max-size", "x"],
     ["verify", "T", "--tol", "abc"],
     ["derive", "C"],
+    ["export", "C", "--format", "obj", "--out", UNWRITABLE],
+    ["catalog", "dump", "--out", UNWRITABLE],
+    ["verify", "T", "--report", UNWRITABLE],
+    ["verify", "T", "--tol", "inf"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_without_traceback(capsys, argv):
     # argparse rejects bad values by raising SystemExit(2); any other
@@ -221,7 +230,10 @@ def test_usage_errors_exit_2_without_traceback(capsys, argv):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
-    assert capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err
+    if UNWRITABLE in argv:
+        assert err.startswith(f"sphtile: cannot write {UNWRITABLE}: ")
 
 
 def test_derive_recipes(capsys):
@@ -235,6 +247,9 @@ def test_derive_recipes(capsys):
     assert code == 2  # more sites than fit
     code, _, err = run(capsys, "derive", "eD", "--rot", "2")
     assert code == 2 and "qualifier" in err  # ambiguous pair needs o/n
+    for argv in (["--dim", "1n"], ["--dim", "3o"], ["--dim", "1o", "--rot", "1n"]):
+        code, _, err = run(capsys, "derive", "eD", *argv)
+        assert code == 2 and "qualifier" in err, argv  # no pair, or two relations
 
 
 def test_catalog_dump_matches_manifest_file(tmp_path, capsys):

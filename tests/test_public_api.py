@@ -24,3 +24,5 @@ def test_all_lists_every_public_function_and_class(module):
         and obj.__module__ == module.__name__
     ]
     assert [name for name in defined if name not in module.__all__] == []
+    # and no entry outlives the name it exports
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
