@@ -417,16 +417,23 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     """The former solver: damped multistart Newton, kept for the catalog families.
 
     ``catalog._family_angles`` takes the prism and antiprism angles from
-    here, because ``perfbench/reference.json`` pins export bytes of
-    prism(6), prism(12), antiprism(6) and antiprism(12) whose last bits
-    depend on which start of a root's cluster sorts first.  It agrees with
-    ``solve_vertex_system`` within 1e-12; delete it when the benchmark
-    reference is re-recorded.
+    here, because their last bits, which depend on which start of a root's
+    cluster sorts first, are pinned twice: ``perfbench/reference.json``
+    pins the export bytes of prism(6), prism(12), antiprism(6) and
+    antiprism(12), and ``tests/test_golden_bytes.py`` the report and export
+    bytes of all 18 family members of ``all_entries()``.  It agrees with
+    ``solve_vertex_system`` within 1e-12 up to m = 50; delete it when both
+    are re-recorded.
 
     Solves the angle-sum equation together with every pairwise companion
     relation by damped multistart Newton on (cos a_i, sin a_i) with
     unit-circle constraints, then filters to angles in (0, 2*pi) with
-    angle sum exactly 2*pi, deduplicates and polishes.
+    angle sum exactly 2*pi, deduplicates and polishes.  The line search is
+    batched: each step evaluates the full step of every active start in
+    one ``residuals`` call and the eight halvings of the starts it did not
+    improve in one more, and each start takes its first improving factor.
+    Rows never interact except through the singular-batch fallback, so
+    every start computes what a start-at-a-time line search would.
     """
     # multistart grid points per face size
     grid_points = 16
@@ -537,9 +544,10 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     norm = np.max(np.abs(f), axis=1)
     alive = np.ones(v.shape[0], dtype=bool)
     lam = 1e-12
+    # the backtracking factors after the full step: 1/2, 1/4, ..., 1/256
+    halvings = 0.5 ** np.arange(1, 9)
     for _ in range(max_iter):
-        act = alive & (norm > 1e-13)
-        idx = np.nonzero(act)[0]
+        idx = np.nonzero(alive & (norm > 1e-13))[0]
         if idx.size == 0:
             break
         jac = jacobian(v[idx])
@@ -550,39 +558,38 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
             step = -np.linalg.solve(h, grad)[:, :, 0]
         except np.linalg.LinAlgError:
             step = -np.linalg.solve(h + 1e-8 * np.eye(2 * k), grad)[:, :, 0]
-        remaining = idx.copy()
-        factor = 1.0
-        improved_any = np.zeros(idx.size, dtype=bool)
-        local = np.arange(idx.size)
-        for _ in range(9):
-            trial = v[remaining] + factor * step[local]
-            trial_f = residuals(trial)
-            trial_norm = np.max(np.abs(trial_f), axis=1)
-            better = trial_norm < norm[remaining]
-            take = np.nonzero(better)[0]
-            rows = remaining[take]
-            v[rows] = trial[take]
-            f[rows] = trial_f[take]
-            norm[rows] = trial_norm[take]
-            improved_any[local[take]] = True
-            keep = ~better
-            remaining = remaining[keep]
-            local = local[keep]
-            if remaining.size == 0:
-                break
-            factor *= 0.5
-        alive[idx[~improved_any]] = False
+        # line search: the full step for every active row in one call, then
+        # all eight halvings for the rows it did not improve in a second;
+        # each row takes its first improving factor
+        trial = v[idx] + step
+        trial_f = residuals(trial)
+        trial_norm = np.max(np.abs(trial_f), axis=1)
+        better = trial_norm < norm[idx]
+        rows = idx[better]
+        v[rows], f[rows], norm[rows] = trial[better], trial_f[better], trial_norm[better]
+        failed = ~better
+        rows = idx[failed]
+        if rows.size == 0:
+            continue
+        trial = (v[rows] + halvings[:, None, None] * step[failed]).reshape(-1, 2 * k)
+        trial_f = residuals(trial)
+        trial_norm = np.max(np.abs(trial_f), axis=1)
+        better = trial_norm.reshape(halvings.size, rows.size) < norm[rows]
+        improved = better.any(axis=0)
+        cols = np.nonzero(improved)[0]
+        pick = np.argmax(better[:, cols], axis=0) * rows.size + cols
+        taken = rows[cols]
+        v[taken], f[taken], norm[taken] = trial[pick], trial_f[pick], trial_norm[pick]
+        alive[rows[~improved]] = False
 
-    good = norm < 1e-11
-    sols = []
-    for row in np.nonzero(good)[0]:
-        x, y = v[row, :k], v[row, k:]
-        alphas = np.mod(np.arctan2(y, x), TWO_PI)
-        if np.any(alphas < 1e-9) or np.any(alphas > TWO_PI - 1e-9):
-            continue
-        if abs(float(np.dot(counts, alphas)) - TWO_PI) > 1e-6:
-            continue
-        sols.append(tuple(alphas))
+    conv = v[norm < 1e-11]
+    alphas = np.mod(np.arctan2(conv[:, k:], conv[:, :k]), TWO_PI)
+    dropped = (
+        np.any(alphas < 1e-9, axis=1)
+        | np.any(alphas > TWO_PI - 1e-9, axis=1)
+        | (np.abs(alphas @ counts - TWO_PI) > 1e-6)
+    )
+    sols = alphas[~dropped].tolist()
 
     sols.sort()
     unique = []
@@ -592,7 +599,9 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
 
     out = []
     for s in unique:
-        polished = polish_angles(sizes, counts, s)
+        # np.float64 angles, as always: from Python 3.12 on, sum() adds exact
+        # floats with compensation, which would move the first residual
+        polished = polish_angles(sizes, counts, np.array(s))
         if polished is None or any(not (1e-9 < a < TWO_PI - 1e-9) for a in polished):
             continue
         try:

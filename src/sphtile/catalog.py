@@ -733,8 +733,10 @@ def _golden_angles(group: str) -> AngleAssignment:
 
 @lru_cache(maxsize=None)
 def _family_angles(kind: str, m: int) -> AngleAssignment:
-    # the multistart's last bits are what the benchmark's pinned export
-    # digests of prism(6), prism(12), antiprism(6) and antiprism(12) hold
+    # the multistart's last bits are pinned: by the benchmark's export
+    # digests of prism(6), prism(12), antiprism(6) and antiprism(12), and by
+    # tests/test_golden_bytes.py for all 18 family members of all_entries();
+    # its line search is batched, one residuals call per step and halving
     if kind == "prism":
         sols = [s for s in _multistart_angles((4, 4, m)) if s.monotone_convex()]
     elif kind == "antiprism":
@@ -932,7 +934,8 @@ def derive_from_ed(
     ``dim``/``rot`` count the operations; a relation ``"o"`` (opposite) or
     ``"n"`` (non-opposite) qualifies a pair, either within one kind or,
     when one of each is requested, between the two sites.  A relation
-    without a pair, or two different relations, raise ``InvalidSite``.
+    on a zero count or without a pair, or two different relations, raise
+    ``InvalidSite``.
     """
     ed, sites, opposite, disjoint, triple = _ed_site_data()
     a, b, c = triple
@@ -940,6 +943,8 @@ def derive_from_ed(
         raise InvalidSite("negative operation counts")
     if dim + rot > 3:
         raise InvalidSite("at most three pairwise disjoint cupolas exist")
+    if (dim == 0 and dim_rel is not None) or (rot == 0 and rot_rel is not None):
+        raise InvalidSite("an 'o' or 'n' qualifier needs a nonzero count")
     rels = {r for r in (dim_rel, rot_rel) if r is not None}
     if rels and dim + rot != 2:
         raise InvalidSite("an 'o' or 'n' qualifier applies to a pair of cupola operations only")

@@ -124,23 +124,28 @@ class TilingMap:
                 first[v] = d
         return tuple(first)
 
-    def darts_at(self, v: int) -> list:
+    @cached_property
+    def vertex_rotations(self) -> tuple:
+        """Per vertex, its outgoing darts in rotation order from ``vertex_darts``."""
         out = []
-        d0 = self.vertex_darts[v]
-        d = d0
-        while True:
-            out.append(d)
-            d = self.vertex_next[d]
-            if d == d0:
-                break
-        return out
+        for d0 in self.vertex_darts:
+            rotation = [d0]
+            d = self.vertex_next[d0]
+            while d != d0:
+                rotation.append(d)
+                d = self.vertex_next[d]
+            out.append(tuple(rotation))
+        return tuple(out)
+
+    def darts_at(self, v: int) -> list:
+        return list(self.vertex_rotations[v])
 
     def degree(self, v: int) -> int:
-        return len(self.darts_at(v))
+        return len(self.vertex_rotations[v])
 
     def vertex_face_sizes(self, v: int) -> tuple:
         """Face sizes around ``v`` in rotation order (one full cycle)."""
-        return tuple(len(self.faces[self.face_of[d]]) for d in self.darts_at(v))
+        return tuple(len(self.faces[self.face_of[d]]) for d in self.vertex_rotations[v])
 
     @cached_property
     def vertex_arrangements(self) -> tuple:
@@ -549,15 +554,16 @@ def validate(
     v, e, f = c.v, c.e, c.f
 
     rep.add("euler", v - e + f == 2, float(v - e + f - 2))
-    deg_sum = sum(t.degree(u) for u in range(v))
+    deg_sum = sum(map(len, t.vertex_rotations))
     rep.add("degree_sum", deg_sum == 2 * e, float(deg_sum - 2 * e))
     face_sum = sum(m * n for m, n in c.face_counts.items())
     rep.add("face_sum", face_sum == 2 * e, float(face_sum - 2 * e))
 
     try:
+        angle = {m: assign.angle(m) for m in c.face_counts}
         worst = 0.0
         for u in range(v):
-            s = sum(assign.angle(m) for m in t.vertex_face_sizes(u))
+            s = sum(map(angle.__getitem__, t.vertex_face_sizes(u)))
             worst = max(worst, abs(s - TWO_PI))
         rep.add("angle_sums", worst <= tol, worst)
     except vertexcomb.MissingAngle as exc:
@@ -571,7 +577,7 @@ def validate(
     except vertexcomb.MissingAngle as exc:
         rep.add("area", False, detail=f"missing angle for size {exc.args[0]}")
 
-    degrees = {t.degree(u) for u in range(v)}
+    degrees = set(map(len, t.vertex_rotations))
     rep.add(
         "degrees",
         exempt or degrees <= set(range(vertexcomb.MIN_DEGREE, vertexcomb.MAX_DEGREE + 1)),

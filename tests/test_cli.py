@@ -247,9 +247,12 @@ def test_derive_recipes(capsys):
     assert code == 2  # more sites than fit
     code, _, err = run(capsys, "derive", "eD", "--rot", "2")
     assert code == 2 and "qualifier" in err  # ambiguous pair needs o/n
-    for argv in (["--dim", "1n"], ["--dim", "3o"], ["--dim", "1o", "--rot", "1n"]):
+    for argv in (
+        ["--dim", "1n"], ["--dim", "3o"], ["--dim", "1o", "--rot", "1n"],
+        ["--dim", "2", "--rot", "0o"], ["--dim", "0o", "--rot", "2"],
+    ):
         code, _, err = run(capsys, "derive", "eD", *argv)
-        assert code == 2 and "qualifier" in err, argv  # no pair, or two relations
+        assert code == 2 and "qualifier" in err, argv  # no pair, two relations, or a zero count
 
 
 def test_catalog_dump_matches_manifest_file(tmp_path, capsys):

@@ -272,6 +272,12 @@ def test_counting_identities_across_catalog():
         rep = tm.validate(t.map, t.angles, name=name)
         for key in ("euler", "degree_sum", "face_sum", "angle_sums", "area"):
             assert rep.checks[key].passed, (name, key)
+        # the cached rotations are the vertex_next cycles, one per vertex
+        m = t.map
+        assert sorted(d for r in m.vertex_rotations for d in r) == list(range(m.num_darts)), name
+        for v, r in enumerate(m.vertex_rotations):
+            assert r[0] == m.vertex_darts[v] and {m.origin[d] for d in r} == {v}, name
+            assert [m.vertex_next[d] for d in r] == [*r[1:], r[0]], name
 
 
 def test_cut_vertex_matches_networkx():
