@@ -27,8 +27,8 @@ for x in (1.0, 0.1, 0.01):
 print()
 print("== the hemisphere boundary ==")
 # angle pi, circumradius pi/2 and edge 2*pi/m are all the same polygon:
-p = sk.PolygonSpec.from_angle(4, PI)
-print(f"square with angle pi: edge = {p.edge / PI:.6f} pi, radius = {p.radius / PI:.6f} pi")
+edge, radius = sk.edge_from_angle(4, PI), sk.circumradius(4, PI)
+print(f"square with angle pi: edge = {edge / PI:.6f} pi, radius = {radius / PI:.6f} pi")
 
 print()
 print("== companion polygons (same edge length) ==")

@@ -11,7 +11,7 @@ from sphtile import tilemap as tm
 
 
 def iso_name(t):
-    for name in cat.all_entries(range(3, 13)):
+    for name in cat.all_entries():
         if tm.isomorphic(t, cat.make(name).map):
             return name
     return "(not in catalog)"

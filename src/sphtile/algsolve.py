@@ -41,6 +41,7 @@ from .sphkernel import (
     NoSolution,
     angle_from_edge,
     companion_residual,
+    edge_cosine,
     edge_from_angle,
     planar_angle,
 )
@@ -113,9 +114,7 @@ class AngleAssignment:
         for m, alpha in self.angles.items():
             if m == 2:
                 continue
-            ca = math.cos(alpha)
-            implied = (1.0 + ca + 2.0 * math.cos(TWO_PI / m)) / (1.0 - ca)
-            worst = max(worst, abs(implied - cx))
+            worst = max(worst, abs(edge_cosine(m, alpha) - cx))
         return worst
 
     def monotone_convex(self) -> bool:
@@ -348,6 +347,35 @@ def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
     return mid
 
 
+def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
+    """The candidate angle dicts that solve the type, sorted: both solvers' gate.
+
+    Drops a candidate whose smallest face is no spherical polygon, or that
+    misses a companion relation or the angle sum 2*pi by more than 1e-9.
+    """
+    out = []
+    for angles in candidates:
+        try:
+            assign = AngleAssignment.from_angles(angles)
+        except DomainError:
+            continue
+        if assign.max_companion_residual() > 1e-9:
+            continue
+        if abs(sum(c * assign.angles[m] for m, c in zip(sizes, counts)) - TWO_PI) > 1e-9:
+            continue
+        out.append(assign)
+    out.sort(key=lambda a: tuple(a.angles[m] for m in sizes))
+    return out
+
+
+def _only_monotone_convex(sols, what: str) -> AngleAssignment:
+    """The one monotone-convex solution of ``sols``; ``NoSolution`` unless exactly one."""
+    convex = [s for s in sols if s.monotone_convex()]
+    if len(convex) != 1:
+        raise NoSolution(f"{what}: {len(convex)} monotone-convex solutions")
+    return convex[0]
+
+
 def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     """All angle assignments realising the vertex type ``t``.
 
@@ -369,10 +397,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]
     if len(sizes) == 1:
-        alpha = TWO_PI / len(entries)
-        if alpha <= planar_angle(sizes[0]):
-            return []
-        return [AngleAssignment.from_angles({sizes[0]: alpha})]
+        return _accepted(sizes, counts, [{sizes[0]: TWO_PI / len(entries)}])
 
     top = TWO_PI / sizes[-1]
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
@@ -396,21 +421,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
             if (v0 < 0) != (v1 < 0):
                 roots.append((_bisect(excess, x0, x1, v0 < 0), reflex))
 
-    out = []
-    for x, reflex in roots:
-        try:
-            assign = AngleAssignment.from_angles(_branch_angles(sizes, x, reflex))
-        except DomainError:
-            # the smallest face sits at or below its planar angle: no
-            # spherical polygon
-            continue
-        if assign.max_companion_residual() > 1e-9:
-            continue
-        if abs(sum(c * assign.angles[m] for m, c in zip(sizes, counts)) - TWO_PI) > 1e-9:
-            continue
-        out.append(assign)
-    out.sort(key=lambda a: tuple(a.angles[m] for m in sizes))
-    return out
+    return _accepted(sizes, counts, (_branch_angles(sizes, x, reflex) for x, reflex in roots))
 
 
 def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
@@ -422,7 +433,7 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     pins the export bytes of prism(6), prism(12), antiprism(6) and
     antiprism(12), and ``tests/test_golden_bytes.py`` the report and export
     bytes of all 18 family members of ``all_entries()``.  It agrees with
-    ``solve_vertex_system`` within 1e-12 up to m = 50; delete it when both
+    ``solve_vertex_system`` within 1e-12 up to m = 400; delete it when both
     are re-recorded.
 
     Solves the angle-sum equation together with every pairwise companion
@@ -453,10 +464,6 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         cm = [math.cos(TWO_PI / m) for m in sizes]
         a = list(alphas)
 
-        def implied_cos(i):
-            ca = math.cos(a[i])
-            return (1.0 + ca + 2.0 * cm[i]) / (1.0 - ca)
-
         def d_implied(i):
             ca, sa = math.cos(a[i]), math.sin(a[i])
             return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
@@ -466,7 +473,7 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
                 return None
             f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
             for i in range(1, k):
-                f.append(implied_cos(i) - implied_cos(0))
+                f.append(edge_cosine(sizes[i], a[i]) - edge_cosine(sizes[0], a[0]))
             if max(abs(v) for v in f) < 1e-15:
                 break
             jac = np.zeros((k, k))
@@ -597,26 +604,14 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > dedup_tol:
             unique.append(s)
 
-    out = []
+    candidates = []
     for s in unique:
         # np.float64 angles, as always: from Python 3.12 on, sum() adds exact
         # floats with compensation, which would move the first residual
         polished = polish_angles(sizes, counts, np.array(s))
-        if polished is None or any(not (1e-9 < a < TWO_PI - 1e-9) for a in polished):
-            continue
-        try:
-            assign = AngleAssignment.from_angles(dict(zip(sizes, polished)))
-        except DomainError:
-            # the smallest face sits at or below its planar angle: no
-            # spherical polygon
-            continue
-        if assign.max_companion_residual() > 1e-9:
-            continue
-        if abs(sum(c * a for c, a in zip(counts, polished)) - TWO_PI) > 1e-9:
-            continue
-        out.append(assign)
-    out.sort(key=lambda a: tuple(a.angles[m] for m in sizes))
-    return out
+        if polished is not None and all(1e-9 < a < TWO_PI - 1e-9 for a in polished):
+            candidates.append(dict(zip(sizes, polished)))
+    return _accepted(sizes, counts, candidates)
 
 
 def solve_snub(m: int) -> AngleAssignment:
@@ -628,10 +623,7 @@ def solve_snub(m: int) -> AngleAssignment:
     """
     if m not in (4, 5):
         raise DomainError(f"snub type requires m in {{4, 5}}, got {m}")
-    sols = [s for s in solve_vertex_system((3, 3, 3, 3, m)) if s.monotone_convex()]
-    if len(sols) != 1:
-        raise NoSolution(f"snub type 3.3.3.3.{m}: {len(sols)} monotone-convex solutions")
-    return sols[0]
+    return _only_monotone_convex(solve_vertex_system((3, 3, 3, 3, m)), f"snub type 3.3.3.3.{m}")
 
 
 # --------------------------------------------------------------------------

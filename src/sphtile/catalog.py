@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-from .algsolve import AngleAssignment, _multistart_angles, snub_dodecahedron_cos
+from .algsolve import (
+    AngleAssignment,
+    _multistart_angles,
+    _only_monotone_convex,
+    snub_dodecahedron_cos,
+)
 from .sphkernel import TWO_PI, DomainError
 from .tilemap import Census, TilingMap, build_from_faces, digon_fan
 from .vertexcomb import canonical_arrangement
@@ -737,15 +742,8 @@ def _family_angles(kind: str, m: int) -> AngleAssignment:
     # digests of prism(6), prism(12), antiprism(6) and antiprism(12), and by
     # tests/test_golden_bytes.py for all 18 family members of all_entries();
     # its line search is batched, one residuals call per step and halving
-    if kind == "prism":
-        sols = [s for s in _multistart_angles((4, 4, m)) if s.monotone_convex()]
-    elif kind == "antiprism":
-        sols = [s for s in _multistart_angles((3, 3, 3, m)) if s.monotone_convex()]
-    else:
-        raise UnknownName(kind)
-    if len(sols) != 1:
-        raise RuntimeError(f"expected one admissible {kind}({m}) solution, got {len(sols)}")
-    return sols[0]
+    t = (4, 4, m) if kind == "prism" else (3, 3, 3, m)
+    return _only_monotone_convex(_multistart_angles(t), f"{kind}({m})")
 
 
 # --------------------------------------------------------------------------
@@ -1103,11 +1101,14 @@ def make(name: str) -> Tiling:
     raise UnknownName(name)
 
 
-def all_entries(family_n=range(3, 13)) -> list:
-    """Names of every catalog entry, families instantiated over a range."""
+_FAMILY_N = range(3, 13)
+
+
+def all_entries() -> list:
+    """Names of every catalog entry, each family over n = 3..12."""
     out = names()
     for kind in ("prism", "antiprism", "hosohedron", "dihedron"):
-        for n in family_n:
+        for n in _FAMILY_N:
             out.append(f"{kind}({n})")
     return out
 
@@ -1193,10 +1194,10 @@ def expected_census(name: str) -> Census:
     return Census(dict(vtypes), dict(fcounts), v, e, f)
 
 
-def manifest(family_n=range(3, 13)) -> dict:
+def manifest() -> dict:
     """Machine-readable catalog summary: names, families and censuses."""
     entries = []
-    for name in all_entries(family_n):
+    for name in all_entries():
         c = expected_census(name)
         entries.append(
             {

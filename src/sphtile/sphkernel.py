@@ -24,19 +24,29 @@ from the other side) always satisfy them together.  Conversion functions
 return the convex branch; callers model concave faces with the explicit
 complement.
 
-Angles are plain floats in radians.  Digons (m = 2) degenerate most of the
-identities and are supported only through ``PolygonSpec.digon``.
+Angles are plain floats in radians.  Face sizes are integers >= 3, except
+``polygon_area``, which also takes the digon (m = 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+__all__ = [
+    "DomainError",
+    "NoSolution",
+    "planar_angle",
+    "edge_cosine",
+    "angle_from_edge",
+    "edge_from_angle",
+    "circumradius",
+    "polygon_area",
+    "companion_residual",
+    "solve_companion_angle",
+    "solve_companion_size",
+]
 
 TWO_PI = 2.0 * math.pi
-
-#: default residual tolerance for the companion relation and validation
-RESIDUAL_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -57,24 +67,32 @@ def _check_size(m: int) -> None:
         raise DomainError(f"face size must be an integer >= 3, got {m!r}")
 
 
+def edge_cosine(m: int, alpha: float) -> float:
+    """cos x of the regular m-gon with angle alpha, by the third identity; unchecked."""
+    ca = math.cos(alpha)
+    return (1.0 + ca + 2.0 * math.cos(TWO_PI / m)) / (1.0 - ca)
+
+
 def angle_from_edge(m: int, x: float) -> float:
     """Interior angle of the regular m-gon with geodesic edge length x.
 
     Returns the convex solution in ((1 - 2/m)*pi, pi]; the concave
-    companion is its reflex complement 2*pi - alpha.
+    companion is its reflex complement 2*pi - alpha.  The first identity
+    in half angles, cos(alpha/2) = sqrt(sin(pi/m - x/2) * sin(pi/m + x/2))
+    / cos(x/2), cancels no digits where a large face's angle nears pi.
     """
     _check_size(m)
     if not 0.0 < x < math.pi:
         raise DomainError(f"edge length must lie in (0, pi), got {x}")
-    cm = math.cos(TWO_PI / m)
-    cx = math.cos(x)
-    # x = 2*pi/m (cx = cm) is the hemisphere boundary, angle pi
-    if cx < cm - 1e-12:
-        raise DomainError(
-            f"no spherical {m}-gon with edge {x}: need x <= 2*pi/{m}"
-        )
-    ca = 2.0 * max(cx - cm, 0.0) / (1.0 + cx) - 1.0
-    return math.acos(max(-1.0, min(1.0, ca)))
+    half = x / 2.0
+    near = math.sin(math.pi / m - half)
+    # x = 2*pi/m (near = 0) is the hemisphere boundary, angle exactly pi
+    if near < 0.0:
+        if math.cos(x) < math.cos(TWO_PI / m) - 1e-12:
+            raise DomainError(f"no spherical {m}-gon with edge {x}: need x <= 2*pi/{m}")
+        near = 0.0
+    half_cos = math.sqrt(near * math.sin(math.pi / m + half)) / math.cos(half)
+    return 2.0 * math.acos(half_cos)
 
 
 def edge_from_angle(m: int, alpha: float) -> float:
@@ -82,9 +100,7 @@ def edge_from_angle(m: int, alpha: float) -> float:
     _check_size(m)
     if not 0.0 < alpha < TWO_PI:
         raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
-    cm = math.cos(TWO_PI / m)
-    ca = math.cos(alpha)
-    cx = (1.0 + ca + 2.0 * cm) / (1.0 - ca)
+    cx = edge_cosine(m, alpha)
     if cx >= 1.0 - 1e-15:
         raise DomainError(f"angle {alpha} at or below the planar limit for m={m}")
     if cx < -1.0:
@@ -116,12 +132,6 @@ def polygon_area(m: int, alpha: float) -> float:
     if int(m) != m or m < 2:
         raise DomainError(f"face size must be an integer >= 2, got {m!r}")
     return m * alpha - (m - 2) * math.pi
-
-
-def eq_edge_angle_residual(m: int, alpha: float, x: float) -> float:
-    """Residual of (1+cos x)(1+cos alpha)/2 - (cos x - cos(2*pi/m))."""
-    cx = math.cos(x)
-    return 0.5 * (1.0 + cx) * (1.0 + math.cos(alpha)) - (cx - math.cos(TWO_PI / m))
 
 
 def companion_residual(m: int, alpha_m: float, n: float, alpha_n: float) -> float:
@@ -176,17 +186,16 @@ def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
     """Real face size n whose companion of the m-gon has angle alpha_target.
 
     The companion relation is linear in cos(2*pi/n): the m-gon fixes the
-    shared edge's cosine cx = (1 + cos a_m + 2*cos(2*pi/m)) / (1 - cos a_m),
-    and then cos(2*pi/n) = (cx*(1 - cos a_t) - 1 - cos a_t) / 2.  Raises
+    shared edge's cosine cx = ``edge_cosine(m, a_m)``, and then
+    cos(2*pi/n) = (cx*(1 - cos a_t) - 1 - cos a_t) / 2.  Raises
     ``NoSolution`` when that cosine lies outside (-1, 1) or n outside
     [3, 64]; a size within 1e-9 of either end is clamped to it.
     """
     _check_size(m)
-    cam = math.cos(alpha_m)
     cat = math.cos(alpha_target)
-    if cam >= 1.0:
+    if math.cos(alpha_m) >= 1.0:
         raise NoSolution(f"companion size: angle {alpha_m} has no {m}-gon edge")
-    cx = (1.0 + cam + 2.0 * math.cos(TWO_PI / m)) / (1.0 - cam)
+    cx = edge_cosine(m, alpha_m)
     cn = (cx * (1.0 - cat) - 1.0 - cat) / 2.0
     n = TWO_PI / math.acos(cn) if -1.0 < cn < 1.0 else math.nan
     if not _COMPANION_LO - 1e-9 <= n <= _COMPANION_HI + 1e-9:
@@ -196,54 +205,3 @@ def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
         )
     return min(max(n, _COMPANION_LO), _COMPANION_HI)
 
-
-@dataclass(frozen=True)
-class PolygonSpec:
-    """A regular spherical polygon: size, angle, edge and circumradius."""
-
-    m: int
-    alpha: float
-    edge: float
-    radius: float
-
-    def __post_init__(self):
-        if self.m == 2:
-            return
-        res = eq_edge_angle_residual(self.m, self.alpha, self.edge)
-        if abs(res) > RESIDUAL_TOL:
-            raise DomainError(
-                f"inconsistent {self.m}-gon data: edge/angle residual {res}"
-            )
-
-    @property
-    def convex(self) -> bool:
-        return self.alpha <= math.pi + 1e-15
-
-    @property
-    def strictly_convex(self) -> bool:
-        return self.alpha < math.pi - 1e-15
-
-    @property
-    def hemisphere(self) -> bool:
-        return abs(self.alpha - math.pi) <= 1e-12
-
-    @property
-    def area(self) -> float:
-        return polygon_area(self.m, self.alpha)
-
-    @classmethod
-    def from_angle(cls, m: int, alpha: float) -> "PolygonSpec":
-        x = edge_from_angle(m, alpha)
-        return cls(m, alpha, x, circumradius(m, alpha))
-
-    @classmethod
-    def from_edge(cls, m: int, x: float) -> "PolygonSpec":
-        alpha = angle_from_edge(m, x)
-        return cls(m, alpha, x, circumradius(m, alpha))
-
-    @classmethod
-    def digon(cls, alpha: float) -> "PolygonSpec":
-        """Digon with the given angle: edge pi, circumradius pi/2."""
-        if not 0.0 < alpha < TWO_PI:
-            raise DomainError(f"digon angle must lie in (0, 2*pi), got {alpha}")
-        return cls(2, alpha, math.pi, math.pi / 2.0)

@@ -26,6 +26,19 @@ from typing import Iterable, Mapping, Sequence
 
 from .sphkernel import TWO_PI
 
+__all__ = [
+    "MissingAngle",
+    "angle_deficit_ok",
+    "admissible",
+    "enumerate_candidate_types",
+    "with_triangle",
+    "triangle_free",
+    "remainder",
+    "canonical_arrangement",
+    "arrangements",
+    "feasible_types",
+]
+
 VertexType = tuple  # sorted tuple of face sizes
 Arrangement = tuple  # canonical cyclic sequence of face sizes
 

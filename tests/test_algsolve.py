@@ -316,17 +316,7 @@ ALGEBRA_TYPES = (
     (3, 3, 3, 3, 4), (3, 3, 3, 3, 5),
 )
 FAMILY_SIZES = (*range(3, 17), 50, 400)
-FAMILY_TYPES = tuple((4, 4, m) for m in FAMILY_SIZES) + tuple(
-    (3, 3, 3, m) for m in FAMILY_SIZES[:-1]
-)
-# the edge solver takes each angle from the shared edge through an acos
-# near -1 (``sphkernel.angle_from_edge``), which loses digits on a large
-# face: its 400-gon angle here is 1.03e-12 off the root, the multistart's
-# 1.5e-15 (both against a 50-digit root)
-LARGE_ANTIPRISM = pytest.param(
-    (3, 3, 3, 400),
-    marks=pytest.mark.xfail(strict=True, reason="edge solver's 400-gon angle is 1.03e-12 off"),
-)
+FAMILY_TYPES = tuple((4, 4, m) for m in FAMILY_SIZES) + tuple((3, 3, 3, m) for m in FAMILY_SIZES)
 
 
 def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
@@ -527,7 +517,7 @@ def _bits(sols):
 
 
 @pytest.mark.parametrize(
-    "t", ALGEBRA_TYPES + FAMILY_TYPES + (LARGE_ANTIPRISM,), ids=lambda t: ",".join(map(str, t))
+    "t", ALGEBRA_TYPES + FAMILY_TYPES, ids=lambda t: ",".join(map(str, t))
 )
 def test_edge_solver_matches_multistart(t):
     # oracle: the kept multistart Newton solver, 16^k starts in 2k unknowns,
@@ -539,12 +529,6 @@ def test_edge_solver_matches_multistart(t):
         assert a.sizes == b.sizes
         for m in a.sizes:
             assert a.angles[m] == pytest.approx(b.angles[m], abs=1e-12)
-
-
-def test_multistart_matches_sequential_on_large_antiprism():
-    # the bit check of the strict xfail above, on its own
-    t = (3, 3, 3, 400)
-    assert _bits(alg._multistart_angles(t)) == _bits(_sequential_multistart_angles(t))
 
 
 def _first_batched_solve_singular(monkeypatch, solver, t):

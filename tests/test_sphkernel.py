@@ -27,6 +27,31 @@ def test_angle_from_edge_planar_limit():
         assert abs(smaller - planar) < 0.02 * abs(small - planar)
 
 
+@pytest.mark.parametrize("t", [(4, 4, 50), (4, 4, 400), (3, 3, 3, 50), (3, 3, 3, 400)])
+def test_angle_from_edge_against_mpmath_at_family_edges(t):
+    # oracle: the first identity in 50 digits; the vertex's shared edge is
+    # bisected in it and rounded to a float, and each angle at that float
+    # edge is taken from it again
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+
+        def angle(m, x):
+            cx = mp.cos(x)
+            return mp.acos(2 * (cx - mp.cos(2 * mp.pi / m)) / (1 + cx) - 1)
+
+        # the angle sum falls short of 2*pi at x = 0 and exceeds it at 2*pi/max(t)
+        lo, hi = mp.mpf(0), 2 * mp.pi / max(t)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if sum(angle(m, mid) for m in t) < 2 * mp.pi:
+                lo = mid
+            else:
+                hi = mid
+        x = float(lo)
+        for m in set(t):
+            assert abs(sk.angle_from_edge(m, x) - angle(m, mp.mpf(x))) < 1e-14, m
+
+
 def test_edge_from_angle_reference_values():
     assert sk.edge_from_angle(3, 2 * PI / 3) == pytest.approx(math.acos(-1.0 / 3.0), abs=1e-12)
     assert sk.edge_from_angle(5, 4 * PI / 5) == pytest.approx(math.acos(1.0 / SQ5), abs=1e-12)
@@ -186,15 +211,3 @@ def test_domain_errors():
     with pytest.raises(sk.DomainError):
         sk.circumradius(5, 0.2)
 
-
-def test_polygon_spec():
-    p = sk.PolygonSpec.from_angle(3, 2 * PI / 3)
-    assert p.edge == pytest.approx(math.acos(-1 / 3), abs=1e-12)
-    assert p.radius == pytest.approx(math.acos(1 / 3), abs=1e-12)
-    assert p.strictly_convex
-    q = sk.PolygonSpec.from_edge(4, PI / 2)
-    assert q.hemisphere and q.convex and not q.strictly_convex
-    d = sk.PolygonSpec.digon(0.7)
-    assert d.edge == PI and d.area == pytest.approx(1.4)
-    with pytest.raises(sk.DomainError):
-        sk.PolygonSpec(3, 2 * PI / 3, 1.0, 1.0)  # inconsistent data
