@@ -7,8 +7,9 @@ Constructors are coordinate-free combinatorial recipes: rectification,
 expansion, snubbing and truncation derive the Archimedean solids from
 Platonic seeds, and the Johnson tilings come from the structural
 operators (pyramid / cupola / prism subdivision, shrinking and
-truncation, cupola rotation and diminishing, hemisphere rotation) applied
-to their parents.
+truncation, cupola rotation and diminishing, hemisphere rotation and
+cutting) applied to their parents.  Cupola caps and hemispheres are both
+caps of one cut-and-reglue operator, ``_apply_cupola_ops``.
 
 Every entry carries golden metric data (exact closed-form angles and edge
 length) and a golden census, against which ``tilemap.validate`` runs.
@@ -493,15 +494,24 @@ def find_cupola_sites(t: TilingMap) -> list:
 
 def _apply_cupola_ops(
     tiling: Tiling,
-    rotate_sites: Sequence[CupolaSite] = (),
-    diminish_sites: Sequence[CupolaSite] = (),
+    rotate_sites: Sequence = (),
+    diminish_sites: Sequence = (),
     shift: int = 1,
 ) -> Tiling:
+    """Cut out each cap and reglue it ``shift`` boundary steps on (rotate)
+    or seal its boundary cycle with one face (diminish).
+
+    A cap is anything with ``faces`` and an ordered ``boundary`` vertex
+    cycle: a ``CupolaSite`` or a ``_hemisphere``.  Caps may share no
+    vertex.  A sealing face's angle is 2*pi minus the angles outside the
+    cap at its first boundary vertex.
+    """
     t = tiling.map
     assign = _require_angles(tiling)
     sites = list(rotate_sites) + list(diminish_sites)
-    for a, b in itertools.combinations(sites, 2):
-        if a.vertices & b.vertices:
+    vertices = [{t.origin[d] for f in s.faces for d in t.faces[f]} for s in sites]
+    for a, b in itertools.combinations(vertices, 2):
+        if a & b:
             raise InvalidSite("cupola sites overlap")
     cap_faces: set = set()
     for s in sites:
@@ -578,10 +588,11 @@ def equatorial_cycles(tiling: Tiling) -> list:
     for path in _straight_cycles(t):
         good = True
         for d in path:
-            dp = t.edge_pair[d]
+            # the two faces at d's head between the cycle's back and forward darts
+            back = t.vertex_next[t.edge_pair[d]]
             side = (
-                assign.angle(t.face_size(t.face_of[dp]))
-                + assign.angle(t.face_size(t.face_of[t.vertex_next[dp]]))
+                assign.angle(t.face_size(t.face_of[back]))
+                + assign.angle(t.face_size(t.face_of[t.vertex_next[back]]))
             )
             if abs(side - PI) > 1e-9:
                 good = False
@@ -591,54 +602,39 @@ def equatorial_cycles(tiling: Tiling) -> list:
     return out
 
 
-def _split_sides(t: TilingMap, path: Sequence[int]) -> tuple:
-    cycle_edges = {frozenset((t.origin[d], t.target(d))) for d in path}
-    side_a: set = set()
-    stack = [t.face_of[path[0]]]
+class _Cap(NamedTuple):
+    faces: frozenset
+    boundary: tuple
+
+
+def _hemisphere(t: TilingMap, path: Sequence[int]) -> _Cap:
+    """The far side of a straight cycle as a cap: the faces reached from
+    across ``path[0]`` without crossing the cycle."""
+    cycle = set(path) | {t.edge_pair[d] for d in path}
+    start = t.face_of[t.edge_pair[path[0]]]
+    side = {start}
+    stack = [start]
     while stack:
-        f = stack.pop()
-        if f in side_a:
-            continue
-        side_a.add(f)
-        for d in t.faces[f]:
-            e = frozenset((t.origin[d], t.target(d)))
-            if e in cycle_edges:
-                continue
+        for d in t.faces[stack.pop()]:
             g = t.face_of[t.edge_pair[d]]
-            if g not in side_a:
+            if d not in cycle and g not in side:
+                side.add(g)
                 stack.append(g)
-    side_b = set(range(t.num_faces)) - side_a
-    return side_a, side_b
+    return _Cap(frozenset(side), tuple(t.origin[d] for d in path))
 
 
 def rotate_hemisphere(tiling: Tiling, path: Sequence[int], shift: int = 1) -> Tiling:
     """Cut along an equatorial cycle and reglue one side offset by ``shift``."""
-    t = tiling.map
-    assign = _require_angles(tiling)
-    side_a, side_b = _split_sides(t, path)
-    ring = [t.origin[d] for d in path]
-    n = len(ring)
-    relabel = {ring[i]: ring[(i + shift) % n] for i in range(n)}
-    faces = [t.face_vertex_cycle(f) for f in side_a]
-    faces += [
-        tuple(relabel.get(v, v) for v in t.face_vertex_cycle(f)) for f in side_b
-    ]
-    return _tiling(build_from_faces(faces), assign)
+    return _apply_cupola_ops(tiling, rotate_sites=[_hemisphere(tiling.map, path)], shift=shift)
 
 
 def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
     """Keep one side of an equatorial cycle and seal it with one face.
 
-    The new face is a hemisphere (angle pi), since the cycle is a great
-    circle.
+    The new face is a hemisphere: its angle, 2*pi minus the kept side's
+    angles at a cycle vertex, is pi, since the cycle is a great circle.
     """
-    t = tiling.map
-    assign = _require_angles(tiling)
-    side_a, _ = _split_sides(t, path)
-    ring = tuple(t.origin[d] for d in path)
-    faces = [t.face_vertex_cycle(f) for f in side_a]
-    faces.append(ring)
-    return _tiling(build_from_faces(faces), assign, [(len(ring), PI)], InvalidSite)
+    return _apply_cupola_ops(tiling, diminish_sites=[_hemisphere(tiling.map, path)])
 
 
 # --------------------------------------------------------------------------
@@ -1011,8 +1007,7 @@ def make_dihedron(n: int) -> Tiling:
     if n < 3:
         raise DomainError(f"dihedron needs n >= 3, got {n}")
     ring = tuple(range(n))
-    m = build_from_faces([ring, ring], family="dihedron")
-    return _tiling(m, AngleAssignment({n: PI}, TWO_PI / n))
+    return _tiling(build_from_faces([ring, ring]), AngleAssignment({n: PI}, TWO_PI / n))
 
 
 _BUILDERS = {

@@ -359,11 +359,10 @@ def load_json(data: bytes):
     doc = json.loads(data.decode())
     angles = {int(m): float(a) for m, a in doc["angles"].items()}
     assign = AngleAssignment(angles, float(doc["edge"]))
-    family = doc.get("family")
-    if family == "hosohedron":
+    if doc.get("family") == "hosohedron":
         t = digon_fan(len(doc["faces"]))
     else:
-        t = build_from_faces([tuple(f) for f in doc["faces"]], family=family)
+        t = build_from_faces([tuple(f) for f in doc["faces"]])
     positions = None
     if "positions" in doc:
         positions = {

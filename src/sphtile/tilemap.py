@@ -9,8 +9,9 @@ arrangement of face sizes at each vertex.
 
 ``build_from_faces`` accepts plain vertex-index cycles (with arbitrary
 per-face orientations, which are fixed up automatically), so constructors
-can work with simple face lists.  Hosohedra need parallel edges and are
-built directly with ``digon_fan``.
+can work with simple face lists.  Hosohedra need parallel edges, so digons
+come only from ``digon_fan``.  A map's degenerate family is read from its
+faces (``TilingMap.family``), never passed in.
 
 Validation covers the counting identities (Euler, degree and face
 handshakes), metric consistency of an angle assignment (vertex angle sums
@@ -68,9 +69,7 @@ class TilingMap:
 
     ``origin[d]`` is the tail vertex of dart ``d``; ``face_next[d]`` the
     next dart of the same face; ``edge_pair[d]`` the opposite dart of the
-    same edge.  ``family`` marks the degenerate families (``"hosohedron"``
-    or ``"dihedron"``) whose maps relax the usual degree and face-size
-    bounds.
+    same edge.
     """
 
     origin: tuple
@@ -78,7 +77,15 @@ class TilingMap:
     edge_pair: tuple
     face_of: tuple
     faces: tuple
-    family: Optional[str] = None
+
+    @cached_property
+    def family(self) -> Optional[str]:
+        """The degenerate family whose maps relax the usual degree and
+        face-size bounds: ``"hosohedron"`` for digon faces, ``"dihedron"``
+        for two faces (on the sphere they can only share one cycle)."""
+        if len(self.faces[0]) == 2:
+            return "hosohedron"
+        return "dihedron" if len(self.faces) == 2 else None
 
     # -- elementary counts -------------------------------------------------
 
@@ -299,7 +306,7 @@ def census(t: TilingMap) -> Census:
 # --------------------------------------------------------------------------
 
 
-def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) -> TilingMap:
+def build_from_faces(faces: Sequence[Sequence]) -> TilingMap:
     """Build a map from vertex-index cycles, one per face.
 
     Every undirected vertex pair adjacent in the cycles must occur in
@@ -307,27 +314,26 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
     connected through shared edges (else ``Disconnected``).  Per-face
     orientations are fixed up automatically, starting from face 0.  Vertex
     labels may be arbitrary hashables; they are relabelled densely in
-    first-seen order.
+    first-seen order.  A digon would use its one edge twice, so faces need
+    three or more vertices; hosohedra come from ``digon_fan``.  The map's
+    family is read from its faces: two faces make a dihedron.
     """
     cycles = [tuple(f) for f in faces]
     if not cycles:
         raise NotEdgeToEdge("no faces")
     for f in cycles:
-        if len(f) < 2:
-            raise NotEdgeToEdge(f"face {f} has fewer than 2 vertices")
-        if len(f) == 2 and family != "hosohedron":
-            raise NotEdgeToEdge("digon faces only arise in the hosohedron family")
+        if len(f) < 3:
+            raise NotEdgeToEdge(f"face {f} has fewer than 3 vertices; digon_fan builds hosohedra")
         if len(set(f)) != len(f):
             raise NotEdgeToEdge(f"face {f} repeats a vertex")
 
+    # per undirected edge, (face, u, v) for each face writing it u -> v
     incident: dict = {}
-    written = set()  # (face, u, v) for each edge u -> v in its written direction
     for fi, f in enumerate(cycles):
         k = len(f)
         for i in range(k):
             u, v = f[i], f[(i + 1) % k]
-            incident.setdefault(frozenset((u, v)), []).append(fi)
-            written.add((fi, u, v))
+            incident.setdefault(frozenset((u, v)), []).append((fi, u, v))
     for key, fs in incident.items():
         if len(fs) != 2:
             raise NotEdgeToEdge(
@@ -345,10 +351,10 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
         k = len(f)
         for i in range(k):
             u, v = f[i], f[(i + 1) % k]
-            pair = incident[frozenset((u, v))]
-            gi = pair[1] if pair[0] == fi else pair[0]
+            first, second = incident[frozenset((u, v))]
+            gi, a, _ = second if first[0] == fi else first
             # the neighbour must run v -> u, so it is flipped iff written u -> v
-            forward = (gi, u, v) in written
+            forward = a == u
             if flipped[gi] is None:
                 flipped[gi] = forward
                 stack.append(gi)
@@ -369,36 +375,29 @@ def build_from_faces(faces: Sequence[Sequence], family: Optional[str] = None) ->
     face_next = []
     face_of = []
     face_darts = []
-    directed_to_dart: dict = {}
+    dart_of: dict = {}  # directed edge (u, v) -> its dart
     for fi, f in enumerate(oriented):
         k = len(f)
         base = len(origin)
-        ds = tuple(range(base, base + k))
-        face_darts.append(ds)
+        face_darts.append(tuple(range(base, base + k)))
         for i in range(k):
             u, v = vid[f[i]], vid[f[(i + 1) % k]]
             origin.append(u)
             face_next.append(base + (i + 1) % k)
             face_of.append(fi)
-            key = (u, v)
-            if key in directed_to_dart:
-                raise NotEdgeToEdge(f"directed edge {key} duplicated")
-            directed_to_dart[key] = base + i
-
-    edge_pair = [0] * len(origin)
-    for (u, v), d in directed_to_dart.items():
-        try:
-            edge_pair[d] = directed_to_dart[(v, u)]
-        except KeyError:
-            raise NotEdgeToEdge(f"edge ({u}, {v}) has no partner") from None
+            dart_of[u, v] = base + i
+    # every directed edge has exactly one dart and a partner: each undirected
+    # edge lies on two distinct faces (no face repeats a vertex, and a face of
+    # three or more vertices passes an edge once), and the orientation pass
+    # checked every edge for opposite directions on its two faces
+    edge_pair = tuple(dart_of[origin[nd], origin[d]] for d, nd in enumerate(face_next))
 
     return TilingMap(
         origin=tuple(origin),
         face_next=tuple(face_next),
-        edge_pair=tuple(edge_pair),
+        edge_pair=edge_pair,
         face_of=tuple(face_of),
         faces=tuple(face_darts),
-        family=family,
     )
 
 
@@ -430,7 +429,6 @@ def digon_fan(n: int) -> TilingMap:
         edge_pair=tuple(edge_pair),
         face_of=tuple(face_of),
         faces=tuple(faces),
-        family="hosohedron",
     )
 
 

@@ -154,6 +154,35 @@ def test_cut_hemisphere_rejects_conflicting_decagon_angle():
         cat.cut_hemisphere(_with_angles(ad, {10: 1.0}), path)
 
 
+def test_pyramid_diminish_rejects_non_triangle_star():
+    with pytest.raises(cat.PreconditionFailed, match="non-triangular"):
+        cat.pyramid_diminish(cat.make("C"), [0])
+
+
+def test_pyramid_diminish_rejects_adjacent_vertices():
+    ico = cat.make("I")
+    with pytest.raises(cat.InvalidSite, match="adjacent"):
+        cat.pyramid_diminish(ico, [0, ico.map.target(ico.map.darts_at(0)[0])])
+
+
+def test_cupola_ops_reject_caps_sharing_a_vertex():
+    ed, sites, _, disjoint, _ = cat._ed_site_data()
+    a = sites[0]
+    b = next(s for s in sites if s is not a and s not in disjoint[a.top])
+    assert a.vertices & b.vertices
+    with pytest.raises(cat.InvalidSite, match="overlap"):
+        cat._apply_cupola_ops(ed, rotate_sites=[a], diminish_sites=[b])
+
+
+@pytest.mark.parametrize("name", ["O", "aC", "aD", "J27", "J34"])
+def test_cut_hemisphere_seals_with_exactly_pi(name):
+    # the shared sealing rule, 2*pi minus the kept side's angles at a
+    # cycle vertex, lands on pi to the bit for every great circle
+    t = cat.make(name)
+    for path in cat.equatorial_cycles(t):
+        assert cat.cut_hemisphere(t, path).angles.angle(len(path)) == math.pi
+
+
 def test_diminish_cupola_rejects_conflicting_decagon_angle():
     ed = cat.make("eD")
     site = cat._canonical_sites(ed.map, cat.find_cupola_sites(ed.map))[0]
@@ -297,9 +326,18 @@ def test_rotate_hemisphere_identities():
     assert tm.isomorphic(cat.cut_hemisphere(ad, cyc[0]).map, cat.make("J6").map)
 
 
+@pytest.mark.parametrize("ortho, gyro, half", [("J27", "aC", "J3"), ("J34", "aD", "J6")])
+def test_orthobicupola_equator_turns_back_and_cuts_to_a_cupola(ortho, gyro, half):
+    # the one equatorial cycle is the great circle between the two cupolas
+    t = cat.make(ortho)
+    (path,) = cat.equatorial_cycles(t)
+    assert tm.isomorphic(cat.rotate_hemisphere(t, path).map, cat.make(gyro).map)
+    assert tm.isomorphic(cat.cut_hemisphere(t, path).map, cat.make(half).map)
+
+
 @pytest.mark.parametrize(
     "name, straight, equatorial",
-    [("aC", 4, 4), ("aD", 6, 6), ("O", 3, 3), ("eC", 6, 0)],
+    [("aC", 4, 4), ("aD", 6, 6), ("O", 3, 3), ("eC", 6, 0), ("J27", 4, 1), ("J34", 6, 1)],
 )
 def test_straight_and_equatorial_cycle_counts(name, straight, equatorial):
     t = cat.make(name)

@@ -24,15 +24,26 @@ def test_build_tetrahedron_counts():
 
 
 def test_build_dihedron():
-    t = tm.build_from_faces([(0, 1, 2, 3, 4), (0, 1, 2, 3, 4)], family="dihedron")
+    t = tm.build_from_faces([(0, 1, 2, 3, 4), (0, 1, 2, 3, 4)])
     assert (t.num_vertices, t.num_edges, t.num_faces) == (5, 5, 2)
     assert tm.census(t).vertex_types == {(5, 5): 5}
+    # the family is read from the faces: two faces make a dihedron
+    assert t.family == "dihedron"
+    assert tm.validate(t, AngleAssignment({5: PI}, 2 * PI / 5)).overall_pass
 
 
 def test_build_hosohedron():
     t = tm.digon_fan(6)
     assert (t.num_vertices, t.num_edges, t.num_faces) == (2, 6, 6)
     assert tm.census(t).vertex_types == {(2,) * 6: 2}
+    assert t.family == "hosohedron"
+
+
+def test_family_is_read_from_the_faces():
+    for name in catalog.all_entries():
+        kind = name.split("(")[0]
+        want = kind if kind in ("hosohedron", "dihedron") else None
+        assert catalog.make(name).map.family == want, name
 
 
 def test_build_errors():
@@ -50,8 +61,8 @@ def test_build_errors():
             (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
             (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
         ])
-    with pytest.raises(tm.NotEdgeToEdge, match="oriented consistently"):
-        tm.build_from_faces([(0, 1)], family="hosohedron")  # digon glued to itself
+    with pytest.raises(tm.NotEdgeToEdge, match="digon_fan"):
+        tm.build_from_faces([(0, 1)])  # digons come only from digon_fan
 
 
 def test_build_accepts_mixed_orientations():
@@ -200,7 +211,7 @@ def test_canonical_form_ignores_orientation():
         if t.family == "hosohedron":
             continue
         faces = [t.face_vertex_cycle(f)[::-1] for f in range(t.num_faces)]
-        mirror = tm.build_from_faces(faces, family=t.family)
+        mirror = tm.build_from_faces(faces)
         assert mirror.canonical_form == t.canonical_form, name
 
 
@@ -239,7 +250,7 @@ def test_rebuild_is_invariant_under_relabelling_and_reorientation():
             cyc = cyc[k:] + cyc[:k]
             faces.append(cyc[::-1] if data.draw(st.booleans()) else cyc)
         faces = data.draw(st.permutations(faces))
-        other = tm.build_from_faces(faces, family=t.family)
+        other = tm.build_from_faces(faces)
         assert tm.census(other) == tm.census(t)
         assert tm.isomorphic(other, t)
         assert other.canonical_form == _brute_canonical_form(other)
