@@ -5,8 +5,8 @@ realising it must satisfy the angle sum 2*pi at the vertex together with
 the pairwise companion relation of :mod:`sphtile.sphkernel`: all faces
 share one edge length x.  ``solve_vertex_system`` solves the system in
 that one unknown, bracketing and bisecting the angle sum as a function
-of x on each convex/reflex branch and deciding a hemisphere root at the
-end of the interval exactly; it is the public angle solver, and
+of x on each convex/reflex branch and reading a hemisphere root at the
+end of the interval from the type; it is the public angle solver, and
 ``solve_snub`` is its 3.3.3.3.m case.  The former multistart Newton
 solver survives only as ``_multistart_angles``, whose bits the catalog's
 prism and antiprism angles keep until the benchmark reference that pins
@@ -28,7 +28,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -281,50 +280,20 @@ def _vertex_type(t: Sequence[int]) -> tuple:
     return entries
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> Polynomial:
-    """The n-th cyclotomic polynomial: x^n - 1 over those of n's proper divisors."""
-    p = Polynomial.from_coeffs([-1] + [0] * (n - 1) + [1])
-    for d in range(1, n):
-        if n % d == 0:
-            p, _ = p._divmod(_cyclotomic(d))
-    return p
-
-
-def _hemisphere_end(entries: tuple) -> bool:
-    """Whether the vertex closes with its largest face a hemisphere.
-
-    At the edge x = 2*pi/M the M-gon's angle is exactly pi, so the other
-    faces must sum to pi.  Each exceeds its planar angle, at least pi/3,
-    and is convex there, so that takes one M-gon and exactly two others
-    a <= b.  With cos(alpha) = (cos x - 1 - 2*cos(2*pi/m)) / (1 + cos x),
-    their angles sum to pi exactly when
-
-        cos(2*pi/M) = 1 + cos(2*pi/a) + cos(2*pi/b).
-
-    The right side is at least 1 unless 1/a + 1/b > 1/2.  If it holds,
-    zeta_M is at most quadratic over Q(zeta_l), l = lcm(a, b), so with
-    n = lcm(a, b, M), phi(n) <= 2*phi(l) forces n/l in {1, 2, 3, 4, 6}.
-    Both sides lie in Q(zeta_n), and the equation holds iff the n-th
-    cyclotomic polynomial divides the integer polynomial it becomes in
-    zeta_n: decided in exact rationals, with no float tolerance.
-    """
-    *others, big = entries
-    if len(others) != 2 or others[-1] == big:
-        return False
-    a, b = others
-    if Fraction(1, a) + Fraction(1, b) <= Fraction(1, 2):
-        return False
-    n = math.lcm(a, b, big)
-    if n > 6 * math.lcm(a, b):
-        return False
-    coeffs = [0] * n
-    coeffs[0] = -2
-    for m, sign in ((big, 1), (a, -1), (b, -1)):
-        coeffs[n // m] += sign
-        coeffs[-(n // m) % n] += sign
-    _, rem = Polynomial.from_coeffs(coeffs)._divmod(_cyclotomic(n))
-    return rem.is_zero()
+#: the vertex types that close with their largest face a hemisphere, the
+#: tiles of J1, J3 and J6.  At the edge x = 2*pi/M the M-gon's angle is
+#: exactly pi, so the other faces sum to pi.  Each exceeds its planar angle,
+#: at least pi/3, and is convex there, so the type is one M-gon and exactly
+#: two faces a <= b < M (another M-gon would be pi itself).  With
+#: cos(alpha) = (cos x - 1 - 2*cos(2*pi/m)) / (1 + cos x), their angles sum
+#: to pi exactly when
+#:
+#:     cos(2*pi/M) = 1 + cos(2*pi/a) + cos(2*pi/b).
+#:
+#: The left side is below 1.  The right side is at least 1 unless a = 3
+#: and b <= 5 (cos(2*pi/m) is negative only at m = 3, and at least 1/2 from
+#: m = 6 on); there it is 0, 1/2 or cos(pi/5), giving M = 4, 6 or 10.
+_HEMISPHERE_TYPES = frozenset({(3, 3, 4), (3, 4, 6), (3, 5, 10)})
 
 
 def _branch_angles(sizes, x: float, reflex) -> dict:
@@ -388,10 +357,11 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     bisected in x to the last bit.  The open end x -> 0 is excluded: a
     branch's value there is an exact rational multiple of pi, and a branch
     that vanishes there (the planar limit) gets no bracket from it.  A root
-    at x = 2*pi/M puts the M-gon at exactly pi; ``_hemisphere_end`` decides
-    it exactly, and it is counted once.  Every solution passes the
-    companion and angle-sum checks to 1e-9.  Solutions come sorted by
-    their angles; an empty list when none exists.  Deterministic.
+    at x = 2*pi/M puts the M-gon at exactly pi; it is read from the type,
+    one of the three ``_HEMISPHERE_TYPES``, and counted once.  Every
+    solution passes the companion and angle-sum checks to 1e-9.  Solutions
+    come sorted by their angles; an empty list when none exists.
+    Deterministic.
     """
     entries = _vertex_type(t)
     sizes = sorted(set(entries))
@@ -401,7 +371,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
 
     top = TWO_PI / sizes[-1]
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
-    hemisphere = _hemisphere_end(entries)
+    hemisphere = entries in _HEMISPHERE_TYPES
     roots = [(top, None)] if hemisphere else []
     # the all-convex sum at the planar limit, minus 2*pi, in units of pi
     planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2

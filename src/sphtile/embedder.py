@@ -11,9 +11,9 @@ doubles as a consistency check of the angle assignment.  Edge lengths,
 corner angles and areas are then measured per dart in one numpy pass
 over gathered position arrays.
 
-Hosohedra (antipodal poles, meridian edges) are placed directly; their
-edges carry explicit midpoints because antipodal endpoints do not
-determine a great-circle arc.
+Hosohedra (antipodal poles, meridian edges) are placed directly, then
+measured like every other map; their edges carry explicit midpoints
+because antipodal endpoints do not determine a great-circle arc.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .algsolve import AngleAssignment
 from .sphkernel import TWO_PI, circumradius
-from .tilemap import TilingMap, build_from_faces, digon_fan
+from .tilemap import NotEdgeToEdge, TilingMap, build_from_faces, digon_fan
 
 __all__ = [
     "Embedding",
@@ -53,8 +53,8 @@ class Embedding:
 
     positions: dict
     closure_error: float
-    edge_error: float = 0.0
-    angle_error: float = 0.0
+    edge_error: float
+    angle_error: float
     # midpoint per edge id, only for edges with antipodal endpoints
     arc_midpoints: dict = field(default_factory=dict)
 
@@ -77,13 +77,26 @@ def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
     alpha = assign.angle(2)
-    positions = {0: np.array([0.0, 0.0, 1.0]), 1: np.array([0.0, 0.0, -1.0])}
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     # edge i of the fan (darts 2i and 2i+1) is the meridian at longitude i*alpha
     mids = {
         i: np.array([math.cos(i * alpha), math.sin(i * alpha), 0.0])
         for i in range(t.num_edges)
     }
-    return Embedding(positions=positions, closure_error=0.0, arc_midpoints=mids)
+    return _measured(t, assign, poles, 0.0, mids)
+
+
+def _measured(
+    t: TilingMap, assign: AngleAssignment, pos: np.ndarray, closure_error: float, mids: dict
+) -> Embedding:
+    """The embedding at positions ``pos`` (a (V, 3) array), its edge lengths
+    and corner angles measured against ``assign``."""
+    u, v = np.array(t.edges).T
+    edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
+    emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, math.nan, mids)
+    want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
+    emb.angle_error = float(np.max(np.abs(_corner_angles(t, emb) - want)))
+    return emb
 
 
 def _face_centre(u: np.ndarray, v: np.ndarray, cosx: float, r: float) -> np.ndarray:
@@ -193,13 +206,7 @@ def realize(
             f"(face {witness[1]}) exceeds {closure_tol:.1e}"
         )
 
-    emb = Embedding(positions=dict(enumerate(pos)), closure_error=worst_closure)
-
-    u, v = np.array(t.edges).T
-    emb.edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
-    want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
-    emb.angle_error = float(np.max(np.abs(_corner_angles(t, emb) - want)))
-    return emb
+    return _measured(t, assign, pos, worst_closure, {})
 
 
 def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
@@ -355,14 +362,21 @@ def export_json(
 
 
 def load_json(data: bytes):
-    """Inverse of ``export_json``: (name, map, assignment, positions)."""
+    """Inverse of ``export_json``: (name, map, assignment, positions).
+
+    The family is read from the faces, not the ``"family"`` key: digons
+    must equal ``digon_fan``'s face cycles, else ``NotEdgeToEdge``.
+    """
     doc = json.loads(data.decode())
     angles = {int(m): float(a) for m, a in doc["angles"].items()}
     assign = AngleAssignment(angles, float(doc["edge"]))
-    if doc.get("family") == "hosohedron":
-        t = digon_fan(len(doc["faces"]))
+    faces = [tuple(f) for f in doc["faces"]]
+    if len(faces) > 1 and all(len(f) == 2 for f in faces):
+        t = digon_fan(len(faces))
+        if [t.face_vertex_cycle(f) for f in range(t.num_faces)] != faces:
+            raise NotEdgeToEdge("digon faces are not the face cycles of digon_fan")
     else:
-        t = build_from_faces([tuple(f) for f in doc["faces"]])
+        t = build_from_faces(faces)
     positions = None
     if "positions" in doc:
         positions = {

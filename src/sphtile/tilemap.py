@@ -557,23 +557,20 @@ def validate(
     face_sum = sum(m * n for m, n in c.face_counts.items())
     rep.add("face_sum", face_sum == 2 * e, float(face_sum - 2 * e))
 
-    try:
-        angle = {m: assign.angle(m) for m in c.face_counts}
+    # the angle, area and convexity checks fail on any face size with no angle
+    angle = {m: assign.angles[m] for m in c.face_counts if m in assign.angles}
+    missing = [m for m in c.face_counts if m not in angle]
+    if missing:
+        rep.add("angle_sums", False, detail=f"missing angle for size {missing[0]}")
+        rep.add("area", False, detail=f"missing angle for size {missing[0]}")
+    else:
         worst = 0.0
         for u in range(v):
             s = sum(map(angle.__getitem__, t.vertex_face_sizes(u)))
             worst = max(worst, abs(s - TWO_PI))
         rep.add("angle_sums", worst <= tol, worst)
-    except vertexcomb.MissingAngle as exc:
-        rep.add("angle_sums", False, detail=f"missing angle for size {exc.args[0]}")
-
-    try:
-        total = sum(
-            n * polygon_area(m, assign.angle(m)) for m, n in c.face_counts.items()
-        )
+        total = sum(n * polygon_area(m, angle[m]) for m, n in c.face_counts.items())
         rep.add("area", abs(total - 2 * TWO_PI) <= area_tol, abs(total - 2 * TWO_PI))
-    except vertexcomb.MissingAngle as exc:
-        rep.add("area", False, detail=f"missing angle for size {exc.args[0]}")
 
     degrees = set(map(len, t.vertex_rotations))
     rep.add(
@@ -590,18 +587,13 @@ def validate(
         ]
         rep.add("vertex_feasibility", not bad, detail=f"inadmissible {bad}")
 
-    try:
-        if exempt:
-            rep.add("convexity", True, detail="family exemption")
-        else:
-            wide = sum(
-                n
-                for m, n in c.face_counts.items()
-                if assign.angle(m) >= math.pi - 1e-12
-            )
-            rep.add("convexity", wide <= 1, float(wide))
-    except vertexcomb.MissingAngle:
+    if exempt:
+        rep.add("convexity", True, detail="family exemption")
+    elif missing:
         rep.add("convexity", False, detail="missing angle")
+    else:
+        wide = sum(n for m, n in c.face_counts.items() if angle[m] >= math.pi - 1e-12)
+        rep.add("convexity", wide <= 1, float(wide))
 
     comp = max(assign.max_companion_residual(), assign.max_edge_residual())
     rep.add("companion", comp <= tol, comp)

@@ -11,6 +11,7 @@ import pytest
 from sphtile import algsolve as alg
 from sphtile import catalog
 from sphtile import sphkernel as sk
+from sphtile import vertexcomb as vcomb
 from sphtile.algsolve import AngleAssignment, _vertex_type
 from sphtile.sphkernel import DomainError, planar_angle
 
@@ -282,14 +283,13 @@ def test_degenerate_3_3_6_returns_empty():
     assert alg.solve_vertex_system((3, 3, 6)) == []
 
 
-@pytest.mark.parametrize("t", [(3, 3, 4), (3, 4, 6), (3, 5, 10)])
+@pytest.mark.parametrize("t", sorted(alg._HEMISPHERE_TYPES))
 def test_hemisphere_end_counted_once(t):
     # J1, J3 and J6 tiles: the largest face is a hemisphere, angle exactly
     # pi, at the end x = 2*pi/max m of the edge interval
     sols = alg.solve_vertex_system(t)
     assert len(sols) == 1
     assert sols[0].angles[max(t)] == math.pi
-    assert alg._hemisphere_end(t)
 
 
 @pytest.mark.parametrize(
@@ -300,13 +300,26 @@ def test_hemisphere_end_counted_once(t):
 def test_hemisphere_end_rejects_neighbouring_types(t):
     # one size off a hemisphere type, a repeated largest size, or three
     # other faces: the other angles do not sum to pi at x = 2*pi/max m
-    assert not alg._hemisphere_end(t)
+    assert t not in alg._HEMISPHERE_TYPES
+    assert all(s.angles[max(t)] != math.pi for s in alg.solve_vertex_system(t))
 
 
-def test_cyclotomic_polynomials():
-    assert alg._cyclotomic(1).coeffs == (-1, 1)
-    assert alg._cyclotomic(12).coeffs == (1, 0, -1, 0, 1)
-    assert alg._cyclotomic(30).coeffs == (1, 1, 0, -1, -1, -1, 0, 1, 1)
+def test_hemisphere_types_are_the_classification():
+    # the hemisphere equation cos(2*pi/M) = 1 + cos(2*pi/a) + cos(2*pi/b)
+    # holds on exactly the three listed types among all candidates with
+    # sizes up to 60, and misses every other one by far more than rounding
+    hits, misses = set(), []
+    for t in vcomb.enumerate_candidate_types(60):
+        if len(t) != 3 or t[1] == t[2]:
+            continue
+        a, b, big = t
+        residual = abs(1 + math.cos(TWO_PI / a) + math.cos(TWO_PI / b) - math.cos(TWO_PI / big))
+        if residual < 1e-12:
+            hits.add(t)
+        else:
+            misses.append(residual)
+    assert hits == alg._HEMISPHERE_TYPES
+    assert min(misses) > 1e-3
 
 
 # the named types of the benchmark's ``algebra`` workload

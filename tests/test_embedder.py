@@ -54,6 +54,16 @@ def test_hosohedron_embedding_and_area():
     assert em.total_area(t.map, emb) == pytest.approx(4 * PI, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 8, 400])
+def test_realize_measures_a_hosohedron(n):
+    # the digons are measured like any other face: exact ones read ~0, and a
+    # digon angle too wide for n of them leaves the last digon narrower
+    exact = em.realize(tm.digon_fan(n), AngleAssignment({2: 2 * PI / n}, PI))
+    assert exact.edge_error == 0.0 and exact.angle_error < 1e-14
+    off = em.realize(tm.digon_fan(n), AngleAssignment({2: 2 * PI / n + 1e-3}, PI))
+    assert off.angle_error > 1e-4
+
+
 def test_metric_faithfulness_across_catalog():
     for name in cat.all_entries():
         t = cat.make(name)
@@ -138,6 +148,31 @@ def test_export_json_hosohedron_round_trip():
     blob = em.export_json(t.map, t.angles, name="hosohedron(5)")
     _, t2, _, _ = em.load_json(blob)
     assert tm.isomorphic(t.map, t2)
+
+
+def test_load_json_reads_the_family_from_the_faces():
+    # the "family" key is ignored: triangles labelled a hosohedron still load
+    # as the tetrahedron, and digons without the key still load as a fan
+    t = cat.make("T")
+    doc = json.loads(em.export_json(t.map, t.angles, name="T"))
+    doc["family"] = "hosohedron"
+    _, t2, _, _ = em.load_json(json.dumps(doc).encode())
+    assert tm.isomorphic(t.map, t2) and t2.family is None
+
+    h = cat.make("hosohedron(5)")
+    doc = json.loads(em.export_json(h.map, h.angles, name="hosohedron(5)"))
+    del doc["family"]
+    _, h2, _, _ = em.load_json(json.dumps(doc).encode())
+    assert tm.isomorphic(h.map, h2) and h2.family == "hosohedron"
+
+
+@pytest.mark.parametrize("faces", [[[0, 1], [1, 0], [0, 1]], [[0, 1]]], ids=["reversed", "one"])
+def test_load_json_rejects_digons_that_are_not_a_fan(faces):
+    h = cat.make("hosohedron(3)")
+    doc = json.loads(em.export_json(h.map, h.angles, name="hosohedron(3)"))
+    doc["faces"] = faces
+    with pytest.raises(tm.NotEdgeToEdge):
+        em.load_json(json.dumps(doc).encode())
 
 
 def test_json_schema_fields():
@@ -297,10 +332,10 @@ def _scalar_realize(t, assign):
             if not done[t.face_of[t.edge_pair[d]]]:
                 queue.append(t.edge_pair[d])
 
-    emb = em.Embedding(positions=positions, closure_error=worst)
     pos = np.array([positions[v] for v in range(t.num_vertices)])
     u, v = np.array(t.edges).T
-    emb.edge_error = float(np.max(np.abs(em._arc_lengths(pos[u], pos[v]) - assign.edge)))
+    edge_error = float(np.max(np.abs(em._arc_lengths(pos[u], pos[v]) - assign.edge)))
+    emb = em.Embedding(positions, worst, edge_error, math.nan)
     want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
     emb.angle_error = float(np.max(np.abs(em._corner_angles(t, emb) - want)))
     return emb, witness
@@ -450,7 +485,8 @@ def test_embedding_from_loaded_positions_measures_the_realized_angles():
             continue
         emb = em.realize(t.map, t.angles)
         _, t2, _, positions = em.load_json(em.export_json(t.map, t.angles, emb, name=name))
-        loaded = em.Embedding(positions=positions, closure_error=0.0)
+        # stored positions carry no measurements
+        loaded = em.Embedding(positions, 0.0, math.nan, math.nan)
         assert abs(em.total_area(t2, loaded) - 4 * PI) <= 1e-6, name
         for f in range(t.map.num_faces):
             assert em.face_angles(t2, loaded, f) == em.face_angles(t.map, emb, f), (name, f)

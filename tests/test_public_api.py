@@ -5,6 +5,10 @@ import pkgutil
 import pytest
 
 import sphtile
+from sphtile import algsolve, catalog, embedder, sphkernel, tilemap, vertexcomb
+from sphtile.catalog import InvalidSite, UnknownName
+from sphtile.sphkernel import DomainError
+from sphtile.tilemap import NotEdgeToEdge
 
 MODULES = [
     importlib.import_module(f"sphtile.{info.name}")
@@ -26,3 +30,43 @@ def test_all_lists_every_public_function_and_class(module):
     assert [name for name in defined if name not in module.__all__] == []
     # and no entry outlives the name it exports
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _export_obj_without_arcs():
+    t = catalog.make("T")
+    embedder.export_obj(t.map, embedder.realize(t.map, t.angles), arc_steps=0)
+
+
+REJECTED_INPUTS = {
+    "angle_from_edge": (DomainError, lambda: sphkernel.angle_from_edge(3, 0.0)),
+    "edge_from_angle": (DomainError, lambda: sphkernel.edge_from_angle(3, 0.0)),
+    "circumradius": (DomainError, lambda: sphkernel.circumradius(3, 7.0)),
+    "polygon_area": (DomainError, lambda: sphkernel.polygon_area(1, 1.0)),
+    "solve_companion_angle": (DomainError, lambda: sphkernel.solve_companion_angle(3, 0.0, 4)),
+    "make_antiprism": (DomainError, lambda: catalog.make_antiprism(2)),
+    "make_dihedron": (DomainError, lambda: catalog.make_dihedron(2)),
+    "build_from_faces-empty": (NotEdgeToEdge, lambda: tilemap.build_from_faces([])),
+    "build_from_faces-repeat": (NotEdgeToEdge, lambda: tilemap.build_from_faces([(0, 1, 0)])),
+    "digon_fan": (ValueError, lambda: tilemap.digon_fan(1)),
+    "enumerate_candidate_types": (ValueError, lambda: vertexcomb.enumerate_candidate_types(2)),
+    "export_obj": (ValueError, _export_obj_without_arcs),
+    "isolate_roots-zero": (
+        ValueError,
+        lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([0]), 0.0, 1.0),
+    ),
+    "isolate_roots-empty": (
+        ValueError,
+        lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([1, 1]), 1.0, 0.0),
+    ),
+    "family_of": (UnknownName, lambda: catalog.family_of("X")),
+    "expected_census": (UnknownName, lambda: catalog.expected_census("X")),
+    "derive_from_ed": (InvalidSite, lambda: catalog.derive_from_ed(dim=-1)),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_INPUTS)
+def test_rejected_input_raises_its_documented_type(case):
+    kind, call = REJECTED_INPUTS[case]
+    with pytest.raises(kind) as info:
+        call()
+    assert info.type is kind
