@@ -677,8 +677,10 @@ GROEBNER_BASIS_3445 = tuple(
     )
 )
 
+#: the basis's first row, which holds y4 alone
+_ROW_Y4 = GROEBNER_BASIS_3445[0]
 GROEBNER_UNIVARIATE_Y4 = Polynomial.from_coeffs(
-    [0, 0, 0, 0, 0, -123, 0, 1484, 0, -2960, 0, 1600]
+    [_ROW_Y4.get((0, k, 0, 0, 0, 0), 0) for k in range(1 + max(e[1] for e in _ROW_Y4))]
 )
 
 _S5 = math.sqrt(5.0)

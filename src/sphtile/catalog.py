@@ -12,7 +12,8 @@ cutting) applied to their parents.  Cupola caps and hemispheres are both
 caps of one cut-and-reglue operator, ``_apply_cupola_ops``.
 
 Every entry carries golden metric data (exact closed-form angles and edge
-length) and a golden census, against which ``tilemap.validate`` runs.
+length) and a golden census, against which ``tilemap.validate`` runs.  A
+census is kept as its vertex arrangement counts; the rest is derived.
 """
 
 from __future__ import annotations
@@ -977,10 +978,14 @@ _ED_RECIPES = {
 }
 
 
+def _at_least_three(kind: str, n: int) -> None:
+    if n < 3:
+        raise DomainError(f"{kind} needs n >= 3, got {n}")
+
+
 def make_prism(m: int) -> Tiling:
     """Prism over an m-gon; prism(4) is the cube."""
-    if m < 3:
-        raise DomainError(f"prism needs m >= 3, got {m}")
+    _at_least_three("prism", m)
     if m == 4:
         return _cube()
     return _tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
@@ -988,8 +993,7 @@ def make_prism(m: int) -> Tiling:
 
 def make_antiprism(m: int) -> Tiling:
     """Antiprism over an m-gon; antiprism(3) is the octahedron."""
-    if m < 3:
-        raise DomainError(f"antiprism needs m >= 3, got {m}")
+    _at_least_three("antiprism", m)
     if m == 3:
         return _octahedron()
     return _tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
@@ -997,15 +1001,13 @@ def make_antiprism(m: int) -> Tiling:
 
 def make_hosohedron(n: int) -> Tiling:
     """Fan of n digons between two poles; angle 2*pi/n, edge pi."""
-    if n < 3:
-        raise DomainError(f"hosohedron needs n >= 3, got {n}")
+    _at_least_three("hosohedron", n)
     return _tiling(digon_fan(n), AngleAssignment({2: TWO_PI / n}, PI))
 
 
 def make_dihedron(n: int) -> Tiling:
     """Two hemispherical n-gons sharing a great-circle boundary."""
-    if n < 3:
-        raise DomainError(f"dihedron needs n >= 3, got {n}")
+    _at_least_three("dihedron", n)
     ring = tuple(range(n))
     return _tiling(build_from_faces([ring, ring]), AngleAssignment({n: PI}, TWO_PI / n))
 
@@ -1045,33 +1047,96 @@ _BUILDERS = {
     **{name: (lambda r=recipe: derive_from_ed(**r)) for name, recipe in _ED_RECIPES.items()},
 }
 
-PLATONIC = ("T", "C", "O", "D", "I")
-ARCHIMEDEAN = ("tT", "aC", "tC", "tO", "eC", "bC", "sC", "aD", "tD", "tI", "eD", "bD", "sD")
-JOHNSON = (
-    "J1", "J2", "J3", "J4", "J5", "J6", "J11", "J19", "J27", "J34", "J37",
-    "J62", "J63", "J72", "J73", "J74", "J75", "J76", "J77", "J78", "J79",
-    "J80", "J81", "J82", "J83",
+
+# --------------------------------------------------------------------------
+# families, names and golden censuses
+# --------------------------------------------------------------------------
+
+#: every named entry in canonical order, with its family and its golden
+#: census: the vertex arrangement counts, from which the rest is derived
+_NAMED = {
+    "T": ("platonic", {(3, 3, 3): 4}),
+    "C": ("platonic", {(4, 4, 4): 8}),
+    "O": ("platonic", {(3, 3, 3, 3): 6}),
+    "D": ("platonic", {(5, 5, 5): 20}),
+    "I": ("platonic", {(3, 3, 3, 3, 3): 12}),
+    "tT": ("archimedean", {(3, 6, 6): 12}),
+    "aC": ("archimedean", {(3, 4, 3, 4): 12}),
+    "tC": ("archimedean", {(3, 8, 8): 24}),
+    "tO": ("archimedean", {(4, 6, 6): 24}),
+    "eC": ("archimedean", {(3, 4, 4, 4): 24}),
+    "bC": ("archimedean", {(4, 6, 8): 48}),
+    "sC": ("archimedean", {(3, 3, 3, 3, 4): 24}),
+    "aD": ("archimedean", {(3, 5, 3, 5): 30}),
+    "tD": ("archimedean", {(3, 10, 10): 60}),
+    "tI": ("archimedean", {(5, 6, 6): 60}),
+    "eD": ("archimedean", {(3, 4, 5, 4): 60}),
+    "bD": ("archimedean", {(4, 6, 10): 120}),
+    "sD": ("archimedean", {(3, 3, 3, 3, 5): 60}),
+    "J1": ("johnson", {(3, 3, 4): 4, (3, 3, 3, 3): 1}),
+    "J2": ("johnson", {(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}),
+    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}),
+    "J4": ("johnson", {(3, 4, 8): 8, (3, 4, 4, 4): 4}),
+    "J5": ("johnson", {(3, 4, 5, 4): 5, (3, 4, 10): 10}),
+    "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}),
+    "J11": ("johnson", {(3, 3, 3, 5): 5, (3, 3, 3, 3, 3): 6}),
+    "J19": ("johnson", {(3, 4, 4, 4): 12, (4, 4, 8): 8}),
+    "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}),
+    "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}),
+    "J37": ("johnson", {(3, 4, 4, 4): 24}),
+    "J62": ("johnson", {(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2}),
+    "J63": ("johnson", {(3, 5, 5): 6, (3, 3, 3, 5): 3}),
+    "J72": ("johnson", {(3, 4, 5, 4): 50, (3, 4, 4, 5): 10}),
+    "J73": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}),
+    "J74": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}),
+    "J75": ("johnson", {(3, 4, 5, 4): 30, (3, 4, 4, 5): 30}),
+    "J76": ("johnson", {(3, 4, 5, 4): 45, (4, 5, 10): 10}),
+    "J77": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}),
+    "J78": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}),
+    "J79": ("johnson", {(3, 4, 5, 4): 25, (3, 4, 4, 5): 20, (4, 5, 10): 10}),
+    "J80": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}),
+    "J81": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}),
+    "J82": ("johnson", {(3, 4, 5, 4): 20, (3, 4, 4, 5): 10, (4, 5, 10): 20}),
+    "J83": ("johnson", {(3, 4, 5, 4): 15, (4, 5, 10): 30}),
+}
+
+#: each parametric family in catalog order: (maker, n -> golden arrangement counts)
+_FAMILIES = {
+    "prism": (make_prism, lambda n: {canonical_arrangement((4, 4, n)): 2 * n}),
+    "antiprism": (make_antiprism, lambda n: {canonical_arrangement((3, 3, 3, n)): 2 * n}),
+    "hosohedron": (make_hosohedron, lambda n: {(2,) * n: 2}),
+    "dihedron": (make_dihedron, lambda n: {(n, n): n}),
+}
+
+#: every family name, in catalog order
+FAMILIES = (*dict.fromkeys(family for family, _ in _NAMED.values()), *_FAMILIES)
+PLATONIC, ARCHIMEDEAN, JOHNSON = (
+    tuple(name for name, (family, _) in _NAMED.items() if family == named)
+    for named in FAMILIES[:3]
 )
 
-_FAMILY_RE = re.compile(r"^(prism|antiprism|hosohedron|dihedron)\((\d+)\)$")
+_FAMILY_RE = re.compile(rf"^({'|'.join(_FAMILIES)})\((\d+)\)$")
+
+
+def _member(name: str) -> tuple:
+    """The family and n of a parametric family member, as ``make`` accepts them."""
+    m = _FAMILY_RE.match(name)
+    if not m:
+        raise UnknownName(name)
+    kind, n = m.group(1), int(m.group(2))
+    _at_least_three(kind, n)
+    return kind, n
 
 
 def names() -> list:
     """The named (non-parametric) catalog entries in canonical order."""
-    return list(PLATONIC + ARCHIMEDEAN + JOHNSON)
+    return list(_NAMED)
 
 
 def family_of(name: str) -> str:
-    if name in PLATONIC:
-        return "platonic"
-    if name in ARCHIMEDEAN:
-        return "archimedean"
-    if name in JOHNSON:
-        return "johnson"
-    m = _FAMILY_RE.match(name)
-    if m:
-        return m.group(1)
-    raise UnknownName(name)
+    if name in _NAMED:
+        return _NAMED[name][0]
+    return _member(name)[0]
 
 
 @lru_cache(maxsize=None)
@@ -1084,16 +1149,8 @@ def make(name: str) -> Tiling:
     """
     if name in _BUILDERS:
         return _BUILDERS[name]()
-    m = _FAMILY_RE.match(name)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        return {
-            "prism": make_prism,
-            "antiprism": make_antiprism,
-            "hosohedron": make_hosohedron,
-            "dihedron": make_dihedron,
-        }[kind](n)
-    raise UnknownName(name)
+    kind, n = _member(name)
+    return _FAMILIES[kind][0](n)
 
 
 _FAMILY_N = range(3, 13)
@@ -1101,92 +1158,27 @@ _FAMILY_N = range(3, 13)
 
 def all_entries() -> list:
     """Names of every catalog entry, each family over n = 3..12."""
-    out = names()
-    for kind in ("prism", "antiprism", "hosohedron", "dihedron"):
-        for n in _FAMILY_N:
-            out.append(f"{kind}({n})")
-    return out
+    return names() + [f"{kind}({n})" for kind in _FAMILIES for n in _FAMILY_N]
 
 
-# --------------------------------------------------------------------------
-# golden censuses
-# --------------------------------------------------------------------------
-
-_ED_FACES = {3: 20, 4: 30, 5: 12}
-_ED1_FACES = {3: 15, 4: 25, 5: 11, 10: 1}
-_ED2_FACES = {3: 10, 4: 20, 5: 10, 10: 2}
-
-_GOLDEN_CENSUS = {
-    "T": ({(3, 3, 3): 4}, {3: 4}),
-    "C": ({(4, 4, 4): 8}, {4: 6}),
-    "O": ({(3, 3, 3, 3): 6}, {3: 8}),
-    "D": ({(5, 5, 5): 20}, {5: 12}),
-    "I": ({(3, 3, 3, 3, 3): 12}, {3: 20}),
-    "tT": ({(3, 6, 6): 12}, {3: 4, 6: 4}),
-    "tC": ({(3, 8, 8): 24}, {3: 8, 8: 6}),
-    "tO": ({(4, 6, 6): 24}, {4: 6, 6: 8}),
-    "tD": ({(3, 10, 10): 60}, {3: 20, 10: 12}),
-    "tI": ({(5, 6, 6): 60}, {5: 12, 6: 20}),
-    "aC": ({(3, 4, 3, 4): 12}, {3: 8, 4: 6}),
-    "aD": ({(3, 5, 3, 5): 30}, {3: 20, 5: 12}),
-    "eC": ({(3, 4, 4, 4): 24}, {3: 8, 4: 18}),
-    "eD": ({(3, 4, 5, 4): 60}, _ED_FACES),
-    "bC": ({(4, 6, 8): 48}, {4: 12, 6: 8, 8: 6}),
-    "bD": ({(4, 6, 10): 120}, {4: 30, 6: 20, 10: 12}),
-    "sC": ({(3, 3, 3, 3, 4): 24}, {3: 32, 4: 6}),
-    "sD": ({(3, 3, 3, 3, 5): 60}, {3: 80, 5: 12}),
-    "J1": ({(3, 3, 4): 4, (3, 3, 3, 3): 1}, {3: 4, 4: 1}),
-    "J2": ({(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}, {3: 5, 5: 1}),
-    "J3": ({(3, 4, 6): 6, (3, 4, 3, 4): 3}, {3: 4, 4: 3, 6: 1}),
-    "J4": ({(3, 4, 8): 8, (3, 4, 4, 4): 4}, {3: 4, 4: 5, 8: 1}),
-    "J5": ({(3, 4, 5, 4): 5, (3, 4, 10): 10}, {3: 5, 4: 5, 5: 1, 10: 1}),
-    "J6": ({(3, 5, 3, 5): 10, (3, 5, 10): 10}, {3: 10, 5: 6, 10: 1}),
-    "J11": ({(3, 3, 3, 5): 5, (3, 3, 3, 3, 3): 6}, {3: 15, 5: 1}),
-    # the octagon count follows from the handshake identity 2e = sum(m*f_m)
-    "J19": ({(3, 4, 4, 4): 12, (4, 4, 8): 8}, {3: 4, 4: 13, 8: 1}),
-    "J27": ({(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}, {3: 8, 4: 6}),
-    "J34": ({(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}, {3: 20, 5: 12}),
-    "J37": ({(3, 4, 4, 4): 24}, {3: 8, 4: 18}),
-    "J62": ({(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2}, {3: 10, 5: 2}),
-    "J63": ({(3, 5, 5): 6, (3, 3, 3, 5): 3}, {3: 5, 5: 3}),
-    "J72": ({(3, 4, 5, 4): 50, (3, 4, 4, 5): 10}, _ED_FACES),
-    "J73": ({(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}, _ED_FACES),
-    "J74": ({(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}, _ED_FACES),
-    "J75": ({(3, 4, 5, 4): 30, (3, 4, 4, 5): 30}, _ED_FACES),
-    "J76": ({(3, 4, 5, 4): 45, (4, 5, 10): 10}, _ED1_FACES),
-    "J77": ({(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}, _ED1_FACES),
-    "J78": ({(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}, _ED1_FACES),
-    "J79": ({(3, 4, 5, 4): 25, (3, 4, 4, 5): 20, (4, 5, 10): 10}, _ED1_FACES),
-    "J80": ({(3, 4, 5, 4): 30, (4, 5, 10): 20}, _ED2_FACES),
-    "J81": ({(3, 4, 5, 4): 30, (4, 5, 10): 20}, _ED2_FACES),
-    "J82": ({(3, 4, 5, 4): 20, (3, 4, 4, 5): 10, (4, 5, 10): 20}, _ED2_FACES),
-    "J83": ({(3, 4, 5, 4): 15, (4, 5, 10): 30}, {3: 5, 4: 15, 5: 9, 10: 3}),
-}
+def _census(arrangements: dict) -> Census:
+    """The census that vertex arrangement counts fix: an m-gon has m
+    corners, so f_m is the corners of size m over m; 2E is the degree sum."""
+    corners: dict = {}
+    for arr, k in arrangements.items():
+        for m in set(arr):
+            corners[m] = corners.get(m, 0) + arr.count(m) * k
+    faces = {m: c // m for m, c in sorted(corners.items())}
+    e = sum(len(arr) * k for arr, k in arrangements.items()) // 2
+    return Census(dict(arrangements), faces, sum(arrangements.values()), e, sum(faces.values()))
 
 
 def expected_census(name: str) -> Census:
-    """The golden census of a catalog entry."""
-    m = _FAMILY_RE.match(name)
-    if m:
-        kind, n = m.group(1), int(m.group(2))
-        if kind == "prism":
-            return Census({canonical_arrangement((4, 4, n)): 2 * n},
-                          ({4: 6} if n == 4 else {4: n, n: 2}), 2 * n, 3 * n, n + 2)
-        if kind == "antiprism":
-            fc = {3: 8} if n == 3 else {3: 2 * n, n: 2}
-            return Census({canonical_arrangement((3, 3, 3, n)): 2 * n}, fc, 2 * n, 4 * n, 2 * n + 2)
-        if kind == "hosohedron":
-            return Census({(2,) * n: 2}, {2: n}, 2, n, n)
-        if kind == "dihedron":
-            return Census({(n, n): n}, {n: 2}, n, n, 2)
-    try:
-        vtypes, fcounts = _GOLDEN_CENSUS[name]
-    except KeyError:
-        raise UnknownName(name) from None
-    e = sum(m_ * k for m_, k in fcounts.items()) // 2
-    f = sum(fcounts.values())
-    v = 2 + e - f
-    return Census(dict(vtypes), dict(fcounts), v, e, f)
+    """The golden census of a catalog entry, derived from its vertex arrangements."""
+    if name in _NAMED:
+        return _census(_NAMED[name][1])
+    kind, n = _member(name)
+    return _census(_FAMILIES[kind][1](n))
 
 
 def manifest() -> dict:

@@ -214,7 +214,7 @@ def _cmd_derive(args) -> int:
         print(f"derive: {exc}", file=sys.stderr)
         return 2
     match = None
-    for name in ["eD"] + [f"J{i}" for i in range(72, 84)]:
+    for name in ["eD", *catalog._ED_RECIPES]:
         if tilemap.isomorphic(t.map, catalog.make(name).map):
             match = name
             break
@@ -236,9 +236,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("catalog", help="list, show or dump catalog entries")
     psub = p.add_subparsers(dest="action", required=True)
     pl = psub.add_parser("list")
-    pl.add_argument("--family", choices=[
-        "platonic", "archimedean", "johnson", "prism", "antiprism", "hosohedron", "dihedron",
-    ])
+    pl.add_argument("--family", choices=catalog.FAMILIES)
     ps = psub.add_parser("show")
     ps.add_argument("name")
     ps.add_argument("--json", action="store_true")

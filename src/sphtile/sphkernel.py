@@ -151,20 +151,20 @@ def companion_residual(m: int, alpha_m: float, n: float, alpha_n: float) -> floa
 def solve_companion_angle(m: int, alpha_m: float, n: int) -> list[float]:
     """All angles of a regular n-gon sharing the m-gon's edge length.
 
-    The companion relation is linear in cos(alpha_n), so there is at most
-    one cosine; the result is the convex angle together with its reflex
-    complement (deduplicated when they coincide at pi), or an empty list
-    when the cosine falls outside [-1, 1].
+    The m-gon fixes the edge cosine cx, and ``edge_cosine(n, alpha_n) = cx``
+    is linear in cos(alpha_n), so there is at most one cosine; the result
+    is the convex angle together with its reflex complement (deduplicated
+    when they coincide at pi), or an empty list when the cosine falls
+    outside [-1, 1].
     """
     _check_size(m)
     _check_size(n)
     if not 0.0 < alpha_m < TWO_PI:
         raise DomainError(f"angle must lie in (0, 2*pi), got {alpha_m}")
-    cam = math.cos(alpha_m)
-    a_side = 1.0 + cam + 2.0 * math.cos(TWO_PI / m)
-    b_side = 1.0 - cam
-    denom = 2.0 + 2.0 * math.cos(TWO_PI / m)
-    can = (a_side - b_side - 2.0 * b_side * math.cos(TWO_PI / n)) / denom
+    if math.cos(alpha_m) == 1.0:  # within rounding of 0 or 2*pi: no edge
+        return []
+    cx = edge_cosine(m, alpha_m)
+    can = (cx - 1.0 - 2.0 * math.cos(TWO_PI / n)) / (1.0 + cx)
     if abs(can) > 1.0 + 1e-12:
         return []
     # acos is ill-conditioned near +/-1, so treat the boundaries explicitly:

@@ -36,6 +36,18 @@ def test_large_family_members_validate_and_embed(name):
     assert abs(embedder.total_area(t.map, emb) - 4 * PI) <= 1e-6
 
 
+# ALL holds prism(4) and antiprism(3), whose n-gons share a size with their
+# other faces
+@pytest.mark.parametrize(
+    "name",
+    ALL + [f"{kind}({n})" for kind in ("prism", "antiprism") for n in (24, 32)]
+    + [f"{kind}({n})" for kind in ("dihedron", "hosohedron") for n in (400, 1600)],
+)
+def test_expected_census_is_the_built_maps(name):
+    # the face counts and V, E, F are derived from the arrangements alone
+    assert cat.expected_census(name) == tm.census(cat.make(name).map)
+
+
 def test_j19_octagon_forced_by_handshake():
     # the vertex census {12 of 3.4.4.4, 8 of 4.4.8} fixes 2e = 72; with
     # f3 = 4 and f4 = 13 the remaining face must be a single octagon

@@ -59,7 +59,15 @@ REJECTED_INPUTS = {
         lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([1, 1]), 1.0, 0.0),
     ),
     "family_of": (UnknownName, lambda: catalog.family_of("X")),
+    "family_of-prism(2)": (DomainError, lambda: catalog.family_of("prism(2)")),
     "expected_census": (UnknownName, lambda: catalog.expected_census("X")),
+    "expected_census-dihedron(0)": (DomainError, lambda: catalog.expected_census("dihedron(0)")),
+    "expected_census-hosohedron(0)": (
+        DomainError,
+        lambda: catalog.expected_census("hosohedron(0)"),
+    ),
+    "expected_census-prism(2)": (DomainError, lambda: catalog.expected_census("prism(2)")),
+    "make-prism(2)": (DomainError, lambda: catalog.make("prism(2)")),
     "derive_from_ed": (InvalidSite, lambda: catalog.derive_from_ed(dim=-1)),
 }
 

@@ -117,6 +117,9 @@ def test_solve_companion_angle():
     got = sk.solve_companion_angle(3, 2 * PI / 5, 5)
     assert got == pytest.approx([4 * PI / 5, 6 * PI / 5], abs=1e-12)
     assert sk.solve_companion_angle(3, PI / 2, 5) == []
+    # angles whose cosine rounds to 1 leave the m-gon with no edge
+    assert sk.solve_companion_angle(3, 1e-9, 4) == []
+    assert sk.solve_companion_angle(3, 2 * PI - 1e-9, 4) == []
 
 
 def test_companion_symmetry_and_concave_mirror():
