@@ -31,8 +31,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import vertexcomb
 from .sphkernel import (
     TWO_PI,
@@ -317,17 +315,24 @@ def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
 
 
 def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
-    """The candidate angle dicts that solve the type, sorted: both solvers' gate.
+    """The candidate solutions that solve the type, sorted: both solvers' gate.
 
-    Drops a candidate whose smallest face is no spherical polygon, or that
-    misses a companion relation or the angle sum 2*pi by more than 1e-9.
+    Each candidate is a pair (angle dict, edge).  An edge of None is
+    derived from the smallest face by ``from_angles``, and the candidate
+    dropped when that face is no spherical polygon; a known edge is kept
+    as it is, since ``acos`` of an edge cosine near 1 loses its digits.
+    Drops a candidate that misses a companion relation or the angle sum
+    2*pi by more than 1e-9.
     """
     out = []
-    for angles in candidates:
-        try:
-            assign = AngleAssignment.from_angles(angles)
-        except DomainError:
-            continue
+    for angles, x in candidates:
+        if x is not None:
+            assign = AngleAssignment(angles, x)
+        else:
+            try:
+                assign = AngleAssignment.from_angles(angles)
+            except DomainError:
+                continue
         if assign.max_companion_residual() > 1e-9:
             continue
         if abs(sum(c * assign.angles[m] for m, c in zip(sizes, counts)) - TWO_PI) > 1e-9:
@@ -354,20 +359,20 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     branch takes every face convex, and one more per size of count 1 takes
     that face reflex (2*pi - alpha); two reflex faces exceed 2*pi.  Each
     branch is sampled at ``_SCAN_POINTS`` edges and every sign change is
-    bisected in x to the last bit.  The open end x -> 0 is excluded: a
-    branch's value there is an exact rational multiple of pi, and a branch
-    that vanishes there (the planar limit) gets no bracket from it.  A root
-    at x = 2*pi/M puts the M-gon at exactly pi; it is read from the type,
-    one of the three ``_HEMISPHERE_TYPES``, and counted once.  Every
-    solution passes the companion and angle-sum checks to 1e-9.  Solutions
-    come sorted by their angles; an empty list when none exists.
-    Deterministic.
+    bisected in x to the last bit; a solution's edge is that x.  The open
+    end x -> 0 is excluded: a branch's value there is an exact rational
+    multiple of pi, and a branch that vanishes there (the planar limit)
+    gets no bracket from it.  A root at x = 2*pi/M puts the M-gon at
+    exactly pi; it is read from the type, one of the three
+    ``_HEMISPHERE_TYPES``, and counted once.  Every solution passes the
+    companion and angle-sum checks to 1e-9.  Solutions come sorted by
+    their angles; an empty list when none exists.  Deterministic.
     """
     entries = _vertex_type(t)
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]
     if len(sizes) == 1:
-        return _accepted(sizes, counts, [{sizes[0]: TWO_PI / len(entries)}])
+        return _accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
 
     top = TWO_PI / sizes[-1]
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
@@ -391,7 +396,9 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
             if (v0 < 0) != (v1 < 0):
                 roots.append((_bisect(excess, x0, x1, v0 < 0), reflex))
 
-    return _accepted(sizes, counts, (_branch_angles(sizes, x, reflex) for x, reflex in roots))
+    return _accepted(
+        sizes, counts, ((_branch_angles(sizes, x, reflex), x) for x, reflex in roots)
+    )
 
 
 def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
@@ -402,9 +409,12 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     cluster sorts first, are pinned twice: ``perfbench/reference.json``
     pins the export bytes of prism(6), prism(12), antiprism(6) and
     antiprism(12), and ``tests/test_golden_bytes.py`` the report and export
-    bytes of all 18 family members of ``all_entries()``.  It agrees with
-    ``solve_vertex_system`` within 1e-12 up to m = 400; delete it when both
-    are re-recorded.
+    bytes of all 18 family members of ``all_entries()``.  Its angles agree
+    with ``solve_vertex_system``'s within 1e-12 up to m = 400.  Its edge is
+    acos of an edge cosine near 1, which loses digits as m grows: against
+    the closed-form family edges it is off by up to 3.5e-12 relative at
+    antiprism(400), where ``solve_vertex_system``'s is within 1.6e-15.
+    Delete it when both pins are re-recorded.
 
     Solves the angle-sum equation together with every pairwise companion
     relation by damped multistart Newton on (cos a_i, sin a_i) with
@@ -416,6 +426,10 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     Rows never interact except through the singular-batch fallback, so
     every start computes what a start-at-a-time line search would.
     """
+    # imported here, not at module level, so that the commands that never
+    # embed start without numpy
+    import numpy as np
+
     # multistart grid points per face size
     grid_points = 16
     # damped Newton iterations of the multistart
@@ -580,7 +594,7 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         # floats with compensation, which would move the first residual
         polished = polish_angles(sizes, counts, np.array(s))
         if polished is not None and all(1e-9 < a < TWO_PI - 1e-9 for a in polished):
-            candidates.append(dict(zip(sizes, polished)))
+            candidates.append((dict(zip(sizes, polished)), None))
     return _accepted(sizes, counts, candidates)
 
 

@@ -4,7 +4,8 @@ derivation and export.
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 an output path that cannot be written among them.
 All output is deterministic: sorted keys, floats at 17 significant digits,
-catalog order fixed.
+catalog order fixed.  Only the commands that embed (``verify``, ``export``
+and ``catalog show --json``) import the embedder and with it numpy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import sys
 
-from . import catalog, embedder, tilemap, vertexcomb
+from . import catalog, tilemap, vertexcomb
 from .algsolve import solve_vertex_system
 from .sphkernel import TWO_PI, DomainError
 
@@ -39,6 +40,8 @@ def verify_entry(name: str, tol: float = 1e-9) -> tilemap.ValidationReport:
     The embedding joins ``validate``'s report as one more check,
     ``embedding_closure``; a ``ClosureFailure`` fails it with its message.
     """
+    from . import embedder
+
     t = catalog.make(name)
     expected = catalog.expected_census(name)
     area_tol = max(1e-8, tol)
@@ -72,6 +75,8 @@ def _cmd_catalog(args) -> int:
     # show
     t = catalog.make(args.name)
     if args.json:
+        from . import embedder
+
         sys.stdout.write(embedder.export_json(t.map, t.angles, name=args.name).decode())
         return 0
     c = tilemap.census(t.map)
@@ -150,6 +155,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from . import embedder
+
     t = catalog.make(args.name)
     emb = embedder.realize(t.map, t.angles)
     if args.format == "obj":

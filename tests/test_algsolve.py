@@ -581,6 +581,45 @@ def test_catalog_families_match_edge_solver(kind, t):
             assert got.angles[size] == pytest.approx(want[0].angles[size], abs=1e-12)
 
 
+def _family_edge_error(kind, m, edge):
+    """Relative error of ``edge`` against the closed-form family edge, in 50 digits.
+
+    prism:     cos x = cos^2(pi/m) / (1 + sin^2(pi/m))
+    antiprism: cos x = 1 - 2 sin^2(pi/m) / (1 + sin^2(pi/m) - sin^2(pi/2m))
+
+    Both read 1 - cos x = 2 s / d with s = sin^2(pi/m), so x is taken as
+    2 asin(sqrt(s / d)), never as acos of a cosine near 1.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        s = mp.sin(mp.pi / m) ** 2
+        d = 1 + s if kind == "prism" else 1 + s - mp.sin(mp.pi / (2 * m)) ** 2
+        x = 2 * mp.asin(mp.sqrt(s / d))
+        return float(abs(mp.mpf(edge) - x) / x)
+
+
+FAMILY_ORACLE_SIZES = (*range(3, 41), 50, 100, 200, 400)
+
+
+@pytest.mark.parametrize("kind, t", [("prism", (4, 4)), ("antiprism", (3, 3, 3))])
+def test_family_edges_match_closed_form(kind, t):
+    for m in FAMILY_ORACLE_SIZES + tuple(10**k for k in range(3, 9)):
+        sols = [s for s in alg.solve_vertex_system(t + (m,)) if s.monotone_convex()]
+        assert len(sols) == 1, m
+        assert _family_edge_error(kind, m, sols[0].edge) <= 1e-14, m
+
+
+@pytest.mark.parametrize("kind", ["prism", "antiprism"])
+def test_catalog_family_edges_match_closed_form(kind):
+    # the catalog members still come from the multistart, whose edge is
+    # acos of an edge cosine near 1: worst 3.5e-12 at antiprism(400).
+    # Moving the families onto solve_vertex_system (ROADMAP item 1)
+    # tightens this bound to the 1e-14 above.
+    for m in FAMILY_ORACLE_SIZES:
+        edge = catalog.make(f"{kind}({m})").angles.edge
+        assert _family_edge_error(kind, m, edge) <= 1e-11, m
+
+
 def test_monotone_flag_on_synthetic_violation():
     bad = alg.AngleAssignment({3: 1.9, 4: 1.8}, 1.0)
     assert not bad.monotone_convex()

@@ -174,6 +174,16 @@ def test_solve_admissible_type_without_solution(capsys):
         assert not err
 
 
+def test_solve_keeps_the_bisected_edge_of_a_huge_face(capsys):
+    # the edge is about 6.3e-9, whose cosine rounds within 1e-15 of 1: an
+    # edge read back from the square's angle would be refused as planar
+    code, out, err = run(capsys, "solve", "--type", "4,4,1000000000")
+    assert code == 0 and not err
+    assert out.count("solution ") == 1
+    edge = float(out.split("edge = ")[1].split()[0])
+    assert edge == pytest.approx(2 * math.pi * 1e-9, rel=1e-9)
+
+
 def test_solve_bad_type(capsys):
     code, _, err = run(capsys, "solve", "--type", "3,x")
     assert code == 2
