@@ -7,10 +7,7 @@ share one edge length x.  ``solve_vertex_system`` solves the system in
 that one unknown, bracketing and bisecting the angle sum as a function
 of x on each convex/reflex branch and reading a hemisphere root at the
 end of the interval from the type; it is the public angle solver, and
-``solve_snub`` is its 3.3.3.3.m case.  The former multistart Newton
-solver survives only as ``_multistart_angles``, whose bits the catalog's
-prism and antiprism angles keep until the benchmark reference that pins
-them is re-recorded.
+``solve_snub`` is its 3.3.3.3.m case.
 
 The module also carries exact golden data for the hardest case, the
 degree-4 type {3,4,4,5}: the reduced Groebner basis of its polynomial
@@ -40,7 +37,6 @@ from .sphkernel import (
     companion_residual,
     edge_cosine,
     edge_from_angle,
-    planar_angle,
 )
 
 __all__ = [
@@ -315,7 +311,7 @@ def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
 
 
 def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
-    """The candidate solutions that solve the type, sorted: both solvers' gate.
+    """The candidate solutions that solve the type, sorted.
 
     Each candidate is a pair (angle dict, edge).  An edge of None is
     derived from the smallest face by ``from_angles``, and the candidate
@@ -366,7 +362,9 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     exactly pi; it is read from the type, one of the three
     ``_HEMISPHERE_TYPES``, and counted once.  Every solution passes the
     companion and angle-sum checks to 1e-9.  Solutions come sorted by
-    their angles; an empty list when none exists.  Deterministic.
+    their angles; an empty list when none exists.  Deterministic.  A face
+    size so large that the excess rounds away near x = 0 (from about
+    M = 10**16 on) raises ``DomainError``.
     """
     entries = _vertex_type(t)
     sizes = sorted(set(entries))
@@ -394,208 +392,19 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
             points.insert(0, (0.0, float(limit)))
         for (x0, v0), (x1, v1) in zip(points, points[1:]):
             if (v0 < 0) != (v1 < 0):
-                roots.append((_bisect(excess, x0, x1, v0 < 0), reflex))
+                x = _bisect(excess, x0, x1, v0 < 0)
+                if x == 0.0:
+                    # the excess had the wrong sign for its planar limit
+                    # down to the last float: it is rounding, not angles
+                    raise DomainError(
+                        f"face size {sizes[-1]} is too large: its angle sum "
+                        "cannot be told from 2*pi in double precision"
+                    )
+                roots.append((x, reflex))
 
     return _accepted(
         sizes, counts, ((_branch_angles(sizes, x, reflex), x) for x, reflex in roots)
     )
-
-
-def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
-    """The former solver: damped multistart Newton, kept for the catalog families.
-
-    ``catalog._family_angles`` takes the prism and antiprism angles from
-    here, because their last bits, which depend on which start of a root's
-    cluster sorts first, are pinned twice: ``perfbench/reference.json``
-    pins the export bytes of prism(6), prism(12), antiprism(6) and
-    antiprism(12), and ``tests/test_golden_bytes.py`` the report and export
-    bytes of all 18 family members of ``all_entries()``.  Its angles agree
-    with ``solve_vertex_system``'s within 1e-12 up to m = 400.  Its edge is
-    acos of an edge cosine near 1, which loses digits as m grows: against
-    the closed-form family edges it is off by up to 3.5e-12 relative at
-    antiprism(400), where ``solve_vertex_system``'s is within 1.6e-15.
-    Delete it when both pins are re-recorded.
-
-    Solves the angle-sum equation together with every pairwise companion
-    relation by damped multistart Newton on (cos a_i, sin a_i) with
-    unit-circle constraints, then filters to angles in (0, 2*pi) with
-    angle sum exactly 2*pi, deduplicates and polishes.  The line search is
-    batched: each step evaluates the full step of every active start in
-    one ``residuals`` call and the eight halvings of the starts it did not
-    improve in one more, and each start takes its first improving factor.
-    Rows never interact except through the singular-batch fallback, so
-    every start computes what a start-at-a-time line search would.
-    """
-    # imported here, not at module level, so that the commands that never
-    # embed start without numpy
-    import numpy as np
-
-    # multistart grid points per face size
-    grid_points = 16
-    # damped Newton iterations of the multistart
-    max_iter = 200
-    # solutions closer than this in every angle are one solution
-    dedup_tol = 1e-9
-    # square Newton iterations of polish_angles
-    polish_iterations = 60
-
-    def polish_angles(sizes, counts, alphas):
-        """Square Newton in angle space: angle sum + shared-edge consistency.
-
-        Returns None if the iteration leaves the valid angle domain.
-        """
-        k = len(sizes)
-        cm = [math.cos(TWO_PI / m) for m in sizes]
-        a = list(alphas)
-
-        def d_implied(i):
-            ca, sa = math.cos(a[i]), math.sin(a[i])
-            return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
-
-        for _ in range(polish_iterations):
-            if any(not (1e-9 < v < TWO_PI - 1e-9) or math.cos(v) > 1.0 - 1e-12 for v in a):
-                return None
-            f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
-            for i in range(1, k):
-                f.append(edge_cosine(sizes[i], a[i]) - edge_cosine(sizes[0], a[0]))
-            if max(abs(v) for v in f) < 1e-15:
-                break
-            jac = np.zeros((k, k))
-            jac[0, :] = counts
-            for i in range(1, k):
-                jac[i, i] = d_implied(i)
-                jac[i, 0] = -d_implied(0)
-            try:
-                step = np.linalg.solve(jac, np.array(f))
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)):
-                return None
-            a = [ai - si for ai, si in zip(a, step)]
-        return a
-
-    entries = _vertex_type(t)
-    sizes = sorted(set(entries))
-    counts = [entries.count(m) for m in sizes]
-    k = len(sizes)
-
-    cm = np.array([math.cos(TWO_PI / m) for m in sizes])
-    pairs = list(itertools.combinations(range(k), 2))
-    n_eq = k + len(pairs) + 2
-
-    def residuals(v):
-        x, y = v[:, :k], v[:, k:]
-        out = np.empty((v.shape[0], n_eq))
-        out[:, :k] = x * x + y * y - 1.0
-        for col, (i, j) in enumerate(pairs):
-            ai = 1.0 + x[:, i] + 2.0 * cm[i]
-            aj = 1.0 + x[:, j] + 2.0 * cm[j]
-            out[:, k + col] = (1.0 - x[:, j]) * ai - (1.0 - x[:, i]) * aj
-        z = x + 1j * y
-        prod = np.ones(v.shape[0], dtype=complex)
-        for i in range(k):
-            prod *= z[:, i] ** counts[i]
-        out[:, -2] = prod.real - 1.0
-        out[:, -1] = prod.imag
-        return out
-
-    def jacobian(v):
-        n = v.shape[0]
-        x, y = v[:, :k], v[:, k:]
-        jac = np.zeros((n, n_eq, 2 * k))
-        for i in range(k):
-            jac[:, i, i] = 2.0 * x[:, i]
-            jac[:, i, k + i] = 2.0 * y[:, i]
-        for col, (i, j) in enumerate(pairs):
-            ai = 1.0 + x[:, i] + 2.0 * cm[i]
-            aj = 1.0 + x[:, j] + 2.0 * cm[j]
-            jac[:, k + col, i] = (1.0 - x[:, j]) + aj
-            jac[:, k + col, j] = -ai - (1.0 - x[:, i])
-        z = x + 1j * y
-        zsafe = np.where(np.abs(z) < 1e-9, 1e-9, z)
-        prod = np.ones(n, dtype=complex)
-        for i in range(k):
-            prod *= z[:, i] ** counts[i]
-        for i in range(k):
-            dzi = counts[i] * prod / zsafe[:, i]
-            jac[:, -2, i] = dzi.real
-            jac[:, -1, i] = dzi.imag
-            jac[:, -2, k + i] = (1j * dzi).real
-            jac[:, -1, k + i] = (1j * dzi).imag
-        return jac
-
-    axes = [
-        np.linspace(planar_angle(m), TWO_PI, grid_points + 2)[1:-1] for m in sizes
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    alpha0 = np.stack([g.ravel() for g in grids], axis=1)
-    v = np.concatenate([np.cos(alpha0), np.sin(alpha0)], axis=1)
-
-    f = residuals(v)
-    norm = np.max(np.abs(f), axis=1)
-    alive = np.ones(v.shape[0], dtype=bool)
-    lam = 1e-12
-    # the backtracking factors after the full step: 1/2, 1/4, ..., 1/256
-    halvings = 0.5 ** np.arange(1, 9)
-    for _ in range(max_iter):
-        idx = np.nonzero(alive & (norm > 1e-13))[0]
-        if idx.size == 0:
-            break
-        jac = jacobian(v[idx])
-        jt = np.transpose(jac, (0, 2, 1))
-        h = jt @ jac + lam * np.eye(2 * k)
-        grad = jt @ f[idx][:, :, None]
-        try:
-            step = -np.linalg.solve(h, grad)[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = -np.linalg.solve(h + 1e-8 * np.eye(2 * k), grad)[:, :, 0]
-        # line search: the full step for every active row in one call, then
-        # all eight halvings for the rows it did not improve in a second;
-        # each row takes its first improving factor
-        trial = v[idx] + step
-        trial_f = residuals(trial)
-        trial_norm = np.max(np.abs(trial_f), axis=1)
-        better = trial_norm < norm[idx]
-        rows = idx[better]
-        v[rows], f[rows], norm[rows] = trial[better], trial_f[better], trial_norm[better]
-        failed = ~better
-        rows = idx[failed]
-        if rows.size == 0:
-            continue
-        trial = (v[rows] + halvings[:, None, None] * step[failed]).reshape(-1, 2 * k)
-        trial_f = residuals(trial)
-        trial_norm = np.max(np.abs(trial_f), axis=1)
-        better = trial_norm.reshape(halvings.size, rows.size) < norm[rows]
-        improved = better.any(axis=0)
-        cols = np.nonzero(improved)[0]
-        pick = np.argmax(better[:, cols], axis=0) * rows.size + cols
-        taken = rows[cols]
-        v[taken], f[taken], norm[taken] = trial[pick], trial_f[pick], trial_norm[pick]
-        alive[rows[~improved]] = False
-
-    conv = v[norm < 1e-11]
-    alphas = np.mod(np.arctan2(conv[:, k:], conv[:, :k]), TWO_PI)
-    dropped = (
-        np.any(alphas < 1e-9, axis=1)
-        | np.any(alphas > TWO_PI - 1e-9, axis=1)
-        | (np.abs(alphas @ counts - TWO_PI) > 1e-6)
-    )
-    sols = alphas[~dropped].tolist()
-
-    sols.sort()
-    unique = []
-    for s in sols:
-        if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > dedup_tol:
-            unique.append(s)
-
-    candidates = []
-    for s in unique:
-        # np.float64 angles, as always: from Python 3.12 on, sum() adds exact
-        # floats with compensation, which would move the first residual
-        polished = polish_angles(sizes, counts, np.array(s))
-        if polished is not None and all(1e-9 < a < TWO_PI - 1e-9 for a in polished):
-            candidates.append((dict(zip(sizes, polished)), None))
-    return _accepted(sizes, counts, candidates)
 
 
 def solve_snub(m: int) -> AngleAssignment:

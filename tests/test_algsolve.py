@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -332,13 +333,20 @@ FAMILY_SIZES = (*range(3, 17), 50, 400)
 FAMILY_TYPES = tuple((4, 4, m) for m in FAMILY_SIZES) + tuple((3, 3, 3, m) for m in FAMILY_SIZES)
 
 
-def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
-    """``alg._multistart_angles`` before its line search was batched.
+@functools.lru_cache(maxsize=None)
+def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
+    """The former library solver: damped multistart Newton, an oracle here.
 
-    Each step tries the factors 1, 1/2, ..., 1/256 in turn, one
-    ``residuals`` call per factor on the rows still failing, and the
-    converged rows are filtered one at a time.  The bit-for-bit oracle of
-    the batched version.
+    Solves the angle-sum equation together with every pairwise companion
+    relation by damped multistart Newton on (cos a_i, sin a_i) with
+    unit-circle constraints, from 16^k starts in 2k unknowns, then filters
+    to angles in (0, 2*pi) with angle sum exactly 2*pi, deduplicates,
+    polishes and passes the library's gate ``alg._accepted``.  The line
+    search is batched: each step evaluates the full step of every active
+    start in one ``residuals`` call and the eight halvings of the starts it
+    did not improve in one more, and each start takes its first improving
+    factor.  Its monotone-convex solutions are, bit for bit, the pinned
+    prism and antiprism angles of ``catalog._PINNED_FAMILY_ANGLES``.
     """
     # multistart grid points per face size
     grid_points = 16
@@ -358,10 +366,6 @@ def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         cm = [math.cos(TWO_PI / m) for m in sizes]
         a = list(alphas)
 
-        def implied_cos(i):
-            ca = math.cos(a[i])
-            return (1.0 + ca + 2.0 * cm[i]) / (1.0 - ca)
-
         def d_implied(i):
             ca, sa = math.cos(a[i]), math.sin(a[i])
             return -sa * (2.0 + 2.0 * cm[i]) / (1.0 - ca) ** 2
@@ -371,7 +375,7 @@ def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
                 return None
             f = [sum(c * x for c, x in zip(counts, a)) - TWO_PI]
             for i in range(1, k):
-                f.append(implied_cos(i) - implied_cos(0))
+                f.append(sk.edge_cosine(sizes[i], a[i]) - sk.edge_cosine(sizes[0], a[0]))
             if max(abs(v) for v in f) < 1e-15:
                 break
             jac = np.zeros((k, k))
@@ -449,9 +453,10 @@ def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
     norm = np.max(np.abs(f), axis=1)
     alive = np.ones(v.shape[0], dtype=bool)
     lam = 1e-12
+    # the backtracking factors after the full step: 1/2, 1/4, ..., 1/256
+    halvings = 0.5 ** np.arange(1, 9)
     for _ in range(max_iter):
-        act = alive & (norm > 1e-13)
-        idx = np.nonzero(act)[0]
+        idx = np.nonzero(alive & (norm > 1e-13))[0]
         if idx.size == 0:
             break
         jac = jacobian(v[idx])
@@ -462,39 +467,38 @@ def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
             step = -np.linalg.solve(h, grad)[:, :, 0]
         except np.linalg.LinAlgError:
             step = -np.linalg.solve(h + 1e-8 * np.eye(2 * k), grad)[:, :, 0]
-        remaining = idx.copy()
-        factor = 1.0
-        improved_any = np.zeros(idx.size, dtype=bool)
-        local = np.arange(idx.size)
-        for _ in range(9):
-            trial = v[remaining] + factor * step[local]
-            trial_f = residuals(trial)
-            trial_norm = np.max(np.abs(trial_f), axis=1)
-            better = trial_norm < norm[remaining]
-            take = np.nonzero(better)[0]
-            rows = remaining[take]
-            v[rows] = trial[take]
-            f[rows] = trial_f[take]
-            norm[rows] = trial_norm[take]
-            improved_any[local[take]] = True
-            keep = ~better
-            remaining = remaining[keep]
-            local = local[keep]
-            if remaining.size == 0:
-                break
-            factor *= 0.5
-        alive[idx[~improved_any]] = False
+        # line search: the full step for every active row in one call, then
+        # all eight halvings for the rows it did not improve in a second;
+        # each row takes its first improving factor
+        trial = v[idx] + step
+        trial_f = residuals(trial)
+        trial_norm = np.max(np.abs(trial_f), axis=1)
+        better = trial_norm < norm[idx]
+        rows = idx[better]
+        v[rows], f[rows], norm[rows] = trial[better], trial_f[better], trial_norm[better]
+        failed = ~better
+        rows = idx[failed]
+        if rows.size == 0:
+            continue
+        trial = (v[rows] + halvings[:, None, None] * step[failed]).reshape(-1, 2 * k)
+        trial_f = residuals(trial)
+        trial_norm = np.max(np.abs(trial_f), axis=1)
+        better = trial_norm.reshape(halvings.size, rows.size) < norm[rows]
+        improved = better.any(axis=0)
+        cols = np.nonzero(improved)[0]
+        pick = np.argmax(better[:, cols], axis=0) * rows.size + cols
+        taken = rows[cols]
+        v[taken], f[taken], norm[taken] = trial[pick], trial_f[pick], trial_norm[pick]
+        alive[rows[~improved]] = False
 
-    good = norm < 1e-11
-    sols = []
-    for row in np.nonzero(good)[0]:
-        x, y = v[row, :k], v[row, k:]
-        alphas = np.mod(np.arctan2(y, x), TWO_PI)
-        if np.any(alphas < 1e-9) or np.any(alphas > TWO_PI - 1e-9):
-            continue
-        if abs(float(np.dot(counts, alphas)) - TWO_PI) > 1e-6:
-            continue
-        sols.append(tuple(alphas))
+    conv = v[norm < 1e-11]
+    alphas = np.mod(np.arctan2(conv[:, k:], conv[:, :k]), TWO_PI)
+    dropped = (
+        np.any(alphas < 1e-9, axis=1)
+        | np.any(alphas > TWO_PI - 1e-9, axis=1)
+        | (np.abs(alphas @ counts - TWO_PI) > 1e-6)
+    )
+    sols = alphas[~dropped].tolist()
 
     sols.sort()
     unique = []
@@ -502,41 +506,22 @@ def _sequential_multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         if not unique or max(abs(a - b) for a, b in zip(s, unique[-1])) > dedup_tol:
             unique.append(s)
 
-    out = []
+    candidates = []
     for s in unique:
-        polished = polish_angles(sizes, counts, s)
-        if polished is None or any(not (1e-9 < a < TWO_PI - 1e-9) for a in polished):
-            continue
-        try:
-            assign = AngleAssignment.from_angles(dict(zip(sizes, polished)))
-        except DomainError:
-            # the smallest face sits at or below its planar angle: no
-            # spherical polygon
-            continue
-        if assign.max_companion_residual() > 1e-9:
-            continue
-        if abs(sum(c * a for c, a in zip(counts, polished)) - TWO_PI) > 1e-9:
-            continue
-        out.append(assign)
-    out.sort(key=lambda a: tuple(a.angles[m] for m in sizes))
-    return out
-
-
-def _bits(sols):
-    return [
-        ([(m, a.hex(), type(a)) for m, a in s.angles.items()], s.edge.hex(), type(s.edge))
-        for s in sols
-    ]
+        # np.float64 angles, as always: from Python 3.12 on, sum() adds exact
+        # floats with compensation, which would move the first residual
+        polished = polish_angles(sizes, counts, np.array(s))
+        if polished is not None and all(1e-9 < a < TWO_PI - 1e-9 for a in polished):
+            candidates.append((dict(zip(sizes, polished)), None))
+    return alg._accepted(sizes, counts, candidates)
 
 
 @pytest.mark.parametrize(
     "t", ALGEBRA_TYPES + FAMILY_TYPES, ids=lambda t: ",".join(map(str, t))
 )
 def test_edge_solver_matches_multistart(t):
-    # oracle: the kept multistart Newton solver, 16^k starts in 2k unknowns,
-    # which itself returns the bits of its sequential line search
-    new, old = alg.solve_vertex_system(t), alg._multistart_angles(t)
-    assert _bits(old) == _bits(_sequential_multistart_angles(t))
+    # oracle: the former multistart Newton solver, 16^k starts in 2k unknowns
+    new, old = alg.solve_vertex_system(t), _multistart_angles(t)
     assert len(new) == len(old)
     for a, b in zip(new, old):
         assert a.sizes == b.sizes
@@ -544,41 +529,46 @@ def test_edge_solver_matches_multistart(t):
             assert a.angles[m] == pytest.approx(b.angles[m], abs=1e-12)
 
 
-def _first_batched_solve_singular(monkeypatch, solver, t):
-    solve = np.linalg.solve
-    failed = []
-
-    def fail_first_batched(a, b):
-        if a.ndim == 3 and not failed:
-            failed.append(a.shape[0])
-            raise np.linalg.LinAlgError("singular")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", fail_first_batched)
-    out = solver(t)
-    monkeypatch.undo()
-    assert failed == [16 ** len(set(t))]
-    return out
+def _hex(assign):
+    return [(m, float(a).hex()) for m, a in assign.angles.items()], assign.edge.hex()
 
 
-def test_multistart_singular_fallback_matches_sequential(monkeypatch):
-    # the first step's batched solve fails, so that step regularises the
-    # whole active batch by 1e-8; both line searches still agree bitwise
-    got = _first_batched_solve_singular(monkeypatch, alg._multistart_angles, (4, 4, 6))
-    want = _first_batched_solve_singular(monkeypatch, _sequential_multistart_angles, (4, 4, 6))
-    assert len(got) == 1
-    assert _bits(got) == _bits(want)
+def test_pinned_family_angles_are_the_multistart_bits():
+    # the table covers exactly the family members of all_entries() that are
+    # no Platonic solid, and each entry is the multistart's monotone-convex
+    # solution to the last bit, its edge derived from the angles as before
+    members = {
+        catalog._member(name) for name in catalog.all_entries()
+        if catalog.family_of(name) in ("prism", "antiprism")
+    }
+    assert set(catalog._PINNED_FAMILY_ANGLES) == members - {("prism", 4), ("antiprism", 3)}
+    for (kind, m), angles in catalog._PINNED_FAMILY_ANGLES.items():
+        t = (4, 4, m) if kind == "prism" else (3, 3, 3, m)
+        want = alg._only_monotone_convex(_multistart_angles(t), f"{kind}({m})")
+        assert _hex(AngleAssignment.from_angles(angles)) == _hex(want), (kind, m)
+        assert _hex(catalog.make(f"{kind}({m})").angles) == _hex(want), (kind, m)
 
 
 @pytest.mark.parametrize("kind, t", [("prism", (4, 4)), ("antiprism", (3, 3, 3))])
 def test_catalog_families_match_edge_solver(kind, t):
-    for m in range(3, 13):
+    for m in range(3, 41):
         want = [s for s in alg.solve_vertex_system(t + (m,)) if s.monotone_convex()]
         assert len(want) == 1
         got = catalog.make(f"{kind}({m})").angles
         assert got.sizes == want[0].sizes
+        if m > 12:
+            # past the pinned members the catalog calls the edge solver
+            assert _hex(got) == _hex(want[0]), m
         for size in got.sizes:
             assert got.angles[size] == pytest.approx(want[0].angles[size], abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [(4, 4), (3, 3, 3)])
+@pytest.mark.parametrize("m", [10**16, 10**21])
+def test_face_size_beyond_double_precision_is_a_domain_error(t, m):
+    # the angle sum differs from 2*pi by about 2*pi/m, below its rounding
+    with pytest.raises(DomainError, match=f"face size {m} is too large"):
+        alg.solve_vertex_system(t + (m,))
 
 
 def _family_edge_error(kind, m, edge):
@@ -611,13 +601,12 @@ def test_family_edges_match_closed_form(kind, t):
 
 @pytest.mark.parametrize("kind", ["prism", "antiprism"])
 def test_catalog_family_edges_match_closed_form(kind):
-    # the catalog members still come from the multistart, whose edge is
-    # acos of an edge cosine near 1: worst 3.5e-12 at antiprism(400).
-    # Moving the families onto solve_vertex_system (ROADMAP item 1)
-    # tightens this bound to the 1e-14 above.
+    # the pinned members up to m = 12 take acos of an edge cosine from their
+    # angles (worst 2.8e-15, antiprism(10)); every larger member is
+    # solve_vertex_system's bisected edge, held to the same bound above
     for m in FAMILY_ORACLE_SIZES:
         edge = catalog.make(f"{kind}({m})").angles.edge
-        assert _family_edge_error(kind, m, edge) <= 1e-11, m
+        assert _family_edge_error(kind, m, edge) <= 1e-14, m
 
 
 def test_monotone_flag_on_synthetic_violation():

@@ -184,6 +184,13 @@ def test_solve_keeps_the_bisected_edge_of_a_huge_face(capsys):
     assert edge == pytest.approx(2 * math.pi * 1e-9, rel=1e-9)
 
 
+@pytest.mark.parametrize("spec", ["4,4,10000000000000000", "3,3,3,1000000000000000000000"])
+def test_solve_face_size_beyond_double_precision(capsys, spec):
+    code, out, err = run(capsys, "solve", "--type", spec)
+    assert code == 2 and not out
+    assert f"face size {spec.rsplit(',', 1)[1]} is too large" in err
+
+
 def test_solve_bad_type(capsys):
     code, _, err = run(capsys, "solve", "--type", "3,x")
     assert code == 2

@@ -1,4 +1,4 @@
-"""numpy stays off the start-up path: only the embedder and the multistart load it."""
+"""numpy stays off the start-up path: only the embedder loads it."""
 
 import os
 import pathlib
@@ -36,6 +36,8 @@ def test_commands_that_never_embed_leave_numpy_unloaded(tmp_path):
         ["catalog", "list"],
         ["catalog", "dump", "--out", str(tmp_path / "manifest.json")],
         ["catalog", "show", "C"],
+        ["catalog", "show", "prism(7)"],  # a pinned family member
+        ["catalog", "show", "antiprism(13)"],  # a member from the edge solver
         ["derive", "eD", "--dim", "1"],
     ]
     out = _run(
