@@ -1,15 +1,18 @@
 """Unit-sphere embeddings of validated tilings, plus OBJ/JSON export.
 
 ``realize`` places the seed face with its centre at the north pole using
-the circumradius, then walks the faces breadth first.  Positions live in
-one (V, 3) array with a ``placed`` mask.  Once a directed edge of a face
-has both endpoints placed, the face centre follows from that edge, and
-one broadcast Rodrigues rotation about the centre carries the edge's
-first vertex to all the face's other vertices at once.  Every revisit of
-an already-placed vertex measures the closure discrepancy, so the walk
-doubles as a consistency check of the angle assignment.  Edge lengths,
-corner angles and areas are then measured per dart in one numpy pass
-over gathered position arrays.
+the circumradius, then walks the faces breadth first.  The walk's face
+order depends only on the map, so it is listed first, in pure Python,
+level by level: each face of a level starts from the partner of a dart of
+its parent, whose two endpoints an earlier level placed.  Each level is
+then realized in one broadcast: every face centre follows from its start
+edge, and one Rodrigues rotation about each centre carries the edge's
+first vertex to all the face's other vertices.  The first occurrence of a
+vertex in the walk places it, and every later one measures the closure
+discrepancy, so the walk doubles as a consistency check of the angle
+assignment.  Edge lengths and corner angles are then measured once, per
+dart, in one numpy pass over the (V, 3) position array; the embedding
+keeps the corner angles, and ``total_area`` and ``face_angles`` read them.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly, then
 measured like every other map; their edges carry explicit midpoints
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,60 +59,67 @@ class Embedding:
     angle_error: float
     # midpoint per edge id, only for edges with antipodal endpoints
     arc_midpoints: dict = field(default_factory=dict)
+    # corner angle per dart as realize measured it; an Embedding built any
+    # other way (by hand, or by dataclasses.replace) measures its positions
+    _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors.
+    """Cross products of two 3-vectors, or of matching rows of two (N, 3) arrays.
 
     The same products and differences, in the same order, as ``np.cross``,
     so the result is bit-identical, without numpy's axis handling.
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of matching rows of two (N, 3) arrays.
+
+    Stacked ``matmul`` reaches the same BLAS dot as ``np.dot`` on single
+    3-vectors, so each row is bit-identical to it; ``np.sum(a * b, axis=1)``
+    and ``einsum`` round differently.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Great-circle distances between matching rows of two (N, 3) arrays."""
-    return np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), np.sum(u * v, axis=1))
+    return np.arctan2(np.linalg.norm(_cross(u, v), axis=1), np.sum(u * v, axis=1))
 
 
 def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
     alpha = assign.angle(2)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     # edge i of the fan (darts 2i and 2i+1) is the meridian at longitude i*alpha
-    mids = {
-        i: np.array([math.cos(i * alpha), math.sin(i * alpha), 0.0])
-        for i in range(t.num_edges)
-    }
+    longitudes = [i * alpha for i in range(t.num_edges)]
+    mids = np.zeros((t.num_edges, 3))
+    mids[:, 0] = [math.cos(x) for x in longitudes]
+    mids[:, 1] = [math.sin(x) for x in longitudes]
     return _measured(t, assign, poles, 0.0, mids)
 
 
 def _measured(
-    t: TilingMap, assign: AngleAssignment, pos: np.ndarray, closure_error: float, mids: dict
+    t: TilingMap,
+    assign: AngleAssignment,
+    pos: np.ndarray,
+    closure_error: float,
+    mids: Optional[np.ndarray] = None,
 ) -> Embedding:
-    """The embedding at positions ``pos`` (a (V, 3) array), its edge lengths
-    and corner angles measured against ``assign``."""
+    """The embedding at positions ``pos`` (a (V, 3) array) and edge
+    midpoints ``mids`` (an (E, 3) array by edge id, for a hosohedron), its
+    edge lengths and corner angles measured once against ``assign``."""
     u, v = np.array(t.edges).T
     edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
-    emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, math.nan, mids)
-    want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
-    emb.angle_error = float(np.max(np.abs(_corner_angles(t, emb) - want)))
+    angles = _angles_at(t, pos, mids, np.arange(t.num_darts))
+    want = np.array([assign.angle(len(c)) for c in t.faces])[np.asarray(t.face_of)]
+    angle_error = float(np.max(np.abs(angles - want)))
+    arcs = {} if mids is None else dict(enumerate(mids))
+    emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, angle_error, arcs)
+    emb._angles = angles
     return emb
-
-
-def _face_centre(u: np.ndarray, v: np.ndarray, cosx: float, r: float) -> np.ndarray:
-    """Unit centre of the regular face through the directed edge u -> v.
-
-    The centre is equidistant (geodesic distance r) from both endpoints and
-    lies on the side of u x v, so the face's vertices run counterclockwise
-    about it, as the seed face's do about the north pole.
-    """
-    a = math.cos(r) / (1.0 + cosx)
-    rem = max(1.0 - a * a * (2.0 + 2.0 * cosx), 0.0)
-    beta = math.sqrt(rem / (1.0 - cosx * cosx))
-    c = a * (u + v) + beta * _cross(u, v)
-    return c / math.sqrt(c.dot(c))
 
 
 def realize(
@@ -122,104 +131,155 @@ def realize(
 
     The seed face is centred at the north pole with its vertices
     counterclockwise on the circumradius circle.  Each further face is
-    placed rigidly from one shared, already-placed edge u -> v: its centre
-    is computed once, on the side of u x v, and one broadcast rotation of
-    u about it through the multiples of 2*pi/m gives all m - 1 other
-    vertices (the cosines and sines are tabled once per face size).  So
-    every face runs counterclockwise about its centre, like the seed, and
-    corner angles are read in that one sense.  Positions are kept in a
-    (V, 3) array with a ``placed`` mask.  Every revisit of a placed vertex
-    measures the closure discrepancy, the Euclidean distance between the
-    stored and the new position, so the walk doubles as a verifier.
-    Raises ``ClosureFailure`` when the worst revisit exceeds
-    ``closure_tol``, which signals an inconsistent angle assignment; the
-    message names that vertex and the face whose placement revisited it.
+    placed rigidly from its start dart u -> v, the partner of a dart of
+    the face that reached it: its centre lies on the side of u x v, and a
+    rotation of u about it through the multiples of 2*pi/m gives its m - 1
+    other vertices (the cosines and sines are tabled once per face size).
+    So every face runs counterclockwise about its centre, like the seed,
+    and corner angles are read in that one sense.
+
+    The faces are walked breadth first from the seed.  The walk depends
+    only on the map, so it is listed first, level by level, and each level
+    is then realized in one broadcast: its start darts' endpoints all lie
+    on faces of earlier levels.  The first occurrence of a vertex in the
+    walk places it; every later one measures the closure discrepancy, the
+    Euclidean distance between the placed and the new position, so the
+    walk doubles as a verifier.  Raises ``ClosureFailure`` when the worst
+    revisit exceeds ``closure_tol``, which signals an inconsistent angle
+    assignment; the message names that vertex (its first worst revisit in
+    walk order) and the face whose placement revisited it.  Edge lengths
+    and corner angles are measured once, and the returned embedding keeps
+    the corner angles for ``face_angles`` and ``total_area``.
     """
     if t.family == "hosohedron":
         return _realize_hosohedron(t, assign)
 
-    n = t.num_vertices
-    pos = np.zeros((n, 3))
-    placed = np.zeros(n, dtype=bool)
-    origin = np.asarray(t.origin)
-    worst_closure, witness = 0.0, None
-
+    origin, edge_pair, face_of, faces = t.origin, t.edge_pair, t.face_of, t.faces
     cosx = math.cos(assign.edge)
-    radii = {m: circumradius(m, assign.angle(m)) for m in {len(c) for c in t.faces}}
+    radii = {m: circumradius(m, assign.angle(m)) for m in {len(c) for c in faces}}
 
-    # seed face: centre at the north pole, vertices on the circumradius circle
-    seed = 0
-    m0 = t.face_size(seed)
-    r0 = radii[m0]
-    sr, cr = math.sin(r0), math.cos(r0)
-    cyc0 = list(t.face_vertex_cycle(seed))
-    for j, v in enumerate(cyc0):
-        phi = TWO_PI * j / m0
-        pos[v] = [sr * math.cos(phi), sr * math.sin(phi), cr]
-    placed[cyc0] = True
-
-    # per face size, the columns of the Rodrigues rotation through
-    # i * step for i = 1 .. m-1: cos, sin and 1 - cos
-    turns = {}
-    for m in radii:
+    # per face size: the coefficients of u + v and u x v in the centre of a
+    # face on the directed edge u -> v (equidistant, at geodesic distance r,
+    # from both), and the cosines and sines of its turns i * 2pi/m, i = 1 .. m-1
+    coef, turns = {}, {}
+    for m, r in radii.items():
+        a = math.cos(r) / (1.0 + cosx)
+        rem = max(1.0 - a * a * (2.0 + 2.0 * cosx), 0.0)
+        coef[m] = (a, math.sqrt(rem / (1.0 - cosx * cosx)))
         step = TWO_PI / m
-        c = np.array([math.cos(i * step) for i in range(1, m)])[:, None]
-        s = np.array([math.sin(i * step) for i in range(1, m)])[:, None]
-        turns[m] = (c, s, 1.0 - c)
+        turns[m] = (
+            [math.cos(i * step) for i in range(1, m)],
+            [math.sin(i * step) for i in range(1, m)],
+        )
 
-    done = [False] * t.num_faces
-    done[seed] = True
-    queue = deque(t.edge_pair[d] for d in t.faces[seed])
-    while queue:
-        d0 = queue.popleft()
-        f = t.face_of[d0]
-        if done[f]:
-            continue
-        done[f] = True
-        k = t.faces[f].index(d0)
-        darts = t.faces[f][k:] + t.faces[f][:k]
-        verts = origin[list(darts)]
-        # rotate the first vertex about the face centre to every other one
-        u = pos[verts[0]]
-        centre = _face_centre(u, pos[verts[1]], cosx, radii[len(darts)])
-        c, s, c1 = turns[len(darts)]
-        ring = u * c + _cross(centre, u) * s + centre * np.dot(centre, u) * c1
-        for v, p in zip(verts[1:].tolist(), ring):
-            if placed[v]:
-                d = pos[v] - p
-                gap = math.sqrt(d.dot(d))
-                if gap > worst_closure:
-                    worst_closure, witness = gap, (v, f)
-            else:
-                pos[v] = p
-                placed[v] = True
-        for d in darts:
-            nb = t.edge_pair[d]
-            if not done[t.face_of[nb]]:
-                queue.append(nb)
+    # rows: every position the walk computes, in walk order, the seed face's
+    # first; first[v] is the row that placed vertex v
+    m0 = len(faces[0])
+    first = [-1] * t.num_vertices
+    for j, v in enumerate(t.face_vertex_cycle(0)):
+        first[v] = j
 
-    if not placed.all():
+    # the walk: per face the rows of its start edge's ends and its centre
+    # coefficients; per further row its face's index within the level and
+    # its turn; per revisit the vertex, the face and the row, kept flat (a
+    # tuple per revisit about doubles their memory on large maps)
+    ends, coefs, owner, cos_r, sin_r, revisits, levels = [], [], [], [], [], [], []
+    done = [False] * len(faces)
+    done[0] = True
+    entries = [edge_pair[d] for d in faces[0]]
+    while entries:
+        children = []
+        level = len(ends)
+        for d0 in entries:
+            f = face_of[d0]
+            if done[f]:
+                continue
+            done[f] = True
+            k = faces[f].index(d0)
+            darts = faces[f][k:] + faces[f][:k]
+            m = len(darts)
+            ends.append((first[origin[darts[0]]], first[origin[darts[1]]]))
+            coefs.append(coef[m])
+            for i, d in enumerate(darts[1:], m0 + len(owner)):
+                v = origin[d]
+                if first[v] < 0:
+                    first[v] = i
+                else:
+                    revisits += (v, f, i)
+            owner += [len(ends) - 1 - level] * (m - 1)
+            cos_r += turns[m][0]
+            sin_r += turns[m][1]
+            # children are queued in the order of the rotated darts, from d0:
+            # that order picks each child's start dart
+            for d in darts:
+                nb = edge_pair[d]
+                if not done[face_of[nb]]:
+                    children.append(nb)
+        levels.append((len(ends), m0 + len(owner)))
+        entries = children
+
+    if min(first) < 0:
         raise ClosureFailure("propagation did not reach every vertex")
+
+    # the seed face: centre at the north pole, vertices on the circumradius circle
+    rows = np.empty((m0 + len(owner), 3))
+    sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
+    phis = [TWO_PI * j / m0 for j in range(m0)]
+    rows[:m0] = [[sr * math.cos(phi), sr * math.sin(phi), cr] for phi in phis]
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    coefs = np.array(coefs).reshape(-1, 2)
+    owner = np.array(owner, dtype=np.intp)
+    cos_c, sin_c = np.array(cos_r)[:, None], np.array(sin_r)[:, None]
+    cos1_c = 1.0 - cos_c
+
+    f0, r0 = 0, m0
+    for f1, r1 in levels:
+        u, v = rows[ends[f0:f1, 0]], rows[ends[f0:f1, 1]]
+        centre = coefs[f0:f1, :1] * (u + v) + coefs[f0:f1, 1:] * _cross(u, v)
+        centre = centre / np.sqrt(_dot(centre, centre))[:, None]
+        # rotate each face's first vertex about its centre to the others
+        o, at = owner[r0 - m0 : r1 - m0], slice(r0 - m0, r1 - m0)
+        rows[r0:r1] = (
+            u[o] * cos_c[at]
+            + _cross(centre, u)[o] * sin_c[at]
+            + (centre * _dot(centre, u)[:, None])[o] * cos1_c[at]
+        )
+        f0, r0 = f1, r1
+
+    pos = rows[first]
+    worst_closure, witness = 0.0, None
+    if revisits:
+        v, f, row = np.array(revisits, dtype=np.intp).reshape(-1, 3).T
+        gap = pos[v] - rows[row]
+        # a NaN gap never counts, as it would not in a scalar `gap > worst`
+        gaps = np.fmax(np.sqrt(_dot(gap, gap)), 0.0)
+        i = int(np.argmax(gaps))
+        if gaps[i] > 0.0:
+            worst_closure, witness = float(gaps[i]), (int(v[i]), int(f[i]))
     if worst_closure > closure_tol:
         raise ClosureFailure(
             f"closure error {worst_closure:.3e} at vertex {witness[0]} "
             f"(face {witness[1]}) exceeds {closure_tol:.1e}"
         )
 
-    return _measured(t, assign, pos, worst_closure, {})
+    return _measured(t, assign, pos, worst_closure)
 
 
-def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
-    """Realized interior angle at the origin of each dart (default: all darts)."""
-    ds = np.arange(t.num_darts) if darts is None else np.asarray(darts, dtype=np.intp)
+def _angles_at(
+    t: TilingMap, pos: np.ndarray, mids: Optional[np.ndarray], ds: np.ndarray
+) -> np.ndarray:
+    """Interior angle at the origin of each dart of ``ds``, read from the
+    (V, 3) positions ``pos`` (a hosohedron's from the (E, 3) edge
+    midpoints ``mids``)."""
     nxt = np.asarray(t.face_next)[ds]
     if t.family == "hosohedron":
-        # digon: angle between the meridians through its two edge midpoints
-        ids = t.edge_ids()
-        mids = np.array([emb.arc_midpoints[ids[d]] for d in range(t.num_darts)])
-        return _arc_lengths(mids[ds], mids[nxt])
+        # digon: angle between the meridians through its two edge midpoints;
+        # a dart's edge id (``t.edge_ids()``) counts the edges whose lower
+        # dart comes before the lower dart of its own
+        d, pair = np.arange(t.num_darts), np.asarray(t.edge_pair)
+        edge = np.cumsum(d < pair)[np.minimum(d, pair)] - 1
+        return _arc_lengths(mids[edge[ds]], mids[edge[nxt]])
     origin = np.asarray(t.origin)
-    pos = np.array([emb.positions[v] for v in range(t.num_vertices)])
     at = pos[origin[ds]]
     # tangents at each corner toward the previous and the next face vertex
     toward = pos[origin[np.stack([np.asarray(t.face_prev)[ds], nxt])]]
@@ -228,11 +288,24 @@ def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
     if np.any(norm < 1e-14):
         raise ClosureFailure("degenerate tangent between coincident/antipodal points")
     t_prev, t_next = tv / norm
-    turn = np.sum(at * np.cross(t_prev, t_next), axis=1)
+    turn = np.sum(at * _cross(t_prev, t_next), axis=1)
     raw = np.arctan2(turn, np.sum(t_prev * t_next, axis=1))
     # faces run counterclockwise about their centres, so the interior angle
     # is the clockwise turn from t_prev to t_next
     return (-raw) % TWO_PI
+
+
+def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
+    """Realized interior angle at the origin of each dart (default: all
+    darts): the angles ``realize`` measured, else measured now."""
+    if emb._angles is not None:
+        return emb._angles if darts is None else emb._angles[list(darts)]
+    ds = np.arange(t.num_darts) if darts is None else np.asarray(darts, dtype=np.intp)
+    pos = np.array([emb.positions[v] for v in range(t.num_vertices)])
+    mids = None
+    if t.family == "hosohedron":
+        mids = np.array([emb.arc_midpoints[i] for i in range(t.num_edges)])
+    return _angles_at(t, pos, mids, ds)
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
@@ -256,25 +329,37 @@ def total_area(t: TilingMap, emb: Embedding) -> float:
 # --------------------------------------------------------------------------
 
 
-def _arc_points(u, v, mid, steps) -> np.ndarray:
-    """Interior sample points of the arc u->v (via mid when antipodal).
+def _arcs(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """Interior sample points of the arcs between matching rows of two
+    (N, 3) arrays, as an (N, steps - 1, 3) array.
 
-    The arc is split into ``steps`` equal parts by spherical linear
-    interpolation; its angle is measured once and its ``steps - 1``
-    points come out of one broadcast, as a (steps - 1, 3) array.
+    Each arc is split into ``steps`` equal parts by spherical linear
+    interpolation: its angle is measured once, with ``math.atan2``, and
+    all the points of all the arcs come out of one broadcast.
     """
+    fracs = [i / steps for i in range(1, steps)]
+    w = _cross(u, v)
+    angs = [math.atan2(y, x) for y, x in zip(np.sqrt(_dot(w, w)).tolist(), _dot(u, v).tolist())]
+    shape = (len(angs), len(fracs), 1)
+    a = np.array([[math.sin((1.0 - s) * g) for s in fracs] for g in angs]).reshape(shape)
+    b = np.array([[math.sin(s * g) for s in fracs] for g in angs]).reshape(shape)
+    flat = np.array(angs) < 1e-14
+    # a point-like arc is its first endpoint repeated
+    sin_ang = np.array([1.0 if g < 1e-14 else math.sin(g) for g in angs])
+    out = (a * u[:, None, :] + b * v[:, None, :]) / sin_ang[:, None, None]
+    out[flat] = u[flat, None, :]
+    return out
+
+
+def _arc_points(u, v, mid, steps) -> np.ndarray:
+    """Interior sample points of the arc u->v (via mid when antipodal), as
+    a (steps - 1, 3) array; see ``_arcs``."""
     if mid is not None:
         # split at the stored midpoint to disambiguate the great circle
         half = steps // 2 or 1
         before = _arc_points(u, mid, None, half)
         return np.concatenate([before, mid[None], _arc_points(mid, v, None, steps - half)])
-    fracs = [i / steps for i in range(1, steps)]
-    ang = math.atan2(float(np.linalg.norm(_cross(u, v))), float(np.dot(u, v)))
-    if ang < 1e-14:
-        return np.tile(u, (len(fracs), 1))
-    a = np.array([math.sin((1.0 - s) * ang) for s in fracs])
-    b = np.array([math.sin(s * ang) for s in fracs])
-    return (a[:, None] * u + b[:, None] * v) / math.sin(ang)
+    return _arcs(u[None], v[None], steps)[0]
 
 
 def export_obj(
@@ -285,23 +370,34 @@ def export_obj(
 ) -> bytes:
     """Wireframe OBJ: vertices plus each edge as arc_steps arc segments.
 
-    With ``include_faces`` each face is fan-triangulated about its
-    spherical centre (one midpoint refinement implicit in the fan apex).
+    The arcs of all edges between non-antipodal endpoints are sampled in
+    one broadcast.  With ``include_faces`` each face is fan-triangulated
+    about its spherical centre (one midpoint refinement implicit in the
+    fan apex).
     """
     if arc_steps < 1:
         raise ValueError("arc_steps must be >= 1")
     verts = sorted(emb.positions)
     vid = {v: i for i, v in enumerate(verts, 1)}
-    points = [np.array([emb.positions[v] for v in verts])]
+    corners = np.array([emb.positions[v] for v in verts])
+    points = [corners]
     count = len(verts)
     ids = t.edge_ids()
+    darts = [d for d in range(t.num_darts) if d < t.edge_pair[d]]
+    # corner rows of the two ends of each edge without a stored midpoint
+    plain = [d for d in darts if ids[d] not in emb.arc_midpoints]
+    ends = np.array(
+        [[vid[t.origin[d]] - 1 for d in plain], [vid[t.target(d)] - 1 for d in plain]], dtype=np.intp
+    )
+    arcs = iter(_arcs(corners[ends[0]], corners[ends[1]], arc_steps))
     edge_polylines = []
-    for d in range(t.num_darts):
-        if d > t.edge_pair[d]:
-            continue
+    for d in darts:
         u, v = t.origin[d], t.target(d)
         mid = emb.arc_midpoints.get(ids[d])
-        arc = _arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
+        if mid is None:
+            arc = next(arcs)
+        else:
+            arc = _arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
         edge_polylines.append([vid[u], *range(count + 1, count + 1 + len(arc)), vid[v]])
         count += len(arc)
         points.append(arc)

@@ -616,8 +616,12 @@ def validate(
 
 
 def isomorphic(a: TilingMap, b: TilingMap) -> bool:
-    """Face-size-preserving map isomorphism, allowing reflection."""
-    return census(a) == census(b) and a.canonical_form == b.canonical_form
+    """Face-size-preserving map isomorphism, allowing reflection.
+
+    Equal maps are isomorphic by the identity, so they skip the census and
+    the canonical forms.
+    """
+    return a == b or (census(a) == census(b) and a.canonical_form == b.canonical_form)
 
 
 def homogeneity(t: TilingMap) -> str:

@@ -341,7 +341,9 @@ def _scalar_realize(t, assign):
     return emb, witness
 
 
-FAMILY_MAPS = [f"{fam}({n})" for fam in ("prism", "antiprism", "dihedron") for n in (50, 200, 400)]
+FAMILY_MAPS = [
+    f"{fam}({n})" for fam in ("prism", "antiprism", "dihedron") for n in (50, 200, 400)
+] + ["prism(5000)", "antiprism(5000)"]
 
 
 def test_realize_matches_scalar_oracle_bit_for_bit():
@@ -350,13 +352,24 @@ def test_realize_matches_scalar_oracle_bit_for_bit():
         if t.map.family == "hosohedron":
             continue
         got = em.realize(t.map, t.angles)
-        want, _ = _scalar_realize(t.map, t.angles)
+        want, witness = _scalar_realize(t.map, t.angles)
         assert sorted(got.positions) == sorted(want.positions), name
         for v in want.positions:
             assert got.positions[v].tobytes() == want.positions[v].tobytes(), (name, v)
         assert got.closure_error == want.closure_error, name
         assert got.edge_error == want.edge_error, name
         assert got.angle_error == want.angle_error, name
+        if witness is None:
+            assert want.closure_error == 0.0, name
+            continue
+        # below the worst gap, the failure names the oracle's first worst revisit
+        tol = want.closure_error / 2
+        with pytest.raises(em.ClosureFailure) as info:
+            em.realize(t.map, t.angles, closure_tol=tol)
+        assert str(info.value) == (
+            f"closure error {want.closure_error:.3e} at vertex {witness[0]} "
+            f"(face {witness[1]}) exceeds {tol:.1e}"
+        ), name
 
 
 @pytest.mark.parametrize("shift, fails", [(1e-6, True), (1e-13, False)])
@@ -390,6 +403,38 @@ def test_cross_matches_numpy_bit_for_bit():
     ]
     for p, q in specials:
         assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes(), (p, q)
+    # the same function on whole (N, 3) arrays, row by row
+    assert em._cross(a, b).tobytes() == want.tobytes()
+    p, q = np.array([s[0] for s in specials]), np.array([s[1] for s in specials])
+    assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes()
+
+
+def test_row_dot_matches_numpy_dot_bit_for_bit():
+    # np.sum(a * b, axis=1) rounds differently from np.dot on about a third
+    # of these rows; the positions and gaps of realize depend on _dot's bits
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+    b = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+    want = np.array([np.dot(p, q) for p, q in zip(a, b)])
+    assert em._dot(a, b).tobytes() == want.tobytes()
+    # gathered and strided rows, and a row's dot with itself
+    assert em._dot(a[::3], b[::3]).tobytes() == want[::3].tobytes()
+    rows = np.arange(0, 10_000, 7)
+    assert em._dot(a[rows], b[rows]).tobytes() == want[rows].tobytes()
+    assert em._dot(a, a).tobytes() == np.array([p.dot(p) for p in a]).tobytes()
+    assert em._dot(a[:1], b[:1]).tobytes() == want[:1].tobytes()
+
+
+def test_total_area_reads_the_measured_angles_bit_for_bit():
+    # realize keeps the corner angles; a replaced Embedding measures afresh
+    for name in cat.all_entries():
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        copy = dataclasses.replace(emb)
+        assert emb._angles is not None and copy._angles is None, name
+        fresh = em._corner_angles(t.map, copy)
+        want = float(fresh.sum()) - PI * (t.map.num_darts - 2 * t.map.num_faces)
+        assert em.total_area(t.map, emb) == want, name
 
 
 def _scalar_arc_points(u, v, mid, steps):

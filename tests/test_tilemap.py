@@ -136,6 +136,10 @@ def test_census_examples():
 
 def test_isomorphic_relabelled_cube():
     cube = tm.build_from_faces(CUBE_FACES)
+    # equal maps are isomorphic by the identity, without canonical forms
+    same = tm.build_from_faces(CUBE_FACES)
+    assert same is not cube and tm.isomorphic(cube, same)
+    assert "canonical_form" not in vars(cube) and "canonical_form" not in vars(same)
     perm = {0: 6, 1: 4, 2: 0, 3: 7, 4: 2, 5: 3, 6: 1, 7: 5}
     other = tm.build_from_faces([tuple(perm[v] for v in f) for f in CUBE_FACES])
     assert tm.isomorphic(cube, other)
