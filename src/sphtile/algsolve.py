@@ -363,8 +363,9 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     ``_HEMISPHERE_TYPES``, and counted once.  Every solution passes the
     companion and angle-sum checks to 1e-9.  Solutions come sorted by
     their angles; an empty list when none exists.  Deterministic.  A face
-    size so large that the excess rounds away near x = 0 (from about
-    M = 10**16 on) raises ``DomainError``.
+    size so large that the excess rounds away, so that it changes sign at
+    x = 0 (from about M = 10**16 on) or more than once on the increasing
+    all-convex branch (4.4.M at M = 5 * 10**15), raises ``DomainError``.
     """
     entries = _vertex_type(t)
     sizes = sorted(set(entries))
@@ -390,17 +391,20 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
         limit = planar if reflex is None else planar + Fraction(4, reflex)
         if limit:
             points.insert(0, (0.0, float(limit)))
-        for (x0, v0), (x1, v1) in zip(points, points[1:]):
-            if (v0 < 0) != (v1 < 0):
-                x = _bisect(excess, x0, x1, v0 < 0)
-                if x == 0.0:
-                    # the excess had the wrong sign for its planar limit
-                    # down to the last float: it is rounding, not angles
-                    raise DomainError(
-                        f"face size {sizes[-1]} is too large: its angle sum "
-                        "cannot be told from 2*pi in double precision"
-                    )
-                roots.append((x, reflex))
+        found = [
+            _bisect(excess, x0, x1, v0 < 0)
+            for (x0, v0), (x1, v1) in zip(points, points[1:])
+            if (v0 < 0) != (v1 < 0)
+        ]
+        # a root at x = 0 (the excess had the wrong sign for its planar
+        # limit down to the last float), or a second root of the all-convex
+        # excess, which strictly increases in x: it is rounding, not angles
+        if 0.0 in found or (reflex is None and len(found) > 1):
+            raise DomainError(
+                f"face size {sizes[-1]} is too large: its angle sum "
+                "cannot be told from 2*pi in double precision"
+            )
+        roots += [(x, reflex) for x in found]
 
     return _accepted(
         sizes, counts, ((_branch_angles(sizes, x, reflex), x) for x, reflex in roots)

@@ -112,19 +112,16 @@ def faces_of_size(t: TilingMap, m: int) -> list:
 
 
 def _dual_faces(t: TilingMap) -> list:
-    return [tuple(t.face_of[d] for d in t.darts_at(v)) for v in range(t.num_vertices)]
+    return [tuple(t.face_of[d] for d in r) for r in t.vertex_rotations]
 
 
 def _rectified_faces(t: TilingMap) -> list:
-    ids = t.edge_ids()
-    faces = [tuple(ids[d] for d in cyc) for cyc in t.faces]
-    faces += [tuple(ids[d] for d in t.darts_at(v)) for v in range(t.num_vertices)]
-    return faces
+    ids = t.edge_of
+    return [tuple(ids[d] for d in cyc) for cyc in t.faces + t.vertex_rotations]
 
 
 def _expanded_faces(t: TilingMap) -> list:
-    faces = [tuple(cyc) for cyc in t.faces]
-    faces += [tuple(t.darts_at(v)) for v in range(t.num_vertices)]
+    faces = list(t.faces + t.vertex_rotations)
     for d in range(t.num_darts):
         dp = t.edge_pair[d]
         if d < dp:
@@ -133,8 +130,7 @@ def _expanded_faces(t: TilingMap) -> list:
 
 
 def _snub_faces(t: TilingMap) -> list:
-    faces = [tuple(cyc) for cyc in t.faces]
-    faces += [tuple(t.darts_at(v)) for v in range(t.num_vertices)]
+    faces = list(t.faces + t.vertex_rotations)
     for d in range(t.num_darts):
         dp = t.edge_pair[d]
         if d < dp:
@@ -163,7 +159,7 @@ def _truncated_faces(t: TilingMap, vertices: Optional[Sequence[int]] = None) -> 
             if t.target(d) in cut:
                 grown.append(("corner", t.edge_pair[d]))
         faces.append(tuple(grown))
-    faces += [tuple(("corner", d) for d in t.darts_at(v)) for v in vertices]
+    faces += [tuple(("corner", d) for d in t.vertex_rotations[v]) for v in vertices]
     return faces
 
 
@@ -285,13 +281,13 @@ def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
     removed_faces: set = set()
     new_faces = []
     for v in vertices:
-        star = [t.face_of[d] for d in t.darts_at(v)]
+        star = [t.face_of[d] for d in t.vertex_rotations[v]]
         if any(t.face_size(f) != 3 for f in star):
             raise PreconditionFailed(f"vertex {v} has a non-triangular face")
         if removed_faces.intersection(star):
             raise InvalidSite("vertex stars overlap")
         removed_faces.update(star)
-        link = tuple(t.target(d) for d in t.darts_at(v))
+        link = tuple(t.target(d) for d in t.vertex_rotations[v])
         if any(u in vertices for u in link):
             raise InvalidSite("removed vertices are adjacent")
         new_faces.append(link)
@@ -529,7 +525,7 @@ def _apply_cupola_ops(
         b0 = s.boundary[0]
         outside = [
             t.face_size(t.face_of[d])
-            for d in t.darts_at(b0)
+            for d in t.vertex_rotations[b0]
             if t.face_of[d] not in s.faces
         ]
         derived.append((len(s.boundary), TWO_PI - sum(assign.angle(m) for m in outside)))
@@ -877,7 +873,7 @@ def _distances(adj: Sequence, source: int) -> list:
 def _icosa_distances():
     ico = _icosahedron()
     t = ico.map
-    adj = [[t.target(d) for d in t.darts_at(v)] for v in range(t.num_vertices)]
+    adj = [[t.target(d) for d in r] for r in t.vertex_rotations]
     return ico, [_distances(adj, s) for s in range(t.num_vertices)]
 
 

@@ -15,8 +15,9 @@ dart, in one numpy pass over the (V, 3) position array; the embedding
 keeps the corner angles, and ``total_area`` and ``face_angles`` read them.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly, then
-measured like every other map; their edges carry explicit midpoints
-because antipodal endpoints do not determine a great-circle arc.
+measured like every other map; their edges carry explicit midpoints, by
+edge id (``TilingMap.edge_of``), because antipodal endpoints do not
+determine a great-circle arc.  ``export_obj`` splits those arcs there.
 """
 
 from __future__ import annotations
@@ -273,11 +274,8 @@ def _angles_at(
     midpoints ``mids``)."""
     nxt = np.asarray(t.face_next)[ds]
     if t.family == "hosohedron":
-        # digon: angle between the meridians through its two edge midpoints;
-        # a dart's edge id (``t.edge_ids()``) counts the edges whose lower
-        # dart comes before the lower dart of its own
-        d, pair = np.arange(t.num_darts), np.asarray(t.edge_pair)
-        edge = np.cumsum(d < pair)[np.minimum(d, pair)] - 1
+        # digon: angle between the meridians through its two edge midpoints
+        edge = np.asarray(t.edge_of)
         return _arc_lengths(mids[edge[ds]], mids[edge[nxt]])
     origin = np.asarray(t.origin)
     at = pos[origin[ds]]
@@ -351,15 +349,17 @@ def _arcs(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def _arc_points(u, v, mid, steps) -> np.ndarray:
-    """Interior sample points of the arc u->v (via mid when antipodal), as
-    a (steps - 1, 3) array; see ``_arcs``."""
-    if mid is not None:
-        # split at the stored midpoint to disambiguate the great circle
-        half = steps // 2 or 1
-        before = _arc_points(u, mid, None, half)
-        return np.concatenate([before, mid[None], _arc_points(mid, v, None, steps - half)])
-    return _arcs(u[None], v[None], steps)[0]
+def _split_arcs(u: np.ndarray, mid: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """Interior sample points of the arcs u -> mid -> v between matching
+    rows of three (N, 3) arrays: ``steps // 2 or 1`` parts of ``_arcs`` up
+    to the midpoint, the midpoint itself, and the rest after it.
+
+    A midpoint picks the great circle of an arc between antipodal ends.
+    """
+    half = steps // 2 or 1
+    return np.concatenate(
+        [_arcs(u, mid, half), mid[:, None, :], _arcs(mid, v, steps - half)], axis=1
+    )
 
 
 def export_obj(
@@ -370,37 +370,33 @@ def export_obj(
 ) -> bytes:
     """Wireframe OBJ: vertices plus each edge as arc_steps arc segments.
 
-    The arcs of all edges between non-antipodal endpoints are sampled in
-    one broadcast.  With ``include_faces`` each face is fan-triangulated
-    about its spherical centre (one midpoint refinement implicit in the
-    fan apex).
+    The edges come in edge-id order (``t.edges``).  Their arcs are
+    sampled in one broadcast, those with a stored midpoint (a hosohedron's
+    meridians) split there in one more.  With ``include_faces`` each face
+    is fan-triangulated about its spherical centre (one midpoint
+    refinement implicit in the fan apex).
     """
     if arc_steps < 1:
         raise ValueError("arc_steps must be >= 1")
     verts = sorted(emb.positions)
     vid = {v: i for i, v in enumerate(verts, 1)}
     corners = np.array([emb.positions[v] for v in verts])
+    # the two ends of each edge, and its arc by edge id
+    ends = corners[[(vid[u] - 1, vid[v] - 1) for u, v in t.edges]]
+    mids = emb.arc_midpoints
+    plain = [i for i in range(t.num_edges) if i not in mids]
+    split = [i for i in range(t.num_edges) if i in mids]
+    arcs = dict(zip(plain, _arcs(ends[plain, 0], ends[plain, 1], arc_steps)))
+    if split:
+        at = np.array([mids[i] for i in split])
+        arcs.update(zip(split, _split_arcs(ends[split, 0], at, ends[split, 1], arc_steps)))
     points = [corners]
     count = len(verts)
-    ids = t.edge_ids()
-    darts = [d for d in range(t.num_darts) if d < t.edge_pair[d]]
-    # corner rows of the two ends of each edge without a stored midpoint
-    plain = [d for d in darts if ids[d] not in emb.arc_midpoints]
-    ends = np.array(
-        [[vid[t.origin[d]] - 1 for d in plain], [vid[t.target(d)] - 1 for d in plain]], dtype=np.intp
-    )
-    arcs = iter(_arcs(corners[ends[0]], corners[ends[1]], arc_steps))
     edge_polylines = []
-    for d in darts:
-        u, v = t.origin[d], t.target(d)
-        mid = emb.arc_midpoints.get(ids[d])
-        if mid is None:
-            arc = next(arcs)
-        else:
-            arc = _arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
-        edge_polylines.append([vid[u], *range(count + 1, count + 1 + len(arc)), vid[v]])
-        count += len(arc)
-        points.append(arc)
+    for i, (u, v) in enumerate(t.edges):
+        edge_polylines.append([vid[u], *range(count + 1, count + 1 + len(arcs[i])), vid[v]])
+        count += len(arcs[i])
+        points.append(arcs[i])
     lines = ["# sphtile unit-sphere tiling export"]
     lines.extend("v %.17g %.17g %.17g" % (x, y, z) for x, y, z in np.concatenate(points).tolist())
     for chain in edge_polylines:
@@ -412,7 +408,7 @@ def export_obj(
             if len(cyc) == 2:
                 # a digon's corners are antipodal poles; its centre lies
                 # midway between the midpoints of its two edges
-                pts = [emb.arc_midpoints[ids[d]] for d in t.faces[f]]
+                pts = [mids[t.edge_of[d]] for d in t.faces[f]]
             else:
                 pts = [emb.positions[v] for v in cyc]
             centre = np.sum(pts, axis=0)

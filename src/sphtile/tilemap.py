@@ -4,8 +4,11 @@ A tiling is stored as a dart-based combinatorial map: every edge side
 gets a directed dart, ``face_next`` walks each face boundary in a
 globally consistent orientation, and ``edge_pair`` swaps the two darts of
 an edge.  The composition ``face_next[edge_pair[d]]`` rotates a dart
-around its origin vertex, which yields vertex degrees and the cyclic
-arrangement of face sizes at each vertex.
+around its origin vertex.  A map computes its vertex and edge tables once,
+as cached properties, and the rest of the package reads them: per vertex
+its rotation (from its lowest dart), the face sizes along it and their
+canonical arrangement; per edge its ends (``edges``) and per dart the
+index of its edge in that list (``edge_of``).
 
 ``build_from_faces`` accepts plain vertex-index cycles (with arbitrary
 per-face orientations, which are fixed up automatically), so constructors
@@ -124,64 +127,52 @@ class TilingMap:
         return tuple(self.face_next[self.edge_pair[d]] for d in range(self.num_darts))
 
     @cached_property
-    def vertex_darts(self) -> tuple:
-        first = [-1] * self.num_vertices
-        for d, v in enumerate(self.origin):
-            if first[v] < 0:
-                first[v] = d
-        return tuple(first)
-
-    @cached_property
     def vertex_rotations(self) -> tuple:
-        """Per vertex, its outgoing darts in rotation order from ``vertex_darts``."""
-        out = []
-        for d0 in self.vertex_darts:
-            rotation = [d0]
-            d = self.vertex_next[d0]
-            while d != d0:
-                rotation.append(d)
-                d = self.vertex_next[d]
-            out.append(tuple(rotation))
+        """Per vertex, its outgoing darts in ``vertex_next`` order, from its lowest dart."""
+        out = [None] * self.num_vertices
+        nxt = self.vertex_next
+        for d0, v in enumerate(self.origin):
+            if out[v] is None:
+                rotation = [d0]
+                d = nxt[d0]
+                while d != d0:
+                    rotation.append(d)
+                    d = nxt[d]
+                out[v] = tuple(rotation)
         return tuple(out)
-
-    def darts_at(self, v: int) -> list:
-        return list(self.vertex_rotations[v])
 
     def degree(self, v: int) -> int:
         return len(self.vertex_rotations[v])
 
-    def vertex_face_sizes(self, v: int) -> tuple:
-        """Face sizes around ``v`` in rotation order (one full cycle)."""
-        return tuple(len(self.faces[self.face_of[d]]) for d in self.vertex_rotations[v])
+    @cached_property
+    def vertex_face_sizes(self) -> tuple:
+        """Per vertex, the face sizes around it in ``vertex_rotations`` order."""
+        size = [len(self.faces[f]) for f in self.face_of]
+        return tuple(tuple(map(size.__getitem__, r)) for r in self.vertex_rotations)
 
     @cached_property
     def vertex_arrangements(self) -> tuple:
-        return tuple(
-            vertexcomb.canonical_arrangement(self.vertex_face_sizes(v))
-            for v in range(self.num_vertices)
-        )
+        return tuple(map(vertexcomb.canonical_arrangement, self.vertex_face_sizes))
 
     def face_vertex_cycle(self, f: int) -> tuple:
         return tuple(self.origin[d] for d in self.faces[f])
 
     @cached_property
     def edges(self) -> tuple:
-        out = []
-        for d in range(self.num_darts):
-            if d < self.edge_pair[d]:
-                out.append((self.origin[d], self.target(d)))
-        return tuple(out)
+        """Per edge, the ends (origin, target) of its lower dart, by edge id."""
+        pair = self.edge_pair
+        return tuple((self.origin[d], self.origin[p]) for d, p in enumerate(pair) if d < p)
 
-    def edge_ids(self) -> dict:
-        """Map each dart to a dense edge id (shared by its pair)."""
-        ids = {}
-        nxt = 0
-        for d in range(self.num_darts):
-            if d < self.edge_pair[d]:
-                ids[d] = nxt
-                ids[self.edge_pair[d]] = nxt
-                nxt += 1
-        return ids
+    @cached_property
+    def edge_of(self) -> tuple:
+        """Per dart, the id of its edge (shared by its pair): its index in ``edges``."""
+        ids = [0] * self.num_darts
+        e = 0
+        for d, p in enumerate(self.edge_pair):
+            if d < p:
+                ids[d] = ids[p] = e
+                e += 1
+        return tuple(ids)
 
     # -- canonical form ----------------------------------------------------
 
@@ -565,9 +556,8 @@ def validate(
         rep.add("area", False, detail=f"missing angle for size {missing[0]}")
     else:
         worst = 0.0
-        for u in range(v):
-            s = sum(map(angle.__getitem__, t.vertex_face_sizes(u)))
-            worst = max(worst, abs(s - TWO_PI))
+        for sizes in t.vertex_face_sizes:
+            worst = max(worst, abs(sum(map(angle.__getitem__, sizes)) - TWO_PI))
         rep.add("angle_sums", worst <= tol, worst)
         total = sum(n * polygon_area(m, angle[m]) for m, n in c.face_counts.items())
         rep.add("area", abs(total - 2 * TWO_PI) <= area_tol, abs(total - 2 * TWO_PI))

@@ -217,7 +217,7 @@ def test_criterion_8_property_suites():
     shrunk = cat.shrink(tc, cat.faces_of_size(tc, 3)[0])
     new_vertex = [
         v for v in range(shrunk.num_vertices)
-        if sorted(shrunk.vertex_face_sizes(v)) == [7, 7, 7]
+        if sorted(shrunk.vertex_face_sizes[v]) == [7, 7, 7]
     ][0]
     assert tm.isomorphic(cat.truncate(shrunk, new_vertex), tc)
 

@@ -571,6 +571,12 @@ def test_face_size_beyond_double_precision_is_a_domain_error(t, m):
         alg.solve_vertex_system(t + (m,))
 
 
+def test_antiprism_type_keeps_its_one_root_where_the_prism_type_is_refused():
+    # at m = 5e15 the rounded all-convex excess of 4.4.m changes sign three
+    # times (a DomainError); that of 3.3.3.m still changes sign once
+    assert len(alg.solve_vertex_system((3, 3, 3, 5 * 10**15))) == 1
+
+
 def _family_edge_error(kind, m, edge):
     """Relative error of ``edge`` against the closed-form family edge, in 50 digits.
 

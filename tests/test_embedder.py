@@ -185,7 +185,7 @@ def test_json_schema_fields():
 
 def _scalar_corner_angles(t, emb):
     """Reference: each dart's corner angle on single 3-vectors, one at a time."""
-    ids = t.edge_ids()
+    ids = t.edge_of
     out = []
     for d in range(t.num_darts):
         if t.face_size(t.face_of[d]) == 2:
@@ -465,7 +465,7 @@ def _scalar_export_obj(t, emb, arc_steps, include_faces):
         return count
 
     vid = {v: emit(emb.positions[v]) for v in sorted(emb.positions)}
-    ids = t.edge_ids()
+    ids = t.edge_of
     chains = []
     for d in range(t.num_darts):
         if d > t.edge_pair[d]:
@@ -509,16 +509,22 @@ def test_export_obj_matches_scalar_oracle_byte_for_byte():
 
 
 def test_arc_points_match_scalar_oracle_on_degenerate_arcs():
-    # coincident endpoints and zero or one step, which no catalog edge has
+    # coincident endpoints and zero or one step, which no catalog edge has;
+    # each kind of arc sampled in one batch, as export_obj samples them
     u = np.array([0.6, 0.0, 0.8])
     v = np.array([0.0, 0.6, 0.8])
     mid = np.array([0.0, 0.0, 1.0])
-    for p, q, m in [(u, u, None), (u, v, None), (u, -u, mid), (u, u, mid)]:
-        for steps in (0, 1, 2, 3, 5):
-            got = em._arc_points(p, q, m, steps)
-            want = _scalar_arc_points(p, q, m, steps)
-            assert got.shape == (len(want), 3), (steps, m)
-            assert got.tobytes() == np.array(want).reshape(-1, 3).tobytes(), (steps, m)
+    plain = [(u, u), (u, v)]
+    split = [(u, -u, mid), (u, u, mid)]
+    for steps in (0, 1, 2, 3, 5):
+        p, q = (np.array(c) for c in zip(*plain))
+        got = list(em._arcs(p, q, steps))
+        p, q, m = (np.array(c) for c in zip(*split))
+        got += list(em._split_arcs(p, m, q, steps))
+        for arc, (p, q, *m) in zip(got, plain + split):
+            want = _scalar_arc_points(p, q, m[0] if m else None, steps)
+            assert arc.shape == (len(want), 3), (steps, m)
+            assert arc.tobytes() == np.array(want).reshape(-1, 3).tobytes(), (steps, m)
 
 
 def test_embedding_from_loaded_positions_measures_the_realized_angles():

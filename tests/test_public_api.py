@@ -69,6 +69,10 @@ REJECTED_INPUTS = {
     "expected_census-prism(2)": (DomainError, lambda: catalog.expected_census("prism(2)")),
     "make-prism(2)": (DomainError, lambda: catalog.make("prism(2)")),
     "derive_from_ed": (InvalidSite, lambda: catalog.derive_from_ed(dim=-1)),
+    "solve_vertex_system-(4,4,5e15)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((4, 4, 5 * 10**15)),
+    ),
 }
 
 

@@ -282,17 +282,26 @@ def test_small_face_or_degree3_vertex_everywhere():
 
 
 def test_counting_identities_across_catalog():
-    for name in catalog.all_entries():
+    maps = [("digon_fan(2)", tm.digon_fan(2))]
+    for name in [*catalog.all_entries(), "hosohedron(400)", "dihedron(400)"]:
         t = catalog.make(name)
         rep = tm.validate(t.map, t.angles, name=name)
         for key in ("euler", "degree_sum", "face_sum", "angle_sums", "area"):
             assert rep.checks[key].passed, (name, key)
-        # the cached rotations are the vertex_next cycles, one per vertex
-        m = t.map
+        maps.append((name, t.map))
+    for name, m in maps:
+        # the cached rotations are the vertex_next cycles, one per vertex,
+        # each from its lowest dart, and the face sizes are read along them
         assert sorted(d for r in m.vertex_rotations for d in r) == list(range(m.num_darts)), name
         for v, r in enumerate(m.vertex_rotations):
-            assert r[0] == m.vertex_darts[v] and {m.origin[d] for d in r} == {v}, name
+            assert r[0] == m.origin.index(v) and {m.origin[d] for d in r} == {v}, name
             assert [m.vertex_next[d] for d in r] == [*r[1:], r[0]], name
+            assert m.vertex_face_sizes[v] == tuple(m.face_size(m.face_of[d]) for d in r), name
+        # both darts of an edge share its id, its index in edges (by lower dart)
+        lower = [d for d, p in enumerate(m.edge_pair) if d < p]
+        assert [m.edge_of[d] for d in lower] == list(range(m.num_edges)), name
+        assert [m.edge_of[p] for p in m.edge_pair] == list(m.edge_of), name
+        assert [(m.origin[d], m.target(d)) for d in lower] == list(m.edges), name
 
 
 def test_cut_vertex_matches_networkx():
