@@ -15,8 +15,8 @@ system and the four closed-form candidate solutions, used as an
 independent check of the solver rather than as the solver.
 
 ``Polynomial`` implements exact rational univariate polynomials with
-Sturm-sequence real root isolation, used both for the Groebner check and
-for the snub-dodecahedron sextic.
+Sturm-sequence real root isolation, its signs decided on integers, used
+both for the Groebner check and for the snub-dodecahedron sextic.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .sphkernel import (
     TWO_PI,
     DomainError,
     NoSolution,
+    _convex_angle,
     angle_from_edge,
     companion_residual,
     edge_cosine,
@@ -205,13 +206,42 @@ def _sturm_chain(p: Polynomial) -> list:
     return [q for q in chain if not q.is_zero()]
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
+def _integer_chain(chain) -> list:
+    """Each member times the lcm of its denominators: integer coefficients, descending.
+
+    The scale is positive, so every member keeps its signs.
+    """
+    out = []
     for q in chain:
-        v = q.eval_exact(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        scale = math.lcm(*(c.denominator for c in q.coeffs))
+        out.append(tuple(c.numerator * (scale // c.denominator) for c in reversed(q.coeffs)))
+    return out
+
+
+def _scaled_value(coeffs, num: int, den: int) -> int:
+    """den**deg * q(num / den), for q of descending integer ``coeffs`` and den > 0.
+
+    Horner on the homogenised polynomial: an exact integer with the sign
+    of q(num / den).
+    """
+    acc = coeffs[0]
+    power = den
+    for c in coeffs[1:]:
+        acc = acc * num + c * power
+        power *= den
+    return acc
+
+
+def _sign_variations(chain, num: int, den: int) -> int:
+    """Sign changes along an integer chain at num / den, zeros skipped."""
+    count = last = 0
+    for coeffs in chain:
+        v = _scaled_value(coeffs, num, den)
+        if v:
+            if last and (v > 0) != (last > 0):
+                count += 1
+            last = v
+    return count
 
 
 def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
@@ -219,10 +249,18 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 
     Sturm counts on the squarefree part split [lo, hi] at midpoints until
     each half-open piece (a, b] holds one root; an exact bisection then
-    narrows that piece below 1e-17.  Every decision is an exact
-    ``Fraction`` sign, so roots closer than any float tolerance are still
-    told apart.  Multiple roots are reported once.
+    narrows that piece below 1e-17.  Every point visited is the rational
+    num / den, den the bounds' common denominator times a power of two,
+    and every decision the sign of an exact integer: the chain member
+    scaled to integer coefficients, evaluated at num / den and multiplied
+    by den**degree.  Both scales are positive, so the signs are those of
+    the rational values, and roots closer than any float tolerance are
+    still told apart.  Multiple roots are reported once.  A bound that is
+    infinite or NaN raises ``ValueError``.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if bound != bound or bound in (math.inf, -math.inf):
+            raise ValueError(f"bound {name} must be finite, got {bound!r}")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if lo > hi:
@@ -230,28 +268,31 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     g = p.squarefree_part()
     if g.degree == 0:
         return []
-    chain = _sturm_chain(g)
-    a0 = Fraction(lo)
-    roots = {float(a0)} if g.eval_exact(a0) == 0 else set()
-    stack = [(a0, Fraction(hi))]
+    chain = _integer_chain(_sturm_chain(g))
+    g_int = chain[0]  # g itself, scaled to integer coefficients
+    a, da = Fraction(lo).as_integer_ratio()
+    b, db = Fraction(hi).as_integer_ratio()
+    den = math.lcm(da, db)
+    a, b = a * (den // da), b * (den // db)
+    roots = {a / den} if _scaled_value(g_int, a, den) == 0 else set()
+    stack = [(a, b, den)]
     while stack:
-        a, b = stack.pop()
+        a, b, den = stack.pop()
         # V(a) - V(b) counts the roots in (a, b]
-        n = _sign_variations(chain, a) - _sign_variations(chain, b)
+        n = _sign_variations(chain, a, den) - _sign_variations(chain, b, den)
         if n > 1:
-            mid = (a + b) / 2
-            stack += [(a, mid), (mid, b)]
+            stack += [(2 * a, a + b, 2 * den), (a + b, 2 * b, 2 * den)]
         elif n == 1:
             # the one root is b, or lies in (a, b) where g(b) != 0 fixes its side
-            gb = g.eval_exact(b)
-            while gb != 0 and b - a >= Fraction(1, 10**17):
-                mid = (a + b) / 2
-                gm = g.eval_exact(mid)
+            gb = _scaled_value(g_int, b, den)
+            while gb and (b - a) * 10**17 >= den:  # width at least 1e-17
+                mid, den = a + b, 2 * den
+                gm = _scaled_value(g_int, mid, den)
                 if gm == 0 or (gm > 0) == (gb > 0):
-                    b, gb = mid, gm
+                    a, b, gb = 2 * a, mid, gm
                 else:
-                    a = mid
-            roots.add(float(b) if gb == 0 else float((a + b) / 2))
+                    a, b = mid, 2 * b
+            roots.add(b / den if gb == 0 else (a + b) / (2 * den))
     return sorted(roots)
 
 
@@ -379,11 +420,20 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     roots = [(top, None)] if hemisphere else []
     # the all-convex sum at the planar limit, minus 2*pi, in units of pi
     planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2
+    per_size = [(m, c, math.pi / m) for m, c in zip(sizes, counts)]
     for reflex in [None] + [m for m, c in zip(sizes, counts) if c == 1]:
 
         def excess(x, reflex=reflex):
-            angles = _branch_angles(sizes, x, reflex)
-            return sum(c * angles[m] for m, c in zip(sizes, counts)) - TWO_PI
+            # sum(c * _branch_angles(sizes, x, reflex)[m]) - 2*pi, bit for bit
+            if not 0.0 < x < math.pi:
+                raise DomainError(f"edge length must lie in (0, pi), got {x}")
+            half = x / 2.0
+            cos_half = math.cos(half)
+            total = 0
+            for m, c, pi_m in per_size:
+                alpha = _convex_angle(m, pi_m, x, half, cos_half)
+                total += c * (TWO_PI - alpha if m == reflex else alpha)
+            return total - TWO_PI
 
         points = [(x, excess(x)) for x in grid]
         if hemisphere and reflex in (None, sizes[-1]):

@@ -85,14 +85,22 @@ def angle_from_edge(m: int, x: float) -> float:
     if not 0.0 < x < math.pi:
         raise DomainError(f"edge length must lie in (0, pi), got {x}")
     half = x / 2.0
-    near = math.sin(math.pi / m - half)
+    return _convex_angle(m, math.pi / m, x, half, math.cos(half))
+
+
+def _convex_angle(m: int, pi_m: float, x: float, half: float, cos_half: float) -> float:
+    """``angle_from_edge`` past its checks on m and x, given pi/m, x/2 and cos(x/2).
+
+    Callers that sweep x over fixed sizes pass the per-size and per-edge
+    constants once; the float operations are those of ``angle_from_edge``.
+    """
+    near = math.sin(pi_m - half)
     # x = 2*pi/m (near = 0) is the hemisphere boundary, angle exactly pi
     if near < 0.0:
         if math.cos(x) < math.cos(TWO_PI / m) - 1e-12:
             raise DomainError(f"no spherical {m}-gon with edge {x}: need x <= 2*pi/{m}")
         near = 0.0
-    half_cos = math.sqrt(near * math.sin(math.pi / m + half)) / math.cos(half)
-    return 2.0 * math.acos(half_cos)
+    return 2.0 * math.acos(math.sqrt(near * math.sin(pi_m + half)) / cos_half)
 
 
 def edge_from_angle(m: int, alpha: float) -> float:

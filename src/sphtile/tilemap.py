@@ -7,8 +7,9 @@ an edge.  The composition ``face_next[edge_pair[d]]`` rotates a dart
 around its origin vertex.  A map computes its vertex and edge tables once,
 as cached properties, and the rest of the package reads them: per vertex
 its rotation (from its lowest dart), the face sizes along it and their
-canonical arrangement; per edge its ends (``edges``) and per dart the
-index of its edge in that list (``edge_of``).
+canonical arrangement; per edge its ends (``edges``); per dart the
+index of its edge in that list (``edge_of``) and the size of its face
+(``face_size_of``).
 
 ``build_from_faces`` accepts plain vertex-index cycles (with arbitrary
 per-face orientations, which are fixed up automatically), so constructors
@@ -145,10 +146,15 @@ class TilingMap:
         return len(self.vertex_rotations[v])
 
     @cached_property
+    def face_size_of(self) -> tuple:
+        """Per dart, the size of its face."""
+        return tuple(len(self.faces[f]) for f in self.face_of)
+
+    @cached_property
     def vertex_face_sizes(self) -> tuple:
         """Per vertex, the face sizes around it in ``vertex_rotations`` order."""
-        size = [len(self.faces[f]) for f in self.face_of]
-        return tuple(tuple(map(size.__getitem__, r)) for r in self.vertex_rotations)
+        size = self.face_size_of.__getitem__
+        return tuple(tuple(map(size, r)) for r in self.vertex_rotations)
 
     @cached_property
     def vertex_arrangements(self) -> tuple:
@@ -181,12 +187,9 @@ class TilingMap:
         # restrict canonical-form starts to an isomorphism-invariant dart
         # class (rarest wins) to keep the search small
         classes: dict = {}
+        size = self.face_size_of
         for d in range(self.num_darts):
-            key = (
-                len(self.faces[self.face_of[d]]),
-                len(self.faces[self.face_of[self.edge_pair[d]]]),
-                self.vertex_arrangements[self.origin[d]],
-            )
+            key = (size[d], size[self.edge_pair[d]], self.vertex_arrangements[self.origin[d]])
             classes.setdefault(key, []).append(d)
         # tie-break on the (isomorphism-invariant) class key, never on ids
         best_key = min(classes, key=lambda k: (len(classes[k]), k))
@@ -210,7 +213,7 @@ class TilingMap:
         """
         n = self.num_darts
         pair = self.edge_pair
-        size = [len(self.faces[f]) for f in self.face_of]
+        size = self.face_size_of
         root = list(range(2 * n))  # union-find over states d + n * reflected
         tried = [False] * (2 * n)  # per root: the orbit holds a tried start
 

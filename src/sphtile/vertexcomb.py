@@ -9,10 +9,10 @@ the interior angle of a regular m-gon exceeds the planar value
     sum over entries of (1 - 2/m) < 2        (strictly),
 
 which also caps the vertex degree at 5.  The inequality is evaluated
-exactly over the rationals so boundary cases (for example four squares,
-which tile the plane but not the sphere) are excluded without
-floating-point judgement calls.  Map validation and the angle solver
-both decide admissibility by calling it.
+exactly, on integers scaled by the lcm of the entries, so boundary cases
+(for example four squares, which tile the plane but not the sphere) are
+excluded without floating-point judgement calls.  Map validation and the
+angle solver both decide admissibility by calling it.
 
 An arrangement is the cyclic order of the sizes around the vertex,
 canonicalised up to rotation and reflection.
@@ -21,7 +21,7 @@ canonicalised up to rotation and reflection.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import Iterable, Mapping, Sequence
 
 from .sphkernel import TWO_PI
@@ -51,9 +51,14 @@ class MissingAngle(KeyError):
 
 
 def angle_deficit_ok(entries: Sequence[int]) -> bool:
-    """Exact test of the admissibility bound sum (1 - 2/m) < 2."""
-    total = sum(Fraction(m - 2, m) for m in entries)
-    return total < 2
+    """Exact test of the admissibility bound sum (1 - 2/m) < 2, on integers.
+
+    With n entries and L = |lcm(entries)| > 0 the bound reads
+    2 * sum(L / m) > (n - 2) * L, every L / m an exact integer.  A 0 entry
+    raises ``ZeroDivisionError`` and a float one ``TypeError``.
+    """
+    scale = math.lcm(*entries)  # never negative
+    return 2 * sum(scale // m for m in entries) > (len(entries) - 2) * scale
 
 
 def admissible(entries: Sequence[int]) -> bool:

@@ -175,6 +175,37 @@ def test_isolate_roots_matches_sympy_real_roots():
             assert abs(g - w) <= max(math.ulp(w), 1e-17), (p, lo, hi, g, w)
 
 
+@pytest.mark.parametrize(
+    "lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)]
+)
+def test_isolate_roots_rejects_a_bound_that_is_not_finite(lo, hi):
+    p = alg.Polynomial.from_coeffs([-1, 1])
+    name = "lo" if lo != lo or lo == -math.inf else "hi"
+    with pytest.raises(ValueError, match=f"bound {name} must be finite") as info:
+        alg.isolate_roots(p, lo, hi)
+    assert info.type is ValueError
+
+
+def test_integer_signs_are_the_exact_rational_signs():
+    # each chain member scaled to integer coefficients, evaluated at a
+    # dyadic num / den and times den**degree, has the sign of its exact
+    # rational value: at both bounds and 200 seeded dyadic points between
+    rng = random.Random(20261019)
+    for p, lo, hi in _oracle_cases():
+        chain = alg._sturm_chain(p.squarefree_part())
+        integer = alg._integer_chain(chain)
+        a, b = Fraction(lo), Fraction(hi)
+        steps = (Fraction(rng.randrange(2**20 + 1), 2**20) for _ in range(200))
+        points = [a, b] + [a + (b - a) * s for s in steps]
+        for x in points:
+            num, den = x.as_integer_ratio()
+            assert den & (den - 1) == 0  # dyadic
+            for q, coeffs in zip(chain, integer):
+                exact = q.eval_exact(x)
+                scaled = alg._scaled_value(coeffs, num, den)
+                assert (scaled > 0) - (scaled < 0) == (exact > 0) - (exact < 0), (p, q, x)
+
+
 # --------------------------------------------------------------------------
 # vertex systems
 # --------------------------------------------------------------------------
@@ -575,6 +606,64 @@ def test_antiprism_type_keeps_its_one_root_where_the_prism_type_is_refused():
     # at m = 5e15 the rounded all-convex excess of 4.4.m changes sign three
     # times (a DomainError); that of 3.3.3.m still changes sign once
     assert len(alg.solve_vertex_system((3, 3, 3, 5 * 10**15))) == 1
+
+
+def _dict_excess_solve(t):
+    """``solve_vertex_system`` with its former excess, an oracle of its bits.
+
+    The excess is the sum c * ``_branch_angles`` (one ``angle_from_edge``
+    call per size, every check included) minus 2*pi, fed to the same scan,
+    bisection and acceptance as the library's per-size constants.
+    """
+    entries = _vertex_type(t)
+    sizes = sorted(set(entries))
+    counts = [entries.count(m) for m in sizes]
+    if len(sizes) == 1:
+        return alg._accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
+    top = TWO_PI / sizes[-1]
+    grid = [top * i / alg._SCAN_POINTS for i in range(1, alg._SCAN_POINTS + 1)]
+    hemisphere = entries in alg._HEMISPHERE_TYPES
+    roots = [(top, None)] if hemisphere else []
+    planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2
+    for reflex in [None] + [m for m, c in zip(sizes, counts) if c == 1]:
+
+        def excess(x, reflex=reflex):
+            angles = alg._branch_angles(sizes, x, reflex)
+            return sum(c * angles[m] for m, c in zip(sizes, counts)) - TWO_PI
+
+        points = [(x, excess(x)) for x in grid]
+        if hemisphere and reflex in (None, sizes[-1]):
+            points.pop()
+        limit = planar if reflex is None else planar + Fraction(4, reflex)
+        if limit:
+            points.insert(0, (0.0, float(limit)))
+        found = [
+            alg._bisect(excess, x0, x1, v0 < 0)
+            for (x0, v0), (x1, v1) in zip(points, points[1:])
+            if (v0 < 0) != (v1 < 0)
+        ]
+        if 0.0 in found or (reflex is None and len(found) > 1):
+            raise DomainError(f"face size {sizes[-1]} is too large")
+        roots += [(x, reflex) for x in found]
+    return alg._accepted(
+        sizes, counts, ((alg._branch_angles(sizes, x, reflex), x) for x, reflex in roots)
+    )
+
+
+def test_solver_bits_equal_the_dict_excess_oracle():
+    types = vcomb.enumerate_candidate_types(28) + [
+        t + (m,) for t in ((4, 4), (3, 3, 3)) for m in (33, 10**3, 10**5, 10**8, 10**12)
+    ]
+    for t in types:
+        got, want = alg.solve_vertex_system(t), _dict_excess_solve(t)
+        assert list(map(_hex, got)) == list(map(_hex, want)), t
+
+
+@pytest.mark.parametrize("t", [(4, 4, 5 * 10**15), (3, 3, 3, 10**16)])
+def test_solver_and_dict_excess_oracle_refuse_the_same_sizes(t):
+    for solve in (alg.solve_vertex_system, _dict_excess_solve):
+        with pytest.raises(DomainError, match="too large"):
+            solve(t)
 
 
 def _family_edge_error(kind, m, edge):

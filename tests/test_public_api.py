@@ -1,5 +1,6 @@
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
@@ -57,6 +58,14 @@ REJECTED_INPUTS = {
     "isolate_roots-empty": (
         ValueError,
         lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([1, 1]), 1.0, 0.0),
+    ),
+    "isolate_roots-inf": (
+        ValueError,
+        lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([-1, 1]), 0.0, math.inf),
+    ),
+    "isolate_roots-nan": (
+        ValueError,
+        lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([-1, 1]), math.nan, 1.0),
     ),
     "family_of": (UnknownName, lambda: catalog.family_of("X")),
     "family_of-prism(2)": (DomainError, lambda: catalog.family_of("prism(2)")),

@@ -73,6 +73,48 @@ def test_boundary_cases_are_exact():
     assert (3, 11, 11) in vc.enumerate_candidate_types(19)
 
 
+def _rational_bound(entries):
+    # the former exact test: the Fraction sum of (1 - 2/m) below 2
+    return sum(Fraction(m - 2, m) for m in entries) < 2
+
+
+def test_integer_bound_equals_the_rational_bound():
+    sizes = [m for m in range(-4, 31) if m != 0]
+    cases = [c for d in range(1, 5) for c in itertools.combinations_with_replacement(sizes, d)]
+    cases += [c for d in (5, 6) for c in itertools.combinations_with_replacement(range(3, 13), d)]
+    cases += list(itertools.combinations_with_replacement(range(3, 61), 3))
+    for combo in cases:
+        assert vc.angle_deficit_ok(combo) == _rational_bound(combo), combo
+    # the lcm's sign: (3, -6) passes, while a negative scale would fail it
+    assert vc.angle_deficit_ok((3, -6)) and _rational_bound((3, -6))
+
+
+EQUALITY_TYPES = [
+    (4, 4, 4, 4), (6, 6, 6), (3, 3, 3, 3, 3, 3), (3, 6, 3, 6), (3, 12, 12), (4, 6, 12),
+    (4, 8, 8), (3, 7, 42), (3, 8, 24), (3, 9, 18), (3, 10, 15), (4, 5, 20), (5, 5, 10),
+    (3, 3, 4, 12), (3, 4, 4, 6), (3, 3, 6, 6), (3, 3, 3, 3, 6), (3, 3, 3, 4, 4),
+]
+
+
+@pytest.mark.parametrize("t", EQUALITY_TYPES, ids=lambda t: ".".join(map(str, t)))
+def test_equality_cases_are_rejected(t):
+    # the sum (1 - 2/m) is exactly 2: the plane's vertex types, not the sphere's
+    assert sum(Fraction(m - 2, m) for m in t) == 2
+    assert not vc.angle_deficit_ok(t)
+    assert not vc.admissible(tuple(sorted(t)))
+
+
+@pytest.mark.parametrize(
+    "entries, error",
+    [((3, 0, 4), ZeroDivisionError), ((0,), ZeroDivisionError), ((3, 4.0, 5), TypeError)],
+)
+def test_angle_deficit_ok_error_types(entries, error):
+    with pytest.raises(error):
+        vc.angle_deficit_ok(entries)
+    with pytest.raises(error):
+        _rational_bound(entries)
+
+
 def test_admissible_matches_candidate_set_membership():
     # equivalence oracle: validation used to test membership in this set
     cands = set(vc.enumerate_candidate_types(19))
