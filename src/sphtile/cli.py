@@ -183,8 +183,9 @@ def _parse_sites(spec: str):
     return count, rel
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than ``lo``."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer no smaller than ``lo`` (and, given ``hi``,
+    no larger than ``hi``)."""
 
     def parse(text: str) -> int:
         try:
@@ -193,6 +194,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
 
     return parse
@@ -274,7 +277,8 @@ def main(argv=None) -> int:
     p.add_argument("name")
     p.add_argument("--format", choices=["obj", "json"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arc-steps", type=_int_at_least(1), default=8)
+    # embedder.MAX_ARC_STEPS, read here without importing numpy
+    p.add_argument("--arc-steps", type=_int_at_least(1, 1024), default=8)
     p.add_argument("--faces", action="store_true", help="include fan-triangulated faces (obj)")
     p.set_defaults(func=_cmd_export)
 

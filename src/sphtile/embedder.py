@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 
+# the most arc segments export_obj samples per edge
+MAX_ARC_STEPS = 1024
+
+
 class ClosureFailure(RuntimeError):
     """Propagation revisited a vertex with an inconsistent position."""
 
@@ -327,23 +331,40 @@ def total_area(t: TilingMap, emb: Embedding) -> float:
 # --------------------------------------------------------------------------
 
 
+def _sines(x: np.ndarray) -> np.ndarray:
+    """``math.sin`` of every entry of ``x``: libm's bits, which ``np.sin``
+    need not reproduce on every numpy build."""
+    return np.array(list(map(math.sin, x.ravel().tolist()))).reshape(x.shape)
+
+
 def _arcs(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     """Interior sample points of the arcs between matching rows of two
     (N, 3) arrays, as an (N, steps - 1, 3) array.
 
     Each arc is split into ``steps`` equal parts by spherical linear
-    interpolation: its angle is measured once, with ``math.atan2``, and
-    all the points of all the arcs come out of one broadcast.
+    interpolation: its angle g is measured once, with ``math.atan2``.  The
+    products s * g and (1 - s) * g over all arcs and fractions s are two
+    outer products, and ``math.sin`` is mapped over them; where 1 - s is
+    exactly another fraction (at every s when ``steps`` is a power of two)
+    the sine of that fraction's product is reused.  All the points of all
+    the arcs then come out of one broadcast.
     """
-    fracs = [i / steps for i in range(1, steps)]
+    fracs = np.arange(1, steps) / steps
     w = _cross(u, v)
-    angs = [math.atan2(y, x) for y, x in zip(np.sqrt(_dot(w, w)).tolist(), _dot(u, v).tolist())]
-    shape = (len(angs), len(fracs), 1)
-    a = np.array([[math.sin((1.0 - s) * g) for s in fracs] for g in angs]).reshape(shape)
-    b = np.array([[math.sin(s * g) for s in fracs] for g in angs]).reshape(shape)
-    flat = np.array(angs) < 1e-14
+    angs = np.array(
+        [math.atan2(y, x) for y, x in zip(np.sqrt(_dot(w, w)).tolist(), _dot(u, v).tolist())]
+    )
+    b = _sines(np.multiply.outer(angs, fracs))[:, :, None]
+    # column i of a is sin((1 - s_i) * g), read from b's mirrored column
+    rest = 1.0 - fracs
+    a = b[:, ::-1]
+    odd = rest != fracs[::-1]
+    if odd.any():
+        a = a.copy()
+        a[:, odd, 0] = _sines(np.multiply.outer(angs, rest[odd]))
+    flat = angs < 1e-14
     # a point-like arc is its first endpoint repeated
-    sin_ang = np.array([1.0 if g < 1e-14 else math.sin(g) for g in angs])
+    sin_ang = np.where(flat, 1.0, _sines(angs))
     out = (a * u[:, None, :] + b * v[:, None, :]) / sin_ang[:, None, None]
     out[flat] = u[flat, None, :]
     return out
@@ -362,6 +383,39 @@ def _split_arcs(u: np.ndarray, mid: np.ndarray, v: np.ndarray, steps: int) -> np
     )
 
 
+def _apexes(t: TilingMap, rows: list, corners: np.ndarray, mids: dict) -> np.ndarray:
+    """The fan apex of every face, as an (F, 3) array: the sum of its
+    corners (rows of ``corners``, one list per face) or of a digon's edge
+    midpoints (``mids``, by edge id), normalised, in one broadcast per face
+    size.
+
+    A sum of norm below 1e-9 (a great-circle face, or a digon with
+    antipodal edge midpoints) is replaced by a normal of the face's plane.
+    """
+    by_size = {}
+    for f, row in enumerate(rows):
+        by_size.setdefault(len(row), []).append(f)
+    apexes = np.empty((len(rows), 3))
+    for m, fs in by_size.items():
+        if m == 2:
+            # a digon's corners are antipodal poles; its centre lies
+            # midway between the midpoints of its two edges
+            pts = np.array([[mids[t.edge_of[d]] for d in t.faces[f]] for f in fs])
+        else:
+            pts = corners[np.array([rows[f] for f in fs])]
+        c = pts.sum(axis=1)
+        norms = np.sqrt(_dot(c, c))
+        for j in np.flatnonzero(norms < 1e-9).tolist():
+            p = pts[j]
+            if m == 2:
+                c[j] = _cross(corners[rows[fs[j]][0]], p[0])
+            else:
+                c[j] = _cross(p[1] - p[0], p[2] - p[0])
+            norms[j] = np.linalg.norm(c[j])
+        apexes[fs] = c / norms[:, None]
+    return apexes
+
+
 def export_obj(
     t: TilingMap,
     emb: Embedding,
@@ -370,14 +424,20 @@ def export_obj(
 ) -> bytes:
     """Wireframe OBJ: vertices plus each edge as arc_steps arc segments.
 
-    The edges come in edge-id order (``t.edges``).  Their arcs are
-    sampled in one broadcast, those with a stored midpoint (a hosohedron's
+    ``arc_steps`` runs from 1 to ``MAX_ARC_STEPS``, else ``ValueError``.
+    The edges come in edge-id order (``t.edges``).  Their arcs are sampled
+    in one broadcast, those with a stored midpoint (a hosohedron's
     meridians) split there in one more.  With ``include_faces`` each face
     is fan-triangulated about its spherical centre (one midpoint
     refinement implicit in the fan apex).
+
+    Each section of the text is one ``%`` call on one template: the
+    ``v`` lines over the flattened points, the ``l`` lines over the
+    flattened polylines, and the faces (each an apex ``v`` line and its
+    ``f`` lines) over the apexes and the fans.
     """
-    if arc_steps < 1:
-        raise ValueError("arc_steps must be >= 1")
+    if not 1 <= arc_steps <= MAX_ARC_STEPS:
+        raise ValueError(f"arc_steps must be between 1 and {MAX_ARC_STEPS}, got {arc_steps}")
     verts = sorted(emb.positions)
     vid = {v: i for i, v in enumerate(verts, 1)}
     corners = np.array([emb.positions[v] for v in verts])
@@ -392,40 +452,31 @@ def export_obj(
         arcs.update(zip(split, _split_arcs(ends[split, 0], at, ends[split, 1], arc_steps)))
     points = [corners]
     count = len(verts)
-    edge_polylines = []
+    chains, polylines = [], []
     for i, (u, v) in enumerate(t.edges):
-        edge_polylines.append([vid[u], *range(count + 1, count + 1 + len(arcs[i])), vid[v]])
-        count += len(arcs[i])
+        size = len(arcs[i])
+        chains += [vid[u], *range(count + 1, count + 1 + size), vid[v]]
+        polylines.append("l" + " %d" * (size + 2) + "\n")
+        count += size
         points.append(arcs[i])
-    lines = ["# sphtile unit-sphere tiling export"]
-    lines.extend("v %.17g %.17g %.17g" % (x, y, z) for x, y, z in np.concatenate(points).tolist())
-    for chain in edge_polylines:
-        lines.append("l " + " ".join(str(i) for i in chain))
+    xyz = np.concatenate(points).ravel().tolist()
+    text = [
+        "# sphtile unit-sphere tiling export\n",
+        "v %.17g %.17g %.17g\n" * count % tuple(xyz),
+        "".join(polylines) % tuple(chains),
+    ]
 
     if include_faces:
-        for f in range(t.num_faces):
-            cyc = t.face_vertex_cycle(f)
-            if len(cyc) == 2:
-                # a digon's corners are antipodal poles; its centre lies
-                # midway between the midpoints of its two edges
-                pts = [mids[t.edge_of[d]] for d in t.faces[f]]
-            else:
-                pts = [emb.positions[v] for v in cyc]
-            centre = np.sum(pts, axis=0)
-            if np.linalg.norm(centre) < 1e-9:
-                # a great-circle face, or a digon with antipodal edge midpoints
-                if len(cyc) == 2:
-                    centre = _cross(emb.positions[cyc[0]], pts[0])
-                else:
-                    centre = _cross(pts[1] - pts[0], pts[2] - pts[0])
-            centre = centre / np.linalg.norm(centre)
-            lines.append("v %.17g %.17g %.17g" % tuple(centre.tolist()))
-            count += 1
-            for i in range(len(cyc)):
-                lines.append(
-                    "f %d %d %d" % (count, vid[cyc[i]], vid[cyc[(i + 1) % len(cyc)]])
-                )
-    return ("\n".join(lines) + "\n").encode()
+        rows = [[vid[v] - 1 for v in t.face_vertex_cycle(f)] for f in range(t.num_faces)]
+        apexes = _apexes(t, rows, corners, mids).tolist()
+        args = []
+        for apex, row, centre in zip(range(count + 1, count + 1 + len(rows)), rows, apexes):
+            args += centre
+            for a, b in zip(row, row[1:] + row[:1]):
+                args += (apex, a + 1, b + 1)
+        fans = ("v %.17g %.17g %.17g\n" + "f %d %d %d\n" * len(r) for r in rows)
+        text.append("".join(fans) % tuple(args))
+    return "".join(text).encode()
 
 
 def export_json(

@@ -224,6 +224,16 @@ def test_export_hosohedron_obj_with_faces(tmp_path, capsys):
             assert abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-12
 
 
+def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
+    # the CLI's bound on --arc-steps is export_obj's
+    out_obj = tmp_path / "t.obj"
+    steps = str(embedder.MAX_ARC_STEPS)
+    code, _, _ = run(capsys, "export", "T", "--format", "obj", "--out", str(out_obj), "--arc-steps", steps)
+    assert code == 0
+    text = out_obj.read_text()
+    assert sum(1 for l in text.splitlines() if l.startswith("v ")) == 4 + 6 * (embedder.MAX_ARC_STEPS - 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "prism(2)"],
     ["catalog", "show", "prism(1)"],
@@ -233,6 +243,7 @@ def test_export_hosohedron_obj_with_faces(tmp_path, capsys):
     ["derive", "eD", "--rot", "2q"],
     ["enumerate", "--max-size", "2"],
     ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "0"],
+    ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "1025"],
     ["verify", "T", "--tol", "0"],
     ["verify"],
     ["enumerate", "--max-size", "x"],

@@ -97,6 +97,25 @@ def test_closure_failure_on_inconsistent_angles():
     )
 
 
+def test_closure_failure_names_the_first_of_tied_worst_revisits():
+    # dihedron(4) with each angle a millionth short: the second and third
+    # revisits of the walk have bit-equal gaps at different vertices, and
+    # the message names the first of them in walk order
+    t = cat.make("dihedron(4)").map
+    bad = AngleAssignment({4: PI * (1 - 1e-6)}, PI / 2)
+    gaps = []
+    want, witness = _scalar_realize(t, bad, gaps)
+    worst = [g for g in gaps if g[0] == want.closure_error]
+    assert len(worst) == 2 and worst[0][1:] != worst[1][1:]
+    assert witness == worst[0][1:]
+    with pytest.raises(em.ClosureFailure) as info:
+        em.realize(t, bad)
+    assert str(info.value) == (
+        f"closure error {want.closure_error:.3e} at vertex {witness[0]} (face {witness[1]}) "
+        "exceeds 1.0e-07"
+    )
+
+
 def test_export_obj_counts():
     t = cat.make("C")
     emb = em.realize(t.map, t.angles)
@@ -120,6 +139,14 @@ def test_export_obj_hosohedron():
     for l in vlines:
         x, y, z = (float(s) for s in l.split()[1:])
         assert x * x + y * y + z * z == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, -1, em.MAX_ARC_STEPS + 1, 10**9])
+def test_export_obj_rejects_arc_steps_out_of_range(steps):
+    t = cat.make("T")
+    emb = em.realize(t.map, t.angles)
+    with pytest.raises(ValueError, match="arc_steps"):
+        em.export_obj(t.map, emb, arc_steps=steps)
 
 
 def test_export_obj_faces_flag():
@@ -277,12 +304,13 @@ def _scalar_face_centre(u, v, cosx, r, side):
     return c / np.linalg.norm(c)
 
 
-def _scalar_realize(t, assign):
+def _scalar_realize(t, assign, gaps=None):
     """Reference: the propagation one vertex at a time, positions in a dict.
 
     Each vertex is its own rotation with ``np.cross``, and each revisit its
     own ``np.linalg.norm``.  Returns the embedding, edge and angle errors
-    filled in, and the (vertex, face) of the worst revisit.
+    filled in, and the (vertex, face) of the worst revisit.  A list passed
+    as ``gaps`` receives (gap, vertex, face) per revisit, in walk order.
     """
     positions = {}
     worst, witness = 0.0, None
@@ -291,6 +319,8 @@ def _scalar_realize(t, assign):
         nonlocal worst, witness
         if v in positions:
             gap = float(np.linalg.norm(positions[v] - p))
+            if gaps is not None:
+                gaps.append((gap, v, f))
             if gap > worst:
                 worst, witness = gap, (v, f)
         else:
@@ -501,7 +531,8 @@ def test_export_obj_matches_scalar_oracle_byte_for_byte():
         t = cat.make(name)
         cases.append((t.map, em.realize(t.map, t.angles), name))
     for t, emb, name in cases:
-        for steps in (1, 2, 3, 8, 16):
+        # 2, 8 and 16 reuse every mirrored sine, 3 none and 6 only i = 3
+        for steps in (1, 2, 3, 6, 8, 16):
             for faces in (False, True):
                 got = em.export_obj(t, emb, arc_steps=steps, include_faces=faces)
                 want = _scalar_export_obj(t, emb, steps, faces)
