@@ -1005,14 +1005,19 @@ _ED_RECIPES = {
 }
 
 
-def _at_least_three(kind: str, n: int) -> None:
-    if n < 3:
-        raise DomainError(f"{kind} needs n >= 3, got {n}")
+#: the largest n of a family member: prism(100000) verifies in ~7 s at
+#: ~480 MB peak RSS, and memory grows linearly past it
+MAX_FAMILY_N = 100_000
+
+
+def _family_size(kind: str, n: int) -> None:
+    if not 3 <= n <= MAX_FAMILY_N:
+        raise DomainError(f"{kind} needs 3 <= n <= {MAX_FAMILY_N}, got {n}")
 
 
 def make_prism(m: int) -> Tiling:
     """Prism over an m-gon; prism(4) is the cube."""
-    _at_least_three("prism", m)
+    _family_size("prism", m)
     if m == 4:
         return _cube()
     return _tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
@@ -1020,7 +1025,7 @@ def make_prism(m: int) -> Tiling:
 
 def make_antiprism(m: int) -> Tiling:
     """Antiprism over an m-gon; antiprism(3) is the octahedron."""
-    _at_least_three("antiprism", m)
+    _family_size("antiprism", m)
     if m == 3:
         return _octahedron()
     return _tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
@@ -1028,103 +1033,76 @@ def make_antiprism(m: int) -> Tiling:
 
 def make_hosohedron(n: int) -> Tiling:
     """Fan of n digons between two poles; angle 2*pi/n, edge pi."""
-    _at_least_three("hosohedron", n)
+    _family_size("hosohedron", n)
     return _tiling(digon_fan(n), AngleAssignment({2: TWO_PI / n}, PI))
 
 
 def make_dihedron(n: int) -> Tiling:
     """Two hemispherical n-gons sharing a great-circle boundary."""
-    _at_least_three("dihedron", n)
+    _family_size("dihedron", n)
     ring = tuple(range(n))
     return _tiling(build_from_faces([ring, ring]), AngleAssignment({n: PI}, TWO_PI / n))
 
 
-_BUILDERS = {
-    "T": _tetrahedron,
-    "C": _cube,
-    "O": _octahedron,
-    "D": _dodecahedron,
-    "I": _icosahedron,
-    "tT": lambda: _derived("T", _truncated_faces, "tT"),
-    "tC": lambda: _derived("C", _truncated_faces, "tC"),
-    "tO": lambda: _derived("O", _truncated_faces, "tO"),
-    "tD": lambda: _derived("D", _truncated_faces, "tD"),
-    "tI": lambda: _derived("I", _truncated_faces, "tI"),
-    "aC": lambda: _derived("C", _rectified_faces, "aC"),
-    "aD": lambda: _derived("D", _rectified_faces, "aD"),
-    "eC": lambda: _derived("C", _expanded_faces, "eC"),
-    "eD": lambda: _derived("D", _expanded_faces, "eD"),
-    "bC": lambda: _derived("aC", _truncated_faces, "bC"),
-    "bD": lambda: _derived("aD", _truncated_faces, "bD"),
-    "sC": lambda: _derived("C", _snub_faces, "sC"),
-    "sD": lambda: _derived("D", _snub_faces, "sD"),
-    "J1": _j1,
-    "J2": _j2,
-    "J3": _j3,
-    "J4": lambda: _cupola(4, "eC"),
-    "J5": lambda: _cupola(5, "eD"),
-    "J6": _j6,
-    "J11": lambda: _diminished_icosahedron(1),
-    "J19": _j19,
-    "J27": lambda: _gyro("aC"),
-    "J34": lambda: _gyro("aD"),
-    "J37": _j37,
-    "J62": lambda: _diminished_icosahedron(2),
-    "J63": lambda: _diminished_icosahedron(3),
-    **{name: (lambda r=recipe: derive_from_ed(**r)) for name, recipe in _ED_RECIPES.items()},
-}
+def _from_ed(name: str):
+    """The recipe of an eD derivative: ``derive_from_ed`` on its ``_ED_RECIPES`` row."""
+    return lambda: derive_from_ed(**_ED_RECIPES[name])
 
 
 # --------------------------------------------------------------------------
 # families, names and golden censuses
 # --------------------------------------------------------------------------
 
-#: every named entry in canonical order, with its family and its golden
-#: census: the vertex arrangement counts, from which the rest is derived
+#: every named entry in canonical order: its family, its golden census (the
+#: vertex arrangement counts, from which the rest is derived) and its recipe
 _NAMED = {
-    "T": ("platonic", {(3, 3, 3): 4}),
-    "C": ("platonic", {(4, 4, 4): 8}),
-    "O": ("platonic", {(3, 3, 3, 3): 6}),
-    "D": ("platonic", {(5, 5, 5): 20}),
-    "I": ("platonic", {(3, 3, 3, 3, 3): 12}),
-    "tT": ("archimedean", {(3, 6, 6): 12}),
-    "aC": ("archimedean", {(3, 4, 3, 4): 12}),
-    "tC": ("archimedean", {(3, 8, 8): 24}),
-    "tO": ("archimedean", {(4, 6, 6): 24}),
-    "eC": ("archimedean", {(3, 4, 4, 4): 24}),
-    "bC": ("archimedean", {(4, 6, 8): 48}),
-    "sC": ("archimedean", {(3, 3, 3, 3, 4): 24}),
-    "aD": ("archimedean", {(3, 5, 3, 5): 30}),
-    "tD": ("archimedean", {(3, 10, 10): 60}),
-    "tI": ("archimedean", {(5, 6, 6): 60}),
-    "eD": ("archimedean", {(3, 4, 5, 4): 60}),
-    "bD": ("archimedean", {(4, 6, 10): 120}),
-    "sD": ("archimedean", {(3, 3, 3, 3, 5): 60}),
-    "J1": ("johnson", {(3, 3, 4): 4, (3, 3, 3, 3): 1}),
-    "J2": ("johnson", {(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}),
-    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}),
-    "J4": ("johnson", {(3, 4, 8): 8, (3, 4, 4, 4): 4}),
-    "J5": ("johnson", {(3, 4, 5, 4): 5, (3, 4, 10): 10}),
-    "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}),
-    "J11": ("johnson", {(3, 3, 3, 5): 5, (3, 3, 3, 3, 3): 6}),
-    "J19": ("johnson", {(3, 4, 4, 4): 12, (4, 4, 8): 8}),
-    "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}),
-    "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}),
-    "J37": ("johnson", {(3, 4, 4, 4): 24}),
-    "J62": ("johnson", {(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2}),
-    "J63": ("johnson", {(3, 5, 5): 6, (3, 3, 3, 5): 3}),
-    "J72": ("johnson", {(3, 4, 5, 4): 50, (3, 4, 4, 5): 10}),
-    "J73": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}),
-    "J74": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}),
-    "J75": ("johnson", {(3, 4, 5, 4): 30, (3, 4, 4, 5): 30}),
-    "J76": ("johnson", {(3, 4, 5, 4): 45, (4, 5, 10): 10}),
-    "J77": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}),
-    "J78": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}),
-    "J79": ("johnson", {(3, 4, 5, 4): 25, (3, 4, 4, 5): 20, (4, 5, 10): 10}),
-    "J80": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}),
-    "J81": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}),
-    "J82": ("johnson", {(3, 4, 5, 4): 20, (3, 4, 4, 5): 10, (4, 5, 10): 20}),
-    "J83": ("johnson", {(3, 4, 5, 4): 15, (4, 5, 10): 30}),
+    "T": ("platonic", {(3, 3, 3): 4}, _tetrahedron),
+    "C": ("platonic", {(4, 4, 4): 8}, _cube),
+    "O": ("platonic", {(3, 3, 3, 3): 6}, _octahedron),
+    "D": ("platonic", {(5, 5, 5): 20}, _dodecahedron),
+    "I": ("platonic", {(3, 3, 3, 3, 3): 12}, _icosahedron),
+    "tT": ("archimedean", {(3, 6, 6): 12}, lambda: _derived("T", _truncated_faces, "tT")),
+    "aC": ("archimedean", {(3, 4, 3, 4): 12}, lambda: _derived("C", _rectified_faces, "aC")),
+    "tC": ("archimedean", {(3, 8, 8): 24}, lambda: _derived("C", _truncated_faces, "tC")),
+    "tO": ("archimedean", {(4, 6, 6): 24}, lambda: _derived("O", _truncated_faces, "tO")),
+    "eC": ("archimedean", {(3, 4, 4, 4): 24}, lambda: _derived("C", _expanded_faces, "eC")),
+    "bC": ("archimedean", {(4, 6, 8): 48}, lambda: _derived("aC", _truncated_faces, "bC")),
+    "sC": ("archimedean", {(3, 3, 3, 3, 4): 24}, lambda: _derived("C", _snub_faces, "sC")),
+    "aD": ("archimedean", {(3, 5, 3, 5): 30}, lambda: _derived("D", _rectified_faces, "aD")),
+    "tD": ("archimedean", {(3, 10, 10): 60}, lambda: _derived("D", _truncated_faces, "tD")),
+    "tI": ("archimedean", {(5, 6, 6): 60}, lambda: _derived("I", _truncated_faces, "tI")),
+    "eD": ("archimedean", {(3, 4, 5, 4): 60}, lambda: _derived("D", _expanded_faces, "eD")),
+    "bD": ("archimedean", {(4, 6, 10): 120}, lambda: _derived("aD", _truncated_faces, "bD")),
+    "sD": ("archimedean", {(3, 3, 3, 3, 5): 60}, lambda: _derived("D", _snub_faces, "sD")),
+    "J1": ("johnson", {(3, 3, 4): 4, (3, 3, 3, 3): 1}, _j1),
+    "J2": ("johnson", {(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}, _j2),
+    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}, _j3),
+    "J4": ("johnson", {(3, 4, 8): 8, (3, 4, 4, 4): 4}, lambda: _cupola(4, "eC")),
+    "J5": ("johnson", {(3, 4, 5, 4): 5, (3, 4, 10): 10}, lambda: _cupola(5, "eD")),
+    "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}, _j6),
+    "J11": ("johnson", {(3, 3, 3, 5): 5, (3, 3, 3, 3, 3): 6}, lambda: _diminished_icosahedron(1)),
+    "J19": ("johnson", {(3, 4, 4, 4): 12, (4, 4, 8): 8}, _j19),
+    "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}, lambda: _gyro("aC")),
+    "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}, lambda: _gyro("aD")),
+    "J37": ("johnson", {(3, 4, 4, 4): 24}, _j37),
+    "J62": (
+        "johnson",
+        {(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2},
+        lambda: _diminished_icosahedron(2),
+    ),
+    "J63": ("johnson", {(3, 5, 5): 6, (3, 3, 3, 5): 3}, lambda: _diminished_icosahedron(3)),
+    "J72": ("johnson", {(3, 4, 5, 4): 50, (3, 4, 4, 5): 10}, _from_ed("J72")),
+    "J73": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}, _from_ed("J73")),
+    "J74": ("johnson", {(3, 4, 5, 4): 40, (3, 4, 4, 5): 20}, _from_ed("J74")),
+    "J75": ("johnson", {(3, 4, 5, 4): 30, (3, 4, 4, 5): 30}, _from_ed("J75")),
+    "J76": ("johnson", {(3, 4, 5, 4): 45, (4, 5, 10): 10}, _from_ed("J76")),
+    "J77": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}, _from_ed("J77")),
+    "J78": ("johnson", {(3, 4, 5, 4): 35, (3, 4, 4, 5): 10, (4, 5, 10): 10}, _from_ed("J78")),
+    "J79": ("johnson", {(3, 4, 5, 4): 25, (3, 4, 4, 5): 20, (4, 5, 10): 10}, _from_ed("J79")),
+    "J80": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}, _from_ed("J80")),
+    "J81": ("johnson", {(3, 4, 5, 4): 30, (4, 5, 10): 20}, _from_ed("J81")),
+    "J82": ("johnson", {(3, 4, 5, 4): 20, (3, 4, 4, 5): 10, (4, 5, 10): 20}, _from_ed("J82")),
+    "J83": ("johnson", {(3, 4, 5, 4): 15, (4, 5, 10): 30}, _from_ed("J83")),
 }
 
 #: each parametric family in catalog order: (maker, n -> golden arrangement counts)
@@ -1136,9 +1114,9 @@ _FAMILIES = {
 }
 
 #: every family name, in catalog order
-FAMILIES = (*dict.fromkeys(family for family, _ in _NAMED.values()), *_FAMILIES)
+FAMILIES = (*dict.fromkeys(family for family, *_ in _NAMED.values()), *_FAMILIES)
 PLATONIC, ARCHIMEDEAN, JOHNSON = (
-    tuple(name for name, (family, _) in _NAMED.items() if family == named)
+    tuple(name for name, (family, *_) in _NAMED.items() if family == named)
     for named in FAMILIES[:3]
 )
 
@@ -1150,8 +1128,12 @@ def _member(name: str) -> tuple:
     m = _FAMILY_RE.match(name)
     if not m:
         raise UnknownName(name)
-    kind, n = m.group(1), int(m.group(2))
-    _at_least_three(kind, n)
+    kind, digits = m.groups()
+    if len(digits.lstrip("0")) > len(str(MAX_FAMILY_N)):
+        # too large, and int() refuses a string of over 4300 digits
+        raise DomainError(f"{kind} needs 3 <= n <= {MAX_FAMILY_N}, got {len(digits)} digits")
+    n = int(digits)
+    _family_size(kind, n)
     return kind, n
 
 
@@ -1174,8 +1156,8 @@ def make(name: str) -> Tiling:
     parametric families ``prism(m)``, ``antiprism(m)``, ``hosohedron(n)``,
     ``dihedron(n)``.
     """
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
+    if name in _NAMED:
+        return _NAMED[name][2]()
     kind, n = _member(name)
     return _FAMILIES[kind][0](n)
 

@@ -17,7 +17,8 @@ keeps the corner angles, and ``total_area`` and ``face_angles`` read them.
 Hosohedra (antipodal poles, meridian edges) are placed directly, then
 measured like every other map; their edges carry explicit midpoints, by
 edge id (``TilingMap.edge_of``), because antipodal endpoints do not
-determine a great-circle arc.  ``export_obj`` splits those arcs there.
+determine a great-circle arc (``_midpoints`` reads them).  ``export_obj``
+splits those arcs there.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class Embedding:
     closure_error: float
     edge_error: float
     angle_error: float
-    # midpoint per edge id, only for edges with antipodal endpoints
+    # midpoint per edge id, for every edge of a hosohedron and no other map
     arc_midpoints: dict = field(default_factory=dict)
     # corner angle per dart as realize measured it; an Embedding built any
     # other way (by hand, or by dataclasses.replace) measures its positions
@@ -118,7 +119,7 @@ def _measured(
     edge lengths and corner angles measured once against ``assign``."""
     u, v = np.array(t.edges).T
     edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
-    angles = _angles_at(t, pos, mids, np.arange(t.num_darts))
+    angles = _angles_at(t, pos, mids)
     want = np.array([assign.angle(len(c)) for c in t.faces])[np.asarray(t.face_of)]
     angle_error = float(np.max(np.abs(angles - want)))
     arcs = {} if mids is None else dict(enumerate(mids))
@@ -270,21 +271,19 @@ def realize(
     return _measured(t, assign, pos, worst_closure)
 
 
-def _angles_at(
-    t: TilingMap, pos: np.ndarray, mids: Optional[np.ndarray], ds: np.ndarray
-) -> np.ndarray:
-    """Interior angle at the origin of each dart of ``ds``, read from the
-    (V, 3) positions ``pos`` (a hosohedron's from the (E, 3) edge
-    midpoints ``mids``)."""
-    nxt = np.asarray(t.face_next)[ds]
-    if t.family == "hosohedron":
+def _angles_at(t: TilingMap, pos: np.ndarray, mids: Optional[np.ndarray]) -> np.ndarray:
+    """Interior angle at the origin of every dart, read from the (V, 3)
+    positions ``pos``, or from a hosohedron's (E, 3) edge midpoints
+    ``mids``."""
+    nxt = np.asarray(t.face_next)
+    if mids is not None:
         # digon: angle between the meridians through its two edge midpoints
         edge = np.asarray(t.edge_of)
-        return _arc_lengths(mids[edge[ds]], mids[edge[nxt]])
+        return _arc_lengths(mids[edge], mids[edge[nxt]])
     origin = np.asarray(t.origin)
-    at = pos[origin[ds]]
+    at = pos[origin]
     # tangents at each corner toward the previous and the next face vertex
-    toward = pos[origin[np.stack([np.asarray(t.face_prev)[ds], nxt])]]
+    toward = pos[origin[np.stack([np.asarray(t.face_prev), nxt])]]
     tv = toward - at * np.sum(at * toward, axis=2, keepdims=True)
     norm = np.linalg.norm(tv, axis=2, keepdims=True)
     if np.any(norm < 1e-14):
@@ -297,22 +296,30 @@ def _angles_at(
     return (-raw) % TWO_PI
 
 
-def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
-    """Realized interior angle at the origin of each dart (default: all
-    darts): the angles ``realize`` measured, else measured now."""
+def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
+    """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
+    for any other map; ``ValueError`` if one is missing (as when rebuilt
+    from ``load_json`` positions, which carry none)."""
+    if t.family != "hosohedron":
+        return None
+    try:
+        return np.array([emb.arc_midpoints[i] for i in range(t.num_edges)])
+    except KeyError:
+        raise ValueError("a hosohedron embedding needs the midpoint of every edge") from None
+
+
+def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
+    """Realized interior angle at the origin of every dart: the angles
+    ``realize`` measured, else measured now."""
     if emb._angles is not None:
-        return emb._angles if darts is None else emb._angles[list(darts)]
-    ds = np.arange(t.num_darts) if darts is None else np.asarray(darts, dtype=np.intp)
+        return emb._angles
     pos = np.array([emb.positions[v] for v in range(t.num_vertices)])
-    mids = None
-    if t.family == "hosohedron":
-        mids = np.array([emb.arc_midpoints[i] for i in range(t.num_edges)])
-    return _angles_at(t, pos, mids, ds)
+    return _angles_at(t, pos, _midpoints(t, emb))
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
     """Realized interior angles of a face, reflex angles included."""
-    return _corner_angles(t, emb, t.faces[f]).tolist()
+    return _corner_angles(t, emb)[list(t.faces[f])].tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
@@ -383,32 +390,31 @@ def _split_arcs(u: np.ndarray, mid: np.ndarray, v: np.ndarray, steps: int) -> np
     )
 
 
-def _apexes(t: TilingMap, rows: list, corners: np.ndarray, mids: dict) -> np.ndarray:
+def _apexes(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray]) -> np.ndarray:
     """The fan apex of every face, as an (F, 3) array: the sum of its
-    corners (rows of ``corners``, one list per face) or of a digon's edge
-    midpoints (``mids``, by edge id), normalised, in one broadcast per face
+    corners (rows of the (V, 3) ``corners``) or of a digon's edge midpoints
+    (rows of the (E, 3) ``mids``), normalised, in one broadcast per face
     size.
 
     A sum of norm below 1e-9 (a great-circle face, or a digon with
     antipodal edge midpoints) is replaced by a normal of the face's plane.
     """
     by_size = {}
-    for f, row in enumerate(rows):
-        by_size.setdefault(len(row), []).append(f)
-    apexes = np.empty((len(rows), 3))
+    for f, face in enumerate(t.faces):
+        by_size.setdefault(len(face), []).append(f)
+    origin = np.asarray(t.origin)
+    apexes = np.empty((t.num_faces, 3))
     for m, fs in by_size.items():
-        if m == 2:
-            # a digon's corners are antipodal poles; its centre lies
-            # midway between the midpoints of its two edges
-            pts = np.array([[mids[t.edge_of[d]] for d in t.faces[f]] for f in fs])
-        else:
-            pts = corners[np.array([rows[f] for f in fs])]
+        darts = np.array([t.faces[f] for f in fs])
+        # a digon's corners are antipodal poles; its centre lies midway
+        # between the midpoints of its two edges
+        pts = mids[np.asarray(t.edge_of)[darts]] if m == 2 else corners[origin[darts]]
         c = pts.sum(axis=1)
         norms = np.sqrt(_dot(c, c))
         for j in np.flatnonzero(norms < 1e-9).tolist():
             p = pts[j]
             if m == 2:
-                c[j] = _cross(corners[rows[fs[j]][0]], p[0])
+                c[j] = _cross(corners[origin[darts[j, 0]]], p[0])
             else:
                 c[j] = _cross(p[1] - p[0], p[2] - p[0])
             norms[j] = np.linalg.norm(c[j])
@@ -425,50 +431,39 @@ def export_obj(
     """Wireframe OBJ: vertices plus each edge as arc_steps arc segments.
 
     ``arc_steps`` runs from 1 to ``MAX_ARC_STEPS``, else ``ValueError``.
-    The edges come in edge-id order (``t.edges``).  Their arcs are sampled
-    in one broadcast, those with a stored midpoint (a hosohedron's
-    meridians) split there in one more.  With ``include_faces`` each face
-    is fan-triangulated about its spherical centre (one midpoint
-    refinement implicit in the fan apex).
+    Vertex v is ``v`` line v + 1; the edges come in edge-id order
+    (``t.edges``).  Every arc is sampled in one broadcast, a hosohedron's
+    split at its edge midpoints, so all have the same number of points.
+    With ``include_faces`` each face is fan-triangulated about its
+    spherical centre (one midpoint refinement implicit in the fan apex).
 
     Each section of the text is one ``%`` call on one template: the
     ``v`` lines over the flattened points, the ``l`` lines over the
-    flattened polylines, and the faces (each an apex ``v`` line and its
+    flattened chains, and the faces (each an apex ``v`` line and its
     ``f`` lines) over the apexes and the fans.
     """
     if not 1 <= arc_steps <= MAX_ARC_STEPS:
         raise ValueError(f"arc_steps must be between 1 and {MAX_ARC_STEPS}, got {arc_steps}")
-    verts = sorted(emb.positions)
-    vid = {v: i for i, v in enumerate(verts, 1)}
-    corners = np.array([emb.positions[v] for v in verts])
-    # the two ends of each edge, and its arc by edge id
-    ends = corners[[(vid[u] - 1, vid[v] - 1) for u, v in t.edges]]
-    mids = emb.arc_midpoints
-    plain = [i for i in range(t.num_edges) if i not in mids]
-    split = [i for i in range(t.num_edges) if i in mids]
-    arcs = dict(zip(plain, _arcs(ends[plain, 0], ends[plain, 1], arc_steps)))
-    if split:
-        at = np.array([mids[i] for i in split])
-        arcs.update(zip(split, _split_arcs(ends[split, 0], at, ends[split, 1], arc_steps)))
-    points = [corners]
-    count = len(verts)
-    chains, polylines = [], []
-    for i, (u, v) in enumerate(t.edges):
-        size = len(arcs[i])
-        chains += [vid[u], *range(count + 1, count + 1 + size), vid[v]]
-        polylines.append("l" + " %d" * (size + 2) + "\n")
-        count += size
-        points.append(arcs[i])
-    xyz = np.concatenate(points).ravel().tolist()
+    nv = t.num_vertices
+    corners = np.array([emb.positions[v] for v in range(nv)])
+    u, v = np.array(t.edges).T
+    mids = _midpoints(t, emb)
+    a, b = corners[u], corners[v]
+    arcs = _arcs(a, b, arc_steps) if mids is None else _split_arcs(a, mids, b, arc_steps)
+    ne, k = arcs.shape[:2]
+    count = nv + ne * k
+    # each edge's chain of 1-based indices: its two ends about its k arc points
+    chains = np.column_stack([u + 1, np.arange(nv + 1, count + 1).reshape(ne, k), v + 1])
+    xyz = np.concatenate([corners, arcs.reshape(-1, 3)]).ravel().tolist()
     text = [
         "# sphtile unit-sphere tiling export\n",
         "v %.17g %.17g %.17g\n" * count % tuple(xyz),
-        "".join(polylines) % tuple(chains),
+        ("l" + " %d" * (k + 2) + "\n") * ne % tuple(chains.ravel().tolist()),
     ]
 
     if include_faces:
-        rows = [[vid[v] - 1 for v in t.face_vertex_cycle(f)] for f in range(t.num_faces)]
-        apexes = _apexes(t, rows, corners, mids).tolist()
+        rows = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
+        apexes = _apexes(t, corners, mids).tolist()
         args = []
         for apex, row, centre in zip(range(count + 1, count + 1 + len(rows)), rows, apexes):
             args += centre
@@ -498,9 +493,7 @@ def export_json(
         "edge": "%.17g" % assign.edge,
     }
     if emb is not None:
-        doc["positions"] = [
-            ["%.17g" % c for c in emb.positions[v]] for v in sorted(emb.positions)
-        ]
+        doc["positions"] = [["%.17g" % c for c in emb.positions[v]] for v in range(t.num_vertices)]
     return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
 
 

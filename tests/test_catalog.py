@@ -89,6 +89,15 @@ def test_family_domain_errors():
         cat.make("J13")
 
 
+def test_family_size_bound_is_inclusive():
+    # the largest member is accepted without being built; one more is not
+    n = cat.MAX_FAMILY_N
+    assert cat.expected_census(f"prism({n})").v == 2 * n
+    assert cat.family_of(f"antiprism({n})") == "antiprism"
+    with pytest.raises(DomainError):
+        cat.expected_census(f"prism({n + 1})")
+
+
 # --------------------------------------------------------------------------
 # operator identities
 # --------------------------------------------------------------------------

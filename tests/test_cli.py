@@ -236,6 +236,7 @@ def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "prism(2)"],
+    ["verify", "prism(100001)"],
     ["catalog", "show", "prism(1)"],
     ["solve", "--type", "3,3"],
     ["solve", "--type", "4,4,4,4"],

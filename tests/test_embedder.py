@@ -558,6 +558,38 @@ def test_arc_points_match_scalar_oracle_on_degenerate_arcs():
             assert arc.tobytes() == np.array(want).reshape(-1, 3).tobytes(), (steps, m)
 
 
+def test_export_from_loaded_positions_equals_the_realized_bytes():
+    # the export reads positions by vertex id, so stored positions write the
+    # same OBJ and JSON bytes as the embedding realize returned
+    for name in cat.all_entries():
+        t = cat.make(name)
+        if t.map.family == "hosohedron":
+            continue
+        emb = em.realize(t.map, t.angles)
+        blob = em.export_json(t.map, t.angles, emb, name=name)
+        loaded = em.Embedding(em.load_json(blob)[3], 0.0, math.nan, math.nan)
+        assert em.export_json(t.map, t.angles, loaded, name=name) == blob, name
+        want = em.export_obj(t.map, emb, arc_steps=8, include_faces=True)
+        assert em.export_obj(t.map, loaded, arc_steps=8, include_faces=True) == want, name
+
+
+def test_loaded_hosohedron_needs_its_edge_midpoints():
+    # stored positions hold only the two poles, which fix no meridian
+    t = cat.make("hosohedron(6)")
+    emb = em.realize(t.map, t.angles)
+    _, t2, _, positions = em.load_json(em.export_json(t.map, t.angles, emb, name="h"))
+    loaded = em.Embedding(positions, 0.0, math.nan, math.nan)
+    calls = [
+        lambda: em.face_angles(t2, loaded, 0),
+        lambda: em.total_area(t2, loaded),
+        lambda: em.export_obj(t2, loaded),
+        lambda: em.export_obj(t2, loaded, include_faces=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="midpoint of every edge"):
+            call()
+
+
 def test_embedding_from_loaded_positions_measures_the_realized_angles():
     # the corner sense is fixed, so an Embedding built from stored positions
     # reads the same angles as the one realize returned

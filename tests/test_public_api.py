@@ -77,6 +77,17 @@ REJECTED_INPUTS = {
     ),
     "expected_census-prism(2)": (DomainError, lambda: catalog.expected_census("prism(2)")),
     "make-prism(2)": (DomainError, lambda: catalog.make("prism(2)")),
+    "make-prism(100001)": (DomainError, lambda: catalog.make("prism(100001)")),
+    "make-prism(5000 digits)": (DomainError, lambda: catalog.make(f"prism({'9' * 5000})")),
+    "make_prism(100001)": (DomainError, lambda: catalog.make_prism(100_001)),
+    "make_antiprism(100001)": (DomainError, lambda: catalog.make_antiprism(100_001)),
+    "make_hosohedron(100001)": (DomainError, lambda: catalog.make_hosohedron(100_001)),
+    "make_dihedron(100001)": (DomainError, lambda: catalog.make_dihedron(100_001)),
+    "family_of-dihedron(100001)": (DomainError, lambda: catalog.family_of("dihedron(100001)")),
+    "expected_census-hosohedron(100001)": (
+        DomainError,
+        lambda: catalog.expected_census("hosohedron(100001)"),
+    ),
     "derive_from_ed": (InvalidSite, lambda: catalog.derive_from_ed(dim=-1)),
     "solve_vertex_system-(4,4,5e15)": (
         DomainError,
