@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate candidate vertex types")
-    p.add_argument("--max-size", type=_int_at_least(3), default=19)
+    p.add_argument("--max-size", type=_int_at_least(3, vertexcomb.MAX_ENUMERATE_SIZE), default=19)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--with-triangle", action="store_true")
     g.add_argument("--triangle-free", action="store_true")

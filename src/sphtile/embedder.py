@@ -70,15 +70,20 @@ class Embedding:
     _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
+# component k of a cross product is a[I[k]] * b[J[k]] - a[J[k]] * b[I[k]]
+_I = np.array([1, 2, 0])
+_J = np.array([2, 0, 1])
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross products of two 3-vectors, or of matching rows of two (N, 3) arrays.
 
     The same products and differences, in the same order, as ``np.cross``,
-    so the result is bit-identical, without numpy's axis handling.
+    so the result is bit-identical, in seven numpy calls.  ``take`` copies
+    the same values as fancy indexing at a fraction of its call overhead,
+    so here and in ``realize`` it does the gathering.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return a.take(_I, -1) * b.take(_J, -1) - a.take(_J, -1) * b.take(_I, -1)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -92,8 +97,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Great-circle distances between matching rows of two (N, 3) arrays."""
-    return np.arctan2(np.linalg.norm(_cross(u, v), axis=1), np.sum(u * v, axis=1))
+    """Great-circle distances between matching rows of two (N, 3) arrays.
+
+    ``np.sqrt(np.add.reduce(w * w, axis=1))`` and ``np.add.reduce`` are what
+    ``np.linalg.norm(w, axis=1)`` and ``np.sum`` compute, without their
+    argument handling.
+    """
+    w = _cross(u, v)
+    return np.arctan2(np.sqrt(np.add.reduce(w * w, axis=1)), np.add.reduce(u * v, axis=1))
 
 
 def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
@@ -116,11 +127,15 @@ def _measured(
 ) -> Embedding:
     """The embedding at positions ``pos`` (a (V, 3) array) and edge
     midpoints ``mids`` (an (E, 3) array by edge id, for a hosohedron), its
-    edge lengths and corner angles measured once against ``assign``."""
-    u, v = np.array(t.edges).T
-    edge_error = float(np.max(np.abs(_arc_lengths(pos[u], pos[v]) - assign.edge)))
-    angles = _angles_at(t, pos, mids)
-    want = np.array([assign.angle(len(c)) for c in t.faces])[np.asarray(t.face_of)]
+    edge lengths and corner angles measured once against ``assign``.
+
+    Each edge is measured from both of its darts, to the same bits (the
+    cross product only changes sign), so the worst of them is the worst
+    edge."""
+    at, toward = _corners(t, pos)
+    edge_error = float(np.max(np.abs(_arc_lengths(at, toward[1]) - assign.edge)))
+    angles = _angles(at, toward) if mids is None else _digon_angles(t, mids)
+    want = np.array([assign.angle(len(c)) for c in t.faces]).take(t.face_of)
     angle_error = float(np.max(np.abs(angles - want)))
     arcs = {} if mids is None else dict(enumerate(mids))
     emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, angle_error, arcs)
@@ -216,11 +231,9 @@ def realize(
             cos_r += turns[m][0]
             sin_r += turns[m][1]
             # children are queued in the order of the rotated darts, from d0:
-            # that order picks each child's start dart
-            for d in darts:
-                nb = edge_pair[d]
-                if not done[face_of[nb]]:
-                    children.append(nb)
+            # that order picks each child's start dart (a face already
+            # placed by then is skipped)
+            children += map(edge_pair.__getitem__, darts)
         levels.append((len(ends), m0 + len(owner)))
         entries = children
 
@@ -232,31 +245,35 @@ def realize(
     sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
     phis = [TWO_PI * j / m0 for j in range(m0)]
     rows[:m0] = [[sr * math.cos(phi), sr * math.sin(phi), cr] for phi in phis]
-    ends = np.array(ends, dtype=np.intp).reshape(-1, 2)
-    coefs = np.array(coefs).reshape(-1, 2)
+    # the start edges' end rows and the centre coefficients as (2, F)
+    # blocks, and per further row its turn's cosine, sine and 1 - cosine
+    ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
+    coefs = np.array(coefs).reshape(-1, 2).T[:, :, None]
     owner = np.array(owner, dtype=np.intp)
-    cos_c, sin_c = np.array(cos_r)[:, None], np.array(sin_r)[:, None]
-    cos1_c = 1.0 - cos_c
+    turn = np.array([cos_r, sin_r])
+    turn = np.concatenate([turn, 1.0 - turn[:1]])[:, :, None]
 
     f0, r0 = 0, m0
     for f1, r1 in levels:
-        u, v = rows[ends[f0:f1, 0]], rows[ends[f0:f1, 1]]
-        centre = coefs[f0:f1, :1] * (u + v) + coefs[f0:f1, 1:] * _cross(u, v)
+        uv, ab = rows.take(ends[:, f0:f1], 0), coefs[:, f0:f1]
+        u, v, a, b = uv[0], uv[1], ab[0], ab[1]
+        centre = a * (u + v) + b * _cross(u, v)
         centre = centre / np.sqrt(_dot(centre, centre))[:, None]
-        # rotate each face's first vertex about its centre to the others
-        o, at = owner[r0 - m0 : r1 - m0], slice(r0 - m0, r1 - m0)
+        # rotate each face's first vertex about its centre to the others:
+        # each row reads its face's u and centre and its own turn
+        o = owner[r0 - m0 : r1 - m0]
+        u, centre = u.take(o, 0), centre.take(o, 0)
+        cos_c, sin_c, cos1_c = turn[:, r0 - m0 : r1 - m0]
         rows[r0:r1] = (
-            u[o] * cos_c[at]
-            + _cross(centre, u)[o] * sin_c[at]
-            + (centre * _dot(centre, u)[:, None])[o] * cos1_c[at]
+            u * cos_c + _cross(centre, u) * sin_c + (centre * _dot(centre, u)[:, None]) * cos1_c
         )
         f0, r0 = f1, r1
 
-    pos = rows[first]
+    pos = rows.take(first, 0)
     worst_closure, witness = 0.0, None
     if revisits:
         v, f, row = np.array(revisits, dtype=np.intp).reshape(-1, 3).T
-        gap = pos[v] - rows[row]
+        gap = pos.take(v, 0) - rows.take(row, 0)
         # a NaN gap never counts, as it would not in a scalar `gap > worst`
         gaps = np.fmax(np.sqrt(_dot(gap, gap)), 0.0)
         i = int(np.argmax(gaps))
@@ -271,41 +288,57 @@ def realize(
     return _measured(t, assign, pos, worst_closure)
 
 
-def _angles_at(t: TilingMap, pos: np.ndarray, mids: Optional[np.ndarray]) -> np.ndarray:
-    """Interior angle at the origin of every dart, read from the (V, 3)
-    positions ``pos``, or from a hosohedron's (E, 3) edge midpoints
-    ``mids``."""
-    nxt = np.asarray(t.face_next)
-    if mids is not None:
-        # digon: angle between the meridians through its two edge midpoints
-        edge = np.asarray(t.edge_of)
-        return _arc_lengths(mids[edge], mids[edge[nxt]])
+def _corners(t: TilingMap, pos: np.ndarray) -> tuple:
+    """Per dart, the position of its origin (an (N, 3) array) and those of
+    the previous and the next vertex of its face (a (2, N, 3) array), read
+    from the (V, 3) positions ``pos``."""
     origin = np.asarray(t.origin)
-    at = pos[origin]
+    return pos.take(origin, 0), pos.take(origin.take(np.array([t.face_prev, t.face_next])), 0)
+
+
+def _angles(at: np.ndarray, toward: np.ndarray) -> np.ndarray:
+    """Interior angle at each corner ``at`` (rows of an (N, 3) array) of the
+    face through its previous and next vertex (``toward``, (2, N, 3)).
+
+    Every step is row by row, so a corner's angle does not depend on which
+    other corners are measured with it."""
     # tangents at each corner toward the previous and the next face vertex
-    toward = pos[origin[np.stack([np.asarray(t.face_prev), nxt])]]
-    tv = toward - at * np.sum(at * toward, axis=2, keepdims=True)
-    norm = np.linalg.norm(tv, axis=2, keepdims=True)
-    if np.any(norm < 1e-14):
+    tv = toward - at * np.add.reduce(at * toward, axis=2, keepdims=True)
+    norm = np.sqrt(np.add.reduce(tv * tv, axis=2, keepdims=True))
+    if (norm < 1e-14).any():
         raise ClosureFailure("degenerate tangent between coincident/antipodal points")
     t_prev, t_next = tv / norm
-    turn = np.sum(at * _cross(t_prev, t_next), axis=1)
-    raw = np.arctan2(turn, np.sum(t_prev * t_next, axis=1))
+    turn = np.add.reduce(at * _cross(t_prev, t_next), axis=1)
+    raw = np.arctan2(turn, np.add.reduce(t_prev * t_next, axis=1))
     # faces run counterclockwise about their centres, so the interior angle
     # is the clockwise turn from t_prev to t_next
     return (-raw) % TWO_PI
 
 
-def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
-    """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
-    for any other map; ``ValueError`` if one is missing (as when rebuilt
-    from ``load_json`` positions, which carry none)."""
-    if t.family != "hosohedron":
-        return None
+def _digon_angles(t: TilingMap, mids: np.ndarray) -> np.ndarray:
+    """Interior angle at the origin of every dart of a hosohedron, between
+    the meridians through its digon's two edge midpoints (rows of the (E, 3)
+    ``mids``)."""
+    edge = np.asarray(t.edge_of)
+    return _arc_lengths(mids.take(edge, 0), mids.take(edge.take(t.face_next), 0))
+
+
+def _arc_midpoints(emb: Embedding, edges) -> np.ndarray:
+    """The midpoints of the edge ids ``edges`` as rows of an array;
+    ``ValueError`` if one is missing (as when rebuilt from ``load_json``
+    positions, which carry none)."""
     try:
-        return np.array([emb.arc_midpoints[i] for i in range(t.num_edges)])
+        return np.array([emb.arc_midpoints[e] for e in edges])
     except KeyError:
         raise ValueError("a hosohedron embedding needs the midpoint of every edge") from None
+
+
+def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
+    """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
+    for any other map; ``ValueError`` if one is missing."""
+    if t.family != "hosohedron":
+        return None
+    return _arc_midpoints(emb, range(t.num_edges))
 
 
 def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
@@ -313,13 +346,29 @@ def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
     ``realize`` measured, else measured now."""
     if emb._angles is not None:
         return emb._angles
-    pos = np.array([emb.positions[v] for v in range(t.num_vertices)])
-    return _angles_at(t, pos, _midpoints(t, emb))
+    mids = _midpoints(t, emb)
+    if mids is not None:
+        return _digon_angles(t, mids)
+    return _angles(*_corners(t, np.array([emb.positions[v] for v in range(t.num_vertices)])))
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
-    """Realized interior angles of a face, reflex angles included."""
-    return _corner_angles(t, emb)[list(t.faces[f])].tolist()
+    """Realized interior angles of a face, reflex angles included.
+
+    An embedding that ``realize`` did not return measures this face's
+    corners alone, by the row-wise formulas of ``realize``, so summing
+    ``face_area`` over all faces stays linear in the map's size."""
+    darts = list(t.faces[f])
+    if emb._angles is not None:
+        return emb._angles[darts].tolist()
+    if t.family == "hosohedron":
+        mids = _arc_midpoints(emb, [t.edge_of[d] for d in darts])
+        return _arc_lengths(mids, mids[[1, 0]]).tolist()
+    pos = np.array([emb.positions[t.origin[d]] for d in darts])
+    m = len(darts)
+    # each corner's previous and next vertex, as rows of pos
+    around = np.array([[*range(-1, m - 1)], [*range(1, m), 0]])
+    return _angles(pos, pos[around]).tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:

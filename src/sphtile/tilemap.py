@@ -34,8 +34,11 @@ automorphisms found on the way.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain, compress, count
+from operator import lt
 from typing import Mapping, Optional, Sequence
 
 from . import vertexcomb
@@ -125,7 +128,7 @@ class TilingMap:
     @cached_property
     def vertex_next(self) -> tuple:
         """Next dart counter to face orientation around the origin vertex."""
-        return tuple(self.face_next[self.edge_pair[d]] for d in range(self.num_darts))
+        return tuple(map(self.face_next.__getitem__, self.edge_pair))
 
     @cached_property
     def vertex_rotations(self) -> tuple:
@@ -148,7 +151,8 @@ class TilingMap:
     @cached_property
     def face_size_of(self) -> tuple:
         """Per dart, the size of its face."""
-        return tuple(len(self.faces[f]) for f in self.face_of)
+        sizes = [len(f) for f in self.faces]
+        return tuple(map(sizes.__getitem__, self.face_of))
 
     @cached_property
     def vertex_face_sizes(self) -> tuple:
@@ -158,7 +162,11 @@ class TilingMap:
 
     @cached_property
     def vertex_arrangements(self) -> tuple:
-        return tuple(map(vertexcomb.canonical_arrangement, self.vertex_face_sizes))
+        """Per vertex, the canonical arrangement of its face sizes, computed
+        once per distinct size sequence."""
+        sizes = self.vertex_face_sizes
+        canon = {s: vertexcomb.canonical_arrangement(s) for s in set(sizes)}
+        return tuple(map(canon.__getitem__, sizes))
 
     def face_vertex_cycle(self, f: int) -> tuple:
         return tuple(self.origin[d] for d in self.faces[f])
@@ -166,8 +174,9 @@ class TilingMap:
     @cached_property
     def edges(self) -> tuple:
         """Per edge, the ends (origin, target) of its lower dart, by edge id."""
-        pair = self.edge_pair
-        return tuple((self.origin[d], self.origin[p]) for d, p in enumerate(pair) if d < p)
+        origin, pair = self.origin, self.edge_pair
+        ends = zip(origin, map(origin.__getitem__, pair))
+        return tuple(compress(ends, map(lt, count(), pair)))
 
     @cached_property
     def edge_of(self) -> tuple:
@@ -280,15 +289,9 @@ class Census:
 
 def census(t: TilingMap) -> Census:
     """Arrangement-level vertex census and face counts of a map."""
-    vtypes: dict = {}
-    for arr in t.vertex_arrangements:
-        vtypes[arr] = vtypes.get(arr, 0) + 1
-    fcounts: dict = {}
-    for f in t.faces:
-        fcounts[len(f)] = fcounts.get(len(f), 0) + 1
     return Census(
-        vertex_types=dict(sorted(vtypes.items())),
-        face_counts=dict(sorted(fcounts.items())),
+        vertex_types=dict(sorted(Counter(t.vertex_arrangements).items())),
+        face_counts=dict(sorted(Counter(map(len, t.faces)).items())),
         v=t.num_vertices,
         e=t.num_edges,
         f=t.num_faces,
@@ -321,77 +324,69 @@ def build_from_faces(faces: Sequence[Sequence]) -> TilingMap:
         if len(set(f)) != len(f):
             raise NotEdgeToEdge(f"face {f} repeats a vertex")
 
-    # per undirected edge, (face, u, v) for each face writing it u -> v
-    incident: dict = {}
-    for fi, f in enumerate(cycles):
-        k = len(f)
-        for i in range(k):
-            u, v = f[i], f[(i + 1) % k]
-            incident.setdefault(frozenset((u, v)), []).append((fi, u, v))
-    for key, fs in incident.items():
-        if len(fs) != 2:
+    # the darts as written, face by face: dart d runs tails[d] -> heads[d]
+    # on face face_of[d], and face fi holds the darts from start[fi] up to
+    # start[fi + 1]
+    tails = list(chain.from_iterable(cycles))
+    heads = list(chain.from_iterable(f[1:] + f[:1] for f in cycles))
+    face_of = [fi for fi, f in enumerate(cycles) for _ in f]
+    start = [0, *accumulate(map(len, cycles))]
+    along: dict = {}  # per directed edge, the darts written along it
+    for d, e in enumerate(zip(tails, heads)):
+        along.setdefault(e, []).append(d)
+    # per dart, the other dart of its edge, and whether that one is written
+    # the same way (then exactly one of their two faces must be reversed)
+    partner = [0] * len(tails)
+    same = [False] * len(tails)
+    for d, (u, v) in enumerate(zip(tails, heads)):
+        ahead, back = along[u, v], along.get((v, u), ())
+        if len(ahead) + len(back) != 2:
             raise NotEdgeToEdge(
-                f"edge {tuple(key)} lies on {len(fs)} faces, expected 2"
+                f"edge {(u, v)} lies on {len(ahead) + len(back)} faces, expected 2"
             )
+        if back:
+            partner[d] = back[0]
+        else:
+            partner[d] = ahead[ahead[0] == d]
+            same[d] = True
 
-    # orient faces consistently from face 0: each directed edge must appear
-    # exactly once; flipped[f] stays None until face f is reached
+    # orient faces consistently from face 0: flipped[f] stays None until
+    # face f is reached, and a neighbour across a dart is flipped iff the
+    # face is, unless the two write their edge the same way
     flipped: list = [None] * len(cycles)
     flipped[0] = False
     stack = [0]
     while stack:
         fi = stack.pop()
-        f = cycles[fi][::-1] if flipped[fi] else cycles[fi]
-        k = len(f)
-        for i in range(k):
-            u, v = f[i], f[(i + 1) % k]
-            first, second = incident[frozenset((u, v))]
-            gi, a, _ = second if first[0] == fi else first
-            # the neighbour must run v -> u, so it is flipped iff written u -> v
-            forward = a == u
+        for d in range(start[fi], start[fi + 1]):
+            gi = face_of[partner[d]]
+            want = flipped[fi] != same[d]
             if flipped[gi] is None:
-                flipped[gi] = forward
+                flipped[gi] = want
                 stack.append(gi)
-            elif forward != flipped[gi]:
+            elif flipped[gi] != want:
                 raise NotEdgeToEdge("faces cannot be oriented consistently")
     if None in flipped:
         raise Disconnected("face complex is not connected")
     oriented = [f[::-1] if flip else f for f, flip in zip(cycles, flipped)]
 
     # dense vertex ids in first-seen order
-    vid: dict = {}
-    for f in oriented:
-        for v in f:
-            if v not in vid:
-                vid[v] = len(vid)
-
-    origin = []
-    face_next = []
-    face_of = []
-    face_darts = []
-    dart_of: dict = {}  # directed edge (u, v) -> its dart
-    for fi, f in enumerate(oriented):
-        k = len(f)
-        base = len(origin)
-        face_darts.append(tuple(range(base, base + k)))
-        for i in range(k):
-            u, v = vid[f[i]], vid[f[(i + 1) % k]]
-            origin.append(u)
-            face_next.append(base + (i + 1) % k)
-            face_of.append(fi)
-            dart_of[u, v] = base + i
-    # every directed edge has exactly one dart and a partner: each undirected
-    # edge lies on two distinct faces (no face repeats a vertex, and a face of
-    # three or more vertices passes an edge once), and the orientation pass
-    # checked every edge for opposite directions on its two faces
-    edge_pair = tuple(dart_of[origin[nd], origin[d]] for d, nd in enumerate(face_next))
-
+    vid = dict(zip(dict.fromkeys(chain.from_iterable(oriented)), count()))
+    # a dart keeps its number unless its face is reversed: then written dart
+    # j of the face's k is its dart (k - 2 - j) mod k, run backwards, a
+    # renumbering that is its own inverse and keeps every dart on its edge
+    where = list(range(len(tails)))
+    face_next = list(range(1, len(tails) + 1))
+    for a, b, flip in zip(start, start[1:], flipped):
+        face_next[b - 1] = a
+        if flip:
+            where[a : b - 1] = range(b - 2, a - 1, -1)
     return TilingMap(
-        origin=tuple(origin),
+        origin=tuple(map(vid.__getitem__, chain.from_iterable(oriented))),
         face_next=tuple(face_next),
-        edge_pair=edge_pair,
+        edge_pair=tuple(map(where.__getitem__, map(partner.__getitem__, where))),
         face_of=tuple(face_of),
-        faces=tuple(face_darts),
+        faces=tuple(map(tuple, map(range, start, start[1:]))),
     )
 
 
@@ -558,8 +553,9 @@ def validate(
         rep.add("angle_sums", False, detail=f"missing angle for size {missing[0]}")
         rep.add("area", False, detail=f"missing angle for size {missing[0]}")
     else:
+        # one sum per distinct size sequence, summed in rotation order
         worst = 0.0
-        for sizes in t.vertex_face_sizes:
+        for sizes in set(t.vertex_face_sizes):
             worst = max(worst, abs(sum(map(angle.__getitem__, sizes)) - TWO_PI))
         rep.add("angle_sums", worst <= tol, worst)
         total = sum(n * polygon_area(m, angle[m]) for m, n in c.face_counts.items())

@@ -243,6 +243,7 @@ def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
     ["derive", "eD", "--dim", "x"],
     ["derive", "eD", "--rot", "2q"],
     ["enumerate", "--max-size", "2"],
+    ["enumerate", "--max-size", "10001"],
     ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "0"],
     ["export", "C", "--format", "obj", "--out", "unused.obj", "--arc-steps", "1025"],
     ["verify", "T", "--tol", "0"],

@@ -603,4 +603,24 @@ def test_embedding_from_loaded_positions_measures_the_realized_angles():
         loaded = em.Embedding(positions, 0.0, math.nan, math.nan)
         assert abs(em.total_area(t2, loaded) - 4 * PI) <= 1e-6, name
         for f in range(t.map.num_faces):
-            assert em.face_angles(t2, loaded, f) == em.face_angles(t.map, emb, f), (name, f)
+            got = np.array(em.face_angles(t2, loaded, f)).tobytes()
+            assert got == np.array(em.face_angles(t.map, emb, f)).tobytes(), (name, f)
+
+
+def test_face_angles_without_stored_angles_measure_that_face_alone():
+    # an Embedding with no stored angles measures only the face asked for,
+    # by realize's row-wise formulas, so summing face_area over all faces
+    # is linear: a positions dict (or a hosohedron's midpoints) holding that
+    # face's vertices (edges) alone gives the realized angles bit for bit
+    for name in list(cat.all_entries()) + ["prism(50)", "hosohedron(7)"]:
+        t = cat.make(name).map
+        emb = em.realize(t, cat.make(name).angles)
+        for f in range(t.num_faces):
+            if t.family == "hosohedron":
+                mids = {t.edge_of[d]: emb.arc_midpoints[t.edge_of[d]] for d in t.faces[f]}
+                alone = dataclasses.replace(emb, positions={}, arc_midpoints=mids)
+            else:
+                cycle = t.face_vertex_cycle(f)
+                alone = dataclasses.replace(emb, positions={v: emb.positions[v] for v in cycle})
+            got = np.array(em.face_angles(t, alone, f)).tobytes()
+            assert got == np.array(em.face_angles(t, emb, f)).tobytes(), (name, f)

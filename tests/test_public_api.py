@@ -50,6 +50,10 @@ REJECTED_INPUTS = {
     "build_from_faces-repeat": (NotEdgeToEdge, lambda: tilemap.build_from_faces([(0, 1, 0)])),
     "digon_fan": (ValueError, lambda: tilemap.digon_fan(1)),
     "enumerate_candidate_types": (ValueError, lambda: vertexcomb.enumerate_candidate_types(2)),
+    "enumerate_candidate_types-10001": (
+        ValueError,
+        lambda: vertexcomb.enumerate_candidate_types(vertexcomb.MAX_ENUMERATE_SIZE + 1),
+    ),
     "export_obj": (ValueError, _export_obj_without_arcs),
     "isolate_roots-zero": (
         ValueError,

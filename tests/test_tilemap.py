@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sphtile import catalog, tilemap as tm
+from sphtile import catalog, tilemap as tm, vertexcomb
 from sphtile.algsolve import AngleAssignment
 
 PI = math.pi
@@ -46,23 +46,112 @@ def test_family_is_read_from_the_faces():
         assert catalog.make(name).map.family == want, name
 
 
+# (error class, faces, message pattern) per malformed face list
+BUILD_ERRORS = [
+    (tm.NotEdgeToEdge, [(0, 1, 2), (0, 1, 2), (0, 1, 2)], None),  # edge used thrice
+    (tm.NotEdgeToEdge, TETRA_FACES[:3], None),  # open boundary
+    (tm.Disconnected, TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES], None),
+    # the 6-vertex triangulation of the projective plane is not orientable
+    (tm.NotEdgeToEdge, [
+        (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+    ], "oriented consistently"),
+    (tm.NotEdgeToEdge, [(0, 1)], "digon_fan"),  # digons come only from digon_fan
+]
+
+
 def test_build_errors():
-    with pytest.raises(tm.NotEdgeToEdge):
-        tm.build_from_faces([(0, 1, 2), (0, 1, 2), (0, 1, 2)])  # edge used thrice
-    with pytest.raises(tm.NotEdgeToEdge):
-        tm.build_from_faces(TETRA_FACES[:3])  # open boundary
-    with pytest.raises(tm.Disconnected):
-        tm.build_from_faces(
-            TETRA_FACES + [tuple(v + 4 for v in f) for f in TETRA_FACES]
+    for kind, faces, match in BUILD_ERRORS:
+        with pytest.raises(kind, match=match):
+            tm.build_from_faces(faces)
+
+
+def _frozenset_build_from_faces(faces):
+    """Oracle: the map built with one frozenset key per undirected edge,
+    looked up again per dart to orient the faces."""
+    cycles = [tuple(f) for f in faces]
+    if not cycles:
+        raise tm.NotEdgeToEdge("no faces")
+    for f in cycles:
+        if len(f) < 3 or len(set(f)) != len(f):
+            raise tm.NotEdgeToEdge(f"bad face {f}")
+    incident: dict = {}
+    for fi, f in enumerate(cycles):
+        for i in range(len(f)):
+            u, v = f[i], f[(i + 1) % len(f)]
+            incident.setdefault(frozenset((u, v)), []).append((fi, u, v))
+    if any(len(fs) != 2 for fs in incident.values()):
+        raise tm.NotEdgeToEdge("an edge does not lie on two faces")
+    flipped = [None] * len(cycles)
+    flipped[0] = False
+    stack = [0]
+    while stack:
+        fi = stack.pop()
+        f = cycles[fi][::-1] if flipped[fi] else cycles[fi]
+        for i in range(len(f)):
+            u, v = f[i], f[(i + 1) % len(f)]
+            first, second = incident[frozenset((u, v))]
+            gi, a, _ = second if first[0] == fi else first
+            if flipped[gi] is None:
+                flipped[gi] = a == u
+                stack.append(gi)
+            elif (a == u) != flipped[gi]:
+                raise tm.NotEdgeToEdge("faces cannot be oriented consistently")
+    if None in flipped:
+        raise tm.Disconnected("face complex is not connected")
+    oriented = [f[::-1] if flip else f for f, flip in zip(cycles, flipped)]
+    vid: dict = {}
+    for f in oriented:
+        for v in f:
+            vid.setdefault(v, len(vid))
+    origin, face_next, face_of, face_darts, dart_of = [], [], [], [], {}
+    for fi, f in enumerate(oriented):
+        k, base = len(f), len(origin)
+        face_darts.append(tuple(range(base, base + k)))
+        for i in range(k):
+            u, v = vid[f[i]], vid[f[(i + 1) % k]]
+            origin.append(u)
+            face_next.append(base + (i + 1) % k)
+            face_of.append(fi)
+            dart_of[u, v] = base + i
+    edge_pair = tuple(dart_of[origin[nd], origin[d]] for d, nd in enumerate(face_next))
+    return tm.TilingMap(
+        tuple(origin), tuple(face_next), edge_pair, tuple(face_of), tuple(face_darts)
+    )
+
+
+def test_build_from_faces_matches_frozenset_oracle():
+    # hosohedra need parallel edges and are built by digon_fan, not from faces
+    rng = random.Random(2024)
+    names = [n for n in catalog.all_entries() if not n.startswith("hosohedron")]
+    for name in names + ["prism(50)", "antiprism(50)", "dihedron(50)"]:
+        t = catalog.make(name).map
+        ints = rng.sample(range(10 * t.num_vertices), t.num_vertices)
+        relabel = [list(range(t.num_vertices)), ints, [("v", i, -i) for i in ints]]
+        for label in relabel:
+            faces = []
+            for f in range(t.num_faces):
+                cyc = [label[v] for v in t.face_vertex_cycle(f)]
+                faces.append(cyc[::-1] if rng.random() < 0.5 else cyc)
+            assert tm.build_from_faces(faces) == _frozenset_build_from_faces(faces), name
+    for _, faces, _ in BUILD_ERRORS:
+        raised = []
+        for build in (tm.build_from_faces, _frozenset_build_from_faces):
+            with pytest.raises(ValueError) as info:
+                build(faces)
+            raised.append(info.type)
+        assert raised[0] is raised[1], faces
+
+
+def test_vertex_arrangements_match_per_vertex_canonical_form():
+    maps = [catalog.make(n).map for n in catalog.all_entries()]
+    maps += [catalog.make(n).map for n in ("hosohedron(400)", "dihedron(400)")]
+    maps.append(tm.digon_fan(2))
+    for t in maps:
+        want = tuple(
+            vertexcomb.canonical_arrangement(sizes) for sizes in t.vertex_face_sizes
         )
-    with pytest.raises(tm.NotEdgeToEdge, match="oriented consistently"):
-        # the 6-vertex triangulation of the projective plane is not orientable
-        tm.build_from_faces([
-            (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
-            (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
-        ])
-    with pytest.raises(tm.NotEdgeToEdge, match="digon_fan"):
-        tm.build_from_faces([(0, 1)])  # digons come only from digon_fan
+        assert t.vertex_arrangements == want
 
 
 def test_build_accepts_mixed_orientations():

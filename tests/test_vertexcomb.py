@@ -37,6 +37,16 @@ def test_enumeration_large_max_size():
     assert [t for t in types if max(t) <= 19] == vc.enumerate_candidate_types(19)
 
 
+def test_enumeration_bound_is_inclusive():
+    # past the small sizes each size m adds six types, (3, 3, m), (3, 4, m),
+    # (3, 5, m), (3, 6, m), (4, 4, m) and (3, 3, 3, m), so the output at the
+    # bound holds 6 * bound + 96 types; one size more is refused
+    bound = vc.MAX_ENUMERATE_SIZE
+    assert len(vc.enumerate_candidate_types(bound)) == 6 * bound + 96
+    with pytest.raises(ValueError, match="between 3 and"):
+        vc.enumerate_candidate_types(bound + 1)
+
+
 def test_degree_five_types_with_triangle():
     got = [t for t in vc.enumerate_candidate_types(19) if len(t) == 5 and 3 in t]
     assert got == [(3, 3, 3, 3, 3), (3, 3, 3, 3, 4), (3, 3, 3, 3, 5)]
