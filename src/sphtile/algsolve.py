@@ -142,12 +142,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
-
     def eval_exact(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):

@@ -1120,16 +1120,19 @@ PLATONIC, ARCHIMEDEAN, JOHNSON = (
     for named in FAMILIES[:3]
 )
 
-_FAMILY_RE = re.compile(rf"^({'|'.join(_FAMILIES)})\((\d+)\)$")
+_FAMILY_RE = re.compile(rf"({'|'.join(_FAMILIES)})\((0|[1-9][0-9]*)\)")
 
 
 def _member(name: str) -> tuple:
-    """The family and n of a parametric family member, as ``make`` accepts them."""
-    m = _FAMILY_RE.match(name)
+    """The family and n of a parametric family member, as ``make`` accepts them.
+
+    Each member has one spelling: n in ASCII digits with no leading zero.
+    """
+    m = _FAMILY_RE.fullmatch(name)
     if not m:
         raise UnknownName(name)
     kind, digits = m.groups()
-    if len(digits.lstrip("0")) > len(str(MAX_FAMILY_N)):
+    if len(digits) > len(str(MAX_FAMILY_N)):
         # too large, and int() refuses a string of over 4300 digits
         raise DomainError(f"{kind} needs 3 <= n <= {MAX_FAMILY_N}, got {len(digits)} digits")
     n = int(digits)

@@ -20,9 +20,11 @@ faces (``TilingMap.family``), never passed in.
 Validation covers the counting identities (Euler, degree and face
 handshakes), metric consistency of an angle assignment (vertex angle sums
 of 2*pi, total spherical area 4*pi, the companion relation), the degree
-bound, vertex-type admissibility, and the rule that at most one face is
-not strictly convex.  Admissibility is one exact predicate,
-``vertexcomb.admissible``, applied to each distinct vertex arrangement.
+bound, vertex-type admissibility, the rule that at most one face is
+not strictly convex, and 2-connectivity, read from the face cycles: on a
+connected map whose faces are simple cycles no vertex is a cut vertex.
+Admissibility is one exact predicate, ``vertexcomb.admissible``, applied
+to each distinct vertex arrangement.
 The same ``ValidationReport`` is the ``verify`` report: ``cli.verify_entry``
 adds the embedding as one more check, and ``as_dict`` folds the checks
 into the report keys of ``REPORT_GROUPS``.
@@ -77,6 +79,11 @@ class TilingMap:
     ``origin[d]`` is the tail vertex of dart ``d``; ``face_next[d]`` the
     next dart of the same face; ``edge_pair[d]`` the opposite dart of the
     same edge.
+
+    Both builders, ``build_from_faces`` and ``digon_fan``, return a
+    connected map in which every face is a simple cycle: it visits no
+    vertex twice.  ``validate`` reads 2-connectivity from that invariant; a
+    map built by hand that breaks it is outside the contract.
     """
 
     origin: tuple
@@ -481,43 +488,15 @@ class ValidationReport:
         return {"name": self.name, "pass": self.overall_pass, "checks": checks}
 
 
-def _has_cut_vertex(n: int, edges: Sequence) -> bool:
-    """Whether removing some vertex disconnects the graph (or it is disconnected).
-
-    Tarjan's lowpoint test in one iterative depth-first search from vertex
-    0: the root is a cut vertex when it has two or more tree children, any
-    other vertex u when a child's subtree reaches no vertex above u.
-    """
-    if n <= 2:
-        return False
-    adj: list = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    disc = [-1] * n  # discovery order
-    low = [0] * n  # lowest discovery order one edge away from the subtree
-    disc[0] = found = 0
-    root_children = 0
-    stack = [(0, iter(adj[0]))]
-    while stack:
-        u, nbrs = stack[-1]
-        for w in nbrs:
-            if disc[w] < 0:
-                found += 1
-                disc[w] = low[w] = found
-                stack.append((w, iter(adj[w])))
-                break
-            low[u] = min(low[u], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                p = stack[-1][0]
-                low[p] = min(low[p], low[u])
-                if p == 0:
-                    root_children += 1
-                elif low[u] >= disc[p]:
-                    return True
-    return found < n - 1 or root_children > 1
+def _first_repeat(t: TilingMap) -> tuple:
+    """The first face, in face order, whose cycle visits a vertex twice,
+    and the first vertex it visits again."""
+    for f in range(t.num_faces):
+        seen = set()
+        for v in t.face_vertex_cycle(f):
+            if v in seen:
+                return f, v
+            seen.add(v)
 
 
 def validate(
@@ -533,6 +512,8 @@ def validate(
     Failures are report entries, not exceptions.  The degree bound, the
     vertex-type admissibility check and the convexity rule are skipped for
     the hosohedron/dihedron families, whose maps intentionally break them.
+    ``two_connected`` fails when a face visits a vertex twice, and its
+    detail names the first such face and that vertex.
     """
     rep = ValidationReport(name=name or "tiling")
     exempt = t.family in ("hosohedron", "dihedron")
@@ -587,7 +568,17 @@ def validate(
     comp = max(assign.max_companion_residual(), assign.max_edge_residual())
     rep.add("companion", comp <= tol, comp)
 
-    rep.add("two_connected", not _has_cut_vertex(t.num_vertices, t.edges))
+    # A face is a cycle of distinct vertices, so all its edges lie on one
+    # side of a cut vertex v.  Faces that share an edge lie on the same
+    # side, and the face complex is connected, so the other side's vertices
+    # would lie on no face, yet every vertex of a map lies on one.  So a
+    # connected map with at least 3 vertices and simple faces has no cut
+    # vertex; a 2-vertex fan has none either.  On a spherical map, a face
+    # that repeats a vertex makes that vertex a cut vertex.
+    if len(set(zip(t.origin, t.face_of))) == t.num_darts:
+        rep.add("two_connected", True)
+    else:
+        rep.add("two_connected", False, detail="face %d repeats vertex %d" % _first_repeat(t))
 
     if expected is not None:
         same = (

@@ -32,7 +32,6 @@ Y4_ROOTS_HEX = ["0x1.484c33c709a25p-2", "0x1.bb67ae8584caap-1", "0x1.ff494347942
 def test_polynomial_basics():
     p = alg.Polynomial.from_coeffs([-1, 0, 1])  # x^2 - 1
     assert p.degree == 2
-    assert p(2.0) == 3.0
     assert p.eval_exact(Fraction(1, 2)) == Fraction(-3, 4)
     assert p.derivative().coeffs == (Fraction(0), Fraction(2))
     assert alg.Polynomial.from_coeffs([0, 0, 0]).is_zero()
@@ -78,7 +77,7 @@ def test_degree4_system_univariate_roots():
 def test_snub_dodecahedron_sextic_root():
     xi = alg.snub_dodecahedron_cos()
     assert xi == pytest.approx(0.471575629621941, abs=1e-13)
-    assert alg.SNUB_DODECAHEDRON_SEXTIC(xi) == pytest.approx(0.0, abs=1e-12)
+    assert alg.SNUB_DODECAHEDRON_SEXTIC.eval_exact(Fraction(xi)) == pytest.approx(0, abs=1e-12)
     # the sextic has another root in (0, 1) that the snub system rejects
     roots01 = alg.isolate_roots(alg.SNUB_DODECAHEDRON_SEXTIC, 0.0, 1.0)
     assert len(roots01) == 2

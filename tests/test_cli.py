@@ -137,6 +137,8 @@ def test_every_check_lies_in_one_report_group(name):
         owners = [g for g, members in tilemap.REPORT_GROUPS.items() if key in members]
         assert len(owners) == 1, (key, owners)
     assert set(rep.as_dict()["checks"]) == set(tilemap.REPORT_GROUPS)
+    # and every member of every group is checked
+    assert set(rep.checks) == set(itertools.chain(*tilemap.REPORT_GROUPS.values()))
 
 
 def test_enumerate_triangle_free_matches_oracle(capsys):
@@ -237,6 +239,7 @@ def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "prism(2)"],
     ["verify", "prism(100001)"],
+    ["verify", "prism(03)"],
     ["catalog", "show", "prism(1)"],
     ["solve", "--type", "3,3"],
     ["solve", "--type", "4,4,4,4"],

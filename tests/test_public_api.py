@@ -83,6 +83,9 @@ REJECTED_INPUTS = {
     "make-prism(2)": (DomainError, lambda: catalog.make("prism(2)")),
     "make-prism(100001)": (DomainError, lambda: catalog.make("prism(100001)")),
     "make-prism(5000 digits)": (DomainError, lambda: catalog.make(f"prism({'9' * 5000})")),
+    "make-prism(3) newline": (UnknownName, lambda: catalog.make("prism(3)\n")),
+    "make-prism(03)": (UnknownName, lambda: catalog.make("prism(03)")),
+    "make-prism(arabic-indic 3)": (UnknownName, lambda: catalog.make("prism(\u0663)")),
     "make_prism(100001)": (DomainError, lambda: catalog.make_prism(100_001)),
     "make_antiprism(100001)": (DomainError, lambda: catalog.make_antiprism(100_001)),
     "make_hosohedron(100001)": (DomainError, lambda: catalog.make_hosohedron(100_001)),

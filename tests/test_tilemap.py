@@ -393,46 +393,46 @@ def test_counting_identities_across_catalog():
         assert [(m.origin[d], m.target(d)) for d in lower] == list(m.edges), name
 
 
-def test_cut_vertex_matches_networkx():
+def test_two_connected_matches_networkx():
     nx = pytest.importorskip("networkx")
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
 
-    def biconnected(n, edges):
+    def biconnected(t):
         g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(edges)
+        g.add_nodes_from(range(t.num_vertices))
+        g.add_edges_from(t.edges)
         return nx.is_biconnected(g)
 
-    for name in catalog.all_entries():
-        t = catalog.make(name).map
-        cut = tm._has_cut_vertex(t.num_vertices, t.edges)
-        assert cut != biconnected(t.num_vertices, t.edges), name
+    families = ["prism(400)", "antiprism(400)", "dihedron(1600)", "hosohedron(1600)"]
+    for name in catalog.all_entries() + families:
+        t = catalog.make(name)
+        rep = tm.validate(t.map, t.angles, name=name)
+        assert rep.checks["two_connected"].passed == biconnected(t.map), name
+    fan = tm.digon_fan(2)
+    rep = tm.validate(fan, AngleAssignment.from_angles({2: PI}))
+    assert rep.checks["two_connected"].passed == biconnected(fan)
 
-    graphs = st.integers(3, 10).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                    lambda e: e[0] != e[1]
-                ),
-                max_size=3 * n,
-            ),
-        )
+
+def test_two_connected_names_the_face_that_repeats_a_vertex():
+    # a bowtie on the sphere: two triangles meet at vertex 0, and the
+    # hexagon around both visits vertex 0 twice, which makes it a cut vertex
+    cycles = [(0, 1, 2), (0, 3, 4), (0, 2, 1, 0, 4, 3)]
+    starts = [0, 3, 6, 12]
+    faces = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    origin = tuple(v for c in cycles for v in c)
+    face_next = tuple(f[(i + 1) % len(f)] for f in faces for i in range(len(f)))
+    dart = {(origin[d], origin[face_next[d]]): d for d in range(len(origin))}
+    t = tm.TilingMap(
+        origin=origin,
+        face_next=face_next,
+        edge_pair=tuple(dart[origin[face_next[d]], origin[d]] for d in range(len(origin))),
+        face_of=tuple(fi for fi, f in enumerate(faces) for _ in f),
+        faces=faces,
     )
-
-    @hyp.settings(max_examples=300, deadline=None)
-    @hyp.given(graphs)
-    def agrees(graph):
-        n, edges = graph
-        assert tm._has_cut_vertex(n, edges) != biconnected(n, edges)
-
-    agrees()
-
-
-def test_cut_vertex_on_long_cycle():
-    # a deep search: the test must not recurse once per vertex
-    n = 5000
-    ring = [(i, (i + 1) % n) for i in range(n)]
-    assert not tm._has_cut_vertex(n, ring)
-    assert tm._has_cut_vertex(n + 1, ring + [(n - 1, n)])
+    assert (t.num_vertices, t.num_edges, t.num_faces) == (5, 6, 3)
+    assert list(map(len, t.vertex_rotations)) == [4, 2, 2, 2, 2]
+    rep = tm.validate(t, AngleAssignment({3: PI / 2, 6: PI}, PI / 2))
+    assert rep.checks["euler"].passed and rep.checks["degree_sum"].passed
+    check = rep.checks["two_connected"]
+    assert not check.passed and check.detail == "face 2 repeats vertex 0"
+    nx = pytest.importorskip("networkx")
+    assert not nx.is_biconnected(nx.Graph(t.edges))
