@@ -422,70 +422,39 @@ class CupolaSite:
         return self.interior | frozenset(self.boundary)
 
 
-def _region_boundary(t: TilingMap, region: frozenset) -> tuple:
-    border = [
-        d
-        for d in range(t.num_darts)
-        if t.face_of[d] in region and t.face_of[t.edge_pair[d]] not in region
-    ]
-    if not border:
-        raise InvalidSite("region has no boundary")
-    border_set = set(border)
-    start = min(border)
-    cycle = []
-    d = start
-    while True:
-        cycle.append(d)
-        nd = t.face_next[d]
-        while nd not in border_set:
-            nd = t.face_next[t.edge_pair[nd]]
-        d = nd
-        if d == start:
-            break
-        if len(cycle) > len(border):
-            raise InvalidSite("region boundary is not a single cycle")
-    if len(cycle) != len(border):
-        raise InvalidSite("region boundary is not a single cycle")
-    return tuple(t.origin[d] for d in cycle)
-
-
 def find_cupola_sites(t: TilingMap) -> list:
-    """All cupola caps of a map: a k-gon top (k = 3, 4 or 5) edged by
-    squares with triangles at its corners, bounded by a 2k-cycle."""
+    """All cupola caps of a map, in top face order: a k-gon top (k = 3, 4
+    or 5) at degree-4 vertices, edged by squares with triangles at its
+    corners.
+
+    The ring fixes the cap's boundary: each ring square's far edge, then
+    the far edge of the corner triangle after it.  The 2k boundary
+    vertices start at the origin of the least of those darts, and a cap
+    is kept only when they are distinct and off the top face.
+    """
+    nxt, pair, face_of, size = t.face_next, t.edge_pair, t.face_of, t.face_size_of
     sites = []
-    for top in range(t.num_faces):
-        k = t.face_size(top)
-        if k not in (3, 4, 5):
+    for top, darts in enumerate(t.faces):
+        k = len(darts)
+        if k not in (3, 4, 5) or any(t.degree(t.origin[d]) != 4 for d in darts):
             continue
-        ring = [t.face_of[t.edge_pair[d]] for d in t.faces[top]]
-        if len(set(ring)) != k or any(t.face_size(f) != 4 for f in ring):
+        border = []
+        for d in darts:
+            far = nxt[nxt[pair[d]]]
+            border += [far, nxt[pair[nxt[far]]]]
+        squares, triangles = border[0::2], border[1::2]
+        ring = {face_of[d] for d in squares}
+        corners = {face_of[d] for d in triangles}
+        if len(ring) != k or len(corners) != k:
             continue
-        corners = []
-        ok = True
-        for d in t.faces[top]:
-            v = t.origin[d]
-            if t.degree(v) != 4:
-                ok = False
-                break
-            opposite = t.face_of[t.vertex_next[t.vertex_next[d]]]
-            corners.append(opposite)
-        if not ok or len(set(corners)) != k:
+        if any(size[d] != 4 for d in squares) or any(size[d] != 3 for d in triangles):
             continue
-        if any(t.face_size(f) != 3 for f in corners):
-            continue
-        cap = frozenset([top] + ring + corners)
-        if len(cap) != 2 * k + 1:
-            continue
-        try:
-            boundary = _region_boundary(t, cap)
-        except InvalidSite:
-            continue
-        if len(boundary) != 2 * k:
-            continue
+        i = border.index(min(border))
+        boundary = tuple(t.origin[d] for d in border[i:] + border[:i])
         interior = frozenset(t.face_vertex_cycle(top))
-        if interior & set(boundary):
+        if len(set(boundary)) != 2 * k or not interior.isdisjoint(boundary):
             continue
-        sites.append(CupolaSite(top=top, faces=cap, boundary=boundary, interior=interior))
+        sites.append(CupolaSite(top, frozenset([top, *ring, *corners]), boundary, interior))
     return sites
 
 
@@ -564,9 +533,6 @@ def _straight_cycles(t: TilingMap) -> list:
                 break
             d = t.vertex_next[t.vertex_next[dp]]
             if d == d0:
-                break
-            if len(path) > t.num_darts:
-                ok = False
                 break
             path.append(d)
         if not ok:
@@ -870,31 +836,20 @@ def _distances(adj: Sequence, source: int) -> list:
     return dist
 
 
-def _icosa_distances():
+def _diminished_icosahedron(n_removed: int) -> Tiling:
+    """The icosahedron less 1, 2 or 3 pairwise non-adjacent vertices: vertex
+    0, the first vertex two steps from it, and the first vertex two steps
+    from both (J11, J62 and J63)."""
     ico = _icosahedron()
     t = ico.map
     adj = [[t.target(d) for d in r] for r in t.vertex_rotations]
-    return ico, [_distances(adj, s) for s in range(t.num_vertices)]
-
-
-def _diminished_icosahedron(n_removed: int) -> Tiling:
-    ico, dist = _icosa_distances()
-    v0 = 0
-    if n_removed == 1:
-        picks = [v0]
-    elif n_removed == 2:
-        picks = [v0, dist[v0].index(2)]
-    elif n_removed == 3:
-        two = dist[v0].index(2)
-        third = next(
-            w
-            for w in range(ico.map.num_vertices)
-            if dist[v0][w] == 2 and dist[two][w] == 2 and w != two
-        )
-        picks = [v0, two, third]
-    else:
-        raise UnknownName(f"no {n_removed}-fold diminished icosahedron")
-    return pyramid_diminish(ico, picks)
+    from_0 = _distances(adj, 0)
+    two = from_0.index(2)
+    from_two = _distances(adj, two)
+    third = next(
+        w for w in range(t.num_vertices) if w != two and from_0[w] == from_two[w] == 2
+    )
+    return pyramid_diminish(ico, [0, two, third][:n_removed])
 
 
 # --- eD cupola machinery ----------------------------------------------------
@@ -905,44 +860,20 @@ def _canonical_sites(t: TilingMap, sites) -> list:
 
 
 @lru_cache(maxsize=1)
-def _ed_site_data():
-    """eD's 12 pentagonal cupola sites, a canonical disjoint triple and the
-    opposite-site map (the unique disjoint site at maximal dual distance)."""
+def _ed_sites() -> tuple:
+    """eD and four of its pentagonal cupola sites, in canonical site order:
+    the first site a, the site farthest from a in the dual graph, and the
+    first two sites b and c that share no vertex with a or each other."""
     ed = make("eD")
     t = ed.map
     sites = _canonical_sites(t, find_cupola_sites(t))
-    if len(sites) != 12:
-        raise RuntimeError(f"expected 12 cupola sites in eD, found {len(sites)}")
-    # dual-graph distances between top faces
-    fadj = [[t.face_of[t.edge_pair[d]] for d in cyc] for cyc in t.faces]
-    dual_dist = {s.top: _distances(fadj, s.top) for s in sites}
-    max_d = max(dual_dist[a.top][b.top] for a in sites for b in sites)
-    opposite = {}
-    for a in sites:
-        far = [b for b in sites if dual_dist[a.top][b.top] == max_d]
-        if len(far) != 1:
-            raise RuntimeError("opposite cupola is not unique")
-        opposite[a.top] = far[0]
-    disjoint = {
-        a.top: [b for b in sites if b is not a and not (a.vertices & b.vertices)]
-        for a in sites
-    }
     a = sites[0]
-    triple = None
-    for b in disjoint[a.top]:
-        for c in disjoint[a.top]:
-            if c is b:
-                continue
-            if not (b.vertices & c.vertices):
-                triple = (a, b, c)
-                break
-        if triple:
-            break
-    if triple is None:
-        raise RuntimeError("no disjoint cupola triple in eD")
-    # prefer a triple without opposite pairs (always true: opposite pairs
-    # exclude any third disjoint site)
-    return ed, sites, opposite, disjoint, triple
+    fadj = [[t.face_of[t.edge_pair[d]] for d in cyc] for cyc in t.faces]
+    dist = _distances(fadj, a.top)
+    far = max(sites, key=lambda s: dist[s.top])
+    b = next(s for s in sites if a.vertices.isdisjoint(s.vertices))
+    c = next(s for s in sites if (a.vertices | b.vertices).isdisjoint(s.vertices))
+    return ed, a, far, b, c
 
 
 def derive_from_ed(
@@ -957,10 +888,11 @@ def derive_from_ed(
     ``"n"`` (non-opposite) qualifies a pair, either within one kind or,
     when one of each is requested, between the two sites.  A relation
     on a zero count or without a pair, or two different relations, raise
-    ``InvalidSite``.
+    ``InvalidSite``.  The sites are those of ``_ed_sites``: an opposite
+    pair is a and the site farthest from it, a non-opposite pair is a
+    and b, and one or three operations take a, b and c in turn.
     """
-    ed, sites, opposite, disjoint, triple = _ed_site_data()
-    a, b, c = triple
+    ed, a, far, b, c = _ed_sites()
     if dim < 0 or rot < 0:
         raise InvalidSite("negative operation counts")
     if dim + rot > 3:
@@ -979,7 +911,7 @@ def derive_from_ed(
             raise InvalidSite(
                 "a pair of cupola operations needs an 'o' or 'n' qualifier"
             )
-        pair = [a, opposite[a.top]] if rel == "o" else [a, b]
+        pair = [a, far] if rel == "o" else [a, b]
         dims, rots = pair[:dim], pair[dim:]
     else:
         # one or three sites: any choice from the disjoint triple works

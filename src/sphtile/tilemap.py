@@ -200,16 +200,31 @@ class TilingMap:
 
     @cached_property
     def _start_darts(self) -> tuple:
-        # restrict canonical-form starts to an isomorphism-invariant dart
-        # class (rarest wins) to keep the search small
+        """The forward and the reflected start darts of ``canonical_form``.
+
+        Starts are restricted to an isomorphism-invariant dart class to
+        keep the search small.  A dart's key is its face size, its
+        partner's face size and its origin's arrangement.  A reflection
+        reverses every dart, so for key (a, b, x) the reflected starts
+        are the partners of the darts keyed (b, a, x).  The key with the
+        fewest starts in all wins, ties broken on the key, never on ids:
+        both choices are the same in a map and in its mirror image.
+        """
         classes: dict = {}
-        size = self.face_size_of
+        size, pair = self.face_size_of, self.edge_pair
         for d in range(self.num_darts):
-            key = (size[d], size[self.edge_pair[d]], self.vertex_arrangements[self.origin[d]])
+            key = (size[d], size[pair[d]], self.vertex_arrangements[self.origin[d]])
             classes.setdefault(key, []).append(d)
-        # tie-break on the (isomorphism-invariant) class key, never on ids
-        best_key = min(classes, key=lambda k: (len(classes[k]), k))
-        return tuple(classes[best_key])
+
+        def mirror(k: tuple) -> tuple:
+            return (k[1], k[0], k[2])
+
+        def starts(k: tuple) -> tuple:
+            return len(classes.get(k, ())) + len(classes.get(mirror(k), ())), k
+
+        best = min({*classes, *map(mirror, classes)}, key=starts)
+        reflected = [pair[d] for d in classes.get(mirror(best), ())]
+        return tuple(classes.get(best, ())), tuple(reflected)
 
     @cached_property
     def canonical_form(self) -> tuple:
@@ -217,15 +232,17 @@ class TilingMap:
 
         The signature from a start dart labels darts in breadth-first
         order (face successor, then edge partner) and lists, per dart, the
-        labels of its successor and partner and its face size.  Starts run
-        in order, ``reflected`` False then True, each dart of
-        ``_start_darts``.  A signature is abandoned at its first triple
-        above the best one.  A start that ties the best gives the map
-        automorphism ``best_order[i] -> order[i]`` (orientation-reversing
-        when the two orientations differ), and one dart fixes a map
-        automorphism, so every (dart, orientation) state in its orbit has
-        the same signature: states are joined in a union-find and a start
-        whose orbit holds a tried start is skipped.
+        triple of the labels of its successor and partner and its face
+        size.  Starts run in order: ``reflected`` False from each forward
+        start of ``_start_darts``, then True from each reflected start.  A
+        map and its mirror image try the same signatures, so the form is
+        invariant under reflection.  A signature is abandoned at its
+        first triple above the best one.  A start that ties the best gives
+        the map automorphism ``best_order[i] -> order[i]``
+        (orientation-reversing when the two orientations differ), and one
+        dart fixes a map automorphism, so every (dart, orientation) state
+        in its orbit has the same signature: states are joined in a
+        union-find and a start whose orbit holds a tried start is skipped.
         """
         n = self.num_darts
         pair = self.edge_pair
@@ -240,9 +257,9 @@ class TilingMap:
 
         best = best_order = None
         best_reflected = False
-        for reflected in (False, True):
+        for reflected, starts in enumerate(self._start_darts):
             nxt = self.face_prev if reflected else self.face_next
-            for start in self._start_darts:
+            for start in starts:
                 r = find(start + n * reflected)
                 if tried[r]:
                     continue
@@ -262,15 +279,15 @@ class TilingMap:
                         order.append(b)
                     triple = (ids[a], ids[b], size[d])
                     if tie:
-                        k = len(sig)
-                        if triple != best[k : k + 3]:
-                            if triple > best[k : k + 3]:
+                        rival = best[len(sig)]
+                        if triple != rival:
+                            if triple > rival:
                                 break
                             tie = False
-                    sig.extend(triple)
+                    sig.append(triple)
                 else:  # not abandoned: a full tie or a new best
                     if not tie:
-                        best, best_order, best_reflected = tuple(sig), order, reflected
+                        best, best_order, best_reflected = sig, order, reflected
                         continue
                     # join each state with its image under the automorphism
                     flip = n * (reflected != best_reflected)
@@ -280,7 +297,7 @@ class TilingMap:
                             if rx != ry:
                                 root[rx] = ry
                                 tried[ry] = tried[ry] or tried[rx]
-        return best
+        return tuple(best)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -75,8 +76,11 @@ def test_antiprism5_matches_icosahedron_family():
     assert ap.angles.angles[3] == pytest.approx(2 * PI / 5, abs=1e-9)
     assert ap.angles.angles[5] == pytest.approx(4 * PI / 5, abs=1e-9)
     # antiprism(5) is the icosahedron with two antipodal vertices removed
-    ico, dist = cat._icosa_distances()
-    anti = cat.pyramid_diminish(ico, [0, dist[0].index(3)])
+    ico = cat.make("I")
+    t = ico.map
+    dist = cat._distances([[t.target(d) for d in r] for r in t.vertex_rotations], 0)
+    assert dist.count(3) == 1  # the antipode is the one vertex three steps away
+    anti = cat.pyramid_diminish(ico, [0, dist.index(3)])
     assert tm.isomorphic(ap.map, anti.map)
 
 
@@ -187,10 +191,9 @@ def test_pyramid_diminish_rejects_adjacent_vertices():
 
 
 def test_cupola_ops_reject_caps_sharing_a_vertex():
-    ed, sites, _, disjoint, _ = cat._ed_site_data()
-    a = sites[0]
-    b = next(s for s in sites if s is not a and s not in disjoint[a.top])
-    assert a.vertices & b.vertices
+    ed = cat.make("eD")
+    a, *others = cat.find_cupola_sites(ed.map)
+    b = next(s for s in others if a.vertices & s.vertices)
     with pytest.raises(cat.InvalidSite, match="overlap"):
         cat._apply_cupola_ops(ed, rotate_sites=[a], diminish_sites=[b])
 
@@ -306,12 +309,23 @@ def test_rotate_and_diminish_cupola_on_ed():
 
 
 def test_ed_site_geometry():
-    _, sites, opposite, disjoint, triple = cat._ed_site_data()
+    ed, a, far, b, c = cat._ed_sites()
+    t = ed.map
+    sites = cat._canonical_sites(t, cat.find_cupola_sites(t))
+    assert len(sites) == 12 and sites[0] == a
+    disjoint = {s.top: [o for o in sites if not (s.vertices & o.vertices)] for s in sites}
+    # one antipodal plus five at lattice distance 2
+    assert all(len(others) == 6 for others in disjoint.values())
+    # each site's farthest site in the dual graph is unique, at distance
+    # 6, and one of its six
+    fadj = [[t.face_of[t.edge_pair[d]] for d in cyc] for cyc in t.faces]
     for s in sites:
-        others = disjoint[s.top]
-        assert len(others) == 6  # one antipodal plus five at lattice distance 2
-        assert opposite[s.top] in others
-    a, b, c = triple
+        dist = cat._distances(fadj, s.top)
+        (opposite,) = [o for o in sites if dist[o.top] == 6]
+        assert max(dist[o.top] for o in sites) == 6
+        assert opposite in disjoint[s.top]
+        if s == a:
+            assert opposite == far
     assert not (a.vertices & b.vertices)
     assert not (a.vertices & c.vertices)
     assert not (b.vertices & c.vertices)
@@ -333,6 +347,134 @@ def test_ed_recipe_closure():
             rot_rel=recipe.get("rot_rel"),
         )
         assert t.map.canonical_form == forms[name], name
+
+
+def test_ed_operator_closure_is_j72_to_j83():
+    # every set of 1-3 pairwise disjoint cupolas, each rotated or diminished
+    ed = cat.make("eD")
+    sites = cat.find_cupola_sites(ed.map)
+    forms = set()
+    applied = 0
+    for r in (1, 2, 3):
+        for chosen in itertools.combinations(sites, r):
+            if any(a.vertices & b.vertices for a, b in itertools.combinations(chosen, 2)):
+                continue
+            for dims in itertools.product((False, True), repeat=r):
+                rots = [s for s, dim in zip(chosen, dims) if not dim]
+                cut = [s for s, dim in zip(chosen, dims) if dim]
+                forms.add(cat._apply_cupola_ops(ed, rots, cut).map.canonical_form)
+                applied += 1
+    assert applied == 328
+    expected = {cat.make(f"J{i}").map.canonical_form for i in range(72, 84)}
+    assert forms == expected
+
+
+def test_icosahedron_diminish_closure():
+    # every nonempty set of pairwise non-adjacent vertices
+    ico = cat.make("I")
+    t = ico.map
+    adjacent = {(t.origin[d], t.target(d)) for d in range(t.num_darts)}
+    forms = set()
+    # r = 4 finds no set, so no larger r can
+    for r in (1, 2, 3, 4):
+        for chosen in itertools.combinations(range(t.num_vertices), r):
+            if any(pair in adjacent for pair in itertools.combinations(chosen, 2)):
+                continue
+            forms.add(cat.pyramid_diminish(ico, chosen).map.canonical_form)
+    names = ["J11", "J62", "J63", "antiprism(5)"]
+    assert forms == {cat.make(n).map.canonical_form for n in names}
+
+
+def _region_boundary(t, region):
+    """Reference: the boundary vertex cycle of a face region, walked from
+    its least border dart, or None unless it is one cycle."""
+    border = {
+        d for d in range(t.num_darts)
+        if t.face_of[d] in region and t.face_of[t.edge_pair[d]] not in region
+    }
+    if not border:
+        return None
+    start = min(border)
+    cycle = []
+    d = start
+    while True:
+        cycle.append(d)
+        d = t.face_next[d]
+        while d not in border:
+            d = t.face_next[t.edge_pair[d]]
+        if d == start:
+            break
+        if len(cycle) > len(border):
+            return None
+    if len(cycle) != len(border):
+        return None
+    return tuple(t.origin[d] for d in cycle)
+
+
+def _oracle_cupola_sites(t):
+    """Reference: cupola caps with their boundary walked as a region's."""
+    sites = []
+    for top in range(t.num_faces):
+        k = t.face_size(top)
+        darts = t.faces[top]
+        if k not in (3, 4, 5) or any(t.degree(t.origin[d]) != 4 for d in darts):
+            continue
+        ring = [t.face_of[t.edge_pair[d]] for d in darts]
+        corners = [t.face_of[t.vertex_next[t.vertex_next[d]]] for d in darts]
+        if len(set(ring)) != k or any(t.face_size(f) != 4 for f in ring):
+            continue
+        if len(set(corners)) != k or any(t.face_size(f) != 3 for f in corners):
+            continue
+        cap = frozenset([top, *ring, *corners])
+        if len(cap) != 2 * k + 1:
+            continue
+        boundary = _region_boundary(t, cap)
+        interior = frozenset(t.face_vertex_cycle(top))
+        if boundary is None or len(boundary) != 2 * k or interior & set(boundary):
+            continue
+        sites.append(cat.CupolaSite(top, cap, boundary, interior))
+    return sites
+
+
+def _cupola_oracle_maps():
+    """The entries, larger prisms and antiprisms, eD with one cap turned or
+    cut, and the truncations and pyramid subdivisions of cupola-rich maps."""
+    maps = {name: cat.make(name).map for name in ALL}
+    for n in (16, 24, 50):
+        for kind in ("prism", "antiprism"):
+            maps[f"{kind}({n})"] = cat.make(f"{kind}({n})").map
+    ed = cat.make("eD")
+    for i, site in enumerate(cat._canonical_sites(ed.map, cat.find_cupola_sites(ed.map))[:4]):
+        maps[f"eD rotated {i}"] = cat.rotate_cupola(ed, site).map
+        maps[f"eD diminished {i}"] = cat.diminish_cupola(ed, site).map
+    for name in ("aC", "eC", "J37", "J19", "J4", "J5", "O", "C", "tO", "bC"):
+        t = cat.make(name)
+        maps[f"truncated {name}"] = cat.truncate_all(t.map)
+        for f in range(t.map.num_faces):
+            try:
+                maps[f"{name} coned at {f}"] = cat.pyramid_subdivide(t, f).map
+                break
+            except cat.PreconditionFailed:
+                continue
+    return maps
+
+
+def test_cupola_sites_match_region_boundary_oracle():
+    maps = _cupola_oracle_maps()
+    assert len(maps) == 107
+    found = 0
+    for name, t in maps.items():
+        sites = cat.find_cupola_sites(t)
+        assert sites == _oracle_cupola_sites(t), name
+        found += len(sites)
+    assert found == 117
+    # a triangular cupola cap whose six boundary vertices close on three
+    # (x0, x1, x2 and one y) is the whole sphere: no boundary, no site
+    closed = tm.build_from_faces([
+        (0, 1, 2), (1, 0, 3, 6), (2, 1, 4, 6), (0, 2, 5, 6), (1, 6, 4), (2, 6, 5), (0, 6, 3),
+    ])
+    assert closed.num_vertices - closed.num_edges + closed.num_faces == 2
+    assert cat.find_cupola_sites(closed) == [] == _oracle_cupola_sites(closed)
 
 
 def test_rotate_hemisphere_identities():

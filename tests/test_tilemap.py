@@ -265,20 +265,15 @@ def _brute_signature(t, start, reflected):
             if ids[nb] < 0:
                 ids[nb] = len(order)
                 order.append(nb)
-    sig = []
-    for d in order:
-        sig.append(ids[nxt[d]])
-        sig.append(ids[t.edge_pair[d]])
-        sig.append(len(t.faces[t.face_of[d]]))
-    return tuple(sig)
+    return tuple((ids[nxt[d]], ids[t.edge_pair[d]], len(t.faces[t.face_of[d]])) for d in order)
 
 
 def _brute_canonical_form(t):
-    """Reference: the least full signature over every start, both orientations."""
+    """Reference: the least full signature over every start state."""
     return min(
         _brute_signature(t, d, reflected)
-        for reflected in (False, True)
-        for d in t._start_darts
+        for reflected, starts in enumerate(t._start_darts)
+        for d in starts
     )
 
 
@@ -347,6 +342,73 @@ def test_rebuild_is_invariant_under_relabelling_and_reorientation():
         assert tm.census(other) == tm.census(t)
         assert tm.isomorphic(other, t)
         assert other.canonical_form == _brute_canonical_form(other)
+
+    invariant()
+
+
+def _coned_faces(t, f):
+    """The faces of a map with face f replaced by a pyramid on a new vertex."""
+    cyc = t.face_vertex_cycle(f)
+    apex = t.num_vertices
+    faces = [t.face_vertex_cycle(g) for g in range(t.num_faces) if g != f]
+    return faces + [(cyc[i - 1], cyc[i], apex) for i in range(len(cyc))]
+
+
+def _coned_snub(name, size):
+    t = catalog.make(name).map
+    return _coned_faces(t, catalog.faces_of_size(t, size)[0])
+
+
+def _truncated_snub(name):
+    t = catalog.truncate_all(catalog.make(name).map)
+    return [t.face_vertex_cycle(f) for f in range(t.num_faces)]
+
+
+# chiral maps that are not vertex-transitive, so a reflection does not
+# map forward starts onto themselves: a snub with a pyramid on one face
+# (which keeps its chirality) and a truncated snub (two vertex orbits)
+@pytest.mark.parametrize(
+    "build, args",
+    [(_coned_snub, ("sC", 4)), (_coned_snub, ("sC", 3)), (_coned_snub, ("sD", 5)),
+     (_truncated_snub, ("sC",))],
+    ids=["sC-square-pyramid", "sC-triangle-pyramid", "sD-pentagon-pyramid", "truncated-sC"],
+)
+def test_isomorphic_finds_mirror_image_of_chiral_map(build, args):
+    faces = build(*args)
+    t = tm.build_from_faces(faces)
+    mirror = tm.build_from_faces([f[::-1] for f in faces])
+    label = list(range(t.num_vertices))
+    random.Random(len(faces)).shuffle(label)
+    relabelled = tm.build_from_faces([tuple(label[v] for v in f[::-1]) for f in faces])
+    assert t != mirror
+    assert tm.isomorphic(t, mirror)
+    assert tm.isomorphic(t, relabelled)
+    assert mirror.canonical_form == t.canonical_form == relabelled.canonical_form
+
+
+def test_isomorphic_is_invariant_under_mirroring_coned_maps():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    names = [n for n in catalog.all_entries() if not n.startswith("hosohedron")]
+    coned = st.sampled_from(names).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, catalog.make(n).map.num_faces - 1))
+    )
+
+    @hyp.settings(max_examples=25, deadline=None)
+    @hyp.given(coned, st.booleans(), st.data())
+    def invariant(site, mirrored, data):
+        name, f = site
+        t = tm.build_from_faces(_coned_faces(catalog.make(name).map, f))
+        label = data.draw(st.permutations(range(t.num_vertices)))
+        faces = []
+        for g in range(t.num_faces):
+            cyc = [label[v] for v in t.face_vertex_cycle(g)]
+            k = data.draw(st.integers(0, len(cyc) - 1))
+            cyc = cyc[k:] + cyc[:k]
+            faces.append(cyc[::-1] if mirrored else cyc)
+        other = tm.build_from_faces(data.draw(st.permutations(faces)))
+        assert tm.isomorphic(other, t)
+        assert other.canonical_form == t.canonical_form == _brute_canonical_form(t)
 
     invariant()
 
