@@ -32,7 +32,7 @@ from .algsolve import (
     snub_dodecahedron_cos,
     solve_vertex_system,
 )
-from .sphkernel import TWO_PI, DomainError
+from .sphkernel import TWO_PI, DomainError, angle_from_edge
 from .tilemap import Census, TilingMap, build_from_faces, digon_fan
 from .vertexcomb import canonical_arrangement
 
@@ -245,29 +245,36 @@ def _require_angles(tiling: Tiling) -> AngleAssignment:
     return tiling.angles
 
 
+def _added_angle(assign: AngleAssignment, m: int) -> float:
+    """The angle of the regular m-gons a subdivision adds: the tiling's
+    own, else that of the m-gon on the tiling's edge, which the new faces
+    share; ``PreconditionFailed`` if the edge admits no m-gon."""
+    try:
+        return assign.angles[m] if m in assign.angles else angle_from_edge(m, assign.edge)
+    except DomainError as exc:
+        raise PreconditionFailed(str(exc)) from None
+
+
 def pyramid_subdivide(tiling: Tiling, face: int) -> Tiling:
     """Cone a face from a new central vertex, making m new triangles.
 
     Requires the face angle to equal twice the triangle angle, so the new
-    triangles are regular.
+    triangles are regular.  A dihedron's face may be coned (a square of
+    dihedron(4) gives J1); a hosohedron's digon may not, as no triangle
+    has its edge, pi.
     """
     t = tiling.map
-    if t.family is not None:
-        raise PreconditionFailed(f"pyramid subdivision undefined for {t.family} maps")
     assign = _require_angles(tiling)
     m = t.face_size(face)
-    a3 = assign.angle(3) if 3 in assign.angles else None
-    am = assign.angle(m)
-    if a3 is None or abs(am - 2.0 * a3) > 1e-9:
-        raise PreconditionFailed(
-            f"pyramid subdivision needs angle({m}) = 2*angle(3); got {am}"
-        )
+    a3, am = _added_angle(assign, 3), assign.angle(m)
+    if abs(am - 2.0 * a3) > 1e-9:
+        raise PreconditionFailed(f"pyramid subdivision needs angle({m}) = 2*angle(3); got {am}")
     centre = ("pyramid-apex", face)
     cyc = t.face_vertex_cycle(face)
     faces = _kept_faces(t, {face})
     for i in range(m):
         faces.append((cyc[i], cyc[(i + 1) % m], centre))
-    return _tiling(build_from_faces(faces), assign)
+    return _tiling(build_from_faces(faces), assign, [(3, a3)])
 
 
 def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
@@ -309,7 +316,7 @@ def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
     m = t.face_size(face)
     if m % 2 != 0 or m < 6:
         raise PreconditionFailed(f"cupola subdivision needs an even face size >= 6, got {m}")
-    a3, a4, am = assign.angle(3), assign.angle(4), assign.angle(m)
+    a3, a4, am = _added_angle(assign, 3), _added_angle(assign, 4), assign.angle(m)
     if abs(am - (a3 + a4)) > 1e-9:
         raise PreconditionFailed("cupola subdivision needs angle(m) = angle(3) + angle(4)")
     k = m // 2
@@ -321,7 +328,7 @@ def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
         faces.append((b[2 * j], b[2 * j + 1], top[j]))
         faces.append((b[2 * j + 1], b[(2 * j + 2) % m], top[(j + 1) % k], top[j]))
     faces.append(tuple(top))
-    return _tiling(build_from_faces(faces), assign, [(k, TWO_PI - 2.0 * a4 - a3)])
+    return _tiling(build_from_faces(faces), assign, [(3, a3), (4, a4), (k, TWO_PI - 2.0 * a4 - a3)])
 
 
 def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
@@ -332,7 +339,7 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
     t = tiling.map
     assign = _require_angles(tiling)
     m = t.face_size(face)
-    a4, am = assign.angle(4), assign.angle(m)
+    a4, am = _added_angle(assign, 4), assign.angle(m)
     if abs(am - 2.0 * a4) > 1e-9:
         raise PreconditionFailed("prism subdivision needs angle(m) = 2*angle(4)")
     cyc = t.face_vertex_cycle(face)
@@ -345,7 +352,7 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
     # the removed m-gon is the map's only one: its angle 2*angle(4) exceeds
     # pi, so its area exceeds a hemisphere; size m now names the convex copy
     convex = AngleAssignment({**assign.angles, m: TWO_PI - 2.0 * a4}, assign.edge)
-    return _tiling(build_from_faces(faces), convex)
+    return _tiling(build_from_faces(faces), convex, [(4, a4)])
 
 
 def shrink(t: TilingMap, face: int) -> TilingMap:

@@ -213,9 +213,6 @@ def _positive_float(text: str) -> float:
 
 
 def _cmd_derive(args) -> int:
-    if args.base != "eD":
-        print("derive: only the eD family recipes are supported", file=sys.stderr)
-        return 2
     dim, dim_rel = args.dim
     rot, rot_rel = args.rot
     try:
@@ -283,7 +280,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("derive", help="apply cupola recipes to eD")
-    p.add_argument("base", help="base tiling (eD)")
+    p.add_argument("base", choices=["eD"], help="base tiling")
     p.add_argument("--dim", type=_parse_sites, default="0",
                    help="diminish count, e.g. 1, 2o, 2n")
     p.add_argument("--rot", type=_parse_sites, default="0",

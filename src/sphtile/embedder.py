@@ -10,15 +10,18 @@ edge, and one Rodrigues rotation about each centre carries the edge's
 first vertex to all the face's other vertices.  The first occurrence of a
 vertex in the walk places it, and every later one measures the closure
 discrepancy, so the walk doubles as a consistency check of the angle
-assignment.  Edge lengths and corner angles are then measured once, per
-dart, in one numpy pass over the (V, 3) position array; the embedding
-keeps the corner angles, and ``total_area`` and ``face_angles`` read them.
+assignment.
 
-Hosohedra (antipodal poles, meridian edges) are placed directly, then
-measured like every other map; their edges carry explicit midpoints, by
-edge id (``TilingMap.edge_of``), because antipodal endpoints do not
-determine a great-circle arc (``_midpoints`` reads them).  ``export_obj``
-splits those arcs there.
+Every corner angle is measured by one function over a list of darts,
+``_measure_corners``.  ``realize`` measures every dart once, edge lengths
+included, and keeps the angles for ``total_area`` and ``face_angles``; an
+embedding built any other way is measured at the corners asked for.
+
+Hosohedra (antipodal poles, meridian edges) are placed directly.  Their
+edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
+because antipodal endpoints do not determine a great-circle arc: a
+digon's corners are measured from them, and ``export_obj`` splits the
+arcs there.
 """
 
 from __future__ import annotations
@@ -107,17 +110,6 @@ def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.arctan2(np.sqrt(np.add.reduce(w * w, axis=1)), np.add.reduce(u * v, axis=1))
 
 
-def _realize_hosohedron(t: TilingMap, assign: AngleAssignment) -> Embedding:
-    alpha = assign.angle(2)
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    # edge i of the fan (darts 2i and 2i+1) is the meridian at longitude i*alpha
-    longitudes = [i * alpha for i in range(t.num_edges)]
-    mids = np.zeros((t.num_edges, 3))
-    mids[:, 0] = [math.cos(x) for x in longitudes]
-    mids[:, 1] = [math.sin(x) for x in longitudes]
-    return _measured(t, assign, poles, 0.0, mids)
-
-
 def _measured(
     t: TilingMap,
     assign: AngleAssignment,
@@ -127,14 +119,14 @@ def _measured(
 ) -> Embedding:
     """The embedding at positions ``pos`` (a (V, 3) array) and edge
     midpoints ``mids`` (an (E, 3) array by edge id, for a hosohedron), its
-    edge lengths and corner angles measured once against ``assign``.
-
-    Each edge is measured from both of its darts, to the same bits (the
-    cross product only changes sign), so the worst of them is the worst
-    edge."""
-    at, toward = _corners(t, pos)
-    edge_error = float(np.max(np.abs(_arc_lengths(at, toward[1]) - assign.edge)))
-    angles = _angles(at, toward) if mids is None else _digon_angles(t, mids)
+    corner angles and edge lengths measured once against ``assign``.  Each
+    edge is measured from both of its darts, to the same bits, and every
+    edge of a hosohedron joins its two poles."""
+    if mids is None:
+        angles, lengths = _measure_corners(t, pos)
+    else:
+        angles, lengths = _measure_corners(t, mids)[0], _arc_lengths(pos[:1], pos[1:])
+    edge_error = float(np.max(np.abs(lengths - assign.edge)))
     want = np.array([assign.angle(len(c)) for c in t.faces]).take(t.face_of)
     angle_error = float(np.max(np.abs(angles - want)))
     arcs = {} if mids is None else dict(enumerate(mids))
@@ -168,12 +160,15 @@ def realize(
     walk doubles as a verifier.  Raises ``ClosureFailure`` when the worst
     revisit exceeds ``closure_tol``, which signals an inconsistent angle
     assignment; the message names that vertex (its first worst revisit in
-    walk order) and the face whose placement revisited it.  Edge lengths
-    and corner angles are measured once, and the returned embedding keeps
-    the corner angles for ``face_angles`` and ``total_area``.
+    walk order) and the face whose placement revisited it.  The embedding
+    keeps its measured corner angles for ``face_angles`` and ``total_area``.
     """
     if t.family == "hosohedron":
-        return _realize_hosohedron(t, assign)
+        # antipodal poles; edge i of the fan (darts 2i and 2i+1) is the
+        # meridian at longitude i * alpha, fixed by its midpoint
+        a = assign.angle(2)
+        mids = np.array([[math.cos(i * a), math.sin(i * a), 0.0] for i in range(t.num_edges)])
+        return _measured(t, assign, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 0.0, mids)
 
     origin, edge_pair, face_of, faces = t.origin, t.edge_pair, t.face_of, t.faces
     cosx = math.cos(assign.edge)
@@ -288,20 +283,32 @@ def realize(
     return _measured(t, assign, pos, worst_closure)
 
 
-def _corners(t: TilingMap, pos: np.ndarray) -> tuple:
-    """Per dart, the position of its origin (an (N, 3) array) and those of
-    the previous and the next vertex of its face (a (2, N, 3) array), read
-    from the (V, 3) positions ``pos``."""
-    origin = np.asarray(t.origin)
-    return pos.take(origin, 0), pos.take(origin.take(np.array([t.face_prev, t.face_next])), 0)
+def _measure_corners(t: TilingMap, points, darts=None) -> tuple:
+    """Per dart of ``darts`` (every dart when None): the interior angle at
+    its origin, reflex angles included, and the arc to the next corner.
 
-
-def _angles(at: np.ndarray, toward: np.ndarray) -> np.ndarray:
-    """Interior angle at each corner ``at`` (rows of an (N, 3) array) of the
-    face through its previous and next vertex (``toward``, (2, N, 3)).
-
-    Every step is row by row, so a corner's angle does not depend on which
-    other corners are measured with it."""
+    A corner is read from the positions of its origin and of the previous
+    and the next vertex of its face, so the arc is the dart's edge.  A
+    hosohedron's corners are read from its edge midpoints, by edge id: a
+    digon's angle is the arc between its two edges' midpoints.  ``points``
+    is an (N, 3) array or an ``Embedding``'s dict, of which only the rows
+    these corners use are read (``KeyError`` if one is missing).  Every
+    step is row by row, so a corner's angle does not depend on which other
+    corners are measured with it.
+    """
+    key = t.edge_of if t.family == "hosohedron" else t.origin
+    near = (t.face_prev, t.face_next)
+    if darts is None and isinstance(points, np.ndarray):
+        # the whole map: each table converted to an array once
+        key = np.asarray(key)
+        at, toward = points.take(key, 0), points.take(key.take(np.array(near)), 0)
+    else:
+        darts = range(t.num_darts) if darts is None else darts
+        at = np.array([points[key[d]] for d in darts])
+        toward = np.array([[points[key[n[d]]] for d in darts] for n in near])
+    lengths = _arc_lengths(at, toward[1])
+    if t.family == "hosohedron":
+        return lengths, lengths
     # tangents at each corner toward the previous and the next face vertex
     tv = toward - at * np.add.reduce(at * toward, axis=2, keepdims=True)
     norm = np.sqrt(np.add.reduce(tv * tv, axis=2, keepdims=True))
@@ -312,69 +319,47 @@ def _angles(at: np.ndarray, toward: np.ndarray) -> np.ndarray:
     raw = np.arctan2(turn, np.add.reduce(t_prev * t_next, axis=1))
     # faces run counterclockwise about their centres, so the interior angle
     # is the clockwise turn from t_prev to t_next
-    return (-raw) % TWO_PI
+    return (-raw) % TWO_PI, lengths
 
 
-def _digon_angles(t: TilingMap, mids: np.ndarray) -> np.ndarray:
-    """Interior angle at the origin of every dart of a hosohedron, between
-    the meridians through its digon's two edge midpoints (rows of the (E, 3)
-    ``mids``)."""
-    edge = np.asarray(t.edge_of)
-    return _arc_lengths(mids.take(edge, 0), mids.take(edge.take(t.face_next), 0))
-
-
-def _arc_midpoints(emb: Embedding, edges) -> np.ndarray:
-    """The midpoints of the edge ids ``edges`` as rows of an array;
-    ``ValueError`` if one is missing (as when rebuilt from ``load_json``
-    positions, which carry none)."""
-    try:
-        return np.array([emb.arc_midpoints[e] for e in edges])
-    except KeyError:
-        raise ValueError("a hosohedron embedding needs the midpoint of every edge") from None
+_NO_MIDPOINT = "a hosohedron embedding needs the midpoint of every edge"
 
 
 def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
     """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
-    for any other map; ``ValueError`` if one is missing."""
+    for any other map; ``ValueError`` if one is missing (as when rebuilt
+    from ``load_json`` positions, which carry none)."""
     if t.family != "hosohedron":
         return None
-    return _arc_midpoints(emb, range(t.num_edges))
+    try:
+        return np.array([emb.arc_midpoints[e] for e in range(t.num_edges)])
+    except KeyError:
+        raise ValueError(_NO_MIDPOINT) from None
 
 
-def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
-    """Realized interior angle at the origin of every dart: the angles
-    ``realize`` measured, else measured now."""
+def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
+    """Realized interior angle at the origin of each dart of ``darts``
+    (every dart when None): the angles ``realize`` measured, else measured
+    now from the rows of the embedding those corners use."""
     if emb._angles is not None:
-        return emb._angles
-    mids = _midpoints(t, emb)
-    if mids is not None:
-        return _digon_angles(t, mids)
-    return _angles(*_corners(t, np.array([emb.positions[v] for v in range(t.num_vertices)])))
+        return emb._angles if darts is None else emb._angles.take(darts)
+    if t.family != "hosohedron":
+        return _measure_corners(t, emb.positions, darts)[0]
+    try:
+        return _measure_corners(t, emb.arc_midpoints, darts)[0]
+    except KeyError:
+        raise ValueError(_NO_MIDPOINT) from None
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
-    """Realized interior angles of a face, reflex angles included.
-
-    An embedding that ``realize`` did not return measures this face's
-    corners alone, by the row-wise formulas of ``realize``, so summing
-    ``face_area`` over all faces stays linear in the map's size."""
-    darts = list(t.faces[f])
-    if emb._angles is not None:
-        return emb._angles[darts].tolist()
-    if t.family == "hosohedron":
-        mids = _arc_midpoints(emb, [t.edge_of[d] for d in darts])
-        return _arc_lengths(mids, mids[[1, 0]]).tolist()
-    pos = np.array([emb.positions[t.origin[d]] for d in darts])
-    m = len(darts)
-    # each corner's previous and next vertex, as rows of pos
-    around = np.array([[*range(-1, m - 1)], [*range(1, m), 0]])
-    return _angles(pos, pos[around]).tolist()
+    """Realized interior angles of a face, reflex angles included: only its
+    own corners are read, so summing ``face_area`` over all faces is linear."""
+    return _corner_angles(t, emb, t.faces[f]).tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
     """Spherical-excess area of a face from realized coordinates."""
-    m = t.face_size(f)
-    return sum(face_angles(t, emb, f)) - (m - 2) * math.pi
+    return sum(face_angles(t, emb, f)) - (t.face_size(f) - 2) * math.pi
 
 
 def total_area(t: TilingMap, emb: Embedding) -> float:

@@ -24,7 +24,13 @@ bound, vertex-type admissibility, the rule that at most one face is
 not strictly convex, and 2-connectivity, read from the face cycles: on a
 connected map whose faces are simple cycles no vertex is a cut vertex.
 Admissibility is one exact predicate, ``vertexcomb.admissible``, applied
-to each distinct vertex arrangement.
+to each distinct vertex arrangement.  ``euler``, ``degree_sum``,
+``face_sum``, ``degrees``, ``vertex_feasibility``, ``two_connected`` and
+``census`` are decided exactly, on integers.  ``angle_sums`` (within 1e-9),
+``area`` (1e-8), ``companion`` (1e-9), the convexity rule (an angle from
+pi - 1e-12 on is not strictly convex) and ``cli.verify_entry``'s
+``embedding_closure`` (closure 1e-7, edges 1e-9, area 1e-6) are measured
+in floats.
 The same ``ValidationReport`` is the ``verify`` report: ``cli.verify_entry``
 adds the embedding as one more check, and ``as_dict`` folds the checks
 into the report keys of ``REPORT_GROUPS``.

@@ -160,6 +160,51 @@ def test_cupola_subdivide_j76_rebuilds_ed_family():
     assert results == {"eD", "J72"}
 
 
+def test_subdivisions_read_an_added_size_from_the_edge():
+    # the new triangles and squares share the tiling's edge, so a size the
+    # tiling lacks takes the regular polygon's angle on that edge
+    p8, d6, d4 = (cat.make(n) for n in ("prism(8)", "dihedron(6)", "dihedron(4)"))
+    j3 = cat.cupola_subdivide(d6, 0)
+    j1 = cat.pyramid_subdivide(d4, 0)
+    cases = [
+        (cat.cupola_subdivide(p8, cat.faces_of_size(p8.map, 8)[0]), "J19"),
+        (j3, "J3"),
+        (j1, "J1"),
+        (cat.pyramid_subdivide(j1, cat.faces_of_size(j1.map, 4)[0]), "O"),
+    ]
+    hexagon = cat.faces_of_size(j3.map, 6)[0]
+    bicupolas = [cat.cupola_subdivide(j3, hexagon, phase=phase) for phase in (0, 1)]
+    for r, name in cases + list(zip(bicupolas, ("J27", "aC"))):
+        assert tm.isomorphic(r.map, cat.make(name).map), name
+        assert tm.validate(r.map, r.angles).overall_pass, name
+        assert embedder.realize(r.map, r.angles).closure_error <= 1e-12, name
+
+
+@pytest.mark.parametrize(
+    "name", ["tO", "tD", "tI", "bD", "tC", "D", "dihedron(5)", "hosohedron(4)"]
+)
+def test_subdivisions_refuse_every_face_by_their_precondition(name):
+    t = cat.make(name)
+    for op in (cat.pyramid_subdivide, cat.cupola_subdivide, cat.prism_subdivide):
+        for f in range(t.map.num_faces):
+            with pytest.raises(cat.PreconditionFailed):
+                op(t, f)
+
+
+def test_subdivisions_and_their_inverses_round_trip():
+    j3, j19, j1 = (cat.make(n) for n in ("J3", "J19", "J1"))
+    for cupola, base in ((j3, "dihedron(6)"), (j19, "prism(8)")):
+        (site,) = cat.find_cupola_sites(cupola.map)
+        cut = cat.diminish_cupola(cupola, site)
+        assert tm.isomorphic(cut.map, cat.make(base).map), base
+        again = cat.cupola_subdivide(cut, cat.faces_of_size(cut.map, len(site.boundary))[0])
+        assert tm.isomorphic(again.map, cupola.map), base
+    (apex,) = [v for v in range(j1.map.num_vertices) if j1.map.degree(v) == 4]
+    cut = cat.pyramid_diminish(j1, [apex])
+    assert tm.isomorphic(cut.map, cat.make("dihedron(4)").map)
+    assert tm.isomorphic(cat.pyramid_subdivide(cut, 0).map, j1.map)
+
+
 def _with_angles(tiling, changes):
     """The same map with some sizes' angles replaced or added."""
     angles = {**tiling.angles.angles, **changes}
@@ -349,10 +394,10 @@ def test_ed_recipe_closure():
         assert t.map.canonical_form == forms[name], name
 
 
-def test_ed_operator_closure_is_j72_to_j83():
-    # every set of 1-3 pairwise disjoint cupolas, each rotated or diminished
-    ed = cat.make("eD")
-    sites = cat.find_cupola_sites(ed.map)
+def _cupola_closure(tiling):
+    """The canonical forms of every set of 1-3 pairwise disjoint cupolas,
+    each rotated or diminished, and the number of applications."""
+    sites = cat.find_cupola_sites(tiling.map)
     forms = set()
     applied = 0
     for r in (1, 2, 3):
@@ -362,11 +407,36 @@ def test_ed_operator_closure_is_j72_to_j83():
             for dims in itertools.product((False, True), repeat=r):
                 rots = [s for s, dim in zip(chosen, dims) if not dim]
                 cut = [s for s, dim in zip(chosen, dims) if dim]
-                forms.add(cat._apply_cupola_ops(ed, rots, cut).map.canonical_form)
+                forms.add(cat._apply_cupola_ops(tiling, rots, cut).map.canonical_form)
                 applied += 1
+    return forms, applied
+
+
+def test_ed_operator_closure_is_j72_to_j83():
+    forms, applied = _cupola_closure(cat.make("eD"))
     assert applied == 328
     expected = {cat.make(f"J{i}").map.canonical_form for i in range(72, 84)}
     assert forms == expected
+
+
+@pytest.mark.parametrize(
+    "name, closure",
+    [
+        ("O", ["O", "J1"]),
+        ("aC", ["J3", "J27"]),
+        ("aD", ["J6", "J34"]),
+        ("eC", ["eC", "J19", "J37", "prism(8)"]),
+    ],
+)
+def test_cut_and_reglue_closure(name, closure):
+    # the cupola closure plus every equatorial cycle, its far side rotated
+    # or cut: no map outside the catalog
+    t = cat.make(name)
+    forms = _cupola_closure(t)[0]
+    for path in cat.equatorial_cycles(t):
+        forms.add(cat.rotate_hemisphere(t, path).map.canonical_form)
+        forms.add(cat.cut_hemisphere(t, path).map.canonical_form)
+    assert forms == {cat.make(n).map.canonical_form for n in closure}
 
 
 def test_icosahedron_diminish_closure():

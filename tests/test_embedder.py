@@ -244,6 +244,18 @@ def test_corner_angles_match_scalar_oracle():
             assert np.max(np.abs(one - want[list(t.map.faces[f])])) <= 1e-15, (name, f)
 
 
+def test_missing_vertex_position_raises_key_error():
+    t = cat.make("C")
+    emb = em.realize(t.map, t.angles)
+    positions = dict(emb.positions)
+    del positions[0]
+    bad = dataclasses.replace(emb, positions=positions)
+    with pytest.raises(KeyError):
+        em.total_area(t.map, bad)
+    with pytest.raises(KeyError):
+        em.face_angles(t.map, bad, t.map.face_of[t.map.vertex_rotations[0][0]])
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-15])
 def test_face_angles_coincident_neighbours_raise(offset):
     t = cat.make("C")
