@@ -17,16 +17,18 @@ independent check of the solver rather than as the solver.
 ``Polynomial`` implements exact rational univariate polynomials with
 Sturm-sequence real root isolation, its signs decided on integers, used
 both for the Groebner check and for the snub-dodecahedron sextic.
+``AngleAssignment``, ``Polynomial``, ``GroebnerCandidate`` and
+``GroebnerReport`` are NamedTuples: they compare and hash by their fields,
+and their fields are read-only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import vertexcomb
 from .sphkernel import (
@@ -58,20 +60,27 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleAssignment:
+class _AngleFields(NamedTuple):
+    angles: Mapping[int, float]
+    edge: float
+
+
+class AngleAssignment(_AngleFields):
     """Interior angle per face size, plus the common edge length.
 
     The pair determines the metric data of a tiling: every m-gon in an
     edge-to-edge tiling by regular polygons is congruent, so one angle per
-    size suffices.
+    size suffices.  ``angles`` is a read-only copy of the mapping given.
     """
 
-    angles: Mapping[int, float]
-    edge: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "angles", MappingProxyType(dict(self.angles)))
+    def __new__(cls, angles: Mapping[int, float], edge: float):
+        return super().__new__(cls, MappingProxyType(dict(angles)), edge)
+
+    @classmethod
+    def _make(cls, iterable) -> "AngleAssignment":
+        return cls(*iterable)
 
     @classmethod
     def from_angles(cls, angles: Mapping[int, float]) -> "AngleAssignment":
@@ -122,8 +131,7 @@ class AngleAssignment:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(NamedTuple):
     """Univariate polynomial with exact rational coefficients, ascending."""
 
     coeffs: tuple
@@ -609,8 +617,7 @@ def _coeffs_in_var(poly: Mapping, var: int, values: dict) -> list[float]:
     return [out.get(i, 0.0) for i in range(top + 1)]
 
 
-@dataclass(frozen=True)
-class GroebnerCandidate:
+class GroebnerCandidate(NamedTuple):
     x3: float
     x4: float
     x5: float
@@ -626,8 +633,7 @@ class GroebnerCandidate:
         return self.ordered_ok and self.sum_ok
 
 
-@dataclass(frozen=True)
-class GroebnerReport:
+class GroebnerReport(NamedTuple):
     candidates: tuple
     surviving: tuple
     y4_roots: tuple

@@ -22,7 +22,6 @@ import itertools
 import math
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -414,8 +413,7 @@ def truncate_all(t: TilingMap) -> TilingMap:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CupolaSite:
+class CupolaSite(NamedTuple):
     """A cupola cap: top face, its ring of squares and triangles, and the
     ordered boundary cycle separating the cap from the rest."""
 

@@ -31,9 +31,11 @@ to each distinct vertex arrangement.  ``euler``, ``degree_sum``,
 pi - 1e-12 on is not strictly convex) and ``cli.verify_entry``'s
 ``embedding_closure`` (closure 1e-7, edges 1e-9, area 1e-6) are measured
 in floats.
-The same ``ValidationReport`` is the ``verify`` report: ``cli.verify_entry``
-adds the embedding as one more check, and ``as_dict`` folds the checks
-into the report keys of ``REPORT_GROUPS``.
+``TilingMap``, ``Census`` and ``CheckResult`` are NamedTuples: they compare
+and hash by their fields, and their fields are read-only.  A map keeps its
+cached tables beside them.  The mutable ``ValidationReport`` is the ``verify``
+report: ``cli.verify_entry`` adds the embedding as one more check, and
+``as_dict`` folds the checks into the report keys of ``REPORT_GROUPS``.
 Isomorphism (allowing reflection, preserving face sizes) uses a canonical
 rooted-dart traversal form, searched with early abort and pruned by the
 automorphisms found on the way.
@@ -43,11 +45,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from operator import lt
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import vertexcomb
 from .algsolve import AngleAssignment
@@ -78,8 +79,15 @@ class Disconnected(ValueError):
     """The face data describes a disconnected complex."""
 
 
-@dataclass(frozen=True)
-class TilingMap:
+class _MapFields(NamedTuple):
+    origin: tuple
+    face_next: tuple
+    edge_pair: tuple
+    face_of: tuple
+    faces: tuple
+
+
+class TilingMap(_MapFields):
     """Immutable dart-based map of a spherical tiling.
 
     ``origin[d]`` is the tail vertex of dart ``d``; ``face_next[d]`` the
@@ -91,12 +99,6 @@ class TilingMap:
     vertex twice.  ``validate`` reads 2-connectivity from that invariant; a
     map built by hand that breaks it is outside the contract.
     """
-
-    origin: tuple
-    face_next: tuple
-    edge_pair: tuple
-    face_of: tuple
-    faces: tuple
 
     @cached_property
     def family(self) -> Optional[str]:
@@ -306,8 +308,7 @@ class TilingMap:
         return tuple(best)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Vertex-arrangement counts, face-size counts and the V, E, F totals."""
 
     vertex_types: Mapping
@@ -426,28 +427,18 @@ def digon_fan(n: int) -> TilingMap:
         raise ValueError("a hosohedron needs at least 2 digons")
     # dart 2i runs pole 0 -> pole 1 along edge i, dart 2i+1 runs back;
     # face i lies between edges i and i+1
-    origin = []
+    faces = tuple((2 * i, 2 * ((i + 1) % n) + 1) for i in range(n))
     face_next = [0] * (2 * n)
-    edge_pair = [0] * (2 * n)
     face_of = [0] * (2 * n)
-    faces = []
-    for i in range(n):
-        origin.extend([0, 1])
-        edge_pair[2 * i] = 2 * i + 1
-        edge_pair[2 * i + 1] = 2 * i
-    for i in range(n):
-        j = (i + 1) % n
-        face_next[2 * i] = 2 * j + 1
-        face_next[2 * j + 1] = 2 * i
-        faces.append((2 * i, 2 * j + 1))
-        face_of[2 * i] = i
-        face_of[2 * j + 1] = i
+    for i, (a, b) in enumerate(faces):
+        face_next[a], face_next[b] = b, a
+        face_of[a] = face_of[b] = i
     return TilingMap(
-        origin=tuple(origin),
+        origin=(0, 1) * n,
         face_next=tuple(face_next),
-        edge_pair=tuple(edge_pair),
+        edge_pair=tuple(d ^ 1 for d in range(2 * n)),
         face_of=tuple(face_of),
-        faces=tuple(faces),
+        faces=faces,
     )
 
 
@@ -469,17 +460,19 @@ REPORT_GROUPS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     passed: bool
     residual: Optional[float] = None
     detail: str = ""
 
 
-@dataclass
 class ValidationReport:
-    name: str
-    checks: dict = field(default_factory=dict)
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = {}
+
+    def __repr__(self) -> str:
+        return f"ValidationReport(name={self.name!r}, checks={self.checks!r})"
 
     def add(self, key: str, passed: bool, residual: Optional[float] = None, detail: str = ""):
         self.checks[key] = CheckResult(bool(passed), residual, detail)

@@ -802,3 +802,46 @@ def test_groebner_matches_newton_solver():
     assert math.cos(s.angles[3]) == pytest.approx(survivor.x3, abs=1e-11)
     assert math.cos(s.angles[4]) == pytest.approx(survivor.x4, abs=1e-11)
     assert math.cos(s.angles[5]) == pytest.approx(survivor.x5, abs=1e-11)
+
+
+# --------------------------------------------------------------------------
+# the records: immutability, repr
+# --------------------------------------------------------------------------
+
+
+def test_angle_assignment_fields_are_read_only():
+    a = AngleAssignment({3: 1.0}, 2.0)
+    for field in ("angles", "edge"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+
+
+def test_angle_assignment_keeps_a_read_only_copy_of_its_angles():
+    source = {3: 1.0, 4: 2.0}
+    a = AngleAssignment(source, 0.5)
+    source[3] = 9.0
+    assert a.angles == {3: 1.0, 4: 2.0}
+    with pytest.raises(TypeError):
+        a.angles[3] = 9.0
+
+
+def test_angle_assignment_replace_and_make_copy_the_angles_too():
+    a = AngleAssignment({3: 1.0, 4: 2.0}, 0.5)
+    replaced = {5: 3.0}
+    b = a._replace(angles=replaced)
+    replaced[5] = 9.0
+    assert b.angles == {5: 3.0} and b.edge == 0.5 and a.angles == {3: 1.0, 4: 2.0}
+    with pytest.raises(TypeError):
+        b.angles[5] = 9.0
+    c = AngleAssignment._make([replaced, 0.25])
+    replaced[5] = 1.0
+    assert c.angles == {5: 9.0}
+    with pytest.raises(TypeError):
+        c.angles[5] = 1.0
+
+
+def test_algsolve_record_reprs_start_with_class_and_first_field():
+    assert repr(AngleAssignment({3: 1.0}, 2.0)).startswith("AngleAssignment(angles=")
+    assert repr(alg.Polynomial.from_coeffs([1, 2])).startswith("Polynomial(coeffs=(Fraction(1, 1)")
+    report = alg.verify_groebner_candidates()
+    assert repr(report).startswith("GroebnerReport(candidates=(GroebnerCandidate(x3=")

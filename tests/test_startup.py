@@ -1,4 +1,5 @@
-"""numpy stays off the start-up path: only the embedder loads it."""
+"""numpy, ``dataclasses`` and ``inspect`` stay off the start-up path: only
+the embedder loads numpy, and with it the other two."""
 
 import os
 import pathlib
@@ -51,3 +52,30 @@ def test_commands_that_never_embed_leave_numpy_unloaded(tmp_path):
     )
     assert out.splitlines() == [f"{argv[0]} 0 False" for argv in commands]
     assert (tmp_path / "manifest.json").read_text() == (ROOT / "catalog_manifest.json").read_text()
+
+
+def test_start_up_path_loads_no_dataclasses_and_no_inspect(tmp_path):
+    commands = [
+        ["solve", "--type", "3,4,4,5"],
+        ["enumerate", "--max-size", "19"],
+        ["catalog", "list"],
+        ["catalog", "dump", "--out", str(tmp_path / "manifest.json")],
+        ["catalog", "show", "C"],
+        ["catalog", "show", "prism(7)"],
+        ["catalog", "show", "antiprism(13)"],
+        ["derive", "eD", "--dim", "1"],
+    ]
+    out = _run(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "import sphtile.cli, sphtile.catalog, sphtile.algsolve, sphtile.tilemap\n"
+        "import sphtile.vertexcomb, sphtile.sphkernel\n"
+        "from sphtile import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n",
+        tmp_path,
+    )
+    assert out == "[]\n"

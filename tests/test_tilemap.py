@@ -498,3 +498,53 @@ def test_two_connected_names_the_face_that_repeats_a_vertex():
     assert not check.passed and check.detail == "face 2 repeats vertex 0"
     nx = pytest.importorskip("networkx")
     assert not nx.is_biconnected(nx.Graph(t.edges))
+
+
+# --------------------------------------------------------------------------
+# the records: equality, immutability, repr
+# --------------------------------------------------------------------------
+
+
+def test_maps_from_the_same_faces_are_equal_and_hash_equal():
+    a, b = tm.build_from_faces(CUBE_FACES), tm.build_from_faces(CUBE_FACES)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != tm.build_from_faces(TETRA_FACES)
+    assert tm.census(a) == tm.census(b)
+    assert tm.census(a) != tm.census(tm.build_from_faces(TETRA_FACES))
+
+
+def test_check_result_compares_by_fields_with_its_defaults():
+    assert tm.CheckResult(True) == tm.CheckResult(True, None, "")
+    assert tm.CheckResult(True).residual is None and tm.CheckResult(True).detail == ""
+    assert tm.CheckResult(True, 0.5) != tm.CheckResult(True, 0.25)
+    assert tm.CheckResult(False, detail="x") != tm.CheckResult(False, detail="y")
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (tm.build_from_faces(TETRA_FACES), "origin"),
+        (tm.build_from_faces(TETRA_FACES), "faces"),
+        (tm.census(tm.build_from_faces(TETRA_FACES)), "v"),
+        (tm.CheckResult(True), "passed"),
+    ],
+)
+def test_record_fields_are_read_only(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+
+
+def test_validation_reports_do_not_share_checks():
+    a, b = tm.ValidationReport(name="a"), tm.ValidationReport(name="b")
+    a.add("euler", True)
+    assert list(a.checks) == ["euler"] and b.checks == {}
+
+
+def test_record_reprs_start_with_class_and_first_field():
+    t = tm.build_from_faces(TETRA_FACES)
+    assert repr(t).startswith("TilingMap(origin=(0, 1, 2, ")
+    assert repr(tm.census(t)).startswith("Census(vertex_types={(3, 3, 3): 4}")
+    assert repr(tm.CheckResult(True)).startswith("CheckResult(passed=True")
+    assert repr(tm.ValidationReport(name="X")).startswith("ValidationReport(name='X'")
+    (site,) = catalog.find_cupola_sites(catalog.make("J3").map)
+    assert repr(site).startswith(f"CupolaSite(top={site.top}")
