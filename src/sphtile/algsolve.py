@@ -5,9 +5,10 @@ realising it must satisfy the angle sum 2*pi at the vertex together with
 the pairwise companion relation of :mod:`sphtile.sphkernel`: all faces
 share one edge length x.  ``solve_vertex_system`` solves the system in
 that one unknown, bracketing and bisecting the angle sum as a function
-of x on each convex/reflex branch and reading a hemisphere root at the
-end of the interval from the type; it is the public angle solver, and
-``solve_snub`` is its 3.3.3.3.m case.
+of x on the all-convex branch and on each reflex branch that can hold a
+root (a rational test on the planar angles skips the others), and
+reading a hemisphere root at the end of the interval from the type; it
+is the public angle solver, and ``solve_snub`` is its 3.3.3.3.m case.
 
 The module also carries exact golden data for the hardest case, the
 degree-4 type {3,4,4,5}: the reduced Groebner basis of its polynomial
@@ -396,19 +397,23 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     is one equation, sum c_i * alpha(m_i, x) = 2*pi on (0, 2*pi/M] with M
     the largest size and ``angle_from_edge`` giving the convex angle.  One
     branch takes every face convex, and one more per size of count 1 takes
-    that face reflex (2*pi - alpha); two reflex faces exceed 2*pi.  Each
-    branch is sampled at ``_SCAN_POINTS`` edges and every sign change is
-    bisected in x to the last bit; a solution's edge is that x.  The open
-    end x -> 0 is excluded: a branch's value there is an exact rational
-    multiple of pi, and a branch that vanishes there (the planar limit)
-    gets no bracket from it.  A root at x = 2*pi/M puts the M-gon at
+    that face reflex (2*pi - alpha); two reflex faces exceed 2*pi.  A
+    reflex branch whose other faces already fill half a turn at their
+    planar angles has no root, and is skipped (so 4.4.m and 3.3.3.m scan
+    the all-convex branch alone).  Every other branch is sampled at
+    ``_SCAN_POINTS`` edges and every sign change is bisected in x to the
+    last bit; a solution's edge is that x.  The open end x -> 0 is
+    excluded: a branch's value there is an exact rational multiple of pi,
+    and a branch that vanishes there (the planar limit) gets no bracket
+    from it.  A root at x = 2*pi/M puts the M-gon at
     exactly pi; it is read from the type, one of the three
     ``_HEMISPHERE_TYPES``, and counted once.  Every solution passes the
     companion and angle-sum checks to 1e-9.  Solutions come sorted by
     their angles; an empty list when none exists.  Deterministic.  A face
     size so large that the excess rounds away, so that it changes sign at
     x = 0 (from about M = 10**16 on) or more than once on the increasing
-    all-convex branch (4.4.M at M = 5 * 10**15), raises ``DomainError``.
+    all-convex branch (4.4.M at M = 5 * 10**15), or that has no double at
+    all, raises ``DomainError``.
     """
     entries = _vertex_type(t)
     sizes = sorted(set(entries))
@@ -416,14 +421,29 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     if len(sizes) == 1:
         return _accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
 
-    top = TWO_PI / sizes[-1]
+    try:
+        top = TWO_PI / sizes[-1]
+    except OverflowError:
+        raise DomainError(
+            f"face size {sizes[-1]} is too large: it is past the range of a double"
+        ) from None
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
     hemisphere = entries in _HEMISPHERE_TYPES
     roots = [(top, None)] if hemisphere else []
     # the all-convex sum at the planar limit, minus 2*pi, in units of pi
     planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2
     per_size = [(m, c, math.pi / m) for m, c in zip(sizes, counts)]
-    for reflex in [None] + [m for m, c in zip(sizes, counts) if c == 1]:
+    # Reflex branch r has no root when the other faces fill half a turn at
+    # their planar angles: sum_{m != r} c_m (1 - 2/m) >= 1.  With c_r = 1
+    # that sum is planar + 1 + 2/r, so the test is planar + 2/r >= 0,
+    # decided on rationals with no tolerance.  Proof: the branch's equation
+    # is sum_{m != r} c_m alpha_m(x) = alpha_r(x).  Every convex angle
+    # strictly exceeds its planar angle for x > 0, so the left side is
+    # > pi * sum_{m != r} c_m (1 - 2/m) >= pi.  On (0, 2*pi/M] the r-gon's
+    # angle is at most pi, equal only for r = M at x = 2*pi/M.  So the left
+    # side always exceeds the right.
+    reflexes = [m for m, c in zip(sizes, counts) if c == 1 and planar + Fraction(2, m) < 0]
+    for reflex in [None] + reflexes:
 
         def excess(x, reflex=reflex):
             # sum(c * _branch_angles(sizes, x, reflex)[m]) - 2*pi, bit for bit

@@ -665,6 +665,59 @@ def test_solver_and_dict_excess_oracle_refuse_the_same_sizes(t):
             solve(t)
 
 
+def _skipped_reflex_sizes(t):
+    """The sizes of count 1 whose reflex branch the solver skips: the other
+    faces fill half a turn at their planar angles, sum c * (1 - 2/m) >= 1."""
+    entries = sorted(t)
+    return [
+        r for r in set(entries) if entries.count(r) == 1
+        and sum(Fraction(m - 2, m) for m in entries) - Fraction(r - 2, r) >= 1
+    ]
+
+
+def test_skipped_reflex_branches_have_no_root():
+    # on a skipped branch the other faces' convex angles always sum to more
+    # than the reflex face's convex angle, so 2*pi is never met: checked at
+    # the scan's grid edges and at a denser sample, without the solver
+    types = vcomb.enumerate_candidate_types(28) + [
+        t + (m,) for t in ((4, 4), (3, 3, 3)) for m in (33, 10**3, 10**5, 10**8, 10**12)
+    ]
+    skipped = 0
+    for t in types:
+        top = TWO_PI / max(t)
+        grid = [top * i / alg._SCAN_POINTS for i in range(1, alg._SCAN_POINTS + 1)]
+        edges = grid + [top * i / 1000 for i in range(1, 1000)]
+        for r in _skipped_reflex_sizes(t):
+            skipped += 1
+            rest = list(t)
+            rest.remove(r)
+            for x in edges:
+                others = sum(sk.angle_from_edge(m, x) for m in rest)
+                assert others > sk.angle_from_edge(r, x), (t, r, x)
+    assert skipped == 463 + 10
+
+
+@pytest.mark.parametrize("kind, t", [("prism", (4, 4)), ("antiprism", (3, 3, 3))])
+def test_prism_and_antiprism_types_scan_one_branch(monkeypatch, kind, t):
+    # the reflex m-gon branch is skipped, so every grid edge is evaluated
+    # once per size: on the all-convex branch only
+    calls = []
+
+    def recording(m, pi_m, x, half, cos_half):
+        calls.append((m, x))
+        return convex_angle(m, pi_m, x, half, cos_half)
+
+    convex_angle = alg._convex_angle
+    monkeypatch.setattr(alg, "_convex_angle", recording)
+    for m in range(5, 33):
+        calls.clear()
+        assert _skipped_reflex_sizes(t + (m,)) == [m]
+        alg.solve_vertex_system(t + (m,))
+        top = TWO_PI / m
+        for x in (top * i / alg._SCAN_POINTS for i in range(1, alg._SCAN_POINTS + 1)):
+            assert [calls.count((size, x)) for size in (t[0], m)] == [1, 1], (kind, m, x)
+
+
 def _family_edge_error(kind, m, edge):
     """Relative error of ``edge`` against the closed-form family edge, in 50 digits.
 

@@ -259,6 +259,20 @@ def test_diminish_cupola_rejects_conflicting_decagon_angle():
         cat.diminish_cupola(_with_angles(ed, {10: 1.0}), site)
 
 
+@pytest.mark.parametrize("name, size", [("J4", 8), ("J5", 10)])
+def test_diminish_cupola_refuses_the_reflex_base_of_j4_and_j5(name, size):
+    """Cutting the cap off J4 (J5) would leave a convex and a reflex octagon
+    (decagon): the cut face is convex, J4's octagon base reflex.  One
+    ``AngleAssignment`` holds one angle per size, so the cut is refused.
+    Whether such a tiling belongs to the classification is left to ROADMAP
+    items 2-3; this pins the refusal until then.
+    """
+    t = cat.make(name)
+    site = cat.find_cupola_sites(t.map)[0]
+    with pytest.raises(cat.InvalidSite, match=f"size {size} angle"):
+        cat.diminish_cupola(t, site)
+
+
 def test_cupola_subdivide_rejects_top_angle_off_the_squares():
     # angle(8) = angle(3) + angle(4) still holds, but the new top square's
     # derived angle 2*pi - 2*angle(4) - angle(3) now misses angle(4)

@@ -243,6 +243,7 @@ def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
     ["catalog", "show", "prism(1)"],
     ["solve", "--type", "3,3"],
     ["solve", "--type", "4,4,4,4"],
+    ["solve", "--type", "4,4," + "9" * 400],
     ["derive", "eD", "--dim", "x"],
     ["derive", "eD", "--rot", "2q"],
     ["enumerate", "--max-size", "2"],

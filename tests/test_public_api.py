@@ -100,6 +100,10 @@ REJECTED_INPUTS = {
         DomainError,
         lambda: algsolve.solve_vertex_system((4, 4, 5 * 10**15)),
     ),
+    "solve_vertex_system-(4,4,1e400)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((4, 4, 10**400)),
+    ),
 }
 
 
