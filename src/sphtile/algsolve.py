@@ -36,6 +36,7 @@ from .sphkernel import (
     TWO_PI,
     DomainError,
     NoSolution,
+    _check_size,
     _convex_angle,
     angle_from_edge,
     companion_residual,
@@ -308,7 +309,10 @@ _SCAN_POINTS = 32
 
 
 def _vertex_type(t: Sequence[int]) -> tuple:
-    """The sorted entries of ``t``; ``DomainError`` unless it is admissible."""
+    """The sorted entries of ``t``; ``DomainError`` unless each is a face
+    size (``_check_size``) and together they are admissible."""
+    for m in t:
+        _check_size(m)
     entries = tuple(sorted(int(m) for m in t))
     if not vertexcomb.admissible(entries):
         raise DomainError(
@@ -663,82 +667,50 @@ class GroebnerReport(NamedTuple):
 def verify_groebner_candidates() -> GroebnerReport:
     """Reconstruct the {3,4,4,5} candidates from the embedded basis.
 
-    Back-substitutes through the reduced basis starting from the roots of
-    its univariate member, checks every basis polynomial vanishes at each
-    candidate, matches the candidates against the exact reference triples,
-    and applies the two admissibility filters (angle ordering and angle
-    sum).  Exactly one candidate must survive.
+    The basis is triangular.  y4 runs over the roots of its univariate row
+    0; y5 comes from row 1, or from row 6's quadratic at the one root where
+    row 1's y5 coefficient vanishes (y4 = sqrt(3)/2); rows 2-5 are then
+    linear in x4, x3, x5 and y3 in turn.  Every basis polynomial must vanish
+    at every candidate (within 1e-7).  Each ``REFERENCE_CANDIDATES_3445``
+    row in order takes the nearest remaining candidate by max |delta| over
+    (x3, x4, x5), ties to the earlier, within 1e-9.  Exactly one candidate
+    may pass both filters: a3 < a4 < a5, and a3 + 2*a4 + a5 = 2*pi within
+    1e-8.
     """
     basis = GROEBNER_BASIS_3445
     y4_roots = tuple(isolate_roots(GROEBNER_UNIVARIATE_Y4, 1e-9, 1.0 - 1e-12))
 
     raw = []
     for y4 in y4_roots:
-        vals = {_V["y4"]: y4}
-        lin = _coeffs_in_var(basis[1], _V["y5"], vals)
-        if len(lin) >= 2 and abs(lin[1]) > 1e-9:
-            y5s = [-lin[0] / lin[1]]
+        c0, c1 = _coeffs_in_var(basis[1], _V["y5"], {_V["y4"]: y4})
+        if abs(c1) > 1e-9:
+            y5s = [-c0 / c1]
         else:
-            quad = _coeffs_in_var(basis[6], _V["y5"], vals)
-            disc = quad[1] * quad[1] - 4.0 * quad[2] * quad[0]
-            disc = max(disc, 0.0)
-            y5s = sorted(
-                [(-quad[1] - math.sqrt(disc)) / (2.0 * quad[2]),
-                 (-quad[1] + math.sqrt(disc)) / (2.0 * quad[2])]
-            )
+            c0, c1, c2 = _coeffs_in_var(basis[6], _V["y5"], {_V["y4"]: y4})
+            root = math.sqrt(max(c1 * c1 - 4.0 * c2 * c0, 0.0))
+            y5s = sorted([(-c1 - root) / (2.0 * c2), (-c1 + root) / (2.0 * c2)])
         for y5 in y5s:
-            vals2 = dict(vals)
-            vals2[_V["y5"]] = y5
-            for poly, var in ((basis[2], _V["x4"]), (basis[3], _V["x3"]), (basis[4], _V["x5"]), (basis[5], _V["y3"])):
-                lin = _coeffs_in_var(poly, var, vals2)
-                vals2[var] = -lin[0] / lin[1]
-            raw.append(vals2)
+            vals = {_V["y4"]: y4, _V["y5"]: y5}
+            for poly, var in zip(basis[2:6], ("x4", "x3", "x5", "y3")):
+                c0, c1 = _coeffs_in_var(poly, _V[var], vals)
+                vals[_V[var]] = -c0 / c1
+            raw.append(vals)
 
-    worst = 0.0
-    for vals in raw:
-        for poly in basis:
-            worst = max(worst, abs(_eval_monomials(poly, vals)))
+    worst = max((abs(_eval_monomials(poly, vals)) for vals in raw for poly in basis), default=0.0)
     if worst > 1e-7:
         raise RuntimeError(f"basis residual {worst} too large at a candidate")
 
-    # order candidates to match the reference rows
-    ordered = []
-    used = set()
-    for ref in REFERENCE_CANDIDATES_3445:
-        best_i, best_d = None, math.inf
-        for i, vals in enumerate(raw):
-            if i in used:
-                continue
-            d = max(
-                abs(vals[_V["x3"]] - ref[0]),
-                abs(vals[_V["x4"]] - ref[1]),
-                abs(vals[_V["x5"]] - ref[2]),
-            )
-            if d < best_d:
-                best_i, best_d = i, d
-        if best_i is None or best_d > 1e-9:
-            raise RuntimeError("reconstructed candidates do not match reference triples")
-        used.add(best_i)
-        ordered.append(raw[best_i])
-
     candidates = []
-    for vals in ordered:
-        a3 = math.atan2(vals[_V["y3"]], vals[_V["x3"]]) % TWO_PI
-        a4 = math.atan2(vals[_V["y4"]], vals[_V["x4"]]) % TWO_PI
-        a5 = math.atan2(vals[_V["y5"]], vals[_V["x5"]]) % TWO_PI
-        candidates.append(
-            GroebnerCandidate(
-                x3=vals[_V["x3"]],
-                x4=vals[_V["x4"]],
-                x5=vals[_V["x5"]],
-                y3=vals[_V["y3"]],
-                y4=vals[_V["y4"]],
-                y5=vals[_V["y5"]],
-                angles=(a3, a4, a5),
-                ordered_ok=a3 < a4 < a5,
-                sum_ok=abs(a3 + 2.0 * a4 + a5 - TWO_PI) < 1e-8,
-            )
-        )
+    for ref in REFERENCE_CANDIDATES_3445:
+        dists = [max(abs(vals[_V[k]] - r) for k, r in zip(("x3", "x4", "x5"), ref)) for vals in raw]
+        dist, i = min(zip(dists, range(len(raw))), default=(math.inf, None))
+        if dist > 1e-9:
+            raise RuntimeError("reconstructed candidates do not match reference triples")
+        vals = raw.pop(i)
+        x3, x4, x5, y3, y4, y5 = (vals[_V[name]] for name in GroebnerCandidate._fields[:6])
+        a3, a4, a5 = (math.atan2(y, x) % TWO_PI for x, y in ((x3, y3), (x4, y4), (x5, y5)))
+        ordered_ok, sum_ok = a3 < a4 < a5, abs(a3 + 2.0 * a4 + a5 - TWO_PI) < 1e-8
+        candidates.append(GroebnerCandidate(x3, x4, x5, y3, y4, y5, (a3, a4, a5), ordered_ok, sum_ok))
 
     surviving = tuple(i for i, c in enumerate(candidates) if c.selected)
     if len(surviving) != 1:

@@ -24,8 +24,9 @@ from the other side) always satisfy them together.  Conversion functions
 return the convex branch; callers model concave faces with the explicit
 complement.
 
-Angles are plain floats in radians.  Face sizes are integers >= 3, except
-``polygon_area``, which also takes the digon (m = 2).
+Angles are plain floats in radians.  Face sizes are integral numbers >= 3
+(``_check_size``), except in ``polygon_area``, which also takes the digon
+(m = 2).
 """
 
 from __future__ import annotations
@@ -62,15 +63,39 @@ def planar_angle(m: int) -> float:
     return (1.0 - 2.0 / m) * math.pi
 
 
-def _check_size(m: int) -> None:
-    if int(m) != m or m < 3:
-        raise DomainError(f"face size must be an integer >= 3, got {m!r}")
+def _check_size(m: int, least: int = 3) -> None:
+    """``DomainError`` unless m is an integral number >= ``least``.
+
+    The one face-size rule of the package: 4 and 4.0 pass; 5.5, "5", inf and
+    nan do not.  A size that passes still has no edge at an angle whose edge
+    cosine reaches 1 - 1e-15, at or below the planar limit or at its reflex
+    complement (``_edge_cosine_or_none``).
+    """
+    try:
+        ok = math.floor(m) == m >= least
+    except (TypeError, ValueError, OverflowError):  # not a real, inf or nan
+        ok = False
+    if not ok:
+        raise DomainError(f"face size must be an integer >= {least}, got {m!r}")
 
 
 def edge_cosine(m: int, alpha: float) -> float:
     """cos x of the regular m-gon with angle alpha, by the third identity; unchecked."""
     ca = math.cos(alpha)
     return (1.0 + ca + 2.0 * math.cos(TWO_PI / m)) / (1.0 - ca)
+
+
+def _edge_cosine_or_none(m: int, alpha: float) -> float | None:
+    """``edge_cosine(m, alpha)``, or None when the m-gon has no edge.
+
+    The no-edge rule: the edge cosine reaches 1 - 1e-15, which happens at
+    or below the planar limit (1 - 2/m)*pi, at or above its reflex
+    complement, and where cos(alpha) rounds to 1.
+    """
+    if math.cos(alpha) == 1.0:  # within rounding of 0 or 2*pi: cos x would be +inf
+        return None
+    cx = edge_cosine(m, alpha)
+    return None if cx >= 1.0 - 1e-15 else cx
 
 
 def angle_from_edge(m: int, x: float) -> float:
@@ -104,12 +129,17 @@ def _convex_angle(m: int, pi_m: float, x: float, half: float, cos_half: float) -
 
 
 def edge_from_angle(m: int, alpha: float) -> float:
-    """Geodesic edge length of the regular m-gon with interior angle alpha."""
+    """Geodesic edge length of the regular m-gon with interior angle alpha.
+
+    ``DomainError`` when the m-gon has no edge: the edge cosine reaches
+    1 - 1e-15, at or below the planar limit (1 - 2/m)*pi or at or above its
+    reflex complement.
+    """
     _check_size(m)
     if not 0.0 < alpha < TWO_PI:
         raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
-    cx = edge_cosine(m, alpha)
-    if cx >= 1.0 - 1e-15:
+    cx = _edge_cosine_or_none(m, alpha)
+    if cx is None:
         raise DomainError(f"angle {alpha} at or below the planar limit for m={m}")
     if cx < -1.0:
         if cx < -1.0 - 1e-12:
@@ -137,8 +167,7 @@ def circumradius(m: int, alpha: float) -> float:
 
 def polygon_area(m: int, alpha: float) -> float:
     """Spherical excess area m*alpha - (m - 2)*pi; valid for m >= 2."""
-    if int(m) != m or m < 2:
-        raise DomainError(f"face size must be an integer >= 2, got {m!r}")
+    _check_size(m, 2)
     return m * alpha - (m - 2) * math.pi
 
 
@@ -163,15 +192,17 @@ def solve_companion_angle(m: int, alpha_m: float, n: int) -> list[float]:
     is linear in cos(alpha_n), so there is at most one cosine; the result
     is the convex angle together with its reflex complement (deduplicated
     when they coincide at pi), or an empty list when the cosine falls
-    outside [-1, 1].
+    outside [-1, 1].  An m-gon angle with no edge (at or below the planar
+    limit, or its reflex complement; see ``edge_from_angle``) also gives an
+    empty list.  Both face sizes follow ``_check_size``.
     """
     _check_size(m)
     _check_size(n)
     if not 0.0 < alpha_m < TWO_PI:
         raise DomainError(f"angle must lie in (0, 2*pi), got {alpha_m}")
-    if math.cos(alpha_m) == 1.0:  # within rounding of 0 or 2*pi: no edge
+    cx = _edge_cosine_or_none(m, alpha_m)
+    if cx is None:
         return []
-    cx = edge_cosine(m, alpha_m)
     can = (cx - 1.0 - 2.0 * math.cos(TWO_PI / n)) / (1.0 + cx)
     if abs(can) > 1.0 + 1e-12:
         return []
@@ -197,13 +228,16 @@ def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
     shared edge's cosine cx = ``edge_cosine(m, a_m)``, and then
     cos(2*pi/n) = (cx*(1 - cos a_t) - 1 - cos a_t) / 2.  Raises
     ``NoSolution`` when that cosine lies outside (-1, 1) or n outside
-    [3, 64]; a size within 1e-9 of either end is clamped to it.
+    [3, 64]; a size within 1e-9 of either end is clamped to it.  It also
+    raises ``NoSolution`` when the m-gon angle gives no edge (at or below
+    the planar limit, or its reflex complement; see ``edge_from_angle``).
+    m follows ``_check_size``.
     """
     _check_size(m)
     cat = math.cos(alpha_target)
-    if math.cos(alpha_m) >= 1.0:
+    cx = _edge_cosine_or_none(m, alpha_m)
+    if cx is None:
         raise NoSolution(f"companion size: angle {alpha_m} has no {m}-gon edge")
-    cx = edge_cosine(m, alpha_m)
     cn = (cx * (1.0 - cat) - 1.0 - cat) / 2.0
     n = TWO_PI / math.acos(cn) if -1.0 < cn < 1.0 else math.nan
     if not _COMPANION_LO - 1e-9 <= n <= _COMPANION_HI + 1e-9:

@@ -22,6 +22,32 @@ SQ5 = math.sqrt(5.0)
 SQ33 = math.sqrt(33.0)
 #: the three roots of GROEBNER_UNIVARIATE_Y4 in (0, 1), pinned to the bit
 Y4_ROOTS_HEX = ["0x1.484c33c709a25p-2", "0x1.bb67ae8584caap-1", "0x1.ff494347942e0p-1"]
+#: each {3,4,4,5} Groebner candidate, pinned to the bit in reference-row order:
+#: (x3, x4, x5, y3, y4, y5) and then the angles (a3, a4, a5)
+GROEBNER_CANDIDATES_HEX = [
+    (
+        ("0x1.b06d1d20090c0p-6", "-0x1.e4f92e2dff6f4p-1", "0x1.419853f3bf5cap-1",
+         "0x1.ffd256efbb497p-1", "0x1.484c33c709a25p-2", "-0x1.8e65c827ae179p-1"),
+        ("0x1.8b5dcd62c14b1p+0", "0x1.685956f7abf99p+1", "0x1.590ea0382956cp+2"),
+    ),
+    (
+        ("0x1.e4f92e2e0066cp-2", "-0x1.b06d1d1ff9940p-5", "-0x1.8330a7e77eba0p-2",
+         "0x1.c2efe18ba1800p-1", "0x1.ff494347942e0p-1", "0x1.d9fd050f9b346p-1"),
+        ("0x1.13d1755201032p+0", "0x1.9fa4b9f885b4cp+0", "0x1.f563ebcdfdadap+0"),
+    ),
+    (
+        ("0x1.ffffffffff800p-3", "-0x1.0000000000400p-1", "-0x1.ed5336963eefap-1",
+         "-0x1.efbdeb14f4f90p-1", "0x1.bb67ae8584caap-1", "-0x1.120a13d232880p-2"),
+        ("0x1.3dc3b1c13da0bp+2", "0x1.0c152382d7443p+1", "0x1.b4cd2a88e18f7p+1"),
+    ),
+    (
+        ("0x1.ffffffffff800p-3", "-0x1.0000000000400p-1", "0x1.6d5336963eef2p-1",
+         "0x1.efbdeb14f4e0cp-1", "0x1.bb67ae8584caap-1", "0x1.66b8e12bdba93p-1"),
+        ("0x1.51700e0c14c03p+0", "0x1.0c152382d7443p+1", "0x1.8d7471f333750p-1"),
+    ),
+]
+#: the largest |basis polynomial| over the four candidates, pinned to the bit
+GROEBNER_RESIDUAL_HEX = "0x1.0000000000000p-43"
 
 
 # --------------------------------------------------------------------------
@@ -262,6 +288,13 @@ def test_system_3344_and_3355():
     s = alg.solve_vertex_system((3, 3, 5, 5))
     assert len(s) == 1
     assert math.cos(s[0].angles[3]) == pytest.approx(1 / SQ5, abs=1e-12)
+
+
+def test_vertex_type_takes_integral_floats():
+    # other non-integral sizes are rows of REJECTED_INPUTS in test_public_api
+    assert alg.solve_vertex_system((4.0, 4, 5)) == alg.solve_vertex_system((4, 4, 5))
+    with pytest.raises(DomainError, match="face size"):
+        _vertex_type((3, 4, 4, 5.9))
 
 
 def test_system_3356_continuation_rejects_integer_size():
@@ -832,6 +865,13 @@ def test_groebner_candidates():
     # exactly the second row passes both admissibility filters
     assert rep.surviving == (1,)
     assert [r.hex() for r in rep.y4_roots] == Y4_ROOTS_HEX
+    # every float of every candidate, and the residual, pinned to the bit
+    got = [
+        (tuple(v.hex() for v in (c.x3, c.x4, c.x5, c.y3, c.y4, c.y5)), tuple(a.hex() for a in c.angles))
+        for c in rep.candidates
+    ]
+    assert got == GROEBNER_CANDIDATES_HEX
+    assert rep.basis_residual_max.hex() == GROEBNER_RESIDUAL_HEX
     flags = [(c.ordered_ok, c.sum_ok) for c in rep.candidates]
     assert flags[1] == (True, True)
     for i in (0, 2, 3):

@@ -104,6 +104,26 @@ REJECTED_INPUTS = {
         DomainError,
         lambda: algsolve.solve_vertex_system((4, 4, 10**400)),
     ),
+    # one face-size rule: an integral number at least the least size
+    "solve_vertex_system-(3,4,4,5.5)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((3, 4, 4, 5.5)),
+    ),
+    "solve_vertex_system-(4,4,'5')": (DomainError, lambda: algsolve.solve_vertex_system((4, 4, "5"))),
+    "solve_vertex_system-(4,4,inf)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((4, 4, math.inf)),
+    ),
+    "solve_vertex_system-(4,4,nan)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((4, 4, math.nan)),
+    ),
+    "angle_from_edge-inf": (DomainError, lambda: sphkernel.angle_from_edge(math.inf, 0.5)),
+    "edge_from_angle-nan": (DomainError, lambda: sphkernel.edge_from_angle(math.nan, 1.0)),
+    "polygon_area-inf": (DomainError, lambda: sphkernel.polygon_area(math.inf, 1.0)),
+    "polygon_area-nan": (DomainError, lambda: sphkernel.polygon_area(math.nan, 1.0)),
+    # an angle whose cosine rounds to 1 gives the m-gon no edge
+    "edge_from_angle-1e-9": (DomainError, lambda: sphkernel.edge_from_angle(3, 1e-9)),
 }
 
 

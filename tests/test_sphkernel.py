@@ -122,6 +122,26 @@ def test_solve_companion_angle():
     assert sk.solve_companion_angle(3, 2 * PI - 1e-9, 4) == []
 
 
+@pytest.mark.parametrize("alpha", [0.5, TWO_PI - 0.5, PI / 3])
+def test_solve_companion_angle_without_an_edge(alpha):
+    # at or below the triangle's planar limit pi/3, or at its reflex
+    # complement, edge_from_angle finds no edge, and no companion exists
+    with pytest.raises(sk.DomainError):
+        sk.edge_from_angle(3, alpha)
+    assert sk.solve_companion_angle(3, alpha, 4) == []
+
+
+@pytest.mark.parametrize("alpha", [0.5, TWO_PI - 0.5])
+def test_solve_companion_size_without_an_edge(alpha):
+    with pytest.raises(sk.NoSolution):
+        sk.solve_companion_size(3, alpha, 1.0)
+
+
+def test_integral_float_sizes_are_face_sizes():
+    assert sk.angle_from_edge(4.0, 0.5) == sk.angle_from_edge(4, 0.5)
+    assert sk.polygon_area(2.0, 1.0) == sk.polygon_area(2, 1.0)
+
+
 def test_companion_symmetry_and_concave_mirror():
     rng = random.Random(7)
     for _ in range(200):
