@@ -425,12 +425,7 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     if len(sizes) == 1:
         return _accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
 
-    try:
-        top = TWO_PI / sizes[-1]
-    except OverflowError:
-        raise DomainError(
-            f"face size {sizes[-1]} is too large: it is past the range of a double"
-        ) from None
+    top = TWO_PI / sizes[-1]
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
     hemisphere = entries in _HEMISPHERE_TYPES
     roots = [(top, None)] if hemisphere else []

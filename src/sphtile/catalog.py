@@ -9,7 +9,11 @@ Platonic seeds, and the Johnson tilings come from the structural
 operators (pyramid / cupola / prism subdivision, shrinking and
 truncation, cupola rotation and diminishing, hemisphere rotation and
 cutting) applied to their parents.  Cupola caps and hemispheres are both
-caps of one cut-and-reglue operator, ``_apply_cupola_ops``.
+caps of one cut-and-reglue operator, ``_apply_cupola_ops``.  A builder
+reaches its parent through ``make``, whose cache is the one place a built
+entry is kept, so a pass over ``all_entries()`` builds each map once.  The
+twelve eD derivatives J72-J83 are the rows of ``_ED_RECIPES``:
+``derive_from_ed`` looks a recipe up there, and ``_from_ed`` builds a row.
 
 Every entry carries golden metric data (exact closed-form angles and edge
 length) and a golden census, against which ``tilemap.validate`` runs.  A
@@ -84,7 +88,7 @@ class InvalidSite(ValueError):
 
 class Tiling(NamedTuple):
     map: TilingMap
-    angles: Optional[AngleAssignment]
+    angles: AngleAssignment
 
 
 PI = math.pi
@@ -183,6 +187,9 @@ def _antiprism_faces(m: int) -> list:
     return faces
 
 
+_TETRAHEDRON_FACES = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+
+
 def _icosahedron_faces() -> list:
     up = [1 + i for i in range(5)]
     lo = [6 + i for i in range(5)]
@@ -238,12 +245,6 @@ def _tiling(
     return Tiling(t, AngleAssignment(kept, assign.edge))
 
 
-def _require_angles(tiling: Tiling) -> AngleAssignment:
-    if tiling.angles is None:
-        raise PreconditionFailed("operation requires an angle assignment")
-    return tiling.angles
-
-
 def _added_angle(assign: AngleAssignment, m: int) -> float:
     """The angle of the regular m-gons a subdivision adds: the tiling's
     own, else that of the m-gon on the tiling's edge, which the new faces
@@ -263,7 +264,7 @@ def pyramid_subdivide(tiling: Tiling, face: int) -> Tiling:
     has its edge, pi.
     """
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     m = t.face_size(face)
     a3, am = _added_angle(assign, 3), assign.angle(m)
     if abs(am - 2.0 * a3) > 1e-9:
@@ -283,7 +284,7 @@ def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
     pairwise non-adjacent with disjoint stars.
     """
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     removed_faces: set = set()
     new_faces = []
     for v in vertices:
@@ -311,7 +312,7 @@ def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
     and gyro attachments.
     """
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     m = t.face_size(face)
     if m % 2 != 0 or m < 6:
         raise PreconditionFailed(f"cupola subdivision needs an even face size >= 6, got {m}")
@@ -336,7 +337,7 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
     Requires angle(m) = 2*angle(4).
     """
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     m = t.face_size(face)
     a4, am = _added_angle(assign, 4), assign.angle(m)
     if abs(am - 2.0 * a4) > 1e-9:
@@ -478,7 +479,7 @@ def _apply_cupola_ops(
     cap at its first boundary vertex.
     """
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     sites = list(rotate_sites) + list(diminish_sites)
     vertices = [{t.origin[d] for f in s.faces for d in t.faces[f]} for s in sites]
     for a, b in itertools.combinations(vertices, 2):
@@ -551,7 +552,7 @@ def _straight_cycles(t: TilingMap) -> list:
 def equatorial_cycles(tiling: Tiling) -> list:
     """Straight cycles whose two sides both sum to angle pi at each vertex."""
     t = tiling.map
-    assign = _require_angles(tiling)
+    assign = tiling.angles
     out = []
     for path in _straight_cycles(t):
         good = True
@@ -610,7 +611,6 @@ def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _golden_angles(group: str) -> AngleAssignment:
     if group == "T":
         return AngleAssignment({3: 2 * PI / 3}, math.acos(-1.0 / 3.0))
@@ -731,7 +731,6 @@ _PINNED_FAMILY_ANGLES = {
 }
 
 
-@lru_cache(maxsize=None)
 def _family_angles(kind: str, m: int) -> AngleAssignment:
     pinned = _PINNED_FAMILY_ANGLES.get((kind, m))
     if pinned is not None:
@@ -746,50 +745,31 @@ def _family_angles(kind: str, m: int) -> AngleAssignment:
 # --------------------------------------------------------------------------
 
 
-def _tetrahedron() -> Tiling:
-    m = build_from_faces([(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)])
-    return _tiling(m, _golden_angles("T"))
-
-
-def _cube() -> Tiling:
-    return _tiling(build_from_faces(_prism_faces(4)), _golden_angles("C"))
-
-
-def _octahedron() -> Tiling:
-    return _tiling(build_from_faces(_antiprism_faces(3)), _golden_angles("O"))
-
-
-def _icosahedron() -> Tiling:
-    return _tiling(build_from_faces(_icosahedron_faces()), _golden_angles("I"))
-
-
-def _dodecahedron() -> Tiling:
-    m = build_from_faces(_dual_faces(_icosahedron().map))
-    return _tiling(m, _golden_angles("D"))
+def _golden(faces: list, group: str) -> Tiling:
+    """The tiling with these faces and a golden group's angles."""
+    return _tiling(build_from_faces(faces), _golden_angles(group))
 
 
 def _derived(seed: str, faces_of, group: str) -> Tiling:
     """The tiling whose faces ``faces_of`` derives from a seed entry's map:
-    its truncation, rectification, expansion or snub."""
-    return _tiling(build_from_faces(faces_of(make(seed).map)), _golden_angles(group))
+    its dual, truncation, rectification, expansion or snub."""
+    return _golden(faces_of(make(seed).map), group)
 
 
 def _j1() -> Tiling:
-    m = build_from_faces([(0, 1, 2, 3), (4, 1, 0), (4, 2, 1), (4, 3, 2), (4, 0, 3)])
-    return _tiling(m, _golden_angles("O"))
+    return _golden([(0, 1, 2, 3), (4, 1, 0), (4, 2, 1), (4, 3, 2), (4, 0, 3)], "O")
 
 
 def _j2() -> Tiling:
-    m = build_from_faces(
-        [(0, 1, 2, 3, 4), (5, 1, 0), (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 0, 4)]
-    )
-    return _tiling(m, _golden_angles("J2"))
+    faces = [(0, 1, 2, 3, 4), (5, 1, 0), (5, 2, 1), (5, 3, 2), (5, 4, 3), (5, 0, 4)]
+    return _golden(faces, "J2")
 
 
-def _j3() -> Tiling:
-    ac = make("aC")
-    sites = find_cupola_sites(ac.map)
-    return diminish_cupola(ac, _canonical_sites(ac.map, sites)[0])
+def _on_cupola(seed: str, op) -> Tiling:
+    """``op`` on a seed entry's first cupola site in canonical order: aC
+    diminished (J3) or eC with a cupola rotated (J37)."""
+    t = make(seed)
+    return op(t, _canonical_sites(t.map, find_cupola_sites(t.map))[0])
 
 
 def _cupola(k: int, group: str) -> Tiling:
@@ -800,31 +780,20 @@ def _cupola(k: int, group: str) -> Tiling:
     return _tiling(build_from_faces(_cupola_faces(k)), concave)
 
 
-def _j6() -> Tiling:
-    ad = make("aD")
-    path = equatorial_cycles(ad)[0]
-    return cut_hemisphere(ad, path)
-
-
 def _j19() -> Tiling:
     # the square cupola without its base, a ring of 8 squares 0..7 / 12..19
     # and the octagon 12..19 closing it
     faces = _cupola_faces(4)[1:]
     faces += [(i, (i + 1) % 8, 12 + (i + 1) % 8, 12 + i) for i in range(8)]
     faces.append(tuple(range(12, 20)))
-    return _tiling(build_from_faces(faces), _golden_angles("eC"))
+    return _golden(faces, "eC")
 
 
-def _gyro(seed: str) -> Tiling:
-    """A seed entry with one hemisphere turned across its first equatorial cycle."""
+def _on_equator(seed: str, op=rotate_hemisphere) -> Tiling:
+    """``op`` on a seed entry's first equatorial cycle: aC or aD with one
+    hemisphere turned (J27, J34), or aD with one cut off (J6)."""
     t = make(seed)
-    return rotate_hemisphere(t, equatorial_cycles(t)[0])
-
-
-def _j37() -> Tiling:
-    ec = make("eC")
-    sites = _canonical_sites(ec.map, find_cupola_sites(ec.map))
-    return rotate_cupola(ec, sites[0])
+    return op(t, equatorial_cycles(t)[0])
 
 
 def _distances(adj: Sequence, source: int) -> list:
@@ -845,7 +814,7 @@ def _diminished_icosahedron(n_removed: int) -> Tiling:
     """The icosahedron less 1, 2 or 3 pairwise non-adjacent vertices: vertex
     0, the first vertex two steps from it, and the first vertex two steps
     from both (J11, J62 and J63)."""
-    ico = _icosahedron()
+    ico = make("I")
     t = ico.map
     adj = [[t.target(d) for d in r] for r in t.vertex_rotations]
     from_0 = _distances(adj, 0)
@@ -887,42 +856,16 @@ def derive_from_ed(
     dim_rel: Optional[str] = None,
     rot_rel: Optional[str] = None,
 ) -> Tiling:
-    """Apply a diminish/rotate recipe to eD's pentagonal cupolas.
+    """The catalog entry that a diminish/rotate recipe on eD's pentagonal
+    cupolas gives: eD itself for no operation, else the ``_ED_RECIPES``
+    row that the recipe spells.
 
-    ``dim``/``rot`` count the operations; a relation ``"o"`` (opposite) or
-    ``"n"`` (non-opposite) qualifies a pair, either within one kind or,
-    when one of each is requested, between the two sites.  A relation
-    on a zero count or without a pair, or two different relations, raise
-    ``InvalidSite``.  The sites are those of ``_ed_sites``: an opposite
-    pair is a and the site farthest from it, a non-opposite pair is a
-    and b, and one or three operations take a, b and c in turn.
+    ``dim``/``rot`` count the operations.  A pair of them takes a relation
+    ``"o"`` (opposite) or ``"n"`` (non-opposite) on a nonzero count; in a
+    mixed pair it may sit on either count, or on both.  Any other recipe
+    raises ``InvalidSite``.  ``_from_ed`` builds each row.
     """
-    ed, a, far, b, c = _ed_sites()
-    if dim < 0 or rot < 0:
-        raise InvalidSite("negative operation counts")
-    if dim + rot > 3:
-        raise InvalidSite("at most three pairwise disjoint cupolas exist")
-    if (dim == 0 and dim_rel is not None) or (rot == 0 and rot_rel is not None):
-        raise InvalidSite("an 'o' or 'n' qualifier needs a nonzero count")
-    rels = {r for r in (dim_rel, rot_rel) if r is not None}
-    if rels and dim + rot != 2:
-        raise InvalidSite("an 'o' or 'n' qualifier applies to a pair of cupola operations only")
-    if len(rels) > 1:
-        raise InvalidSite(f"conflicting qualifiers {dim_rel!r} and {rot_rel!r}")
-    if dim + rot == 2:
-        # two sites can sit opposite or not, and the results differ
-        rel = rels.pop() if rels else None
-        if rel not in ("o", "n"):
-            raise InvalidSite(
-                "a pair of cupola operations needs an 'o' or 'n' qualifier"
-            )
-        pair = [a, far] if rel == "o" else [a, b]
-        dims, rots = pair[:dim], pair[dim:]
-    else:
-        # one or three sites: any choice from the disjoint triple works
-        chosen = [a, b, c][: dim + rot]
-        dims, rots = chosen[:dim], chosen[dim:]
-    return _apply_cupola_ops(ed, rotate_sites=rots, diminish_sites=dims)
+    return make(_ed_entry(dim, rot, dim_rel, rot_rel))
 
 
 _ED_RECIPES = {
@@ -942,6 +885,39 @@ _ED_RECIPES = {
 }
 
 
+def _ed_entry(dim, rot, dim_rel, rot_rel) -> str:
+    """The name of the eD recipe that ``derive_from_ed``'s arguments spell."""
+    spelled = dict(dim=dim, rot=rot, dim_rel=dim_rel, rot_rel=rot_rel)
+    if dim and rot and dim_rel is not None and rot_rel in (None, dim_rel):
+        # the table keeps a mixed pair's relation on its rotation
+        spelled.update(dim_rel=None, rot_rel=dim_rel)
+    spelled = {k: v for k, v in spelled.items() if v not in (0, None)}
+    for name, row in {"eD": {}, **_ED_RECIPES}.items():
+        if row == spelled:
+            return name
+    raise InvalidSite(
+        f"no eD recipe with dim={dim!r}, rot={rot!r} and qualifiers {dim_rel!r}, "
+        f"{rot_rel!r}: up to three cupola operations fit, a pair of them needs "
+        "one 'o' (opposite) or 'n' (non-opposite) qualifier on a nonzero count, "
+        "and no other recipe takes a qualifier"
+    )
+
+
+def _from_ed(name: str):
+    """The builder of an eD derivative from its ``_ED_RECIPES`` row, on the
+    sites of ``_ed_sites``: an opposite pair takes a and the site farthest
+    from it, any other recipe a, b and c in turn, diminished sites first."""
+
+    def build() -> Tiling:
+        row = _ED_RECIPES[name]
+        dim, rot = row.get("dim", 0), row.get("rot", 0)
+        ed, a, far, b, c = _ed_sites()
+        sites = [a, far] if "o" in row.values() else [a, b, c]
+        return _apply_cupola_ops(ed, rotate_sites=sites[dim:dim + rot], diminish_sites=sites[:dim])
+
+    return build
+
+
 #: the largest n of a family member: prism(100000) verifies in ~7 s at
 #: ~480 MB peak RSS, and memory grows linearly past it
 MAX_FAMILY_N = 100_000
@@ -956,7 +932,7 @@ def make_prism(m: int) -> Tiling:
     """Prism over an m-gon; prism(4) is the cube."""
     _family_size("prism", m)
     if m == 4:
-        return _cube()
+        return make("C")
     return _tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
 
 
@@ -964,7 +940,7 @@ def make_antiprism(m: int) -> Tiling:
     """Antiprism over an m-gon; antiprism(3) is the octahedron."""
     _family_size("antiprism", m)
     if m == 3:
-        return _octahedron()
+        return make("O")
     return _tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
 
 
@@ -981,11 +957,6 @@ def make_dihedron(n: int) -> Tiling:
     return _tiling(build_from_faces([ring, ring]), AngleAssignment({n: PI}, TWO_PI / n))
 
 
-def _from_ed(name: str):
-    """The recipe of an eD derivative: ``derive_from_ed`` on its ``_ED_RECIPES`` row."""
-    return lambda: derive_from_ed(**_ED_RECIPES[name])
-
-
 # --------------------------------------------------------------------------
 # families, names and golden censuses
 # --------------------------------------------------------------------------
@@ -993,11 +964,11 @@ def _from_ed(name: str):
 #: every named entry in canonical order: its family, its golden census (the
 #: vertex arrangement counts, from which the rest is derived) and its recipe
 _NAMED = {
-    "T": ("platonic", {(3, 3, 3): 4}, _tetrahedron),
-    "C": ("platonic", {(4, 4, 4): 8}, _cube),
-    "O": ("platonic", {(3, 3, 3, 3): 6}, _octahedron),
-    "D": ("platonic", {(5, 5, 5): 20}, _dodecahedron),
-    "I": ("platonic", {(3, 3, 3, 3, 3): 12}, _icosahedron),
+    "T": ("platonic", {(3, 3, 3): 4}, lambda: _golden(_TETRAHEDRON_FACES, "T")),
+    "C": ("platonic", {(4, 4, 4): 8}, lambda: _golden(_prism_faces(4), "C")),
+    "O": ("platonic", {(3, 3, 3, 3): 6}, lambda: _golden(_antiprism_faces(3), "O")),
+    "D": ("platonic", {(5, 5, 5): 20}, lambda: _derived("I", _dual_faces, "D")),
+    "I": ("platonic", {(3, 3, 3, 3, 3): 12}, lambda: _golden(_icosahedron_faces(), "I")),
     "tT": ("archimedean", {(3, 6, 6): 12}, lambda: _derived("T", _truncated_faces, "tT")),
     "aC": ("archimedean", {(3, 4, 3, 4): 12}, lambda: _derived("C", _rectified_faces, "aC")),
     "tC": ("archimedean", {(3, 8, 8): 24}, lambda: _derived("C", _truncated_faces, "tC")),
@@ -1013,15 +984,15 @@ _NAMED = {
     "sD": ("archimedean", {(3, 3, 3, 3, 5): 60}, lambda: _derived("D", _snub_faces, "sD")),
     "J1": ("johnson", {(3, 3, 4): 4, (3, 3, 3, 3): 1}, _j1),
     "J2": ("johnson", {(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}, _j2),
-    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}, _j3),
+    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}, lambda: _on_cupola("aC", diminish_cupola)),
     "J4": ("johnson", {(3, 4, 8): 8, (3, 4, 4, 4): 4}, lambda: _cupola(4, "eC")),
     "J5": ("johnson", {(3, 4, 5, 4): 5, (3, 4, 10): 10}, lambda: _cupola(5, "eD")),
-    "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}, _j6),
+    "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}, lambda: _on_equator("aD", cut_hemisphere)),
     "J11": ("johnson", {(3, 3, 3, 5): 5, (3, 3, 3, 3, 3): 6}, lambda: _diminished_icosahedron(1)),
     "J19": ("johnson", {(3, 4, 4, 4): 12, (4, 4, 8): 8}, _j19),
-    "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}, lambda: _gyro("aC")),
-    "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}, lambda: _gyro("aD")),
-    "J37": ("johnson", {(3, 4, 4, 4): 24}, _j37),
+    "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}, lambda: _on_equator("aC")),
+    "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}, lambda: _on_equator("aD")),
+    "J37": ("johnson", {(3, 4, 4, 4): 24}, lambda: _on_cupola("eC", rotate_cupola)),
     "J62": (
         "johnson",
         {(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2},

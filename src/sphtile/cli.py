@@ -213,23 +213,17 @@ def _positive_float(text: str) -> float:
 
 
 def _cmd_derive(args) -> int:
-    dim, dim_rel = args.dim
-    rot, rot_rel = args.rot
+    (dim, dim_rel), (rot, rot_rel) = args.dim, args.rot
     try:
-        t = catalog.derive_from_ed(dim=dim, rot=rot, dim_rel=dim_rel, rot_rel=rot_rel)
+        name = catalog._ed_entry(dim, rot, dim_rel, rot_rel)
     except catalog.InvalidSite as exc:
         print(f"derive: {exc}", file=sys.stderr)
         return 2
-    match = None
-    for name in ["eD", *catalog._ED_RECIPES]:
-        if tilemap.isomorphic(t.map, catalog.make(name).map):
-            match = name
-            break
-    c = tilemap.census(t.map)
+    c = tilemap.census(catalog.make(name).map)
     print(f"derived tiling: v={c.v} e={c.e} f={c.f}")
     for arr, k in sorted(c.vertex_types.items()):
         print(f"  {'.'.join(str(s) for s in arr)} x{k}")
-    print(f"isomorphic to: {match or 'none in catalog'}")
+    print(f"isomorphic to: {name}")
     return 0
 
 

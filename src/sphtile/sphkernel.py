@@ -25,8 +25,10 @@ return the convex branch; callers model concave faces with the explicit
 complement.
 
 Angles are plain floats in radians.  Face sizes are integral numbers >= 3
-(``_check_size``), except in ``polygon_area``, which also takes the digon
-(m = 2).
+that a double holds (``_check_size``), except in ``polygon_area``, which
+also takes the digon (m = 2).  An angle argument lies in (0, 2*pi)
+(``_check_angle``); ``polygon_area``, ``edge_cosine`` and
+``companion_residual`` do not check theirs.
 """
 
 from __future__ import annotations
@@ -64,19 +66,29 @@ def planar_angle(m: int) -> float:
 
 
 def _check_size(m: int, least: int = 3) -> None:
-    """``DomainError`` unless m is an integral number >= ``least``.
+    """``DomainError`` unless m is an integral number >= ``least`` that a
+    double holds.
 
-    The one face-size rule of the package: 4 and 4.0 pass; 5.5, "5", inf and
-    nan do not.  A size that passes still has no edge at an angle whose edge
-    cosine reaches 1 - 1e-15, at or below the planar limit or at its reflex
-    complement (``_edge_cosine_or_none``).
+    The one face-size rule of the package: 4 and 4.0 pass; 5.5, "5", inf,
+    nan and 10**400 do not.  A size that passes still has no edge at an
+    angle whose edge cosine reaches 1 - 1e-15, at or below the planar limit
+    or at its reflex complement (``_edge_cosine_or_none``).
     """
     try:
-        ok = math.floor(m) == m >= least
-    except (TypeError, ValueError, OverflowError):  # not a real, inf or nan
+        ok = math.isfinite(m) and math.floor(m) == m >= least
+    except (TypeError, ValueError, OverflowError):  # not a real, or past a double
         ok = False
     if not ok:
-        raise DomainError(f"face size must be an integer >= {least}, got {m!r}")
+        # an int of over 4300 digits has no repr
+        big = isinstance(m, int) and m.bit_length() > 1024
+        shown = f"a {m.bit_length()}-bit integer" if big else repr(m)
+        raise DomainError(f"face size must be an integer >= {least} within a double, got {shown}")
+
+
+def _check_angle(alpha: float) -> None:
+    """``DomainError`` unless the angle lies in (0, 2*pi); nan does not."""
+    if not 0.0 < alpha < TWO_PI:
+        raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
 
 
 def edge_cosine(m: int, alpha: float) -> float:
@@ -136,11 +148,11 @@ def edge_from_angle(m: int, alpha: float) -> float:
     reflex complement.
     """
     _check_size(m)
-    if not 0.0 < alpha < TWO_PI:
-        raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
+    _check_angle(alpha)
     cx = _edge_cosine_or_none(m, alpha)
     if cx is None:
-        raise DomainError(f"angle {alpha} at or below the planar limit for m={m}")
+        side = "at or below" if alpha < math.pi else "at or above the reflex complement of"
+        raise DomainError(f"angle {alpha} is {side} the planar limit for m={m}")
     if cx < -1.0:
         if cx < -1.0 - 1e-12:
             raise DomainError(f"no spherical {m}-gon with angle {alpha}")
@@ -155,8 +167,7 @@ def circumradius(m: int, alpha: float) -> float:
     for concave polygons.
     """
     _check_size(m)
-    if not 0.0 < alpha < TWO_PI:
-        raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
+    _check_angle(alpha)
     cr = (math.cos(alpha / 2.0) / math.sin(alpha / 2.0)) / math.tan(math.pi / m)
     if abs(cr) > 1.0:
         if abs(cr) > 1.0 + 1e-12:
@@ -198,8 +209,7 @@ def solve_companion_angle(m: int, alpha_m: float, n: int) -> list[float]:
     """
     _check_size(m)
     _check_size(n)
-    if not 0.0 < alpha_m < TWO_PI:
-        raise DomainError(f"angle must lie in (0, 2*pi), got {alpha_m}")
+    _check_angle(alpha_m)
     cx = _edge_cosine_or_none(m, alpha_m)
     if cx is None:
         return []
@@ -231,9 +241,12 @@ def solve_companion_size(m: int, alpha_m: float, alpha_target: float) -> float:
     [3, 64]; a size within 1e-9 of either end is clamped to it.  It also
     raises ``NoSolution`` when the m-gon angle gives no edge (at or below
     the planar limit, or its reflex complement; see ``edge_from_angle``).
-    m follows ``_check_size``.
+    m follows ``_check_size``, and an angle outside (0, 2*pi) raises
+    ``DomainError``.
     """
     _check_size(m)
+    _check_angle(alpha_m)
+    _check_angle(alpha_target)
     cat = math.cos(alpha_target)
     cx = _edge_cosine_or_none(m, alpha_m)
     if cx is None:

@@ -70,6 +70,13 @@ def test_prism4_is_cube_and_antiprism3_is_octahedron():
     assert tm.isomorphic(cat.make("antiprism(3)").map, cat.make("O").map)
 
 
+def test_family_aliases_are_the_cached_platonic_entries():
+    # the members that are Platonic solids are reached through make, so one
+    # pass over the catalog builds each map once
+    assert cat.make("prism(4)") is cat.make("C")
+    assert cat.make("antiprism(3)") is cat.make("O")
+
+
 def test_antiprism5_matches_icosahedron_family():
     ap = cat.make("antiprism(5)")
     assert tm.census(ap.map).vertex_types == {(3, 3, 3, 5): 10}
@@ -406,6 +413,70 @@ def test_ed_recipe_closure():
             rot_rel=recipe.get("rot_rel"),
         )
         assert t.map.canonical_form == forms[name], name
+
+
+#: every recipe spelling that derive_from_ed accepts, and the entry it names;
+#: a mixed pair's qualifier may sit on either count, or on both
+ED_SPELLINGS = {
+    (0, 0, None, None): "eD",
+    (0, 1, None, None): "J72",
+    (0, 2, None, "o"): "J73",
+    (0, 2, None, "n"): "J74",
+    (0, 3, None, None): "J75",
+    (1, 0, None, None): "J76",
+    **{(1, 1, *rels): "J77" for rels in (("o", None), (None, "o"), ("o", "o"))},
+    **{(1, 1, *rels): "J78" for rels in (("n", None), (None, "n"), ("n", "n"))},
+    (1, 2, None, None): "J79",
+    (2, 0, "o", None): "J80",
+    (2, 0, "n", None): "J81",
+    (2, 1, None, None): "J82",
+    (3, 0, None, None): "J83",
+}
+
+ED_GRID = [
+    (dim, rot, dim_rel, rot_rel)
+    for dim, rot in itertools.product(range(-1, 5), repeat=2)
+    for dim_rel, rot_rel in itertools.product([None, "o", "n", "x"], repeat=2)
+]
+
+
+def test_derive_from_ed_accepts_exactly_the_recipe_spellings():
+    assert len(ED_SPELLINGS) == 17
+    for spelling in ED_GRID:
+        if spelling in ED_SPELLINGS:
+            t = cat.derive_from_ed(*spelling)
+            want = cat.make(ED_SPELLINGS[spelling])
+            assert t.map == want.map and t.angles == want.angles, spelling
+        else:
+            with pytest.raises(cat.InvalidSite):
+                cat.derive_from_ed(*spelling)
+
+
+def test_derive_from_ed_states_one_rule():
+    # a negative count, too many operations and a misplaced qualifier all
+    # raise the one message, which names the qualifier rule
+    messages = set()
+    for spelling in [s for s in ED_GRID if s not in ED_SPELLINGS]:
+        with pytest.raises(cat.InvalidSite) as info:
+            cat.derive_from_ed(*spelling)
+        messages.add(str(info.value).split(": ", 1)[1])
+    assert len(messages) == 1 and "qualifier" in messages.pop()
+
+
+def test_derive_cli_names_the_entry_without_comparing_maps(capsys, monkeypatch):
+    from sphtile import cli
+
+    def refuse(*maps):
+        raise AssertionError("isomorphic called")
+
+    monkeypatch.setattr(tm, "isomorphic", refuse)
+    for (dim, rot, dim_rel, rot_rel), name in ED_SPELLINGS.items():
+        argv = ["derive", "eD", "--dim", f"{dim}{dim_rel or ''}", "--rot", f"{rot}{rot_rel or ''}"]
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.endswith(f"isomorphic to: {name}\n"), argv
+        census = tm.census(cat.make(name).map)
+        assert out.startswith(f"derived tiling: v={census.v} e={census.e} f={census.f}\n")
 
 
 def _cupola_closure(tiling):

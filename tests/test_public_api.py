@@ -33,6 +33,11 @@ def test_all_lists_every_public_function_and_class(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
+TWO_PI = 2.0 * math.pi
+# the square of edge 0.5: with it, solve_companion_size(4, A4, 2*pi - 2*A4) is 12.167
+A4 = sphkernel.angle_from_edge(4, 0.5)
+
+
 def _export_obj_without_arcs():
     t = catalog.make("T")
     embedder.export_obj(t.map, embedder.realize(t.map, t.angles), arc_steps=0)
@@ -124,6 +129,42 @@ REJECTED_INPUTS = {
     "polygon_area-nan": (DomainError, lambda: sphkernel.polygon_area(math.nan, 1.0)),
     # an angle whose cosine rounds to 1 gives the m-gon no edge
     "edge_from_angle-1e-9": (DomainError, lambda: sphkernel.edge_from_angle(3, 1e-9)),
+    # a face size that no double holds
+    "angle_from_edge-1e400": (DomainError, lambda: sphkernel.angle_from_edge(10**400, 0.5)),
+    "edge_from_angle-1e400": (DomainError, lambda: sphkernel.edge_from_angle(10**400, 3.0)),
+    "circumradius-1e400": (DomainError, lambda: sphkernel.circumradius(10**400, 3.0)),
+    "polygon_area-1e400": (DomainError, lambda: sphkernel.polygon_area(10**400, 3.0)),
+    "solve_companion_angle-1e400": (
+        DomainError,
+        lambda: sphkernel.solve_companion_angle(10**400, 3.0, 4),
+    ),
+    "solve_companion_size-1e400": (
+        DomainError,
+        lambda: sphkernel.solve_companion_size(10**400, 3.0, 1.0),
+    ),
+    # past 4300 digits an int has no repr, so the message must not need one
+    "solve_vertex_system-(4,4,1e5000)": (
+        DomainError,
+        lambda: algsolve.solve_vertex_system((4, 4, 10**5000)),
+    ),
+    # both angles of solve_companion_size lie in (0, 2*pi), as its siblings' do
+    "solve_companion_size-negative": (
+        DomainError,
+        lambda: sphkernel.solve_companion_size(4, -A4, TWO_PI - 2 * A4),
+    ),
+    "solve_companion_size-past 2pi": (
+        DomainError,
+        lambda: sphkernel.solve_companion_size(4, A4 + TWO_PI, TWO_PI - 2 * A4),
+    ),
+    "solve_companion_size-target past 2pi": (
+        DomainError,
+        lambda: sphkernel.solve_companion_size(4, A4, 2 * TWO_PI - 2 * A4),
+    ),
+    "solve_companion_size-nan target": (
+        DomainError,
+        lambda: sphkernel.solve_companion_size(4, A4, math.nan),
+    ),
+    "solve_companion_size-zero": (DomainError, lambda: sphkernel.solve_companion_size(3, 0.0, 1.0)),
 }
 
 

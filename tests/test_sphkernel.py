@@ -220,8 +220,18 @@ def test_solve_companion_size_interval_end():
     n = sk.solve_companion_size(5, sk.angle_from_edge(5, 0.3), sk.angle_from_edge(3, 0.3))
     assert 3.0 <= n <= 3.0 + 1e-9
     with pytest.raises(sk.NoSolution):
-        # a zero m-gon angle fixes no edge
-        sk.solve_companion_size(3, 0.0, 1.0)
+        # an m-gon angle whose cosine rounds to 1 fixes no edge; the zero
+        # angle itself lies outside (0, 2*pi), a DomainError
+        sk.solve_companion_size(3, 1e-9, 1.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, side",
+    [(0.5, "at or below the planar limit"), (TWO_PI - 0.5, "at or above the reflex complement")],
+)
+def test_edge_from_angle_names_the_side_without_an_edge(alpha, side):
+    with pytest.raises(sk.DomainError, match=side):
+        sk.edge_from_angle(3, alpha)
 
 
 def test_domain_errors():
