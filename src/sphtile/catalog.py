@@ -35,7 +35,7 @@ from .algsolve import (
     snub_dodecahedron_cos,
     solve_vertex_system,
 )
-from .sphkernel import TWO_PI, DomainError, angle_from_edge
+from .sphkernel import TWO_PI, DomainError, _check_size, angle_from_edge
 from .tilemap import Census, TilingMap, build_from_faces, digon_fan
 from .vertexcomb import canonical_arrangement
 
@@ -923,14 +923,14 @@ def _from_ed(name: str):
 MAX_FAMILY_N = 100_000
 
 
-def _family_size(kind: str, n: int) -> None:
-    if not 3 <= n <= MAX_FAMILY_N:
-        raise DomainError(f"{kind} needs 3 <= n <= {MAX_FAMILY_N}, got {n}")
+def _family_size(kind: str, n: int) -> int:
+    """n as an int, by the count rule of ``_check_size`` up to ``MAX_FAMILY_N``."""
+    return _check_size(n, most=MAX_FAMILY_N, what=f"{kind} n")
 
 
 def make_prism(m: int) -> Tiling:
     """Prism over an m-gon; prism(4) is the cube."""
-    _family_size("prism", m)
+    m = _family_size("prism", m)
     if m == 4:
         return make("C")
     return _tiling(build_from_faces(_prism_faces(m)), _family_angles("prism", m))
@@ -938,7 +938,7 @@ def make_prism(m: int) -> Tiling:
 
 def make_antiprism(m: int) -> Tiling:
     """Antiprism over an m-gon; antiprism(3) is the octahedron."""
-    _family_size("antiprism", m)
+    m = _family_size("antiprism", m)
     if m == 3:
         return make("O")
     return _tiling(build_from_faces(_antiprism_faces(m)), _family_angles("antiprism", m))
@@ -946,13 +946,13 @@ def make_antiprism(m: int) -> Tiling:
 
 def make_hosohedron(n: int) -> Tiling:
     """Fan of n digons between two poles; angle 2*pi/n, edge pi."""
-    _family_size("hosohedron", n)
+    n = _family_size("hosohedron", n)
     return _tiling(digon_fan(n), AngleAssignment({2: TWO_PI / n}, PI))
 
 
 def make_dihedron(n: int) -> Tiling:
     """Two hemispherical n-gons sharing a great-circle boundary."""
-    _family_size("dihedron", n)
+    n = _family_size("dihedron", n)
     ring = tuple(range(n))
     return _tiling(build_from_faces([ring, ring]), AngleAssignment({n: PI}, TWO_PI / n))
 
@@ -1042,10 +1042,10 @@ def _member(name: str) -> tuple:
     kind, digits = m.groups()
     if len(digits) > len(str(MAX_FAMILY_N)):
         # too large, and int() refuses a string of over 4300 digits
-        raise DomainError(f"{kind} needs 3 <= n <= {MAX_FAMILY_N}, got {len(digits)} digits")
-    n = int(digits)
-    _family_size(kind, n)
-    return kind, n
+        raise DomainError(
+            f"{kind} n must be an integer between 3 and {MAX_FAMILY_N}, got {len(digits)} digits"
+        )
+    return kind, _family_size(kind, int(digits))
 
 
 def names() -> list:

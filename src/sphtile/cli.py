@@ -2,7 +2,9 @@
 derivation and export.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
-an output path that cannot be written among them.
+an output path that cannot be written among them.  The parser reads each
+option's type; its range is the library's, whose ``DomainError`` is a
+usage error.
 All output is deterministic: sorted keys, floats at 17 significant digits,
 catalog order fixed.  Only the commands that embed (``verify``, ``export``
 and ``catalog show --json``) import the embedder and with it numpy.
@@ -142,12 +144,8 @@ def _cmd_solve(args) -> int:
     if not sols:
         print("no solution")
         return 0
-    shown = sols if args.all_roots else [s for s in sols if s.monotone_convex()]
-    if not shown:
-        shown = sols
-    for i, s in enumerate(shown):
-        flag = "" if s.monotone_convex() else "  [violates size-angle ordering]"
-        print(f"solution {i + 1}:{flag}")
+    for i, s in enumerate(sols):
+        print(f"solution {i + 1}:")
         for m, a in sorted(s.angles.items()):
             print(f"  alpha_{m} = {_F % a} rad = %.9f pi" % (a / math.pi))
         print(f"  edge = {_F % s.edge} rad")
@@ -181,35 +179,6 @@ def _parse_sites(spec: str):
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad site spec {spec!r}: use forms like 1, 2o, 2n")
     return count, rel
-
-
-def _int_at_least(lo: int, hi: int | None = None):
-    """argparse type: an integer no smaller than ``lo`` (and, given ``hi``,
-    no larger than ``hi``)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
-        return value
-
-    return parse
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float greater than zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
 
 
 def _cmd_derive(args) -> int:
@@ -248,12 +217,12 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="validate catalog entries")
     p.add_argument("name", nargs="?")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate candidate vertex types")
-    p.add_argument("--max-size", type=_int_at_least(3, vertexcomb.MAX_ENUMERATE_SIZE), default=19)
+    p.add_argument("--max-size", type=int, default=19)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--with-triangle", action="store_true")
     g.add_argument("--triangle-free", action="store_true")
@@ -261,15 +230,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("solve", help="solve the angle system of a vertex type")
     p.add_argument("--type", required=True, help='comma-separated sizes, e.g. "3,4,4,5"')
-    p.add_argument("--all-roots", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("export", help="export an embedding")
     p.add_argument("name")
     p.add_argument("--format", choices=["obj", "json"], required=True)
     p.add_argument("--out", required=True)
-    # embedder.MAX_ARC_STEPS, read here without importing numpy
-    p.add_argument("--arc-steps", type=_int_at_least(1, 1024), default=8)
+    p.add_argument("--arc-steps", type=int, default=8)
     p.add_argument("--faces", action="store_true", help="include fan-triangulated faces (obj)")
     p.set_defaults(func=_cmd_export)
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algsolve import AngleAssignment
-from .sphkernel import TWO_PI, circumradius
+from .sphkernel import TWO_PI, _check_size, circumradius
 from .tilemap import NotEdgeToEdge, TilingMap, build_from_faces, digon_fan
 
 __all__ = [
@@ -464,7 +464,8 @@ def export_obj(
 ) -> bytes:
     """Wireframe OBJ: vertices plus each edge as arc_steps arc segments.
 
-    ``arc_steps`` runs from 1 to ``MAX_ARC_STEPS``, else ``ValueError``.
+    ``arc_steps`` runs from 1 to ``MAX_ARC_STEPS`` by the count rule of
+    ``_check_size``, else ``DomainError``.
     Vertex v is ``v`` line v + 1; the edges come in edge-id order
     (``t.edges``).  Every arc is sampled in one broadcast, a hosohedron's
     split at its edge midpoints, so all have the same number of points.
@@ -476,8 +477,7 @@ def export_obj(
     flattened chains, and the faces (each an apex ``v`` line and its
     ``f`` lines) over the apexes and the fans.
     """
-    if not 1 <= arc_steps <= MAX_ARC_STEPS:
-        raise ValueError(f"arc_steps must be between 1 and {MAX_ARC_STEPS}, got {arc_steps}")
+    arc_steps = _check_size(arc_steps, 1, most=MAX_ARC_STEPS, what="arc_steps")
     nv = t.num_vertices
     corners = np.array([emb.positions[v] for v in range(nv)])
     u, v = np.array(t.edges).T

@@ -26,9 +26,12 @@ complement.
 
 Angles are plain floats in radians.  Face sizes are integral numbers >= 3
 that a double holds (``_check_size``), except in ``polygon_area``, which
-also takes the digon (m = 2).  An angle argument lies in (0, 2*pi)
-(``_check_angle``); ``polygon_area``, ``edge_cosine`` and
-``companion_residual`` do not check theirs.
+also takes the digon (m = 2), and in ``companion_residual``, whose second
+size is any finite real >= 3.  An angle argument lies in (0, 2*pi)
+(``_check_angle``).  Every public function checks its arguments on entry
+and raises ``DomainError`` for one out of range, nan and inf among them;
+a non-number raises ``DomainError`` as a size and Python's ``TypeError``
+as an angle.
 """
 
 from __future__ import annotations
@@ -62,27 +65,36 @@ class NoSolution(RuntimeError):
 
 def planar_angle(m: int) -> float:
     """Interior angle of a planar regular m-gon, the x -> 0 limit."""
+    _check_size(m)
     return (1.0 - 2.0 / m) * math.pi
 
 
-def _check_size(m: int, least: int = 3) -> None:
-    """``DomainError`` unless m is an integral number >= ``least`` that a
-    double holds.
+def _check_size(m: int, least: int = 3, most: int | None = None, what: str = "face size") -> int:
+    """m as an int; ``DomainError`` unless m is an integral number >= ``least``
+    that a double holds (and, given ``most``, at most ``most``).
 
-    The one face-size rule of the package: 4 and 4.0 pass; 5.5, "5", inf,
-    nan and 10**400 do not.  A size that passes still has no edge at an
-    angle whose edge cosine reaches 1 - 1e-15, at or below the planar limit
-    or at its reflex complement (``_edge_cosine_or_none``).
+    The one count rule of the package, for face sizes and for the other
+    counts (family sizes, ``max_size``, ``arc_steps``), which name
+    themselves by ``what``: 4 and 4.0 pass; 5.5, "5", inf, nan and 10**400
+    do not.  A face size that passes still has no edge at an angle whose
+    edge cosine reaches 1 - 1e-15, at or below the planar limit or at its
+    reflex complement (``_edge_cosine_or_none``).
     """
     try:
-        ok = math.isfinite(m) and math.floor(m) == m >= least
+        ok = math.isfinite(m) and math.floor(m) == m >= least and (most is None or m <= most)
     except (TypeError, ValueError, OverflowError):  # not a real, or past a double
         ok = False
     if not ok:
-        # an int of over 4300 digits has no repr
-        big = isinstance(m, int) and m.bit_length() > 1024
-        shown = f"a {m.bit_length()}-bit integer" if big else repr(m)
-        raise DomainError(f"face size must be an integer >= {least} within a double, got {shown}")
+        span = f">= {least} within a double" if most is None else f"between {least} and {most}"
+        raise DomainError(f"{what} must be an integer {span}, got {_shown(m)}")
+    return int(m)
+
+
+def _shown(value) -> str:
+    """repr(value), or the bit length of an int past a double, some of which
+    (over 4300 digits) have no repr."""
+    big = isinstance(value, int) and value.bit_length() > 1024
+    return f"a {value.bit_length()}-bit integer" if big else repr(value)
 
 
 def _check_angle(alpha: float) -> None:
@@ -92,8 +104,18 @@ def _check_angle(alpha: float) -> None:
 
 
 def edge_cosine(m: int, alpha: float) -> float:
-    """cos x of the regular m-gon with angle alpha, by the third identity; unchecked."""
+    """cos x of the regular m-gon with angle alpha, by the third identity.
+
+    At or below the planar limit, and at or above its reflex complement,
+    the value is 1 or more: the m-gon has no edge there.  An angle whose
+    cosine rounds to 1 (within about 1e-8 of 0 or 2*pi) raises
+    ``DomainError``, as the identity would divide by 0.
+    """
+    _check_size(m)
+    _check_angle(alpha)
     ca = math.cos(alpha)
+    if ca == 1.0:
+        raise DomainError(f"angle {alpha} has a cosine that rounds to 1: no {m}-gon edge")
     return (1.0 + ca + 2.0 * math.cos(TWO_PI / m)) / (1.0 - ca)
 
 
@@ -179,6 +201,7 @@ def circumradius(m: int, alpha: float) -> float:
 def polygon_area(m: int, alpha: float) -> float:
     """Spherical excess area m*alpha - (m - 2)*pi; valid for m >= 2."""
     _check_size(m, 2)
+    _check_angle(alpha)
     return m * alpha - (m - 2) * math.pi
 
 
@@ -187,8 +210,17 @@ def companion_residual(m: int, alpha_m: float, n: float, alpha_n: float) -> floa
 
     Zero (within tolerance) exactly when the two polygons have the same
     edge length.  ``n`` may be a non-integral real; that reading is what
-    ``solve_companion_size`` inverts.
+    ``solve_companion_size`` inverts.  It must be finite and >= 3.
     """
+    _check_size(m)
+    _check_angle(alpha_m)
+    _check_angle(alpha_n)
+    try:
+        real = math.isfinite(n) and n >= 3
+    except (TypeError, OverflowError):  # not a real, or past a double
+        real = False
+    if not real:
+        raise DomainError(f"companion size must be a finite real >= 3, got {_shown(n)}")
     cam = math.cos(alpha_m)
     can = math.cos(alpha_n)
     return (1.0 - can) * (1.0 + cam + 2.0 * math.cos(TWO_PI / m)) - (

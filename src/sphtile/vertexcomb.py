@@ -24,7 +24,7 @@ import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .sphkernel import TWO_PI
+from .sphkernel import TWO_PI, _check_size
 
 __all__ = [
     "MissingAngle",
@@ -81,7 +81,8 @@ def admissible(entries: Sequence[int]) -> bool:
 
 def enumerate_candidate_types(max_size: int = 19) -> list[VertexType]:
     """All candidate vertex types over face sizes 3..max_size, for
-    ``max_size`` from 3 to ``MAX_ENUMERATE_SIZE`` (else ``ValueError``).
+    ``max_size`` from 3 to ``MAX_ENUMERATE_SIZE`` by the count rule of
+    ``_check_size`` (19.0 passes; 2, 19.5 and "19" raise ``DomainError``).
 
     The admissible multisets of those sizes, as ascending tuples in
     lexicographic order.  A depth-first walk over nondecreasing prefixes
@@ -90,8 +91,7 @@ def enumerate_candidate_types(max_size: int = 19) -> list[VertexType]:
     cheapest completion by entries m passes the bound, and no larger m
     can pass once one fails.
     """
-    if not 3 <= max_size <= MAX_ENUMERATE_SIZE:
-        raise ValueError(f"max_size must be between 3 and {MAX_ENUMERATE_SIZE}, got {max_size}")
+    max_size = _check_size(max_size, most=MAX_ENUMERATE_SIZE, what="max_size")
     out = []
 
     def extend(prefix: tuple) -> None:

@@ -789,6 +789,13 @@ def test_catalog_family_edges_match_closed_form(kind):
         assert _family_edge_error(kind, m, edge) <= 1e-14, m
 
 
+def test_every_solution_is_monotone_convex():
+    # a convex regular polygon's angle grows with its size at one edge, so
+    # no solution of a vertex system breaks the size-angle ordering
+    sols = [s for t in vcomb.enumerate_candidate_types(28) for s in alg.solve_vertex_system(t)]
+    assert sols and all(s.monotone_convex() for s in sols)
+
+
 def test_monotone_flag_on_synthetic_violation():
     bad = alg.AngleAssignment({3: 1.9, 4: 1.8}, 1.0)
     assert not bad.monotone_convex()

@@ -236,6 +236,27 @@ def test_pyramid_diminish_rejects_non_triangle_star():
         cat.pyramid_diminish(cat.make("C"), [0])
 
 
+def test_pyramid_diminish_rejects_overlapping_stars():
+    with pytest.raises(cat.InvalidSite, match="vertex stars overlap"):
+        cat.pyramid_diminish(cat.make("I"), [0, 0])
+
+
+def test_cube_has_no_equatorial_cycle():
+    # every straight walk stops at a degree-3 vertex
+    assert cat.equatorial_cycles(cat.make("C")) == []
+
+
+def test_shrink_all_without_targets_returns_the_map():
+    c = cat.make("C").map
+    assert cat.shrink_all(c, 3) is c
+
+
+def test_shrink_all_rejects_targets_sharing_a_vertex():
+    # the hexagons of the truncated tetrahedron meet at every vertex
+    with pytest.raises(cat.PreconditionFailed, match="shrink targets share a vertex"):
+        cat.shrink_all(cat.make("tT").map, 6)
+
+
 def test_pyramid_diminish_rejects_adjacent_vertices():
     ico = cat.make("I")
     with pytest.raises(cat.InvalidSite, match="adjacent"):

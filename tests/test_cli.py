@@ -1,7 +1,10 @@
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +262,9 @@ def test_export_takes_the_largest_arc_steps(tmp_path, capsys):
     ["catalog", "dump", "--out", UNWRITABLE],
     ["verify", "T", "--report", UNWRITABLE],
     ["verify", "T", "--tol", "inf"],
+    ["solve", "--type", "3,4,4,5", "--all-roots"],
+    ["verify", "T", "--tol", "-1"],
+    ["enumerate", "--max-size", "3.5"],
 ], ids=" ".join)
 def test_usage_errors_exit_2_without_traceback(capsys, argv):
     # argparse rejects bad values by raising SystemExit(2); any other
@@ -305,3 +311,65 @@ def test_catalog_dump_matches_manifest_file(tmp_path, capsys):
     code, printed, _ = run(capsys, "catalog", "dump")
     assert code == 0 and printed == golden.read_text()
 
+
+# values just inside and just outside each option's range, and a few that
+# are not numbers at all
+_NAMES = [
+    "T", "C", "prism(3)", "prism(2)", "antiprism(100001)", "dihedron(3)", "hosohedron(3)", "X",
+]
+_ARGV = {
+    "enumerate": [
+        ["--max-size", v] for v in ("2", "3", "4", "28", "10000", "10001", "-1", "3.5", "x")
+    ] + [["--with-triangle"], ["--triangle-free"], []],
+    "solve": [
+        ["--type", v]
+        for v in (
+            "3,4,4,5", "4,4,7", "3,3,6", "3,3", "4,4,4,4", "2,4,4", "0,4,4", "-3,4,4", "3,x", "",
+            "4,4,1000000000", "4,4,5000000000000000", "4,4," + "9" * 400,
+        )
+    ],
+    "derive": [
+        ["eD", flag, v]
+        for flag in ("--dim", "--rot")
+        for v in ("0", "1", "2", "2o", "2n", "3", "4", "-1", "1o", "0n", "x")
+    ],
+    "export": [
+        [name, "--format", fmt, "--arc-steps", v, *faces]
+        for name in _NAMES
+        for fmt in ("obj", "json")
+        for v in ("0", "1", "8", "1024", "1025", "-1", "x")
+        for faces in ([], ["--faces"])
+    ],
+    "verify": [
+        [name, "--tol", v]
+        for name in _NAMES
+        for v in ("1e-9", "5e-324", "1e300", "0", "-1", "-0.0", "nan", "inf", "abc")
+    ],
+}
+
+
+def test_every_argv_exits_0_1_or_2_without_traceback(tmp_path):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    argvs = st.sampled_from(sorted(_ARGV)).flatmap(
+        lambda cmd: st.sampled_from(_ARGV[cmd]).map(lambda rest: [cmd, *rest])
+    )
+
+    @hyp.settings(max_examples=100, deadline=None, database=None)
+    @hyp.given(argvs)
+    def check(argv):
+        if argv[0] == "export":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        assert time.perf_counter() - start < 10.0, argv
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert (code == 2) == bool(err.getvalue()), argv
+
+    check()

@@ -43,6 +43,11 @@ def _export_obj_without_arcs():
     embedder.export_obj(t.map, embedder.realize(t.map, t.angles), arc_steps=0)
 
 
+def _validate_tetrahedron(**tols):
+    t = catalog.make("T")
+    tilemap.validate(t.map, t.angles, **tols)
+
+
 REJECTED_INPUTS = {
     "angle_from_edge": (DomainError, lambda: sphkernel.angle_from_edge(3, 0.0)),
     "edge_from_angle": (DomainError, lambda: sphkernel.edge_from_angle(3, 0.0)),
@@ -54,12 +59,12 @@ REJECTED_INPUTS = {
     "build_from_faces-empty": (NotEdgeToEdge, lambda: tilemap.build_from_faces([])),
     "build_from_faces-repeat": (NotEdgeToEdge, lambda: tilemap.build_from_faces([(0, 1, 0)])),
     "digon_fan": (ValueError, lambda: tilemap.digon_fan(1)),
-    "enumerate_candidate_types": (ValueError, lambda: vertexcomb.enumerate_candidate_types(2)),
+    "enumerate_candidate_types": (DomainError, lambda: vertexcomb.enumerate_candidate_types(2)),
     "enumerate_candidate_types-10001": (
-        ValueError,
+        DomainError,
         lambda: vertexcomb.enumerate_candidate_types(vertexcomb.MAX_ENUMERATE_SIZE + 1),
     ),
-    "export_obj": (ValueError, _export_obj_without_arcs),
+    "export_obj": (DomainError, _export_obj_without_arcs),
     "isolate_roots-zero": (
         ValueError,
         lambda: algsolve.isolate_roots(algsolve.Polynomial.from_coeffs([0]), 0.0, 1.0),
@@ -165,6 +170,50 @@ REJECTED_INPUTS = {
         lambda: sphkernel.solve_companion_size(4, A4, math.nan),
     ),
     "solve_companion_size-zero": (DomainError, lambda: sphkernel.solve_companion_size(3, 0.0, 1.0)),
+    # every kernel function checks its sizes and angles on entry
+    "polygon_area-(3,inf)": (DomainError, lambda: sphkernel.polygon_area(3, math.inf)),
+    "polygon_area-(2,nan)": (DomainError, lambda: sphkernel.polygon_area(2, math.nan)),
+    "edge_cosine-(0,1)": (DomainError, lambda: sphkernel.edge_cosine(0, 1.0)),
+    "edge_cosine-(3,nan)": (DomainError, lambda: sphkernel.edge_cosine(3, math.nan)),
+    "edge_cosine-(3,inf)": (DomainError, lambda: sphkernel.edge_cosine(3, math.inf)),
+    "edge_cosine-(1e400,1)": (DomainError, lambda: sphkernel.edge_cosine(10**400, 1.0)),
+    "edge_cosine-(3,1e-9)": (DomainError, lambda: sphkernel.edge_cosine(3, 1e-9)),
+    "planar_angle-0": (DomainError, lambda: sphkernel.planar_angle(0)),
+    "planar_angle-1e400": (DomainError, lambda: sphkernel.planar_angle(10**400)),
+    "planar_angle-2.5": (DomainError, lambda: sphkernel.planar_angle(2.5)),
+    "companion_residual-n=0": (
+        DomainError,
+        lambda: sphkernel.companion_residual(3, 1.0, 0, 1.0),
+    ),
+    "companion_residual-nan": (
+        DomainError,
+        lambda: sphkernel.companion_residual(3, math.nan, 4, 1.0),
+    ),
+    "companion_residual-n=inf": (
+        DomainError,
+        lambda: sphkernel.companion_residual(3, 1.0, math.inf, 1.0),
+    ),
+    # one count rule for the family makers and max_size: an integral float
+    # is the int, anything else outside the bounds a DomainError
+    "make_prism(5.5)": (DomainError, lambda: catalog.make_prism(5.5)),
+    "make_prism('5')": (DomainError, lambda: catalog.make_prism("5")),
+    "make_antiprism(3.5)": (DomainError, lambda: catalog.make_antiprism(3.5)),
+    "make_hosohedron(7.5)": (DomainError, lambda: catalog.make_hosohedron(7.5)),
+    "make_dihedron(1e5000)": (DomainError, lambda: catalog.make_dihedron(10**5000)),
+    "enumerate_candidate_types-19.5": (
+        DomainError,
+        lambda: vertexcomb.enumerate_candidate_types(19.5),
+    ),
+    "enumerate_candidate_types-'19'": (
+        DomainError,
+        lambda: vertexcomb.enumerate_candidate_types("19"),
+    ),
+    # validate's tolerances are finite and > 0
+    "validate-tol=0": (DomainError, lambda: _validate_tetrahedron(tol=0.0)),
+    "validate-tol=-1": (DomainError, lambda: _validate_tetrahedron(tol=-1.0)),
+    "validate-tol=nan": (DomainError, lambda: _validate_tetrahedron(tol=math.nan)),
+    "validate-tol=inf": (DomainError, lambda: _validate_tetrahedron(tol=math.inf)),
+    "validate-area_tol=0": (DomainError, lambda: _validate_tetrahedron(area_tol=0.0)),
 }
 
 
@@ -174,3 +223,18 @@ def test_rejected_input_raises_its_documented_type(case):
     with pytest.raises(kind) as info:
         call()
     assert info.type is kind
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [catalog.make_prism, catalog.make_antiprism, catalog.make_hosohedron, catalog.make_dihedron],
+)
+@pytest.mark.parametrize("n", [4, 5])
+def test_an_integral_float_count_is_its_int(maker, n):
+    # the count rule of sphkernel._check_size: 4.0 passes as 4
+    t = maker(float(n))
+    assert t.map == maker(n).map and t.angles == maker(n).angles
+
+
+def test_enumerate_takes_an_integral_float_max_size():
+    assert vertexcomb.enumerate_candidate_types(19.0) == vertexcomb.enumerate_candidate_types(19)
