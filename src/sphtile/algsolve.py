@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -38,6 +39,7 @@ from .sphkernel import (
     NoSolution,
     _check_size,
     _convex_angle,
+    _shown,
     angle_from_edge,
     companion_residual,
     edge_cosine,
@@ -73,11 +75,17 @@ class AngleAssignment(_AngleFields):
     The pair determines the metric data of a tiling: every m-gon in an
     edge-to-edge tiling by regular polygons is congruent, so one angle per
     size suffices.  ``angles`` is a read-only copy of the mapping given.
+    The edge is a geodesic length in (0, pi], pi the meridian of a
+    hosohedron; any other value, nan and inf among them, raises
+    ``DomainError`` (a non-number ``TypeError``), so no assignment, one read
+    by ``load_json`` included, carries an edge that no check can compare.
     """
 
     __slots__ = ()
 
     def __new__(cls, angles: Mapping[int, float], edge: float):
+        if not 0.0 < edge <= math.pi:
+            raise DomainError(f"edge must lie in (0, pi], got {_shown(edge)}")
         return super().__new__(cls, MappingProxyType(dict(angles)), edge)
 
     @classmethod
@@ -86,10 +94,12 @@ class AngleAssignment(_AngleFields):
 
     @classmethod
     def from_angles(cls, angles: Mapping[int, float]) -> "AngleAssignment":
-        """Build an assignment, deriving the edge from the smallest size."""
+        """Build an assignment, deriving the edge from the smallest size
+        (``edge_from_angle``; pi for a digon); ``DomainError`` for an empty
+        mapping or a smallest size with no edge."""
         sizes = sorted(angles)
         if not sizes:
-            raise ValueError("empty angle assignment")
+            raise DomainError("empty angle assignment")
         if sizes[0] == 2:
             return cls(angles, math.pi)
         return cls(angles, edge_from_angle(sizes[0], angles[sizes[0]]))
@@ -140,7 +150,13 @@ class Polynomial(NamedTuple):
 
     @classmethod
     def from_coeffs(cls, seq: Sequence) -> "Polynomial":
-        c = [Fraction(v) for v in seq]
+        """The polynomial of ``seq``, ascending; ``DomainError`` unless each
+        coefficient is a finite rational that ``Fraction`` reads (nan and
+        inf are not)."""
+        try:
+            c = [Fraction(v) for v in seq]
+        except (ValueError, OverflowError):  # nan, inf, or no number
+            raise DomainError("every coefficient must be a finite rational") from None
         while c and c[-1] == 0:
             c.pop()
         return cls(tuple(c))
@@ -259,12 +275,13 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
     scaled to integer coefficients, evaluated at num / den and multiplied
     by den**degree.  Both scales are positive, so the signs are those of
     the rational values, and roots closer than any float tolerance are
-    still told apart.  Multiple roots are reported once.  A bound that is
-    infinite or NaN raises ``ValueError``.
+    still told apart.  Multiple roots are reported once.  A bound that no
+    finite double holds (nan, inf, 10**400), the zero polynomial and
+    lo > hi raise ``ValueError``.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
-        if bound != bound or bound in (math.inf, -math.inf):
-            raise ValueError(f"bound {name} must be finite, got {bound!r}")
+        if not abs(bound) <= sys.float_info.max:
+            raise ValueError(f"bound {name} must be finite within a double, got {_shown(bound)}")
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
     if lo > hi:
@@ -311,9 +328,7 @@ _SCAN_POINTS = 32
 def _vertex_type(t: Sequence[int]) -> tuple:
     """The sorted entries of ``t``; ``DomainError`` unless each is a face
     size (``_check_size``) and together they are admissible."""
-    for m in t:
-        _check_size(m)
-    entries = tuple(sorted(int(m) for m in t))
+    entries = tuple(sorted(_check_size(m) for m in t))
     if not vertexcomb.admissible(entries):
         raise DomainError(
             f"vertex type {entries} is not admissible: it needs 3-5 entries of "
@@ -361,22 +376,14 @@ def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
 def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
     """The candidate solutions that solve the type, sorted.
 
-    Each candidate is a pair (angle dict, edge).  An edge of None is
-    derived from the smallest face by ``from_angles``, and the candidate
-    dropped when that face is no spherical polygon; a known edge is kept
-    as it is, since ``acos`` of an edge cosine near 1 loses its digits.
-    Drops a candidate that misses a companion relation or the angle sum
-    2*pi by more than 1e-9.
+    Each candidate is a pair (angle dict, edge), the edge the one its
+    solver found (``acos`` of an edge cosine near 1 would lose its digits),
+    and becomes ``AngleAssignment(angles, edge)``.  Drops a candidate that
+    misses a companion relation or the angle sum 2*pi by more than 1e-9.
     """
     out = []
     for angles, x in candidates:
-        if x is not None:
-            assign = AngleAssignment(angles, x)
-        else:
-            try:
-                assign = AngleAssignment.from_angles(angles)
-            except DomainError:
-                continue
+        assign = AngleAssignment(angles, x)
         if assign.max_companion_residual() > 1e-9:
             continue
         if abs(sum(c * assign.angles[m] for m, c in zip(sizes, counts)) - TWO_PI) > 1e-9:
@@ -386,12 +393,12 @@ def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
     return out
 
 
-def _only_monotone_convex(sols, what: str) -> AngleAssignment:
-    """The one monotone-convex solution of ``sols``; ``NoSolution`` unless exactly one."""
-    convex = [s for s in sols if s.monotone_convex()]
-    if len(convex) != 1:
-        raise NoSolution(f"{what}: {len(convex)} monotone-convex solutions")
-    return convex[0]
+def _one_solution(sols, what: str) -> AngleAssignment:
+    """The one solution in ``sols``; ``NoSolution`` naming the count unless
+    there is exactly one."""
+    if len(sols) != 1:
+        raise NoSolution(f"{what}: {len(sols)} solutions, not one")
+    return sols[0]
 
 
 def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
@@ -423,7 +430,8 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]
     if len(sizes) == 1:
-        return _accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
+        m, alpha = sizes[0], TWO_PI / len(entries)
+        return _accepted(sizes, counts, [({m: alpha}, edge_from_angle(m, alpha))])
 
     top = TWO_PI / sizes[-1]
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
@@ -446,8 +454,6 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
 
         def excess(x, reflex=reflex):
             # sum(c * _branch_angles(sizes, x, reflex)[m]) - 2*pi, bit for bit
-            if not 0.0 < x < math.pi:
-                raise DomainError(f"edge length must lie in (0, pi), got {x}")
             half = x / 2.0
             cos_half = math.cos(half)
             total = 0
@@ -485,13 +491,12 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
 def solve_snub(m: int) -> AngleAssignment:
     """Angles of the snub vertex type 3.3.3.3.m, for m = 4 or 5.
 
-    The single monotone-convex solution of ``solve_vertex_system`` on
-    (3, 3, 3, 3, m): the snub cube for m = 4, the snub dodecahedron for
-    m = 5.
+    The one solution of ``solve_vertex_system`` on (3, 3, 3, 3, m): the
+    snub cube for m = 4, the snub dodecahedron for m = 5.
     """
     if m not in (4, 5):
-        raise DomainError(f"snub type requires m in {{4, 5}}, got {m}")
-    return _only_monotone_convex(solve_vertex_system((3, 3, 3, 3, m)), f"snub type 3.3.3.3.{m}")
+        raise DomainError(f"snub type requires m in {{4, 5}}, got {_shown(m)}")
+    return _one_solution(solve_vertex_system((3, 3, 3, 3, m)), f"snub type 3.3.3.3.{m}")
 
 
 # --------------------------------------------------------------------------

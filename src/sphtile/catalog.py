@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .algsolve import (
     AngleAssignment,
-    _only_monotone_convex,
+    _one_solution,
     snub_dodecahedron_cos,
     solve_vertex_system,
 )
@@ -737,7 +737,7 @@ def _family_angles(kind: str, m: int) -> AngleAssignment:
         # the edge from the smallest face, as the multistart derived it
         return AngleAssignment.from_angles(pinned)
     t = (4, 4, m) if kind == "prism" else (3, 3, 3, m)
-    return _only_monotone_convex(solve_vertex_system(t), f"{kind}({m})")
+    return _one_solution(solve_vertex_system(t), f"{kind}({m})")
 
 
 # --------------------------------------------------------------------------

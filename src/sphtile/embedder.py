@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .algsolve import AngleAssignment
-from .sphkernel import TWO_PI, _check_size, circumradius
+from .sphkernel import TWO_PI, DomainError, _check_angle, _check_size, _check_tol, circumradius
 from .tilemap import NotEdgeToEdge, TilingMap, build_from_faces, digon_fan
 
 __all__ = [
@@ -162,16 +162,26 @@ def realize(
     assignment; the message names that vertex (its first worst revisit in
     walk order) and the face whose placement revisited it.  The embedding
     keeps its measured corner angles for ``face_angles`` and ``total_area``.
+
+    ``closure_tol`` must be finite and > 0 (``_check_tol``), and every
+    angle read lies in (0, 2*pi), a hosohedron's digon angle included.
+    Only a hosohedron has an edge whose cosine rounds to -1 or 1 (pi, or
+    within about 1e-8 of 0 or pi): a face centre on such an edge is
+    undefined.  Each raises ``DomainError``.
     """
+    _check_tol(closure_tol, "closure_tol")
     if t.family == "hosohedron":
         # antipodal poles; edge i of the fan (darts 2i and 2i+1) is the
         # meridian at longitude i * alpha, fixed by its midpoint
         a = assign.angle(2)
+        _check_angle(a)
         mids = np.array([[math.cos(i * a), math.sin(i * a), 0.0] for i in range(t.num_edges)])
         return _measured(t, assign, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 0.0, mids)
 
     origin, edge_pair, face_of, faces = t.origin, t.edge_pair, t.face_of, t.faces
     cosx = math.cos(assign.edge)
+    if abs(cosx) == 1.0:
+        raise DomainError(f"edge {assign.edge} has cosine {cosx}: only a hosohedron has it")
     radii = {m: circumradius(m, assign.angle(m)) for m in {len(c) for c in faces}}
 
     # per face size: the coefficients of u + v and u x v in the centre of a

@@ -28,10 +28,11 @@ Angles are plain floats in radians.  Face sizes are integral numbers >= 3
 that a double holds (``_check_size``), except in ``polygon_area``, which
 also takes the digon (m = 2), and in ``companion_residual``, whose second
 size is any finite real >= 3.  An angle argument lies in (0, 2*pi)
-(``_check_angle``).  Every public function checks its arguments on entry
+(``_check_angle``), and a tolerance elsewhere in the package is finite and
+> 0 (``_check_tol``).  Every public function checks its arguments on entry
 and raises ``DomainError`` for one out of range, nan and inf among them;
 a non-number raises ``DomainError`` as a size and Python's ``TypeError``
-as an angle.
+as an angle or a tolerance.
 """
 
 from __future__ import annotations
@@ -100,7 +101,18 @@ def _shown(value) -> str:
 def _check_angle(alpha: float) -> None:
     """``DomainError`` unless the angle lies in (0, 2*pi); nan does not."""
     if not 0.0 < alpha < TWO_PI:
-        raise DomainError(f"angle must lie in (0, 2*pi), got {alpha}")
+        raise DomainError(f"angle must lie in (0, 2*pi), got {_shown(alpha)}")
+
+
+def _check_tol(tol: float, what: str = "tol") -> None:
+    """``DomainError`` unless the tolerance is finite and > 0; nan is not.
+
+    The one tolerance rule of the package: a tolerance that no residual
+    exceeds (nan, inf) would turn its check off, and one that every
+    residual exceeds (0, -1) would fail every input.
+    """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"{what} must be finite and > 0, got {_shown(tol)}")
 
 
 def edge_cosine(m: int, alpha: float) -> float:
@@ -142,7 +154,7 @@ def angle_from_edge(m: int, x: float) -> float:
     """
     _check_size(m)
     if not 0.0 < x < math.pi:
-        raise DomainError(f"edge length must lie in (0, pi), got {x}")
+        raise DomainError(f"edge length must lie in (0, pi), got {_shown(x)}")
     half = x / 2.0
     return _convex_angle(m, math.pi / m, x, half, math.cos(half))
 
@@ -186,10 +198,14 @@ def circumradius(m: int, alpha: float) -> float:
     """Geodesic distance from the centre of a regular m-gon to a vertex.
 
     Equal to pi/2 exactly when alpha = pi (the hemisphere case); larger
-    for concave polygons.
+    for concave polygons.  An angle with no m-gon raises ``DomainError``,
+    one whose cosine rounds to 1 (within about 1e-8 of 0 or 2*pi) among
+    them, as cot(alpha/2) would divide by 0.
     """
     _check_size(m)
     _check_angle(alpha)
+    if math.cos(alpha) == 1.0:
+        raise DomainError(f"angle {alpha} has a cosine that rounds to 1: no {m}-gon")
     cr = (math.cos(alpha / 2.0) / math.sin(alpha / 2.0)) / math.tan(math.pi / m)
     if abs(cr) > 1.0:
         if abs(cr) > 1.0 + 1e-12:

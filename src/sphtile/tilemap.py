@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import vertexcomb
 from .algsolve import AngleAssignment
-from .sphkernel import TWO_PI, DomainError, polygon_area
+from .sphkernel import TWO_PI, _check_tol, polygon_area
 
 __all__ = [
     "TilingMap",
@@ -531,13 +531,13 @@ def validate(
     ``two_connected`` fails when a face visits a vertex twice, and its
     detail names the first such face and that vertex.
 
-    ``tol`` and ``area_tol`` must be finite and > 0, and each angle that
-    the area and companion checks read must lie in (0, 2*pi); else
-    ``DomainError``.
+    ``tol`` and ``area_tol`` must be finite and > 0 (``_check_tol``), the
+    edge of ``assign`` lies in (0, pi] (``AngleAssignment``), and each
+    angle that the area and companion checks read must lie in (0, 2*pi);
+    else ``DomainError``.
     """
-    for label, value in (("tol", tol), ("area_tol", area_tol)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{label} must be finite and > 0, got {value}")
+    _check_tol(tol)
+    _check_tol(area_tol, "area_tol")
     rep = ValidationReport(name=name or "tiling")
     exempt = t.family in ("hosohedron", "dihedron")
 

@@ -24,7 +24,7 @@ import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .sphkernel import TWO_PI, _check_size
+from .sphkernel import TWO_PI, _check_angle, _check_size, _check_tol
 
 __all__ = [
     "MissingAngle",
@@ -126,15 +126,18 @@ def remainder(partial: Sequence[int], assign) -> float:
     """2*pi minus the angles of the given partial multiset of face sizes.
 
     May be negative or zero, which signals that the partial vertex cannot
-    be extended.
+    be extended.  A size with no angle raises ``MissingAngle``, and an angle
+    outside (0, 2*pi) ``DomainError`` (``_check_angle``).
     """
     angles = _angle_map(assign)
     total = 0.0
     for m in partial:
         try:
-            total += angles[m]
+            alpha = angles[m]
         except KeyError:
             raise MissingAngle(m) from None
+        _check_angle(alpha)
+        total += alpha
     return TWO_PI - total
 
 
@@ -167,9 +170,13 @@ def feasible_types(assign, tol: float = 1e-9) -> list[VertexType]:
 
     Enumerates multisets of degree 3..5 drawn from the face sizes present
     in ``assign`` and keeps those whose angle sum is within ``tol`` of
-    2*pi.
+    2*pi.  ``tol`` must be finite and > 0 (``_check_tol``) and each angle
+    lie in (0, 2*pi) (``_check_angle``), else ``DomainError``.
     """
+    _check_tol(tol)
     angles = _angle_map(assign)
+    for alpha in angles.values():
+        _check_angle(alpha)
     sizes = sorted(angles)
     out = []
     for degree in range(MIN_DEGREE, MAX_DEGREE + 1):

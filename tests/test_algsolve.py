@@ -14,7 +14,7 @@ from sphtile import catalog
 from sphtile import sphkernel as sk
 from sphtile import vertexcomb as vcomb
 from sphtile.algsolve import AngleAssignment, _vertex_type
-from sphtile.sphkernel import DomainError, planar_angle
+from sphtile.sphkernel import DomainError, NoSolution, planar_angle
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -575,7 +575,12 @@ def _multistart_angles(t: Sequence[int]) -> list[AngleAssignment]:
         # floats with compensation, which would move the first residual
         polished = polish_angles(sizes, counts, np.array(s))
         if polished is not None and all(1e-9 < a < TWO_PI - 1e-9 for a in polished):
-            candidates.append((dict(zip(sizes, polished)), None))
+            # the edge from the smallest face, dropped when it is no polygon
+            angles = dict(zip(sizes, polished))
+            try:
+                candidates.append((angles, AngleAssignment.from_angles(angles).edge))
+            except DomainError:
+                pass
     return alg._accepted(sizes, counts, candidates)
 
 
@@ -607,7 +612,7 @@ def test_pinned_family_angles_are_the_multistart_bits():
     assert set(catalog._PINNED_FAMILY_ANGLES) == members - {("prism", 4), ("antiprism", 3)}
     for (kind, m), angles in catalog._PINNED_FAMILY_ANGLES.items():
         t = (4, 4, m) if kind == "prism" else (3, 3, 3, m)
-        want = alg._only_monotone_convex(_multistart_angles(t), f"{kind}({m})")
+        (want,) = [s for s in _multistart_angles(t) if s.monotone_convex()]
         assert _hex(AngleAssignment.from_angles(angles)) == _hex(want), (kind, m)
         assert _hex(catalog.make(f"{kind}({m})").angles) == _hex(want), (kind, m)
 
@@ -651,7 +656,8 @@ def _dict_excess_solve(t):
     sizes = sorted(set(entries))
     counts = [entries.count(m) for m in sizes]
     if len(sizes) == 1:
-        return alg._accepted(sizes, counts, [({sizes[0]: TWO_PI / len(entries)}, None)])
+        m, alpha = sizes[0], TWO_PI / len(entries)
+        return alg._accepted(sizes, counts, [({m: alpha}, sk.edge_from_angle(m, alpha))])
     top = TWO_PI / sizes[-1]
     grid = [top * i / alg._SCAN_POINTS for i in range(1, alg._SCAN_POINTS + 1)]
     hemisphere = entries in alg._HEMISPHERE_TYPES
@@ -794,6 +800,87 @@ def test_every_solution_is_monotone_convex():
     # no solution of a vertex system breaks the size-angle ordering
     sols = [s for t in vcomb.enumerate_candidate_types(28) for s in alg.solve_vertex_system(t)]
     assert sols and all(s.monotone_convex() for s in sols)
+
+
+def test_every_type_has_at_most_one_solution():
+    # the premise of _one_solution, the pick rule of the catalog families
+    # and the snubs: a type's angles are its one solution
+    types = vcomb.enumerate_candidate_types(28) + [
+        t + (m,) for t in ((4, 4), (3, 3, 3)) for m in (33, 10**5, 10**12)
+    ]
+    assert [t for t in types if len(alg.solve_vertex_system(t)) > 1] == []
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_one_solution_names_the_count(count):
+    sols = alg.solve_vertex_system((3, 4, 4, 5)) * count
+    with pytest.raises(NoSolution, match=rf"^prism\(7\): {count} solutions, not one$"):
+        alg._one_solution(sols, "prism(7)")
+    one = alg.solve_vertex_system((3, 4, 4, 5))
+    assert alg._one_solution(one, "J76") is one[0]
+
+
+# the named entries' hardest types, the three hemisphere types and 3.3.7,
+# which has no solution
+EXACT_COUNT_TYPES = [
+    (3, 3, 4), (3, 4, 6), (3, 5, 10), (4, 4, 7), (3, 4, 4, 5), (3, 4, 8), (3, 4, 10),
+    (3, 3, 3, 3, 5), (3, 3, 7),
+]
+
+
+def _exact_edges(t):
+    """The edges of the vertex type t's solutions, from one exact polynomial.
+
+    With u = 1/cos(x/2), the right triangle centre - edge midpoint - vertex
+    of an m-gon gives sin(alpha_m/2) = k_m*u, k_m = cos(pi/m), and
+    w_m = cos(alpha_m/2) = +-sqrt(1 - k_m^2*u^2), negative for a reflex
+    face.  The angle sum 2*pi makes prod (w_m + i*k_m*u)^c_m = -1, so its
+    imaginary part vanishes.  Resultants against w_m^2 - 1 + k_m^2*u^2 and
+    against the minimal polynomial of cos(pi/m) leave one polynomial in u
+    with rational coefficients.  Each real root of its squarefree part in
+    (1, 1/cos(pi/M)] is a solution when the all-convex branch, or a branch
+    with one reflex face of count 1, sums to 2*pi there at 50 digits.  A
+    root at the end, where the M-gon is pi and reads as both, counts once.
+    """
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    u = sp.Symbol("u")
+    sizes = sorted(set(t))
+    counts = [t.count(m) for m in sizes]
+    w = {m: sp.Symbol(f"w{m}") for m in sizes}
+    k = {m: sp.Symbol(f"k{m}") for m in sizes}
+    re, im = sp.Integer(1), sp.Integer(0)
+    for m, c in zip(sizes, counts):
+        for _ in range(c):
+            re, im = sp.expand(re * w[m] - im * k[m] * u), sp.expand(re * k[m] * u + im * w[m])
+    p = im
+    for m in sizes:
+        p = sp.resultant(p, w[m] ** 2 - 1 + k[m] ** 2 * u**2, w[m])
+        p = sp.resultant(p, sp.minimal_polynomial(sp.cos(sp.pi / m), k[m]), k[m])
+    squarefree = sp.Poly(sp.sqf_part(p), u)
+    top = 1 / sp.cos(sp.pi / sizes[-1])
+    edges = []
+    for root in sp.real_roots(squarefree):
+        if not 1 < root <= top:
+            continue
+        with mpmath.workdps(50):
+            r, two_pi = mpmath.mpf(str(sp.N(root, 50))), 2 * mpmath.pi
+            half = {m: mpmath.asin(min(1, mpmath.cos(mpmath.pi / m) * r)) for m in sizes}
+            convex = sum(2 * c * half[m] for m, c in zip(sizes, counts))
+            reflex = [convex + two_pi - 4 * half[m] for m, c in zip(sizes, counts) if c == 1]
+            if any(abs(b - two_pi) < 1e-20 for b in [convex, *reflex]):
+                edges.append(float(2 * mpmath.acos(1 / r)))
+    return edges
+
+
+@pytest.mark.parametrize("t", EXACT_COUNT_TYPES, ids=lambda t: ".".join(map(str, t)))
+def test_solution_count_and_edges_match_the_exact_polynomial_oracle(t):
+    # the solver's count, read from 32 samples per branch, is the exact one
+    want = _exact_edges(t)
+    got = sorted(s.edge for s in alg.solve_vertex_system(t))
+    assert len(got) == len(want), t
+    for x, y in zip(got, want):
+        assert x == pytest.approx(y, abs=1e-12), t
 
 
 def test_monotone_flag_on_synthetic_violation():

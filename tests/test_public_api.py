@@ -1,14 +1,17 @@
 import importlib
 import inspect
+import itertools
+import json
 import math
 import pkgutil
+import time
 
 import pytest
 
 import sphtile
 from sphtile import algsolve, catalog, embedder, sphkernel, tilemap, vertexcomb
 from sphtile.catalog import InvalidSite, UnknownName
-from sphtile.sphkernel import DomainError
+from sphtile.sphkernel import DomainError, NoSolution
 from sphtile.tilemap import NotEdgeToEdge
 
 MODULES = [
@@ -46,6 +49,23 @@ def _export_obj_without_arcs():
 def _validate_tetrahedron(**tols):
     t = catalog.make("T")
     tilemap.validate(t.map, t.angles, **tols)
+
+
+def _cube_with(edge=None, square=None):
+    """The cube's map and its angles, with the edge or the square's angle replaced."""
+    c = catalog.make("C")
+    angles = c.angles.angles if square is None else {4: square}
+    return c.map, algsolve.AngleAssignment(angles, c.angles.edge if edge is None else edge)
+
+
+def _polynomial(*coeffs):
+    return algsolve.Polynomial.from_coeffs(coeffs)
+
+
+def _load_cube_json(edge: str):
+    c = catalog.make("C")
+    doc = json.loads(embedder.export_json(c.map, c.angles))
+    embedder.load_json(json.dumps({**doc, "edge": edge}).encode())
 
 
 REJECTED_INPUTS = {
@@ -214,6 +234,63 @@ REJECTED_INPUTS = {
     "validate-tol=nan": (DomainError, lambda: _validate_tetrahedron(tol=math.nan)),
     "validate-tol=inf": (DomainError, lambda: _validate_tetrahedron(tol=math.inf)),
     "validate-area_tol=0": (DomainError, lambda: _validate_tetrahedron(area_tol=0.0)),
+    # one edge rule: an assignment's edge is a finite number in (0, pi]
+    "validate-edge=nan": (DomainError, lambda: tilemap.validate(*_cube_with(math.nan))),
+    "validate-edge=inf": (DomainError, lambda: tilemap.validate(*_cube_with(math.inf))),
+    "load_json-edge=nan": (DomainError, lambda: _load_cube_json("nan")),
+    "load_json-edge=inf": (DomainError, lambda: _load_cube_json("inf")),
+    "realize-edge=nan": (DomainError, lambda: embedder.realize(*_cube_with(math.nan))),
+    "realize-edge=0": (DomainError, lambda: embedder.realize(*_cube_with(0.0))),
+    # only a hosohedron has an edge whose cosine rounds to -1 or 1
+    "realize-edge=pi": (DomainError, lambda: embedder.realize(*_cube_with(math.pi))),
+    "realize-edge=1e-9": (
+        DomainError,
+        lambda: embedder.realize(*_cube_with(1e-9, sphkernel.angle_from_edge(4, 1e-9))),
+    ),
+    # a hosohedron's digon angle is checked like every other angle
+    "realize-hosohedron angle=nan": (
+        DomainError,
+        lambda: embedder.realize(
+            tilemap.digon_fan(4), algsolve.AngleAssignment({2: math.nan}, math.pi)
+        ),
+    ),
+    # one tolerance rule: finite and > 0, so no check is turned off
+    "realize-closure_tol=nan": (
+        DomainError,
+        lambda: embedder.realize(*_cube_with(square=2.0), closure_tol=math.nan),
+    ),
+    "realize-closure_tol=-1": (
+        DomainError,
+        lambda: embedder.realize(*_cube_with(), closure_tol=-1.0),
+    ),
+    "feasible_types-tol=nan": (
+        DomainError,
+        lambda: vertexcomb.feasible_types(catalog.make("C").angles, tol=math.nan),
+    ),
+    "feasible_types-tol=-1": (
+        DomainError,
+        lambda: vertexcomb.feasible_types(catalog.make("C").angles, tol=-1.0),
+    ),
+    # found by the argument sweep below
+    "Polynomial.from_coeffs-inf": (DomainError, lambda: _polynomial(math.inf)),
+    "Polynomial.from_coeffs-nan": (DomainError, lambda: _polynomial(math.nan)),
+    "isolate_roots-1e400": (
+        ValueError,
+        lambda: algsolve.isolate_roots(_polynomial(-(10**400), 1), 0.0, 10**400),
+    ),
+    "from_angles-empty": (DomainError, lambda: algsolve.AngleAssignment.from_angles({})),
+    "circumradius-(3,5e-324)": (DomainError, lambda: sphkernel.circumradius(3, 5e-324)),
+    "feasible_types-angle=1e400": (DomainError, lambda: vertexcomb.feasible_types({3: 10**400})),
+    "feasible_types-angle=nan": (DomainError, lambda: vertexcomb.feasible_types({3: math.nan})),
+    "remainder-angle=1e400": (DomainError, lambda: vertexcomb.remainder((3,), {3: 10**400})),
+    # an int past 4300 digits has no str, so no message may need one
+    "polygon_area-(3,1e5000)": (DomainError, lambda: sphkernel.polygon_area(3, 10**5000)),
+    "angle_from_edge-(3,1e5000)": (DomainError, lambda: sphkernel.angle_from_edge(3, 10**5000)),
+    "AngleAssignment-edge=1e5000": (
+        DomainError,
+        lambda: algsolve.AngleAssignment({3: 1.0}, 10**5000),
+    ),
+    "solve_snub-1e5000": (DomainError, lambda: algsolve.solve_snub(10**5000)),
 }
 
 
@@ -238,3 +315,163 @@ def test_an_integral_float_count_is_its_int(maker, n):
 
 def test_enumerate_takes_an_integral_float_max_size():
     assert vertexcomb.enumerate_candidate_types(19.0) == vertexcomb.enumerate_candidate_types(19)
+
+
+# --------------------------------------------------------------------------
+# the argument sweep: every number-taking public name of sphkernel, algsolve
+# and vertexcomb, and the family makers
+# --------------------------------------------------------------------------
+
+# Just inside and just outside every documented range: face sizes (integral,
+# >= 3, or >= 2 in polygon_area), angles (0, 2*pi), edges (0, pi) and
+# (0, pi], the real companion size [3, 64], tolerances (0, inf) and counts
+# (max_size to 10 000, family n to 100 000), with nan, +-inf and 10**400.
+# The family makers' top, 100 000 itself, is left to
+# test_family_size_bound_is_inclusive: a prism or antiprism takes 3-4 s to
+# build there.
+_NUMBERS = [
+    2, 3, 4, 4.0, 5, 6, 10, 33, 64, 2.5, 0, -3, 10**12, 10**15, 10**16, 10**400,
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, 5e-324, 1e-9, 0.5, 1.0,
+    math.nextafter(math.pi / 3, 0.0), math.pi / 3, math.pi / 2, 2.0,
+    math.nextafter(math.pi, 0.0), math.pi, math.nextafter(math.pi, 4.0), 4.0,
+    math.nextafter(TWO_PI, 0.0), TWO_PI, math.nextafter(TWO_PI, 7.0),
+    math.nextafter(3.0, 0.0), 3.5, 64.0, math.nextafter(64.0, 65.0), 1e300, -1.0,
+    vertexcomb.MAX_ENUMERATE_SIZE, vertexcomb.MAX_ENUMERATE_SIZE + 1, catalog.MAX_FAMILY_N + 1,
+]
+# a call answers, refuses, or raises what its docstring names within this
+_SECONDS = 5
+
+
+def _rotations(cycle):
+    """Every rotation of the cycle and of its reverse; the empty cycle is its own."""
+    return [c[i:] + c[:i] for c in (tuple(cycle), tuple(cycle)[::-1]) for i in range(len(c) or 1)]
+
+
+def _solutions_of(t, sols):
+    for s in sols:
+        assert set(s.angles) == set(t) and 0.0 < s.edge < math.pi
+        assert s.max_companion_residual() <= 1e-9
+        assert abs(sum(s.angles[m] for m in t) - TWO_PI) <= 1e-9
+    return len(sols) <= 1
+
+
+def _faces_of(kind, n, t):
+    faces = {"prism": n + 2, "antiprism": 2 * n + 2, "hosohedron": n, "dihedron": 2}[kind]
+    return t.map.num_faces == faces and set(t.angles.sizes) == set(map(len, t.map.faces))
+
+
+# name: (callable, argument kinds, post-condition on (*args, answer), the
+# exceptions beside DomainError and NoSolution that its docstring names)
+_SWEPT = {
+    "planar_angle": (sphkernel.planar_angle, "n", lambda m, r: math.pi / 3 <= r <= math.pi, ()),
+    "edge_cosine": (sphkernel.edge_cosine, "nn", lambda m, a, r: math.isfinite(r), ()),
+    "angle_from_edge": (
+        sphkernel.angle_from_edge, "nn", lambda m, x, r: (1 - 2 / m) * math.pi <= r <= math.pi, ()
+    ),
+    "edge_from_angle": (sphkernel.edge_from_angle, "nn", lambda m, a, r: 0.0 < r <= math.pi, ()),
+    "circumradius": (sphkernel.circumradius, "nn", lambda m, a, r: 0.0 <= r <= math.pi, ()),
+    "polygon_area": (sphkernel.polygon_area, "nn", lambda m, a, r: math.isfinite(r), ()),
+    "companion_residual": (
+        sphkernel.companion_residual, "nnnn", lambda m, a, n, b, r: math.isfinite(r), ()
+    ),
+    "solve_companion_angle": (
+        sphkernel.solve_companion_angle,
+        "nnn",
+        lambda m, a, n, r: len(r) <= 2 and all(0.0 < b < TWO_PI for b in r),
+        (),
+    ),
+    "solve_companion_size": (
+        sphkernel.solve_companion_size, "nnn", lambda m, a, b, r: 3 <= r <= 64, ()
+    ),
+    "AngleAssignment": (
+        algsolve.AngleAssignment, "an", lambda a, x, r: r.edge == x and 0.0 < x <= math.pi, ()
+    ),
+    "AngleAssignment.from_angles": (
+        algsolve.AngleAssignment.from_angles, "a", lambda a, r: 0.0 < r.edge <= math.pi, ()
+    ),
+    "Polynomial.from_coeffs": (
+        algsolve.Polynomial.from_coeffs, "l", lambda c, r: len(r.coeffs) <= len(c), ()
+    ),
+    "isolate_roots": (
+        lambda c, lo, hi: algsolve.isolate_roots(_polynomial(*c), lo, hi),
+        "pnn",
+        lambda c, lo, hi, r: r == sorted(r) and all(lo <= x <= hi for x in r),
+        (ValueError,),
+    ),
+    "solve_vertex_system": (algsolve.solve_vertex_system, "l", _solutions_of, ()),
+    "solve_snub": (algsolve.solve_snub, "n", lambda m, r: m in (4, 5), ()),
+    "angle_deficit_ok": (
+        vertexcomb.angle_deficit_ok,
+        "l",
+        lambda e, r: isinstance(r, bool),
+        (ZeroDivisionError, TypeError),
+    ),
+    "admissible": (vertexcomb.admissible, "l", lambda e, r: isinstance(r, bool), (TypeError,)),
+    "enumerate_candidate_types": (
+        vertexcomb.enumerate_candidate_types,
+        "n",
+        lambda k, r: all(vertexcomb.admissible(t) and max(t) <= k for t in r),
+        (),
+    ),
+    "with_triangle": (vertexcomb.with_triangle, "L", lambda ts, r: all(3 in t for t in r), ()),
+    "triangle_free": (vertexcomb.triangle_free, "L", lambda ts, r: all(3 not in t for t in r), ()),
+    "remainder": (
+        vertexcomb.remainder,
+        "la",
+        lambda p, a, r: r == TWO_PI - sum(a[m] for m in p) or r != r,
+        (vertexcomb.MissingAngle,),
+    ),
+    "canonical_arrangement": (
+        vertexcomb.canonical_arrangement, "l", lambda c, r: r in _rotations(c), ()
+    ),
+    "arrangements": (
+        vertexcomb.arrangements,
+        "l",
+        lambda t, r: all(any(p in _rotations(a) for p in itertools.permutations(t)) for a in r),
+        (),
+    ),
+    "feasible_types": (
+        vertexcomb.feasible_types,
+        "an",
+        lambda a, tol, r: all(abs(sum(a[m] for m in t) - TWO_PI) <= tol for t in r),
+        (),
+    ),
+    **{
+        f"make_{kind}": (
+            getattr(catalog, f"make_{kind}"),
+            "n",
+            lambda n, r, kind=kind: _faces_of(kind, int(n), r),
+            (),
+        )
+        for kind in ("prism", "antiprism", "hosohedron", "dihedron")
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEPT))
+def test_every_number_taking_public_name_answers_or_refuses(name):
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    num = st.one_of(st.sampled_from(_NUMBERS), st.floats(), st.integers(-5, 70))
+    entries = st.lists(num, max_size=6)
+    kinds = {
+        "n": num,
+        "l": entries,
+        "L": st.lists(entries, max_size=4),
+        "a": st.dictionaries(num, num, max_size=4),
+        "p": st.lists(st.one_of(num, st.integers(-9, 9)), max_size=5),
+    }
+    fn, arg_kinds, post, named = _SWEPT[name]
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(st.tuples(*map(kinds.__getitem__, arg_kinds)))
+    def check(args):
+        start = time.perf_counter()
+        try:
+            answer = fn(*args)
+        except (DomainError, NoSolution, *named):
+            answer = None
+        assert time.perf_counter() - start < _SECONDS, args
+        assert answer is None or post(*args, answer), args
+
+    check()
