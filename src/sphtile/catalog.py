@@ -218,9 +218,9 @@ def _cupola_faces(k: int) -> list:
 # --------------------------------------------------------------------------
 
 
-def _kept_faces(t: TilingMap, removed) -> list:
-    """Vertex cycles of every face not in ``removed``, in face order."""
-    return [t.face_vertex_cycle(f) for f in range(t.num_faces) if f not in removed]
+def _differ(a: float, b: float) -> bool:
+    """Whether two angles disagree: the operators' one agreement test, 1e-9."""
+    return abs(a - b) > 1e-9
 
 
 def _tiling(
@@ -232,17 +232,38 @@ def _tiling(
     """Pair a map with its angle assignment: the one way a Tiling is made.
 
     Each derived ``(size, angle)`` pair is added in order; a size that
-    already has an angle must agree with it within 1e-9, or ``error`` is
+    already has an angle must agree with it (``_differ``), or ``error`` is
     raised.  The assignment then keeps exactly the face sizes of the map.
     """
     angles = dict(assign.angles)
     for k, a in derived:
-        if k in angles and abs(angles[k] - a) > 1e-9:
+        if k in angles and _differ(angles[k], a):
             raise error(f"size {k} angle {a!r} conflicts with the existing {angles[k]!r}")
         angles[k] = a
     present = {len(cyc) for cyc in t.faces}
     kept = {m: a for m, a in angles.items() if m in present}
     return Tiling(t, AngleAssignment(kept, assign.edge))
+
+
+def _splice(
+    t: TilingMap,
+    assign: AngleAssignment,
+    removed,
+    added: Sequence,
+    derived: Sequence = (),
+    error: type = PreconditionFailed,
+) -> Tiling:
+    """The one shape of every operator on a Tiling: cut the ``removed``
+    faces of ``t`` and put in the ``added`` vertex cycles.
+
+    The new map's faces are the vertex cycles of every face not in
+    ``removed``, in face order, then ``added`` in order.  ``_tiling`` pairs
+    it with ``assign`` and the ``derived`` angles of the new faces, raising
+    ``error`` on a conflict.  Callers read each face or vertex index first
+    by the one index rule, ``_check_size(i, 0, most=count - 1)``.
+    """
+    kept = [t.face_vertex_cycle(f) for f in range(t.num_faces) if f not in removed]
+    return _tiling(build_from_faces(kept + list(added)), assign, derived, error)
 
 
 def _added_angle(assign: AngleAssignment, m: int) -> float:
@@ -263,18 +284,16 @@ def pyramid_subdivide(tiling: Tiling, face: int) -> Tiling:
     dihedron(4) gives J1); a hosohedron's digon may not, as no triangle
     has its edge, pi.
     """
-    t = tiling.map
-    assign = tiling.angles
+    t, assign = tiling
+    face = _check_size(face, 0, most=t.num_faces - 1, what="face")
     m = t.face_size(face)
     a3, am = _added_angle(assign, 3), assign.angle(m)
-    if abs(am - 2.0 * a3) > 1e-9:
+    if _differ(am, 2.0 * a3):
         raise PreconditionFailed(f"pyramid subdivision needs angle({m}) = 2*angle(3); got {am}")
     centre = ("pyramid-apex", face)
     cyc = t.face_vertex_cycle(face)
-    faces = _kept_faces(t, {face})
-    for i in range(m):
-        faces.append((cyc[i], cyc[(i + 1) % m], centre))
-    return _tiling(build_from_faces(faces), assign, [(3, a3)])
+    added = [(cyc[i], cyc[(i + 1) % m], centre) for i in range(m)]
+    return _splice(t, assign, {face}, added, [(3, a3)])
 
 
 def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
@@ -283,52 +302,54 @@ def pyramid_diminish(tiling: Tiling, vertices: Sequence[int]) -> Tiling:
     The inverse of ``pyramid_subdivide``; the removed vertices must be
     pairwise non-adjacent with disjoint stars.
     """
-    t = tiling.map
-    assign = tiling.angles
-    removed_faces: set = set()
-    new_faces = []
+    t, assign = tiling
+    vertices = [_check_size(v, 0, most=t.num_vertices - 1, what="vertex") for v in vertices]
+    removed: set = set()
+    links = []
     for v in vertices:
         star = [t.face_of[d] for d in t.vertex_rotations[v]]
         if any(t.face_size(f) != 3 for f in star):
             raise PreconditionFailed(f"vertex {v} has a non-triangular face")
-        if removed_faces.intersection(star):
+        if removed.intersection(star):
             raise InvalidSite("vertex stars overlap")
-        removed_faces.update(star)
+        removed.update(star)
         link = tuple(t.target(d) for d in t.vertex_rotations[v])
         if any(u in vertices for u in link):
             raise InvalidSite("removed vertices are adjacent")
-        new_faces.append(link)
-    new_map = build_from_faces(_kept_faces(t, removed_faces) + new_faces)
+        links.append(link)
     # each corner of a link face spans the corners of two removed triangles
-    return _tiling(new_map, assign, [(len(link), 2.0 * assign.angle(3)) for link in new_faces])
+    derived = [(len(link), 2.0 * assign.angle(3)) for link in links]
+    return _splice(t, assign, removed, links, derived)
 
 
 def cupola_subdivide(tiling: Tiling, face: int, phase: int = 0) -> Tiling:
     """Attach a cupola cap inside an even face: triangles on every other
     edge, squares between them, and a half-size top face.
 
-    Requires angle(m) = angle(3) + angle(4).  ``phase`` selects which edge
-    parity carries the triangles; the two phases generally give the ortho
-    and gyro attachments.
+    Requires angle(m) = angle(3) + angle(4).  ``phase``, from 0 to m - 1,
+    is the position in the face's vertex cycle where the first triangle
+    starts; the two phases 0 and 1 generally give the ortho and gyro
+    attachments.
     """
-    t = tiling.map
-    assign = tiling.angles
+    t, assign = tiling
+    face = _check_size(face, 0, most=t.num_faces - 1, what="face")
     m = t.face_size(face)
+    phase = _check_size(phase, 0, most=m - 1, what="phase")
     if m % 2 != 0 or m < 6:
         raise PreconditionFailed(f"cupola subdivision needs an even face size >= 6, got {m}")
     a3, a4, am = _added_angle(assign, 3), _added_angle(assign, 4), assign.angle(m)
-    if abs(am - (a3 + a4)) > 1e-9:
+    if _differ(am, a3 + a4):
         raise PreconditionFailed("cupola subdivision needs angle(m) = angle(3) + angle(4)")
     k = m // 2
     cyc = t.face_vertex_cycle(face)
     b = [cyc[(i + phase) % m] for i in range(m)]
     top = [("cupola-top", face, j) for j in range(k)]
-    faces = _kept_faces(t, {face})
+    added = []
     for j in range(k):
-        faces.append((b[2 * j], b[2 * j + 1], top[j]))
-        faces.append((b[2 * j + 1], b[(2 * j + 2) % m], top[(j + 1) % k], top[j]))
-    faces.append(tuple(top))
-    return _tiling(build_from_faces(faces), assign, [(3, a3), (4, a4), (k, TWO_PI - 2.0 * a4 - a3)])
+        added.append((b[2 * j], b[2 * j + 1], top[j]))
+        added.append((b[2 * j + 1], b[(2 * j + 2) % m], top[(j + 1) % k], top[j]))
+    added.append(tuple(top))
+    return _splice(t, assign, {face}, added, [(3, a3), (4, a4), (k, TWO_PI - 2.0 * a4 - a3)])
 
 
 def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
@@ -336,32 +357,31 @@ def prism_subdivide(tiling: Tiling, face: int) -> Tiling:
 
     Requires angle(m) = 2*angle(4).
     """
-    t = tiling.map
-    assign = tiling.angles
+    t, assign = tiling
+    face = _check_size(face, 0, most=t.num_faces - 1, what="face")
     m = t.face_size(face)
     a4, am = _added_angle(assign, 4), assign.angle(m)
-    if abs(am - 2.0 * a4) > 1e-9:
+    if _differ(am, 2.0 * a4):
         raise PreconditionFailed("prism subdivision needs angle(m) = 2*angle(4)")
     cyc = t.face_vertex_cycle(face)
     inner = [("prism-inner", face, i) for i in range(m)]
-    faces = _kept_faces(t, {face})
-    for i in range(m):
-        j = (i + 1) % m
-        faces.append((cyc[i], cyc[j], inner[j], inner[i]))
-    faces.append(tuple(inner))
+    added = [(cyc[i], cyc[(i + 1) % m], inner[(i + 1) % m], inner[i]) for i in range(m)]
+    added.append(tuple(inner))
     # the removed m-gon is the map's only one: its angle 2*angle(4) exceeds
     # pi, so its area exceeds a hemisphere; size m now names the convex copy
     convex = AngleAssignment({**assign.angles, m: TWO_PI - 2.0 * a4}, assign.edge)
-    return _tiling(build_from_faces(faces), convex, [(4, a4)])
+    return _splice(t, convex, {face}, added, [(4, a4)])
 
 
 def shrink(t: TilingMap, face: int) -> TilingMap:
-    """Collapse a face whose vertices all have degree 3 to a single vertex."""
-    return _shrink(t, [face])
+    """Collapse a face whose vertices all have degree 3 to a single vertex;
+    ``NotEdgeToEdge`` if a face is left with fewer than 3 vertices."""
+    return _shrink(t, [_check_size(face, 0, most=t.num_faces - 1, what="face")])
 
 
 def truncate(t: TilingMap, vertex: int) -> TilingMap:
     """Replace a degree-k vertex by a k-gon (the inverse of shrinking)."""
+    vertex = _check_size(vertex, 0, most=t.num_vertices - 1, what="vertex")
     return build_from_faces(_truncated_faces(t, [vertex]))
 
 
@@ -372,10 +392,8 @@ def shrink_all(t: TilingMap, size: int) -> TilingMap:
     of degree 3; faces of the same size created by the collapse itself are
     not re-shrunk.
     """
-    targets = [f for f in range(t.num_faces) if t.face_size(f) == size]
-    if not targets:
-        return t
-    return _shrink(t, targets)
+    targets = faces_of_size(t, size)
+    return _shrink(t, targets) if targets else t
 
 
 def _shrink(t: TilingMap, targets: list) -> TilingMap:
@@ -392,12 +410,8 @@ def _shrink(t: TilingMap, targets: list) -> TilingMap:
     for f in range(t.num_faces):
         if f in targets:
             continue
-        cyc = [owner.get(v, v) for v in t.face_vertex_cycle(f)]
-        collapsed = []
-        for v in cyc:
-            if collapsed and collapsed[-1] == v:
-                continue
-            collapsed.append(v)
+        cyc = (owner.get(v, v) for v in t.face_vertex_cycle(f))
+        collapsed = [v for v, _ in itertools.groupby(cyc)]
         while len(collapsed) > 1 and collapsed[0] == collapsed[-1]:
             collapsed.pop()
         faces.append(tuple(collapsed))
@@ -478,25 +492,19 @@ def _apply_cupola_ops(
     vertex.  A sealing face's angle is 2*pi minus the angles outside the
     cap at its first boundary vertex.
     """
-    t = tiling.map
-    assign = tiling.angles
-    sites = list(rotate_sites) + list(diminish_sites)
+    t, assign = tiling
+    sites = [*rotate_sites, *diminish_sites]
     vertices = [{t.origin[d] for f in s.faces for d in t.faces[f]} for s in sites]
     for a, b in itertools.combinations(vertices, 2):
         if a & b:
             raise InvalidSite("cupola sites overlap")
-    cap_faces: set = set()
-    for s in sites:
-        cap_faces |= s.faces
-    faces = _kept_faces(t, cap_faces)
-    derived = []
+    added, derived = [], []
     for s in rotate_sites:
         n = len(s.boundary)
         relabel = {s.boundary[i]: s.boundary[(i + shift) % n] for i in range(n)}
-        for f in s.faces:
-            faces.append(tuple(relabel.get(v, v) for v in t.face_vertex_cycle(f)))
+        added += [tuple(relabel.get(v, v) for v in t.face_vertex_cycle(f)) for f in s.faces]
     for s in diminish_sites:
-        faces.append(s.boundary)
+        added.append(s.boundary)
         b0 = s.boundary[0]
         outside = [
             t.face_size(t.face_of[d])
@@ -504,7 +512,8 @@ def _apply_cupola_ops(
             if t.face_of[d] not in s.faces
         ]
         derived.append((len(s.boundary), TWO_PI - sum(assign.angle(m) for m in outside)))
-    return _tiling(build_from_faces(faces), assign, derived, InvalidSite)
+    removed = set().union(*(s.faces for s in sites))
+    return _splice(t, assign, removed, added, derived, InvalidSite)
 
 
 def rotate_cupola(tiling: Tiling, site: CupolaSite) -> Tiling:
@@ -530,45 +539,28 @@ def _straight_cycles(t: TilingMap) -> list:
         if d0 in seen:
             continue
         path = [d0]
-        ok = True
         d = d0
-        while True:
-            dp = t.edge_pair[d]
-            if t.degree(t.origin[dp]) != 4:
-                ok = False
-                break
-            d = t.vertex_next[t.vertex_next[dp]]
+        while t.degree(t.target(d)) == 4:
+            d = t.vertex_next[t.vertex_next[t.edge_pair[d]]]
             if d == d0:
+                seen.update(path)
+                seen.update(t.edge_pair[x] for x in path)
+                cycles.append(path)
                 break
             path.append(d)
-        if not ok:
-            continue
-        seen.update(path)
-        seen.update(t.edge_pair[x] for x in path)
-        cycles.append(path)
     return cycles
 
 
 def equatorial_cycles(tiling: Tiling) -> list:
     """Straight cycles whose two sides both sum to angle pi at each vertex."""
-    t = tiling.map
-    assign = tiling.angles
-    out = []
-    for path in _straight_cycles(t):
-        good = True
-        for d in path:
-            # the two faces at d's head between the cycle's back and forward darts
-            back = t.vertex_next[t.edge_pair[d]]
-            side = (
-                assign.angle(t.face_size(t.face_of[back]))
-                + assign.angle(t.face_size(t.face_of[t.vertex_next[back]]))
-            )
-            if abs(side - PI) > 1e-9:
-                good = False
-                break
-        if good:
-            out.append(path)
-    return out
+    t, assign = tiling
+
+    def side(d: int) -> float:
+        # the two faces at d's head between the cycle's back and forward darts
+        back = t.vertex_next[t.edge_pair[d]]
+        return sum(assign.angle(t.face_size(t.face_of[e])) for e in (back, t.vertex_next[back]))
+
+    return [path for path in _straight_cycles(t) if not any(_differ(side(d), PI) for d in path)]
 
 
 class _Cap(NamedTuple):
@@ -593,7 +585,9 @@ def _hemisphere(t: TilingMap, path: Sequence[int]) -> _Cap:
 
 
 def rotate_hemisphere(tiling: Tiling, path: Sequence[int], shift: int = 1) -> Tiling:
-    """Cut along an equatorial cycle and reglue one side offset by ``shift``."""
+    """Cut along an equatorial cycle and reglue one side offset by ``shift``
+    steps, from 0 to the cycle's length less 1."""
+    shift = _check_size(shift, 0, most=len(path) - 1, what="shift")
     return _apply_cupola_ops(tiling, rotate_sites=[_hemisphere(tiling.map, path)], shift=shift)
 
 

@@ -72,7 +72,7 @@ def planar_angle(m: int) -> float:
 
 def _check_size(m: int, least: int = 3, most: int | None = None, what: str = "face size") -> int:
     """m as an int; ``DomainError`` unless m is an integral number >= ``least``
-    that a double holds (and, given ``most``, at most ``most``).
+    (-inf: any) that a double holds (and, given ``most``, at most ``most``).
 
     The one count rule of the package, for face sizes and for the other
     counts (family sizes, ``max_size``, ``arc_steps``), which name
@@ -86,8 +86,9 @@ def _check_size(m: int, least: int = 3, most: int | None = None, what: str = "fa
     except (TypeError, ValueError, OverflowError):  # not a real, or past a double
         ok = False
     if not ok:
-        span = f">= {least} within a double" if most is None else f"between {least} and {most}"
-        raise DomainError(f"{what} must be an integer {span}, got {_shown(m)}")
+        low = f" >= {least}" if least > -math.inf else ""
+        span = f"{low} within a double" if most is None else f" between {least} and {most}"
+        raise DomainError(f"{what} must be an integer{span}, got {_shown(m)}")
     return int(m)
 
 

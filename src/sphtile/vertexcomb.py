@@ -24,7 +24,7 @@ import itertools
 import math
 from typing import Iterable, Mapping, Sequence
 
-from .sphkernel import TWO_PI, _check_angle, _check_size, _check_tol
+from .sphkernel import TWO_PI, DomainError, _check_angle, _check_size, _check_tol
 
 __all__ = [
     "MissingAngle",
@@ -70,13 +70,15 @@ def admissible(entries: Sequence[int]) -> bool:
     """Whether a multiset of face sizes is an admissible vertex type.
 
     Degree 3 to 5, every size at least 3, and the exact bound of
-    ``angle_deficit_ok``.
+    ``angle_deficit_ok``.  Past the degree test each entry is read as
+    ``_check_size`` reads a count, with no least value: 4.0 is 4, and 5.5,
+    nan and "4" raise ``DomainError``; an integer below 3 makes the
+    multiset inadmissible.
     """
-    return (
-        MIN_DEGREE <= len(entries) <= MAX_DEGREE
-        and min(entries) >= 3
-        and angle_deficit_ok(entries)
-    )
+    if not MIN_DEGREE <= len(entries) <= MAX_DEGREE:
+        return False
+    sizes = [_check_size(m, -math.inf, what="vertex type entry") for m in entries]
+    return min(sizes) >= 3 and angle_deficit_ok(sizes)
 
 
 def enumerate_candidate_types(max_size: int = 19) -> list[VertexType]:
@@ -158,11 +160,15 @@ def canonical_arrangement(cycle: Sequence[int]) -> Arrangement:
 
 
 def arrangements(t: Sequence[int]) -> list[Arrangement]:
-    """Distinct cyclic arrangements of the multiset t, canonical order."""
-    seen = set()
-    for perm in itertools.permutations(sorted(t)):
-        seen.add(canonical_arrangement(perm))
-    return sorted(seen)
+    """Distinct cyclic arrangements of the multiset t, canonical order.
+
+    Every permutation is canonicalised, so t holds at most ``MAX_DEGREE``
+    face sizes (``_check_size``); else ``DomainError``.
+    """
+    if len(t) > MAX_DEGREE:
+        raise DomainError(f"a vertex type has at most {MAX_DEGREE} entries, got {len(t)}")
+    sizes = sorted(_check_size(m) for m in t)
+    return sorted({canonical_arrangement(p) for p in itertools.permutations(sizes)})
 
 
 def feasible_types(assign, tol: float = 1e-9) -> list[VertexType]:

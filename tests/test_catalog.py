@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -731,3 +732,66 @@ def test_manifest_round_trip():
     by_name = {e["name"]: e for e in doc["entries"]}
     assert by_name["J19"]["face_counts"] == {"3": 4, "4": 13, "8": 1}
     assert by_name["eD"]["vertex_types"] == {"3.4.5.4": 60}
+
+
+# --------------------------------------------------------------------------
+# one fingerprint of every catalog build and a fixed list of operator calls
+# --------------------------------------------------------------------------
+
+
+def _operator_calls():
+    """(operator, seed, key, arguments) for each operator call the
+    fingerprint pins; the key tells the calls on one seed apart."""
+    calls = []
+    for seed in ("J11", "dihedron(4)", "J3", "dihedron(6)", "prism(8)", "J76", "J4"):
+        t = cat.make(seed)
+        for f in range(t.map.num_faces):
+            calls += [(op, seed, f, (t, f)) for op in (cat.pyramid_subdivide, cat.prism_subdivide)]
+            calls += [(cat.cupola_subdivide, seed, (f, p), (t, f, p)) for p in (0, 1)]
+    calls.append((cat.pyramid_diminish, "I", 0, (cat.make("I"), [0])))
+    for seed in ("tT", "T"):
+        t = cat.make(seed).map
+        calls += [(cat.shrink, seed, f, (t, f)) for f in range(t.num_faces)]
+        calls += [(cat.truncate, seed, v, (t, v)) for v in range(t.num_vertices)]
+        calls += [(cat.shrink_all, seed, m, (t, m)) for m in (3, 6)]
+        calls.append((cat.truncate_all, seed, None, (t,)))
+    for seed in ("aC", "aD", "J27", "J34"):
+        t = cat.make(seed)
+        for i, path in enumerate(cat.equatorial_cycles(t)):
+            ops = (cat.rotate_hemisphere, cat.cut_hemisphere)
+            calls += [(op, seed, i, (t, path)) for op in ops]
+    for seed in ("aC", "eC", "eD", "J19", "J3"):
+        t = cat.make(seed)
+        for i, site in enumerate(cat.find_cupola_sites(t.map)):
+            calls += [(op, seed, i, (t, site)) for op in (cat.rotate_cupola, cat.diminish_cupola)]
+    return calls
+
+
+def _fingerprint(result) -> tuple:
+    """A map's dart arrays and faces, with a tiling's angles and edge in hex."""
+    t = result.map if isinstance(result, cat.Tiling) else result
+    shape = (tuple(t.origin), tuple(t.face_next), tuple(t.edge_pair), tuple(t.faces))
+    if t is result:
+        return shape
+    angles = tuple((m, float.hex(a)) for m, a in result.angles.angles.items())
+    return shape + (angles, float.hex(result.angles.edge))
+
+
+#: the SHA-256 of every ``all_entries()`` build and every ``_operator_calls``
+#: result (an exception by its type), recorded before the operators shared
+#: one splice; any change to a map, a vertex label, a face order or an angle bit
+#: moves it
+OPERATOR_DIGEST = "56a070018497e39106b94b2fde9666f956d6185730ee37187f21e1d6003ad42f"
+
+
+def test_every_build_and_operator_result_is_pinned():
+    h = hashlib.sha256()
+    for name in ALL:
+        h.update(repr((name, _fingerprint(cat.make(name)))).encode())
+    for op, seed, key, args in _operator_calls():
+        try:
+            got = _fingerprint(op(*args))
+        except Exception as exc:  # the type alone is pinned
+            got = type(exc).__name__
+        h.update(repr((op.__name__, seed, key, got)).encode())
+    assert h.hexdigest() == OPERATOR_DIGEST

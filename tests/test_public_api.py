@@ -62,6 +62,11 @@ def _polynomial(*coeffs):
     return algsolve.Polynomial.from_coeffs(coeffs)
 
 
+def _rotate_ac_equator(shift):
+    ac = catalog.make("aC")
+    return catalog.rotate_hemisphere(ac, catalog.equatorial_cycles(ac)[0], shift)
+
+
 def _load_cube_json(edge: str):
     c = catalog.make("C")
     doc = json.loads(embedder.export_json(c.map, c.angles))
@@ -291,6 +296,48 @@ REJECTED_INPUTS = {
         lambda: algsolve.AngleAssignment({3: 1.0}, 10**5000),
     ),
     "solve_snub-1e5000": (DomainError, lambda: algsolve.solve_snub(10**5000)),
+    # one index rule for the operators: a face or vertex index is a count
+    # from 0 to the number less 1, so -1 is not the last one
+    "pyramid_subdivide-(dihedron(4),-1)": (
+        DomainError,
+        lambda: catalog.pyramid_subdivide(catalog.make("dihedron(4)"), -1),
+    ),
+    "cupola_subdivide-(dihedron(6),-1)": (
+        DomainError,
+        lambda: catalog.cupola_subdivide(catalog.make("dihedron(6)"), -1),
+    ),
+    "prism_subdivide-(J4,-1)": (
+        DomainError,
+        lambda: catalog.prism_subdivide(catalog.make("J4"), -1),
+    ),
+    "pyramid_subdivide-(J11,999)": (
+        DomainError,
+        lambda: catalog.pyramid_subdivide(catalog.make("J11"), 999),
+    ),
+    "truncate-(T,99)": (DomainError, lambda: catalog.truncate(catalog.make("T").map, 99)),
+    "shrink-(tT,-1)": (DomainError, lambda: catalog.shrink(catalog.make("tT").map, -1)),
+    "pyramid_diminish-(I,[-1])": (
+        DomainError,
+        lambda: catalog.pyramid_diminish(catalog.make("I"), [-1]),
+    ),
+    # a vertex type has at most MAX_DEGREE entries: arrangements canonicalises
+    # every permutation, so its time grew factorially past them
+    "arrangements-range(3,11)": (DomainError, lambda: vertexcomb.arrangements(tuple(range(3, 11)))),
+    # admissible reads each entry by the count rule, as solve_vertex_system does
+    "admissible-(3,3,5.5)": (DomainError, lambda: vertexcomb.admissible((3, 3, 5.5))),
+    "admissible-(3,3,nan)": (DomainError, lambda: vertexcomb.admissible((3, 3, math.nan))),
+    "admissible-(3,3,'4')": (DomainError, lambda: vertexcomb.admissible((3, 3, "4"))),
+    # found by the operator rows of the argument sweep below
+    "cupola_subdivide-phase=1.5": (
+        DomainError,
+        lambda: catalog.cupola_subdivide(catalog.make("dihedron(6)"), 0, 1.5),
+    ),
+    "rotate_hemisphere-shift=1.5": (DomainError, lambda: _rotate_ac_equator(1.5)),
+    "rotate_hemisphere-shift=nan": (DomainError, lambda: _rotate_ac_equator(math.nan)),
+    "pyramid_diminish-(I,[1.5])": (
+        DomainError,
+        lambda: catalog.pyramid_diminish(catalog.make("I"), [1.5]),
+    ),
 }
 
 
@@ -317,9 +364,23 @@ def test_enumerate_takes_an_integral_float_max_size():
     assert vertexcomb.enumerate_candidate_types(19.0) == vertexcomb.enumerate_candidate_types(19)
 
 
+def test_an_integral_float_index_is_its_int():
+    j11, ico, dihedron = catalog.make("J11"), catalog.make("I"), catalog.make("dihedron(6)")
+    (f,) = catalog.faces_of_size(j11.map, 5)
+    assert catalog.pyramid_subdivide(j11, float(f)) == catalog.pyramid_subdivide(j11, f)
+    assert catalog.pyramid_diminish(ico, [0.0]) == catalog.pyramid_diminish(ico, [0])
+    assert catalog.cupola_subdivide(dihedron, 1.0, 1.0) == catalog.cupola_subdivide(dihedron, 1, 1)
+    assert _rotate_ac_equator(2.0) == _rotate_ac_equator(2)
+
+
+def test_admissible_takes_an_integral_float_entry():
+    assert vertexcomb.admissible((3, 3, 4.0)) is True
+    assert vertexcomb.admissible((3, 3, -4)) is False
+
+
 # --------------------------------------------------------------------------
 # the argument sweep: every number-taking public name of sphkernel, algsolve
-# and vertexcomb, and the family makers
+# and vertexcomb, the family makers and the catalog operators
 # --------------------------------------------------------------------------
 
 # Just inside and just outside every documented range: face sizes (integral,
@@ -355,10 +416,25 @@ def _solutions_of(t, sols):
     return len(sols) <= 1
 
 
+def _rebuilt(*args):
+    """Whether the answer, last of ``args``, is a map (or a tiling's map)
+    that ``build_from_faces`` makes again from its own vertex cycles."""
+    t = getattr(args[-1], "map", args[-1])
+    return tilemap.build_from_faces([t.face_vertex_cycle(f) for f in range(t.num_faces)]) == t
+
+
+def _on(seed, op):
+    """``op`` on a catalog entry and the swept arguments."""
+    return lambda *args: op(catalog.make(seed), *args)
+
+
 def _faces_of(kind, n, t):
     faces = {"prism": n + 2, "antiprism": 2 * n + 2, "hosohedron": n, "dihedron": 2}[kind]
     return t.map.num_faces == faces and set(t.angles.sizes) == set(map(len, t.map.faces))
 
+
+_OPERATOR = (catalog.PreconditionFailed, InvalidSite)
+_SHRINK = (*_OPERATOR, NotEdgeToEdge)
 
 # name: (callable, argument kinds, post-condition on (*args, answer), the
 # exceptions beside DomainError and NoSolution that its docstring names)
@@ -406,7 +482,7 @@ _SWEPT = {
         lambda e, r: isinstance(r, bool),
         (ZeroDivisionError, TypeError),
     ),
-    "admissible": (vertexcomb.admissible, "l", lambda e, r: isinstance(r, bool), (TypeError,)),
+    "admissible": (vertexcomb.admissible, "l", lambda e, r: isinstance(r, bool), ()),
     "enumerate_candidate_types": (
         vertexcomb.enumerate_candidate_types,
         "n",
@@ -445,6 +521,18 @@ _SWEPT = {
         )
         for kind in ("prism", "antiprism", "hosohedron", "dihedron")
     },
+    # the catalog operators' number arguments on fixed seeds: a face, a
+    # vertex list, a phase or a shift; an operator may refuse its
+    # preconditions, and a shrink that leaves a face below 3 vertices
+    "pyramid_subdivide": (_on("J11", catalog.pyramid_subdivide), "n", _rebuilt, _OPERATOR),
+    "cupola_subdivide": (_on("dihedron(6)", catalog.cupola_subdivide), "nn", _rebuilt, _OPERATOR),
+    "prism_subdivide": (_on("J4", catalog.prism_subdivide), "n", _rebuilt, _OPERATOR),
+    "pyramid_diminish": (_on("I", catalog.pyramid_diminish), "l", _rebuilt, _OPERATOR),
+    "shrink": (lambda f: catalog.shrink(catalog.make("tT").map, f), "n", _rebuilt, _SHRINK),
+    "shrink_all": (lambda m: catalog.shrink_all(catalog.make("tT").map, m), "n", _rebuilt, _SHRINK),
+    "truncate": (lambda v: catalog.truncate(catalog.make("T").map, v), "n", _rebuilt, ()),
+    "rotate_hemisphere": (_rotate_ac_equator, "n", _rebuilt, _OPERATOR),
+    "derive_from_ed": (catalog.derive_from_ed, "nn", _rebuilt, _OPERATOR),
 }
 
 
