@@ -324,6 +324,14 @@ def isolate_roots(p: Polynomial, lo: float, hi: float) -> list[float]:
 #: sampled edges per branch in the sign-change scan of ``solve_vertex_system``
 _SCAN_POINTS = 32
 
+#: a bound on the rounding of the all-convex excess, far above it (``_certified``)
+_MARGIN = 1e-12
+
+#: at most this many Illinois steps seed ``_certified``, stopping once the
+#: excess is below ``_SEED_STOP``; they choose where to evaluate, never a sign
+_SEED_STEPS = 10
+_SEED_STOP = 1e-8
+
 
 def _vertex_type(t: Sequence[int]) -> tuple:
     """The sorted entries of ``t``; ``DomainError`` unless each is a face
@@ -373,6 +381,91 @@ def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
     return mid
 
 
+def _certified(excess, top: float, f0: float):
+    """The all-convex ``excess`` on (0, top], each sign it already decides
+    answered without evaluating.
+
+    The returned g takes the arguments of ``excess``.  It answers -1.0 for
+    x <= a and 1.0 for x >= b, and evaluates ``excess`` in between,
+    raising a to an x that computed below -``_MARGIN`` and lowering b to one
+    that computed above it.  A value between, which certifies nothing, is
+    kept and not evaluated twice.  Every answer has the sign ``excess`` would
+    compute, so a scan and a bisection that read only signs visit the same
+    points and return the same bits with g as with ``excess``.
+
+    Lemma.  Let p_m = fl(pi/m) and h = x/2.  ``_convex_angle`` computes
+    2*acos(sqrt(sin(p_m - h) * sin(p_m + h)) / cos h), and in exact
+    arithmetic sin(p - h) * sin(p + h) / cos(h)**2 = 1 - cos(p)**2 / cos(h)**2,
+    so the exact value alpha~_m(x) = 2*acos(sqrt(1 - cos(p_m)**2 / cos(h)**2))
+    strictly increases for 0 <= h <= p_m < pi/2.  Every query x <= top =
+    fl(2*pi/M), M the largest size, has h <= fl(pi/M) <= p_m (halving is
+    exact and rounding monotone).  So F~(x) = sum c * alpha~_m(x) - fl(2*pi)
+    strictly increases on (0, top].  The computed excess differs from F~ by
+    at most eps, from the roundings of sin, cos and acos (each within 1 ulp,
+    as libm gives them), of sqrt (correctly rounded) and of the sum.
+    Against 40-digit mpmath at float x, over the candidate types to size 40
+    and 4.4.M and 3.3.3.M up to M = 5 * 10**15, at the scan grid, within
+    one ulp of top and down to top * 2**-59, the worst was 3.2e-15; a test
+    holds it below ``_MARGIN`` / 4.  ``_MARGIN`` = 1e-12 > 2 * eps.
+    Proof of the claim: if excess(a) < -``_MARGIN``, then every x <= a has
+    excess(x) <= F~(x) + eps <= F~(a) + eps <= excess(a) + 2 * eps < 0; if
+    excess(b) > ``_MARGIN``, every x >= b computes positive the same way.
+
+    The first evaluations place a and b near the root: Illinois steps from
+    the planar limit (0, ``f0``) and the top, then one probe each side of the
+    secant estimate through the last two evaluations.  They only narrow
+    (a, b).
+    """
+    a, b = 0.0, math.inf  # every x <= a computes negative, every x >= b positive
+    near = {}  # the values within _MARGIN of 0, which certify nothing
+
+    def g(x):
+        nonlocal a, b
+        if x <= a:
+            return -1.0
+        if x >= b:
+            return 1.0
+        v = near.get(x)
+        if v is None:
+            v = excess(x)
+            if v < -_MARGIN:
+                a = x
+            elif v > _MARGIN:
+                b = x
+            else:
+                near[x] = v
+        return v
+
+    x0, v0, x1, v1 = 0.0, f0, top, g(top)
+    prev, last = (x0, v0), (x1, v1)
+    side = 0
+    for _ in range(_SEED_STEPS):
+        if not (v0 < 0.0 < v1 and abs(last[1]) > _SEED_STOP):
+            break
+        x = x1 - v1 * (x1 - x0) / (v1 - v0)
+        if not x0 < x < x1:
+            break
+        v = g(x)  # x0 < x < x1 lies in (a, b): evaluated
+        prev, last = last, (x, v)
+        if v < 0.0:
+            x0, v0 = x, v
+            if side < 0:
+                v1 /= 2.0
+            side = -1
+        else:
+            x1, v1 = x, v
+            if side > 0:
+                v0 /= 2.0
+            side = 1
+    slope = (last[1] - prev[1]) / (last[0] - prev[0])
+    if slope > 0.0:
+        r, d = last[0] - last[1] / slope, 2.0 * _MARGIN / slope
+        for x in (r - d, r + d):
+            if 0.0 < x < top:
+                g(x)
+    return g
+
+
 def _accepted(sizes, counts, candidates) -> list[AngleAssignment]:
     """The candidate solutions that solve the type, sorted.
 
@@ -413,8 +506,13 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     planar angles has no root, and is skipped (so 4.4.m and 3.3.3.m scan
     the all-convex branch alone).  Every other branch is sampled at
     ``_SCAN_POINTS`` edges and every sign change is bisected in x to the
-    last bit; a solution's edge is that x.  The open end x -> 0 is
-    excluded: a branch's value there is an exact rational multiple of pi,
+    last bit; a solution's edge is that x.  The all-convex branch strictly
+    increases in x, and ``_certified`` answers each scan and bisection
+    query whose sign that already decides (past an evaluation beyond
+    ``_MARGIN``) without evaluating the excess; the points visited and the
+    bits found are those of the plain excess, which every reflex branch
+    keeps.  The open end x -> 0 is excluded: a branch's value there is an
+    exact rational multiple of pi, an integer over the lcm of the sizes,
     and a branch that vanishes there (the planar limit) gets no bracket
     from it.  A root at x = 2*pi/M puts the M-gon at
     exactly pi; it is read from the type, one of the three
@@ -437,19 +535,20 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
     grid = [top * i / _SCAN_POINTS for i in range(1, _SCAN_POINTS + 1)]
     hemisphere = entries in _HEMISPHERE_TYPES
     roots = [(top, None)] if hemisphere else []
-    # the all-convex sum at the planar limit, minus 2*pi, in units of pi
-    planar = sum(Fraction(c * (m - 2), m) for m, c in zip(sizes, counts)) - 2
+    den = math.lcm(*sizes)
+    # the all-convex sum at the planar limit, minus 2*pi, in units of pi/den
+    planar = sum(c * (m - 2) * (den // m) for m, c in zip(sizes, counts)) - 2 * den
     per_size = [(m, c, math.pi / m) for m, c in zip(sizes, counts)]
     # Reflex branch r has no root when the other faces fill half a turn at
     # their planar angles: sum_{m != r} c_m (1 - 2/m) >= 1.  With c_r = 1
     # that sum is planar + 1 + 2/r, so the test is planar + 2/r >= 0,
-    # decided on rationals with no tolerance.  Proof: the branch's equation
+    # decided on integers over den with no tolerance.  Proof: the branch's equation
     # is sum_{m != r} c_m alpha_m(x) = alpha_r(x).  Every convex angle
     # strictly exceeds its planar angle for x > 0, so the left side is
     # > pi * sum_{m != r} c_m (1 - 2/m) >= pi.  On (0, 2*pi/M] the r-gon's
     # angle is at most pi, equal only for r = M at x = 2*pi/M.  So the left
     # side always exceeds the right.
-    reflexes = [m for m, c in zip(sizes, counts) if c == 1 and planar + Fraction(2, m) < 0]
+    reflexes = [m for m, c in zip(sizes, counts) if c == 1 and planar + 2 * (den // m) < 0]
     for reflex in [None] + reflexes:
 
         def excess(x, reflex=reflex):
@@ -462,14 +561,16 @@ def solve_vertex_system(t: Sequence[int]) -> list[AngleAssignment]:
                 total += c * (TWO_PI - alpha if m == reflex else alpha)
             return total - TWO_PI
 
-        points = [(x, excess(x)) for x in grid]
+        f = _certified(excess, top, planar / den * math.pi) if reflex is None else excess
+        points = [(x, f(x)) for x in grid]
         if hemisphere and reflex in (None, sizes[-1]):
             points.pop()  # the exact root counted above
-        limit = planar if reflex is None else planar + Fraction(4, reflex)
+        limit = planar if reflex is None else planar + 4 * (den // reflex)
         if limit:
-            points.insert(0, (0.0, float(limit)))
+            # int true division rounds correctly, as float(Fraction) does
+            points.insert(0, (0.0, limit / den))
         found = [
-            _bisect(excess, x0, x1, v0 < 0)
+            _bisect(f, x0, x1, v0 < 0)
             for (x0, v0), (x1, v1) in zip(points, points[1:])
             if (v0 < 0) != (v1 < 0)
         ]

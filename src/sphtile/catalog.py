@@ -568,9 +568,20 @@ class _Cap(NamedTuple):
     boundary: tuple
 
 
-def _hemisphere(t: TilingMap, path: Sequence[int]) -> _Cap:
-    """The far side of a straight cycle as a cap: the faces reached from
-    across ``path[0]`` without crossing the cycle."""
+def _hemisphere(tiling: Tiling, path: Sequence[int]) -> _Cap:
+    """The far side of an equatorial cycle as a cap: the faces reached from
+    across ``path[0]`` without crossing the cycle.  ``InvalidSite`` unless
+    ``path`` is one of ``equatorial_cycles(tiling)`` up to a cyclic rotation."""
+    t = tiling.map
+    path = list(path)
+    for equator in equatorial_cycles(tiling):
+        if len(equator) == len(path) and path[0] in equator:
+            i = equator.index(path[0])
+            if equator[i:] + equator[:i] == path:
+                path = equator[i:] + equator[:i]  # the map's own darts
+                break
+    else:
+        raise InvalidSite("the dart path is no equatorial cycle of the tiling")
     cycle = set(path) | {t.edge_pair[d] for d in path}
     start = t.face_of[t.edge_pair[path[0]]]
     side = {start}
@@ -587,8 +598,9 @@ def _hemisphere(t: TilingMap, path: Sequence[int]) -> _Cap:
 def rotate_hemisphere(tiling: Tiling, path: Sequence[int], shift: int = 1) -> Tiling:
     """Cut along an equatorial cycle and reglue one side offset by ``shift``
     steps, from 0 to the cycle's length less 1."""
-    shift = _check_size(shift, 0, most=len(path) - 1, what="shift")
-    return _apply_cupola_ops(tiling, rotate_sites=[_hemisphere(tiling.map, path)], shift=shift)
+    cap = _hemisphere(tiling, path)
+    shift = _check_size(shift, 0, most=len(cap.boundary) - 1, what="shift")
+    return _apply_cupola_ops(tiling, rotate_sites=[cap], shift=shift)
 
 
 def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
@@ -597,7 +609,7 @@ def cut_hemisphere(tiling: Tiling, path: Sequence[int]) -> Tiling:
     The new face is a hemisphere: its angle, 2*pi minus the kept side's
     angles at a cycle vertex, is pi, since the cycle is a great circle.
     """
-    return _apply_cupola_ops(tiling, diminish_sites=[_hemisphere(tiling.map, path)])
+    return _apply_cupola_ops(tiling, diminish_sites=[_hemisphere(tiling, path)])
 
 
 # --------------------------------------------------------------------------

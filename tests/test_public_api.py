@@ -338,6 +338,15 @@ REJECTED_INPUTS = {
         DomainError,
         lambda: catalog.pyramid_diminish(catalog.make("I"), [1.5]),
     ),
+    "rotate_hemisphere-(aC,[0,1,2])": (
+        InvalidSite,
+        lambda: catalog.rotate_hemisphere(catalog.make("aC"), [0, 1, 2]),
+    ),
+    "cut_hemisphere-(aC,[0,1,2])": (
+        InvalidSite,
+        lambda: catalog.cut_hemisphere(catalog.make("aC"), [0, 1, 2]),
+    ),
+    "cut_hemisphere-(aC,[])": (InvalidSite, lambda: catalog.cut_hemisphere(catalog.make("aC"), [])),
 }
 
 
