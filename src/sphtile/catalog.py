@@ -516,14 +516,25 @@ def _apply_cupola_ops(
     return _splice(t, assign, removed, added, derived, InvalidSite)
 
 
+def _cupola_site(tiling: Tiling, site) -> CupolaSite:
+    """``site`` as the map's own ``CupolaSite``; ``InvalidSite`` unless it
+    is one of ``find_cupola_sites(tiling.map)``."""
+    sites = find_cupola_sites(tiling.map)
+    if site not in sites:
+        raise InvalidSite("the site is no cupola site of the tiling")
+    return sites[sites.index(site)]
+
+
 def rotate_cupola(tiling: Tiling, site: CupolaSite) -> Tiling:
-    """Detach a cupola cap and reattach it offset by one boundary step."""
-    return _apply_cupola_ops(tiling, rotate_sites=[site])
+    """Detach a cupola cap and reattach it offset by one boundary step.
+    ``InvalidSite`` unless ``site`` is one of the map's cupola sites."""
+    return _apply_cupola_ops(tiling, rotate_sites=[_cupola_site(tiling, site)])
 
 
 def diminish_cupola(tiling: Tiling, site: CupolaSite) -> Tiling:
-    """Remove a cupola cap, making its boundary cycle a single face."""
-    return _apply_cupola_ops(tiling, diminish_sites=[site])
+    """Remove a cupola cap, making its boundary cycle a single face.
+    ``InvalidSite`` unless ``site`` is one of the map's cupola sites."""
+    return _apply_cupola_ops(tiling, diminish_sites=[_cupola_site(tiling, site)])
 
 
 # --------------------------------------------------------------------------
@@ -771,11 +782,15 @@ def _j2() -> Tiling:
     return _golden(faces, "J2")
 
 
-def _on_cupola(seed: str, op) -> Tiling:
-    """``op`` on a seed entry's first cupola site in canonical order: aC
-    diminished (J3) or eC with a cupola rotated (J37)."""
+def _on_cupola(seed: str, rotate: bool) -> Tiling:
+    """A seed entry with its first cupola site in canonical order rotated or
+    diminished: aC diminished (J3) or eC with a cupola rotated (J37).  The
+    site is the map's own, so ``_apply_cupola_ops`` takes it unchecked."""
     t = make(seed)
-    return op(t, _canonical_sites(t.map, find_cupola_sites(t.map))[0])
+    site = _canonical_sites(t.map, find_cupola_sites(t.map))[:1]
+    if rotate:
+        return _apply_cupola_ops(t, rotate_sites=site)
+    return _apply_cupola_ops(t, diminish_sites=site)
 
 
 def _cupola(k: int, group: str) -> Tiling:
@@ -990,7 +1005,7 @@ _NAMED = {
     "sD": ("archimedean", {(3, 3, 3, 3, 5): 60}, lambda: _derived("D", _snub_faces, "sD")),
     "J1": ("johnson", {(3, 3, 4): 4, (3, 3, 3, 3): 1}, _j1),
     "J2": ("johnson", {(3, 3, 5): 5, (3, 3, 3, 3, 3): 1}, _j2),
-    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}, lambda: _on_cupola("aC", diminish_cupola)),
+    "J3": ("johnson", {(3, 4, 6): 6, (3, 4, 3, 4): 3}, lambda: _on_cupola("aC", rotate=False)),
     "J4": ("johnson", {(3, 4, 8): 8, (3, 4, 4, 4): 4}, lambda: _cupola(4, "eC")),
     "J5": ("johnson", {(3, 4, 5, 4): 5, (3, 4, 10): 10}, lambda: _cupola(5, "eD")),
     "J6": ("johnson", {(3, 5, 3, 5): 10, (3, 5, 10): 10}, lambda: _on_equator("aD", cut_hemisphere)),
@@ -998,7 +1013,7 @@ _NAMED = {
     "J19": ("johnson", {(3, 4, 4, 4): 12, (4, 4, 8): 8}, _j19),
     "J27": ("johnson", {(3, 3, 4, 4): 6, (3, 4, 3, 4): 6}, lambda: _on_equator("aC")),
     "J34": ("johnson", {(3, 5, 3, 5): 20, (3, 3, 5, 5): 10}, lambda: _on_equator("aD")),
-    "J37": ("johnson", {(3, 4, 4, 4): 24}, lambda: _on_cupola("eC", rotate_cupola)),
+    "J37": ("johnson", {(3, 4, 4, 4): 24}, lambda: _on_cupola("eC", rotate=True)),
     "J62": (
         "johnson",
         {(3, 5, 5): 2, (3, 3, 3, 5): 6, (3, 3, 3, 3, 3): 2},

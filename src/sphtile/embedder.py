@@ -22,6 +22,13 @@ edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
 because antipodal endpoints do not determine a great-circle arc: a
 digon's corners are measured from them, and ``export_obj`` splits the
 arcs there.
+
+The export text is written by the private module ``_text``, imported on
+the first export.  ``_text.format17`` writes each OBJ coordinate as exactly
+the bytes of ``'%.17g' % x``, in whole-array steps: on 1e-4 <= |x| < 1 its
+17 digits come from an exact (Dekker) product with a power of ten, and any
+other value goes through ``%`` itself.  ``_text.json_text`` writes the JSON
+document with string joins.
 """
 
 from __future__ import annotations
@@ -482,10 +489,12 @@ def export_obj(
     With ``include_faces`` each face is fan-triangulated about its
     spherical centre (one midpoint refinement implicit in the fan apex).
 
-    Each section of the text is one ``%`` call on one template: the
-    ``v`` lines over the flattened points, the ``l`` lines over the
-    flattened chains, and the faces (each an apex ``v`` line and its
-    ``f`` lines) over the apexes and the fans.
+    Every ``v`` line, the corners', the arc points' and the fan apexes',
+    comes from one ``_text.v_lines`` call, whose kernel ``_text.format17``
+    writes each coordinate byte for byte as ``'%.17g' % x`` would.  The
+    ``l`` lines are one ``%`` call on one template over the flattened
+    chains, and the faces (each an apex ``v`` line and its ``f`` lines) one
+    over the apex lines and the fans.
     """
     arc_steps = _check_size(arc_steps, 1, most=MAX_ARC_STEPS, what="arc_steps")
     nv = t.num_vertices
@@ -498,24 +507,32 @@ def export_obj(
     count = nv + ne * k
     # each edge's chain of 1-based indices: its two ends about its k arc points
     chains = np.column_stack([u + 1, np.arange(nv + 1, count + 1).reshape(ne, k), v + 1])
-    xyz = np.concatenate([corners, arcs.reshape(-1, 3)]).ravel().tolist()
+    points = [corners, arcs.reshape(-1, 3)]
+    if include_faces:
+        points.append(_apexes(t, corners, mids))
+    from ._text import v_lines
+
+    vertices = v_lines(np.concatenate(points))
+    if include_faces:
+        # the fan apexes' lines come last
+        vertices, *apexes, _ = vertices.rsplit(b"\n", t.num_faces + 1)
+        vertices += b"\n"
     text = [
-        "# sphtile unit-sphere tiling export\n",
-        "v %.17g %.17g %.17g\n" * count % tuple(xyz),
-        ("l" + " %d" * (k + 2) + "\n") * ne % tuple(chains.ravel().tolist()),
+        b"# sphtile unit-sphere tiling export\n",
+        vertices,
+        (("l" + " %d" * (k + 2) + "\n") * ne % tuple(chains.ravel().tolist())).encode(),
     ]
 
     if include_faces:
         rows = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
-        apexes = _apexes(t, corners, mids).tolist()
         args = []
-        for apex, row, centre in zip(range(count + 1, count + 1 + len(rows)), rows, apexes):
-            args += centre
+        for apex, row, line in zip(range(count + 1, count + 1 + len(rows)), rows, apexes):
+            args.append(line.decode())
             for a, b in zip(row, row[1:] + row[:1]):
                 args += (apex, a + 1, b + 1)
-        fans = ("v %.17g %.17g %.17g\n" + "f %d %d %d\n" * len(r) for r in rows)
-        text.append("".join(fans) % tuple(args))
-    return "".join(text).encode()
+        fans = ("%s\n" + "f %d %d %d\n" * len(r) for r in rows)
+        text.append(("".join(fans) % tuple(args)).encode())
+    return b"".join(text)
 
 
 def export_json(
@@ -527,18 +544,15 @@ def export_json(
     """Deterministic JSON form: faces, angles (decimal strings), edge.
 
     Angles are serialized as 17-significant-digit decimal strings so
-    golden files diff cleanly across platforms.
+    golden files diff cleanly across platforms.  The text is what
+    ``json.dumps(doc, sort_keys=True, indent=1)`` gives, and a newline,
+    written directly by ``_text.json_text``.
     """
-    doc = {
-        "name": name,
-        "family": t.family,
-        "faces": [list(t.face_vertex_cycle(f)) for f in range(t.num_faces)],
-        "angles": {str(m): "%.17g" % a for m, a in sorted(assign.angles.items())},
-        "edge": "%.17g" % assign.edge,
-    }
-    if emb is not None:
-        doc["positions"] = [["%.17g" % c for c in emb.positions[v]] for v in range(t.num_vertices)]
-    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    from ._text import json_text
+
+    faces = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
+    positions = None if emb is None else [emb.positions[v] for v in range(t.num_vertices)]
+    return json_text(name, t.family, faces, assign.angles, assign.edge, positions)
 
 
 def load_json(data: bytes):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -109,6 +110,30 @@ def test_verify_failure_line_carries_closure_witness(capsys, monkeypatch):
         "FAIL  C  [embedding_closure: closure error 5.749e-01 at vertex 4 (face 1) "
         "exceeds 1.0e-07]" in out
     )
+
+
+def _nudged_cube(emb):
+    """The cube's embedding with vertex 0 moved by 1e-4 and no stored angles."""
+    positions = {**emb.positions, 0: emb.positions[0] + [1e-4, 0.0, 0.0]}
+    return dataclasses.replace(emb, positions=positions)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        # the edge gate, 1e-9: an edge error just above it
+        lambda emb: dataclasses.replace(emb, edge_error=2e-9),
+        # the embedded-area gate, 1e-6: one corner moved, so the area measured
+        # from the positions is off by far more than the gate
+        _nudged_cube,
+    ],
+    ids=["edge_error", "embedded_area"],
+)
+def test_each_embedding_gate_fails_verify_alone(monkeypatch, change):
+    realize = embedder.realize
+    monkeypatch.setattr(embedder, "realize", lambda *args, **kw: change(realize(*args, **kw)))
+    # every other check passes: only the embedding gate sees the change
+    assert cli.verify_entry("C").failures() == ["embedding_closure"]
 
 
 def test_report_view_folds_component_checks():

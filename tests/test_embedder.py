@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sphtile import catalog as cat, embedder as em, tilemap as tm
+from sphtile._text import _BOUNDS, format17
 from sphtile.algsolve import AngleAssignment
 from sphtile.sphkernel import circumradius, polygon_area
 
@@ -636,3 +638,118 @@ def test_face_angles_without_stored_angles_measure_that_face_alone():
                 alone = dataclasses.replace(emb, positions={v: emb.positions[v] for v in cycle})
             got = np.array(em.face_angles(t, alone, f)).tobytes()
             assert got == np.array(em.face_angles(t, emb, f)).tobytes(), (name, f)
+
+
+def _format17_mismatches(x):
+    """The entries of x whose ``_text.format17`` text differs from their
+    '%.17g' text, with both texts."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    rows = np.column_stack([format17(x), np.full(x.size, ord("\n"), np.uint8)])
+    got = rows[rows != 0].tobytes().decode()
+    want = "%.17g\n" * x.size % tuple(x.tolist())
+    if got == want:
+        return []
+    texts = zip(x.tolist(), got.split("\n"), want.split("\n"))
+    return [(v, g, w) for v, g, w in texts if g != w]
+
+
+def _fast_range_patterns(rng, n):
+    """n doubles with random sign and mantissa bits and exponents from
+    2**-15 to 2**-1, which cover the kernel's fast range 1e-4 <= |v| < 1."""
+    exponent = rng.integers(1023 - 15, 1023, n, dtype=np.int64) << 52
+    bits = rng.integers(0, 1 << 52, n, dtype=np.int64) | exponent
+    return np.where(rng.random(n) < 0.5, -1.0, 1.0) * bits.view(np.float64)
+
+
+def test_format17_is_percent_17g_on_a_million_seeded_values():
+    rng = np.random.default_rng(3601)
+    # unit-sphere coordinates, every decade from 1e-6 to 10, values with
+    # trailing zeros, and raw patterns in the fast range
+    points = rng.normal(size=(100_000, 3))
+    values = [
+        rng.uniform(-1.0, 1.0, 400_000),
+        (points / np.linalg.norm(points, axis=1)[:, None]).ravel(),
+        rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-6.0, 1.0, 100_000),
+        np.round(rng.uniform(-1e4, 1e4, 100_000)) / 10.0 ** rng.integers(5, 17, 100_000),
+        _fast_range_patterns(rng, 200_000),
+    ]
+    x = np.concatenate(values)
+    assert x.size >= 10**6
+    assert _format17_mismatches(x) == []
+
+
+def test_format17_is_percent_17g_on_raw_bit_patterns():
+    rng = np.random.default_rng(3602)
+    # every exponent, nan and inf payloads included
+    x = rng.integers(-(2**63), 2**63, 200_000, dtype=np.int64).view(np.float64)
+    assert _format17_mismatches(x) == []
+
+
+def test_format17_rounds_half_way_ties_to_even():
+    # j / 2**18 for odd j ends in a 5 right after its 17th significant
+    # digit when it is at least 0.1, an exact tie; a scaling by a power of
+    # two is exact as well and puts the tie elsewhere
+    ties = np.arange(1, 2**18, 2) / 2**18
+    x = np.concatenate([ties, ties / 8, ties * 0.1])
+    assert _format17_mismatches(np.concatenate([x, -x])) == []
+
+
+def test_format17_decade_bounds_are_exact():
+    # each is the least double at or above its power of ten
+    for j, bound in zip((4, 3, 2, 1, 0), _BOUNDS.tolist()):
+        assert Fraction(math.nextafter(bound, 0.0)) < Fraction(1, 10**j) <= Fraction(bound)
+
+
+def test_format17_edges():
+    bounds = [1e-4, 1e-3, 1e-2, 0.1, 1.0]
+    near = [math.nextafter(b, d) for b in bounds for d in (0.0, 2.0)]
+    x = [1e-4, 0.99999999999999994, 1.0, 0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
+    x += near + [-v for v in near + bounds]
+    assert _format17_mismatches(x) == []
+    assert format17(np.array([])).shape == (0, 24)
+
+
+def test_format17_sweep():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=200, deadline=None, database=None)
+    @hyp.given(st.lists(st.floats(), min_size=1, max_size=50))
+    def check(values):
+        assert _format17_mismatches(values) == []
+
+    check()
+
+
+def _json_oracle(t, assign, emb, name):
+    """export_json's document as ``json.dumps`` writes it."""
+    doc = {
+        "name": name,
+        "family": t.family,
+        "faces": [list(t.face_vertex_cycle(f)) for f in range(t.num_faces)],
+        "angles": {str(m): "%.17g" % a for m, a in assign.angles.items()},
+        "edge": "%.17g" % assign.edge,
+    }
+    if emb is not None:
+        doc["positions"] = [["%.17g" % c for c in emb.positions[v]] for v in range(t.num_vertices)]
+    return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+
+def test_export_json_matches_the_json_dumps_oracle():
+    kinds = ("prism", "antiprism", "dihedron", "hosohedron")
+    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)]:
+        t = cat.make(name)
+        for emb in (None, em.realize(t.map, t.angles)):
+            want = _json_oracle(t.map, t.angles, emb, name)
+            assert em.export_json(t.map, t.angles, emb, name=name) == want, name
+    # names that need escaping, a map of no family, and an angle of size 10
+    cube = cat.make("C")
+    for name in ['a "quoted" \\ name', "café\n", ""]:
+        assert em.export_json(cube.map, cube.angles, name=name) == _json_oracle(
+            cube.map, cube.angles, None, name
+        )
+    assert cube.map.family is None
+    prism = cat.make("prism(10)")
+    assert em.export_json(prism.map, prism.angles) == _json_oracle(
+        prism.map, prism.angles, None, "tiling"
+    )

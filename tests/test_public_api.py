@@ -73,6 +73,12 @@ def _load_cube_json(edge: str):
     embedder.load_json(json.dumps({**doc, "edge": edge}).encode())
 
 
+def _on_ac_cupola(op, seed, **change):
+    """``op`` on aC at the first cupola site of ``seed``, its fields changed."""
+    site = catalog.find_cupola_sites(catalog.make(seed).map)[0]
+    return op(catalog.make("aC"), site._replace(**change))
+
+
 REJECTED_INPUTS = {
     "angle_from_edge": (DomainError, lambda: sphkernel.angle_from_edge(3, 0.0)),
     "edge_from_angle": (DomainError, lambda: sphkernel.edge_from_angle(3, 0.0)),
@@ -347,6 +353,17 @@ REJECTED_INPUTS = {
         lambda: catalog.cut_hemisphere(catalog.make("aC"), [0, 1, 2]),
     ),
     "cut_hemisphere-(aC,[])": (InvalidSite, lambda: catalog.cut_hemisphere(catalog.make("aC"), [])),
+    # a cupola site is one of the tiling's own: one found on eC, or aC's
+    # with its faces emptied, is refused
+    "rotate_cupola-(aC,eC site)": (InvalidSite, lambda: _on_ac_cupola(catalog.rotate_cupola, "eC")),
+    "diminish_cupola-(aC,eC site)": (
+        InvalidSite,
+        lambda: _on_ac_cupola(catalog.diminish_cupola, "eC"),
+    ),
+    "rotate_cupola-(aC,no faces)": (
+        InvalidSite,
+        lambda: _on_ac_cupola(catalog.rotate_cupola, "aC", faces=frozenset()),
+    ),
 }
 
 
