@@ -1,21 +1,15 @@
 """The text of the export formats: an exact vectorised ``'%.17g'`` kernel,
-the OBJ vertex lines built on it, and the JSON document.
+and the OBJ vertex lines, OBJ fans and JSON document built on it.
 
-``embedder.export_obj`` and ``export_json`` import this module on first
-use, so a process that only verifies does not load it.
+``embedder.export_obj``, and ``export_json`` with positions, import this
+module on first use, so a process that only verifies does not load it.
 """
 
+import functools
 import json
+import math
 
 import numpy as np
-
-
-# the class of |v| is the count of these bounds at or below it: 1 .. 4 is
-# the decade k = class - 5 of the fast range 1e-4 <= |v| < 1, 0 and 5 lie
-# outside it (nan sorts last).  Each bound is the least double at or above
-# its power of ten, so the float test |v| >= bound is exact.
-_BOUNDS = np.array([1e-4, 1e-3, 1e-2, 0.1, 1.0])
-_FAST = np.array([False, True, True, True, True, False])
 
 
 def _halves(a: np.ndarray) -> tuple:
@@ -26,27 +20,198 @@ def _halves(a: np.ndarray) -> tuple:
     return a1, a - a1
 
 
-# per class: the scale 10**(16 - k), an exact double (1e17 outside the fast
-# range, where the stand-in 0.5 is scaled), and its halves
-_SCALES = np.array([1e17, 1e20, 1e19, 1e18, 1e17, 1e17])
-_SCALES = np.array([_SCALES, *_halves(_SCALES)])
-# the first 8 bytes of a fast-range text, at 60 * sign + 10 * class + lead
-# digit: "-" or nothing, "0.", -k - 1 zeros and the lead digit, padded with
-# zero bytes; then the digit pairs 00 .. 99
-_PREFIXES = np.frombuffer(
-    b"".join(
-        (sign + b"0." + b"0" * (4 - c) + b"%d" % lead if 0 < c < 5 else b"").ljust(8, b"\0")
-        for sign in (b"", b"-")
-        for c in range(6)
-        for lead in range(10)
-    ),
-    np.uint64,
-)
-_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
-# the divisors that leave the 1, 3, 5, 7 and 9 leading digits of a 9-digit
-# number, or 0 and the 2, 4, 6 and 8 leading digits of an 8-digit one
-_UNITS = np.array([[1e8], [1e6], [1e4], [1e2], [1.0]])
+def _least_at_or_above(k: int) -> float:
+    """The least double at or above 10**k (inf above the doubles)."""
+    if k > 308:
+        return math.inf
+    num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+    b = num / den  # correctly rounded
+    top, bottom = b.as_integer_ratio()
+    return math.nextafter(b, math.inf) if top * den < num * bottom else b
+
+
+class _Decades:
+    """The kernel's tables for zero and the decades lo .. hi of |v|.
+
+    The class of |v| is the count of ``bounds`` at or below it: 0 is zero,
+    1 lies below 10**lo, 2 + e - lo is the decade 10**e <= |v| < 10**(e + 1)
+    and the last lies above the range or is nan.  Each bound is the least
+    double at or above its power of ten, so a class is exact.  Per class:
+    ``p2``, a power of two that |v| is first scaled by, exactly (None: 1);
+    s1 + s2, 10**(16 - e) / p2 as a double-double (s2 is 0 where s1 is
+    exact), and s1's halves; the first 8 bytes of the text by sign and lead
+    digit, and the 8 after the digits, the exponent of the 'e' form.  The
+    form is ``'%.17g'``'s: "0." and zeros for -4 <= e < 0, else the lead
+    digit and "." (at byte 7), then for e < -4 or e > 16 an exponent.
+    """
+
+    def __init__(self, lo: int, hi: int, prescale: bool):
+        es = list(range(lo, hi + 1))
+        self.bounds = np.array([5e-324] + [_least_at_or_above(k) for k in range(lo, hi + 2)])
+        # |v| * 2**k lies near 1, and stays a normal double
+        ks = [max(-1023, min(1023, round(-e * math.log2(10)))) if prescale else 0 for e in es]
+        s1, s2 = [], []
+        for e, k in zip(es, ks):
+            num = 10 ** max(16 - e, 0) << max(-k, 0)
+            den = 10 ** max(e - 16, 0) << max(k, 0)
+            s1.append(num / den)
+            top, bottom = s1[-1].as_integer_ratio()
+            s2.append((num * bottom - top * den) / (den * bottom))
+        # zero, below, the decades, above: a class outside the decades scales
+        # its stand-in 1.0 to 10**16
+        s1 = np.array([1e16, 1e16, *s1, 1e16])
+        self.scales = np.array([s1, *_halves(s1), [0.0, 0.0, *s2, 0.0]])
+        p2 = [math.ldexp(1.0, k) for k in ks]
+        self.p2 = np.array([1.0, 1.0, *p2, 1.0]) if prescale else None
+        self.inexact = self.scales[3] != 0.0
+        self.bad = np.array([False, True, *[False] * len(es), True])
+        e = np.array([0, 0, *es, 0])
+        self.e = e
+        fixed = np.array([True, True, *[-4 <= e < 17 for e in es], True])
+        heads = [b"0", b""] + [b"0." + b"0" * (-e - 1) + b"%d" if -4 <= e < 0 else None for e in es]
+        self.prefixes = np.frombuffer(
+            b"".join(
+                (sign + h % lead if b"%" in h else sign + h).ljust(8, b"\0")
+                if h is not None
+                else b"\0" * 5 + (sign or b"\0") + b"%d." % lead
+                for h in heads + [b""]
+                for sign in (b"", b"-")
+                for lead in range(10)
+            ),
+            np.uint64,
+        )
+        self.suffixes = np.frombuffer(
+            b"".join(b"\0" * 8 if f else (b"e%+03d" % v).ljust(8, b"\0") for v, f in zip(e, fixed)),
+            np.uint64,
+        )
+        self.shifted = ~fixed
+        # the "." at byte 7 goes when no fraction digit is left; from 10 up to
+        # 10**17 it moves behind the further integer digits
+        self.dot = ~fixed | (e == 0)
+        self.dot[[0, 1, -1]] = False
+        self.moved = (e > 0) & fixed if hi > 0 else None
+
+
+# the 4-digit groups 0000 .. 9999 as uint32 texts, at g + 10000 * state:
+# state 0 in full, 1 without trailing zero digits, 2 none (zero bytes)
+_DIGITS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8) + 48
+_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
+_QUADS = np.concatenate([_DIGITS, np.where(_TRAILING, 0, _DIGITS), 0 * _DIGITS])
+_QUADS = _QUADS.view(np.uint32)[:, 0]
+del _DIGITS, _TRAILING
+# per pattern of zeros among the first three groups (4, 2, 1 for each),
+# where the last one is 0: the states it adds to the usual ones, for the
+# groups of zeros at the end of N (2) and the one before them (1)
+_ZERO_ENDS = 10000 * np.array([[0, 0, 1, 1], [0, 1, 2, 1], [0, 0, 1, 1], [1, 2, 2, 1],
+                               [0, 0, 1, 1], [0, 1, 2, 1], [0, 0, 1, 1], [2, 2, 2, 1]])
+# where 10**(16 - e) is inexact, lo + |v| * s2 is within 1e-14 of the true
+# remainder, so a fraction within this of one half is left undecided
+_TIE = 1e-9
+# the fixed form from 1e-4 up to 10, the 'e' form from 1e-24 up to 1e-4,
+# and zero: every value of a unit-sphere point but subnormals
+_MAIN = _Decades(-24, 0, prescale=False)
 SLOT = 24  # bytes of the longest '%.17g' text, '-1.2345678901234567e-300'
+# values per kernel call: its temporaries stay small enough for the
+# allocator to reuse them from call to call
+_CHUNK = 1536
+# per e from 0 to 16, the order of a row's first 24 bytes with the "."
+# (byte 7) behind the e integer digits after the lead digit (byte 6)
+_MOVES = np.array([[*range(7), *range(8, 8 + e), 7, *range(8 + e, 24)] for e in range(17)])
+
+
+@functools.cache
+def _every_decade() -> _Decades:
+    """The tables for every double, made on first use."""
+    return _Decades(-324, 308, prescale=True)
+
+
+def _percent(v: float) -> bytes:
+    """``'%.17g' % v``, for the values the kernel leaves: nan, inf and a
+    rounding it cannot decide."""
+    return b"%.17g" % v
+
+
+def _rows(x: np.ndarray, tab: _Decades) -> tuple:
+    """The texts of the entries of ``x`` whose class ``tab`` holds, in the
+    first 24 bytes of the rows of an (N, 32) uint8 array, and the indices of
+    the others (undecided ones included).
+
+    The digits are N = |v| * 10**(16 - e) rounded half to even, in
+    [10**16, 10**17] as e is exact; N = 10**17 is the text 1 of the next
+    class.  Dekker's product gives |v| * s1 exactly as hi + lo, and hi >= 10**16 >
+    2**53 is an even integer, so hi + rint(lo + |v| * s2) rounds a tie to
+    even; where s2 is not 0 the sum is within 1e-14 of the truth, and one
+    within ``_TIE`` of a half is left.  N's lead digit and its 4-digit
+    groups are exact integer quotients.  A row is then a prefix (sign, lead
+    digit and "." or "0." and zeros) by table in bytes 0 to 7, the groups by
+    table with N's trailing zero digits as zero bytes in bytes 8 to 23, and
+    for the 'e' form an exponent by table in bytes 24 to 31; such a row
+    then moves 5 bytes up, as its prefix starts at byte 5.
+    """
+    ax = np.abs(x)
+    cls = np.searchsorted(tab.bounds, ax, side="right")
+    bad = tab.bad.take(cls)
+    ax = np.where(bad, 1.0, ax)
+    if tab.p2 is not None:
+        ax = ax * tab.p2.take(cls)
+    s1, b1, b2, s2 = tab.scales.take(cls, axis=1)
+    # Dekker's two-product: |v| * s1 == hi + lo exactly
+    hi = ax * s1
+    a1, a2 = _halves(ax)
+    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    lo += ax * s2
+    r = np.rint(lo)
+    n = hi.astype(np.int64)
+    n += r.astype(np.int64)
+    left = np.flatnonzero(bad | (np.abs(lo - r) > 0.5 - _TIE))
+    if left.size:
+        left = left[tab.inexact.take(cls[left]) | bad[left]]
+    # N's lead digit and its 4-digit groups; the last group loses its
+    # trailing zeros (state 1), and where it is 0 the states follow from
+    # which of the others are 0
+    high = n // 10**8
+    low = n - high * 10**8
+    hq, lq = high // 10**4, low // 10**4
+    lead = hq // 10**4
+    groups = np.empty((x.size, 4), np.int64)
+    groups[:, 0] = hq - lead * 10**4
+    groups[:, 1] = high - hq * 10**4
+    groups[:, 2] = lq
+    groups[:, 3] = low - lq * 10**4 + 10000
+    ends = np.flatnonzero(groups[:, 3] == 10000)
+    if ends.size:
+        code = (groups[ends, :3] == 0) @ [4, 2, 1]
+        groups[ends] += _ZERO_ENDS.take(code, 0)
+        bare = ends[code == 7]
+        # N = 10**17: |v| rounds up to 10**(e + 1), the text of the next class
+        top = bare[lead[bare] == 10]
+        if top.size:
+            lead[top] = 1
+            cls[top] += 1
+            left = np.union1d(left, top[tab.bad.take(cls[top])])
+    wide = np.zeros((x.size, 4), np.uint64)
+    wide[:, 0] = tab.prefixes.take(lead + 10 * np.signbit(x) + 20 * cls)
+    wide[:, 1:3] = _QUADS.take(groups).view(np.uint64)
+    text = wide.view(np.uint8)
+    if ends.size:
+        text[bare[tab.dot.take(cls[bare])], 7] = 0
+    if tab.moved is not None:
+        moved = np.flatnonzero(tab.moved.take(cls))
+        if moved.size:
+            # the first e digits after the lead digit are integer digits,
+            # zeros kept, and the "." goes behind them unless no fraction
+            # digit follows
+            e = tab.e.take(cls[moved])
+            part = text[moved, :24]
+            integer = np.arange(24) < 8 + e[:, None]
+            part[integer & (part == 0) & (np.arange(24) >= 8)] = 48
+            part[:, 7] = np.where((part[:, 8:] != 0).sum(axis=1) > e, 46, 0)
+            text[moved, :24] = np.take_along_axis(part, _MOVES.take(e, 0), 1)
+    shifted = np.flatnonzero(tab.shifted.take(cls))
+    if shifted.size:
+        wide[shifted, 3] = tab.suffixes.take(cls[shifted])
+        text[shifted, :24] = text[shifted, 5:29]
+    return text, left
 
 
 def format17(x: np.ndarray) -> np.ndarray:
@@ -55,82 +220,84 @@ def format17(x: np.ndarray) -> np.ndarray:
     zero bytes (padding) among and after them, so ``rows[rows != 0]`` is
     the texts of ``rows`` back to back.
 
-    The fast range is 1e-4 <= |v| < 1, which holds most coordinates of a
-    unit-sphere point.  There the text is the sign, "0.", -k - 1 zeros
-    (10**k <= |v| < 10**(k + 1), read exactly from ``_BOUNDS``), then the
-    17 significant digits without their trailing zeros.  The digits are
-    N = |v| * 10**(16 - k) rounded half to even, where the scale is an
-    exact double.  Dekker's product gives |v| * scale exactly as hi + lo,
-    and hi >= 10**16 > 2**53 is an even integer, so hi + rint(lo) rounds a
-    tie to even.  No N carries to 10**17: the largest double below 10**-3,
-    10**-2, 10**-1 and 1 has N at most 99999999999999992.  N's two halves,
-    and the floor of each quotient of them by a power of ten, are exact in
-    a double (a quotient is correctly rounded, and lies at least 1e-8 from
-    the next integer when it is not one).  A row is then two table lookups:
-    its first 8 bytes by sign, decade and lead digit, and the 16 further
-    digits in pairs.
-
-    Every other entry (0, |v| >= 1, |v| < 1e-4, nan and inf) is formatted
-    by ``'%.17g' % v`` and copied to its row.
+    Every finite double is written in whole-array steps by ``_rows``: the
+    entries in chunks of ``_CHUNK`` against the tables of zero and of
+    1e-24 <= |v| < 10, which hold every coordinate of a unit-sphere point
+    but subnormals, then the few others at once against the tables of every
+    decade (built on first use).  Left are nan, inf and a rounding the
+    kernel cannot decide (a fraction within ``_TIE`` of one half where the
+    power of ten is inexact): each goes alone through ``_percent``.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    ax = np.abs(x)
-    cls = np.searchsorted(_BOUNDS, ax, side="right")
-    fast = _FAST.take(cls)
-    ax = np.where(fast, ax, 0.5)
-    scale, b1, b2 = _SCALES.take(cls, axis=1)
-    # Dekker's two-product: |v| * scale == hi + lo exactly
-    hi = ax * scale
-    a1, a2 = _halves(ax)
-    lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
-    n = hi.astype(np.int64)
-    n += np.rint(lo).astype(np.int64)
-    # N's 9- and 8-digit halves, their digit prefixes (the lead digit first)
-    # and the digit pairs, the differences of consecutive prefixes
-    high = n // 10**8
-    prefixes = np.floor(np.array([high, n - high * 10**8], np.float64)[:, None] / _UNITS)
-    pairs = prefixes[:, 1:] - 100.0 * prefixes[:, :-1]
-    rows = np.empty((x.size, SLOT // 2), np.uint16)
-    rows[:, 4:] = _PAIRS.take(pairs.astype(np.intp).reshape(8, -1)).T
-    lead = prefixes[0, 0].astype(np.intp)
-    rows.view(np.uint64)[:, 0] = _PREFIXES.take(lead + 10 * cls + 60 * np.signbit(x))
-    rows = rows.view(np.uint8)
-    # trailing zero digits become padding
-    tail = np.flatnonzero(rows[:, -1] == 48)
-    if tail.size:
-        digits = rows[tail, 8:]
-        digits[np.logical_and.accumulate(digits[:, ::-1] == 48, axis=1)[:, ::-1]] = 0
-        rows[tail, 8:] = digits
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        texts = [("%.17g" % v).encode().ljust(SLOT, b"\0") for v in x[slow].tolist()]
-        rows[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, SLOT)
+    rows = np.empty((x.size, SLOT), np.uint8)
+    rest = []
+    for i in range(0, x.size, _CHUNK):
+        text, left = _rows(x[i : i + _CHUNK], _MAIN)
+        rows[i : i + _CHUNK] = text[:, :SLOT]
+        if left.size:
+            rest.append(left + i)
+    if rest:
+        rest = np.concatenate(rest)
+        text, left = _rows(x[rest], _every_decade())
+        rows[rest] = text[:, :SLOT]
+        if left.size:
+            left = rest[left]
+            texts = [_percent(v).ljust(SLOT, b"\0") for v in x[left].tolist()]
+            rows[left] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, SLOT)
     return rows
 
 
-# points per format17 call in v_lines: its temporaries stay small enough
-# for the allocator to reuse them from call to call
-_CHUNK = 256
+@functools.cache
+def _line_matrix(parts: tuple) -> tuple:
+    """The matrix ``_lines`` fills for ``parts``, a line per row with zero
+    bytes in each coordinate's slot, and the first column of each slot.
+    Each use overwrites the slots alone, so one matrix serves every call."""
+    at = [len(parts[0]), len(parts[0]) + SLOT + len(parts[1])]
+    at.append(at[1] + SLOT + len(parts[2]))
+    line = b"".join(p + b"\0" * SLOT for p in parts[:3]) + parts[3]
+    return np.tile(np.frombuffer(line, np.uint8), (_CHUNK // 3, 1)), at
+
+
+def _lines(points: np.ndarray, parts: tuple) -> bytes:
+    """One line per row of an (N, 3) array, its coordinates' texts between
+    the four byte strings of ``parts``, as one text.  Each chunk of points
+    fills the rows of one matrix, padded with zero bytes like
+    ``format17``'s rows; its non-zero bytes are the chunk's text."""
+    rows = format17(points).reshape(-1, 3, SLOT)
+    lines, at = _line_matrix(parts)
+    texts = []
+    for i in range(0, len(rows), len(lines)):
+        block = rows[i : i + len(lines)]
+        chunk = lines[: len(block)]
+        for j, a in enumerate(at):
+            chunk[:, a : a + SLOT] = block[:, j]
+        texts.append(chunk.tobytes().translate(None, b"\0"))
+    return b"".join(texts)
 
 
 def v_lines(points: np.ndarray) -> bytes:
     """The OBJ vertex lines ``"v %.17g %.17g %.17g\\n"`` of the rows of an
-    (N, 3) array, as one text.  Each chunk of points fills the rows of one
-    (chunk, 77) uint8 matrix, padded with zero bytes like ``format17``'s
-    rows: "v", then a space and a slot per coordinate, then "\\n".  Its
-    non-zero bytes are the chunk's text."""
-    texts = []
-    lines = np.empty((_CHUNK, 2 + 3 * (1 + SLOT)), np.uint8)
-    lines[:, 0] = ord("v")
-    lines[:, -1] = ord("\n")
-    cells = lines[:, 1:-1].reshape(-1, 3, 1 + SLOT)
-    cells[:, :, 0] = ord(" ")
-    for i in range(0, len(points), _CHUNK):
-        block = points[i : i + _CHUNK]
-        cells[: len(block), :, 1:] = format17(block).reshape(-1, 3, SLOT)
-        chunk = lines[: len(block)]
-        texts.append(chunk[chunk != 0].tobytes())
-    return b"".join(texts)
+    (N, 3) array, as one text."""
+    return _lines(points, (b"v ", b" ", b" ", b"\n"))
+
+
+def fans(apexes: list, triangles: np.ndarray, starts: np.ndarray) -> bytes:
+    """The faces of an OBJ file: per face its apex's ``v`` line (of the
+    list ``apexes``, without its newline), then its ``f`` lines.
+    ``triangles`` is the (D, 3) array of every face's triangles, face after
+    face, and ``starts[f]`` the row of face f's first one.  The ``f`` lines
+    are one ``%`` call on one template, and all the lines one join in the
+    order of one index array."""
+    nf, nt = len(apexes), len(triangles)
+    lines = apexes + ("f %d %d %d\n" * nt % tuple(triangles.ravel().tolist())).encode().split(b"\n")
+    # the apex line of face f comes after the f lines of the faces before it
+    order = np.empty(nf + nt, np.intp)
+    at = starts + np.arange(nf)
+    order[at] = np.arange(nf)
+    rest = np.ones(nf + nt, bool)
+    rest[at] = False
+    order[rest] = np.arange(nf, nf + nt)
+    return b"\n".join(map(lines.__getitem__, order.tolist())) + b"\n"
 
 
 def _block(items: list, pad: str, brackets: str = "[]") -> str:
@@ -142,26 +309,30 @@ def _block(items: list, pad: str, brackets: str = "[]") -> str:
     return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
 
 
-def json_text(name, family, faces, angles: dict, edge: float, positions=None) -> bytes:
+@functools.cache
+def _face(m: int) -> str:
+    """The ``%`` template of a face of m vertices in the JSON document."""
+    return "[\n   %d" + ",\n   %d" * (m - 1) + "\n  ]"
+
+
+def json_text(name, family, sizes, vertices, angles: dict, edge: float, positions) -> bytes:
     """``json.dumps(doc, sort_keys=True, indent=1)`` and a newline, as
-    bytes, for the document of ``embedder.export_json``, written with
-    string joins (``json.dumps`` with an indent runs its pure-Python
-    encoder).  ``name`` and ``family`` go through ``json.dumps``, which
-    escapes them; every other value is an int or a ``'%.17g'`` string,
-    which need no escaping.  Keys sort as strings, so angle "10" precedes
-    angle "3"."""
+    bytes, for the document of ``embedder.export_json`` with positions,
+    written with string joins (``json.dumps`` with an indent runs its
+    pure-Python encoder).  ``name`` and ``family`` go through
+    ``json.dumps``, which escapes them; every other value is an int or a
+    ``'%.17g'`` string (``angles`` maps str(m) to one), which need no
+    escaping.  Keys sort as strings, so angle "10" precedes angle "3".
+    The faces, of ``sizes`` vertices each, are one ``%`` call over
+    ``vertices``, their vertex ids face after face.  ``positions``, a
+    (V, 3) array, is written by ``_lines``, one comma-first line a row."""
+    rows = _lines(positions, (b',\n  [\n   "', b'",\n   "', b'",\n   "', b'"\n  ]'))
     fields = {
-        "angles": _block(
-            ['"%s": "%.17g"' % ma for ma in sorted((str(m), a) for m, a in angles.items())],
-            "\n  ",
-            "{}",
-        ),
+        "angles": _block(['"%s": "%s"' % ma for ma in sorted(angles.items())], "\n  ", "{}"),
         "edge": '"%.17g"' % edge,
-        "faces": _block([_block([*map(str, f)], "\n   ") for f in faces], "\n  "),
+        "faces": "[\n  " + ",\n  ".join(map(_face, sizes)) % tuple(vertices) + "\n ]",
         "family": json.dumps(family),
         "name": json.dumps(name),
+        "positions": "[" + rows[1:].decode() + "\n ]",
     }
-    if positions is not None:
-        rows = [_block(['"%.17g"' % c for c in p], "\n   ") for p in positions]
-        fields["positions"] = _block(rows, "\n  ")
     return ("{\n" + ",\n".join(' "%s": %s' % kv for kv in fields.items()) + "\n}\n").encode()

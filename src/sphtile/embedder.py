@@ -14,8 +14,9 @@ assignment.
 
 Every corner angle is measured by one function over a list of darts,
 ``_measure_corners``.  ``realize`` measures every dart once, edge lengths
-included, and keeps the angles for ``total_area`` and ``face_angles``; an
-embedding built any other way is measured at the corners asked for.
+included, and keeps the angles for ``total_area`` and ``face_angles``, and
+the (V, 3) position array for the export; an embedding built any other way
+is measured at the corners asked for.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly.  Their
 edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
@@ -24,11 +25,12 @@ digon's corners are measured from them, and ``export_obj`` splits the
 arcs there.
 
 The export text is written by the private module ``_text``, imported on
-the first export.  ``_text.format17`` writes each OBJ coordinate as exactly
-the bytes of ``'%.17g' % x``, in whole-array steps: on 1e-4 <= |x| < 1 its
-17 digits come from an exact (Dekker) product with a power of ten, and any
-other value goes through ``%`` itself.  ``_text.json_text`` writes the JSON
-document with string joins.
+the first export.  ``_text.format17`` writes each coordinate, the OBJ
+points' and the JSON positions', as exactly the bytes of ``'%.17g' % x``,
+in whole-array steps: the 17 digits come from an exact (Dekker) product
+with a power of ten, and only nan, inf and a rounding it cannot decide go
+through ``%`` itself.  ``_text.json_text`` writes the JSON document with
+string joins.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -67,7 +70,16 @@ class ClosureFailure(RuntimeError):
 
 @dataclass
 class Embedding:
-    """Vertex positions on the unit sphere plus walk-quality metrics."""
+    """Vertex positions on the unit sphere plus walk-quality metrics.
+
+    ``positions`` maps each vertex id to its position, a 3-vector.  In the
+    embedding ``realize`` returns they are the rows of one (V, 3) array,
+    which it keeps with its measured corner angles: the export and the
+    metrics read those whole.  An Embedding built any other way (by hand,
+    from ``load_json``'s positions, or by ``dataclasses.replace``) keeps
+    neither, and its dict is read instead, by vertex id.  So a vertex is
+    moved by a new dict, not by assigning into the one ``realize`` made.
+    """
 
     positions: dict
     closure_error: float
@@ -75,9 +87,9 @@ class Embedding:
     angle_error: float
     # midpoint per edge id, for every edge of a hosohedron and no other map
     arc_midpoints: dict = field(default_factory=dict)
-    # corner angle per dart as realize measured it; an Embedding built any
-    # other way (by hand, or by dataclasses.replace) measures its positions
+    # corner angle per dart and the (V, 3) positions, as realize made them
     _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _points: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
 
 # component k of a cross product is a[I[k]] * b[J[k]] - a[J[k]] * b[I[k]]
@@ -134,11 +146,12 @@ def _measured(
     else:
         angles, lengths = _measure_corners(t, mids)[0], _arc_lengths(pos[:1], pos[1:])
     edge_error = float(np.max(np.abs(lengths - assign.edge)))
-    want = np.array([assign.angle(len(c)) for c in t.faces]).take(t.face_of)
+    sizes = t.face_size_of
+    want = np.array([*map({m: assign.angle(m) for m in set(sizes)}.__getitem__, sizes)])
     angle_error = float(np.max(np.abs(angles - want)))
     arcs = {} if mids is None else dict(enumerate(mids))
     emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, angle_error, arcs)
-    emb._angles = angles
+    emb._angles, emb._points = angles, pos
     return emb
 
 
@@ -182,7 +195,9 @@ def realize(
         # meridian at longitude i * alpha, fixed by its midpoint
         a = assign.angle(2)
         _check_angle(a)
-        mids = np.array([[math.cos(i * a), math.sin(i * a), 0.0] for i in range(t.num_edges)])
+        mids = np.zeros((t.num_edges, 3))
+        mids[:, 0] = [math.cos(i * a) for i in range(t.num_edges)]
+        mids[:, 1] = [math.sin(i * a) for i in range(t.num_edges)]
         return _measured(t, assign, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 0.0, mids)
 
     origin, edge_pair, face_of, faces = t.origin, t.edge_pair, t.face_of, t.faces
@@ -246,7 +261,8 @@ def realize(
             # that order picks each child's start dart (a face already
             # placed by then is skipped)
             children += map(edge_pair.__getitem__, darts)
-        levels.append((len(ends), m0 + len(owner)))
+        if len(ends) > level:
+            levels.append((len(ends), m0 + len(owner)))
         entries = children
 
     if min(first) < 0:
@@ -256,7 +272,9 @@ def realize(
     rows = np.empty((m0 + len(owner), 3))
     sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
     phis = [TWO_PI * j / m0 for j in range(m0)]
-    rows[:m0] = [[sr * math.cos(phi), sr * math.sin(phi), cr] for phi in phis]
+    rows[:m0, 0] = [sr * math.cos(phi) for phi in phis]
+    rows[:m0, 1] = [sr * math.sin(phi) for phi in phis]
+    rows[:m0, 2] = cr
     # the start edges' end rows and the centre coefficients as (2, F)
     # blocks, and per further row its turn's cosine, sine and 1 - cosine
     ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
@@ -308,19 +326,18 @@ def _measure_corners(t: TilingMap, points, darts=None) -> tuple:
     and the next vertex of its face, so the arc is the dart's edge.  A
     hosohedron's corners are read from its edge midpoints, by edge id: a
     digon's angle is the arc between its two edges' midpoints.  ``points``
-    is an (N, 3) array or an ``Embedding``'s dict, of which only the rows
-    these corners use are read (``KeyError`` if one is missing).  Every
-    step is row by row, so a corner's angle does not depend on which other
-    corners are measured with it.
+    is an (N, 3) array, or for a list of darts an ``Embedding``'s dict, of
+    which only the rows these corners use are read (``KeyError`` if one is
+    missing).  Every step is row by row, so a corner's angle does not
+    depend on which other corners are measured with it.
     """
     key = t.edge_of if t.family == "hosohedron" else t.origin
     near = (t.face_prev, t.face_next)
-    if darts is None and isinstance(points, np.ndarray):
+    if darts is None:
         # the whole map: each table converted to an array once
         key = np.asarray(key)
         at, toward = points.take(key, 0), points.take(key.take(np.array(near)), 0)
     else:
-        darts = range(t.num_darts) if darts is None else darts
         at = np.array([points[key[d]] for d in darts])
         toward = np.array([[points[key[n[d]]] for d in darts] for n in near])
     lengths = _arc_lengths(at, toward[1])
@@ -342,6 +359,14 @@ def _measure_corners(t: TilingMap, points, darts=None) -> tuple:
 _NO_MIDPOINT = "a hosohedron embedding needs the midpoint of every edge"
 
 
+def _corners(t: TilingMap, emb: Embedding) -> np.ndarray:
+    """The positions by vertex id as a (V, 3) array: the one ``realize``
+    keeps, else read from the dict (``KeyError`` if one is missing)."""
+    if emb._points is not None and len(emb._points) == t.num_vertices:
+        return emb._points
+    return np.array([emb.positions[v] for v in range(t.num_vertices)])
+
+
 def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
     """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
     for any other map; ``ValueError`` if one is missing (as when rebuilt
@@ -357,9 +382,13 @@ def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
 def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
     """Realized interior angle at the origin of each dart of ``darts``
     (every dart when None): the angles ``realize`` measured, else measured
-    now from the rows of the embedding those corners use."""
+    now from the embedding's positions (or midpoints) as one array, or for
+    a list of darts from the rows those corners use."""
     if emb._angles is not None:
         return emb._angles if darts is None else emb._angles.take(darts)
+    if darts is None:
+        points = _corners(t, emb) if t.family != "hosohedron" else _midpoints(t, emb)
+        return _measure_corners(t, points)[0]
     if t.family != "hosohedron":
         return _measure_corners(t, emb.positions, darts)[0]
     try:
@@ -441,36 +470,49 @@ def _split_arcs(u: np.ndarray, mid: np.ndarray, v: np.ndarray, steps: int) -> np
     )
 
 
-def _apexes(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray]) -> np.ndarray:
-    """The fan apex of every face, as an (F, 3) array: the sum of its
-    corners (rows of the (V, 3) ``corners``) or of a digon's edge midpoints
-    (rows of the (E, 3) ``mids``), normalised, in one broadcast per face
-    size.
+def _fans(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray], apex0: int) -> tuple:
+    """Every face's fan, in one broadcast per face size over the (g, m)
+    array of its faces' darts: the apexes as an (F, 3) array, the
+    triangles (apex, corner, next corner) as a (D, 3) array of 1-based OBJ
+    vertex indices, face after face, with face f's apex at index apex0 + f,
+    and the row of each face's first triangle.
 
-    A sum of norm below 1e-9 (a great-circle face, or a digon with
-    antipodal edge midpoints) is replaced by a normal of the face's plane.
+    An apex is the sum of its face's corners (rows of the (V, 3)
+    ``corners``) or of a digon's edge midpoints (rows of the (E, 3)
+    ``mids``), normalised.  A sum of norm below 1e-9 (a great-circle face,
+    or a digon with antipodal edge midpoints) is replaced by a normal of the
+    face's plane.
     """
     by_size = {}
     for f, face in enumerate(t.faces):
         by_size.setdefault(len(face), []).append(f)
     origin = np.asarray(t.origin)
+    sizes = np.array([*map(len, t.faces)])
+    starts = np.cumsum(sizes) - sizes
     apexes = np.empty((t.num_faces, 3))
+    triangles = np.empty((t.num_darts, 3), np.intp)
     for m, fs in by_size.items():
-        darts = np.array([t.faces[f] for f in fs])
+        fs = np.array(fs)
+        darts = np.array([t.faces[f] for f in fs.tolist()])
+        ends = origin[darts]
         # a digon's corners are antipodal poles; its centre lies midway
         # between the midpoints of its two edges
-        pts = mids[np.asarray(t.edge_of)[darts]] if m == 2 else corners[origin[darts]]
+        pts = mids[np.asarray(t.edge_of)[darts]] if m == 2 else corners[ends]
         c = pts.sum(axis=1)
         norms = np.sqrt(_dot(c, c))
         for j in np.flatnonzero(norms < 1e-9).tolist():
             p = pts[j]
             if m == 2:
-                c[j] = _cross(corners[origin[darts[j, 0]]], p[0])
+                c[j] = _cross(corners[ends[j, 0]], p[0])
             else:
                 c[j] = _cross(p[1] - p[0], p[2] - p[0])
             norms[j] = np.linalg.norm(c[j])
         apexes[fs] = c / norms[:, None]
-    return apexes
+        rows = starts[fs, None] + np.arange(m)
+        triangles[rows, 0] = apex0 + fs[:, None]
+        triangles[rows, 1] = ends + 1
+        triangles[rows, 2] = np.roll(ends, -1, axis=1) + 1
+    return apexes, triangles, starts
 
 
 def export_obj(
@@ -489,16 +531,19 @@ def export_obj(
     With ``include_faces`` each face is fan-triangulated about its
     spherical centre (one midpoint refinement implicit in the fan apex).
 
-    Every ``v`` line, the corners', the arc points' and the fan apexes',
-    comes from one ``_text.v_lines`` call, whose kernel ``_text.format17``
-    writes each coordinate byte for byte as ``'%.17g' % x`` would.  The
-    ``l`` lines are one ``%`` call on one template over the flattened
-    chains, and the faces (each an apex ``v`` line and its ``f`` lines) one
-    over the apex lines and the fans.
+    The corners are the (V, 3) array ``realize`` keeps, or are read from
+    the dict of an embedding built otherwise.  Every ``v`` line, the
+    corners', the arc points' and the fan apexes', comes from one
+    ``_text.v_lines`` call, whose kernel ``_text.format17`` writes each
+    coordinate byte for byte as ``'%.17g' % x`` would.  The ``l`` lines are
+    one ``%`` call on one template over the flattened chains.  The faces
+    (each an apex ``v`` line and its ``f`` lines) come from ``_fans``'s
+    arrays: the ``f`` lines are one ``%`` call, put in order among the apex
+    lines by ``_text.fans``.
     """
     arc_steps = _check_size(arc_steps, 1, most=MAX_ARC_STEPS, what="arc_steps")
     nv = t.num_vertices
-    corners = np.array([emb.positions[v] for v in range(nv)])
+    corners = _corners(t, emb)
     u, v = np.array(t.edges).T
     mids = _midpoints(t, emb)
     a, b = corners[u], corners[v]
@@ -509,8 +554,9 @@ def export_obj(
     chains = np.column_stack([u + 1, np.arange(nv + 1, count + 1).reshape(ne, k), v + 1])
     points = [corners, arcs.reshape(-1, 3)]
     if include_faces:
-        points.append(_apexes(t, corners, mids))
-    from ._text import v_lines
+        apexes, triangles, starts = _fans(t, corners, mids, count + 1)
+        points.append(apexes)
+    from ._text import fans, v_lines
 
     vertices = v_lines(np.concatenate(points))
     if include_faces:
@@ -522,16 +568,8 @@ def export_obj(
         vertices,
         (("l" + " %d" * (k + 2) + "\n") * ne % tuple(chains.ravel().tolist())).encode(),
     ]
-
     if include_faces:
-        rows = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
-        args = []
-        for apex, row, line in zip(range(count + 1, count + 1 + len(rows)), rows, apexes):
-            args.append(line.decode())
-            for a, b in zip(row, row[1:] + row[:1]):
-                args += (apex, a + 1, b + 1)
-        fans = ("%s\n" + "f %d %d %d\n" * len(r) for r in rows)
-        text.append(("".join(fans) % tuple(args)).encode())
+        text.append(fans(apexes, triangles, starts))
     return b"".join(text)
 
 
@@ -543,16 +581,25 @@ def export_json(
 ) -> bytes:
     """Deterministic JSON form: faces, angles (decimal strings), edge.
 
-    Angles are serialized as 17-significant-digit decimal strings so
-    golden files diff cleanly across platforms.  The text is what
-    ``json.dumps(doc, sort_keys=True, indent=1)`` gives, and a newline,
-    written directly by ``_text.json_text``.
+    Angles and, with ``emb``, positions are serialized as
+    17-significant-digit decimal strings so golden files diff cleanly
+    across platforms; the positions are read as ``export_obj`` reads them
+    and written by the same kernel, ``_text.format17``.  The text is what
+    ``json.dumps(doc, sort_keys=True, indent=1)`` gives, and a newline:
+    without ``emb`` written by it, else directly by ``_text.json_text``, so
+    only a document with positions loads ``_text``.
     """
+    angles = {str(m): "%.17g" % a for m, a in assign.angles.items()}
+    if emb is None:
+        faces = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
+        edge = "%.17g" % assign.edge
+        doc = dict(name=name, family=t.family, faces=faces, angles=angles, edge=edge)
+        return (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
     from ._text import json_text
 
-    faces = [t.face_vertex_cycle(f) for f in range(t.num_faces)]
-    positions = None if emb is None else [emb.positions[v] for v in range(t.num_vertices)]
-    return json_text(name, t.family, faces, assign.angles, assign.edge, positions)
+    sizes = [*map(len, t.faces)]
+    vertices = [*map(t.origin.__getitem__, chain.from_iterable(t.faces))]
+    return json_text(name, t.family, sizes, vertices, angles, assign.edge, _corners(t, emb))
 
 
 def load_json(data: bytes):
@@ -560,6 +607,10 @@ def load_json(data: bytes):
 
     The family is read from the faces, not the ``"family"`` key: digons
     must equal ``digon_fan``'s face cycles, else ``NotEdgeToEdge``.
+    ``positions`` is None without the ``"positions"`` key, else a dict by
+    vertex id whose values are the rows of one (V, 3) array, read in one
+    call: ``DomainError`` unless the key holds one row of three finite
+    numbers (or their decimal strings) per vertex of the map.
     """
     doc = json.loads(data.decode())
     angles = {int(m): float(a) for m, a in doc["angles"].items()}
@@ -573,7 +624,11 @@ def load_json(data: bytes):
         t = build_from_faces(faces)
     positions = None
     if "positions" in doc:
-        positions = {
-            i: np.array([float(c) for c in p]) for i, p in enumerate(doc["positions"])
-        }
+        try:
+            points = np.array(doc["positions"], dtype=np.float64)
+        except (TypeError, ValueError):
+            points = None
+        if points is None or points.shape != (t.num_vertices, 3) or not np.isfinite(points).all():
+            raise DomainError(f"positions must be {t.num_vertices} rows of three finite numbers")
+        positions = dict(enumerate(points))
     return doc["name"], t, assign, positions

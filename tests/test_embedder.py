@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from sphtile import catalog as cat, embedder as em, tilemap as tm
-from sphtile._text import _BOUNDS, format17
+from sphtile import _text
+from sphtile._text import format17
 from sphtile.algsolve import AngleAssignment
 from sphtile.sphkernel import circumradius, polygon_area
 
@@ -695,16 +696,30 @@ def test_format17_rounds_half_way_ties_to_even():
 
 
 def test_format17_decade_bounds_are_exact():
-    # each is the least double at or above its power of ten
-    for j, bound in zip((4, 3, 2, 1, 0), _BOUNDS.tolist()):
-        assert Fraction(math.nextafter(bound, 0.0)) < Fraction(1, 10**j) <= Fraction(bound)
+    # each is the least double at or above its power of ten; the first
+    # bound is the least positive double, the class of zero below it
+    for tab, lo in ((_text._MAIN, -24), (_text._every_decade(), -324)):
+        assert tab.bounds[0] == 5e-324
+        for k, bound in enumerate(tab.bounds[1:].tolist(), lo):
+            if bound == math.inf:
+                assert k == 309
+                continue
+            assert Fraction(math.nextafter(bound, 0.0)) < Fraction(10) ** k <= Fraction(bound)
 
 
 def test_format17_edges():
-    bounds = [1e-4, 1e-3, 1e-2, 0.1, 1.0]
-    near = [math.nextafter(b, d) for b in bounds for d in (0.0, 2.0)]
-    x = [1e-4, 0.99999999999999994, 1.0, 0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf]
-    x += near + [-v for v in near + bounds]
+    # every power of ten from the subnormals up and both its neighbours,
+    # the ends of the subnormals and of the doubles, the values just above
+    # 1, and half-way ties in the 'e' form with their neighbours: r / 2**k
+    # has 18 significant digits, the last a 5, for these odd r (ties where
+    # the power of ten is exact, k = 22 and 23, and inexact, k = 24 and 25)
+    bounds = [float("1e%d" % k) for k in range(-323, 309)] + [1.0000000000000002]
+    ties = [r / 2**k for k, r0, r1 in ((22, 43, 419), (23, 9, 83), (24, 3, 15), (25, 1, 1))
+            for r in range(r0, r1 + 1, 2)]
+    x = [1e-4, 0.99999999999999994, 1.0, 1.0000000000000004, 1.0000000000000007, 0.0]
+    x += [5e-324, 1e-323, 2.2250738585072014e-308, 1.7976931348623157e308, math.nan, math.inf]
+    x += [math.nextafter(b, d) for b in bounds + ties for d in (0.0, math.inf)] + bounds + ties
+    x += [-v for v in x]
     assert _format17_mismatches(x) == []
     assert format17(np.array([])).shape == (0, 24)
 
@@ -719,6 +734,27 @@ def test_format17_sweep():
         assert _format17_mismatches(values) == []
 
     check()
+
+
+def test_no_exported_coordinate_reaches_percent(monkeypatch):
+    # every OBJ point and JSON position of the catalog and of the export
+    # family members is written by the kernel; only nan, inf and an
+    # undecided rounding would go through '%'
+    reached = []
+
+    def percent(v):
+        reached.append(v)
+        return "%.17g".encode() % v
+
+    monkeypatch.setattr(_text, "_percent", percent)
+    kinds = ("prism", "antiprism", "dihedron", "hosohedron")
+    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)]:
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        em.export_obj(t.map, emb, arc_steps=16, include_faces=True)
+        em.export_json(t.map, t.angles, emb, name=name)
+    assert [v for v in reached if math.isfinite(v)] == []
+    assert _format17_mismatches([math.nan, -math.inf]) == [] and len(reached) == 2
 
 
 def _json_oracle(t, assign, emb, name):

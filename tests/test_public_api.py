@@ -73,6 +73,16 @@ def _load_cube_json(edge: str):
     embedder.load_json(json.dumps({**doc, "edge": edge}).encode())
 
 
+def _load_cube_positions(change):
+    """load_json of the cube's document with positions, its position rows
+    changed by ``change``."""
+    c = catalog.make("C")
+    emb = embedder.realize(c.map, c.angles)
+    doc = json.loads(embedder.export_json(c.map, c.angles, emb))
+    change(doc["positions"])
+    embedder.load_json(json.dumps(doc).encode())
+
+
 def _on_ac_cupola(op, seed, **change):
     """``op`` on aC at the first cupola site of ``seed``, its fields changed."""
     site = catalog.find_cupola_sites(catalog.make(seed).map)[0]
@@ -250,6 +260,16 @@ REJECTED_INPUTS = {
     "validate-edge=inf": (DomainError, lambda: tilemap.validate(*_cube_with(math.inf))),
     "load_json-edge=nan": (DomainError, lambda: _load_cube_json("nan")),
     "load_json-edge=inf": (DomainError, lambda: _load_cube_json("inf")),
+    # positions: one row of three finite numbers per vertex
+    "load_json-positions-2-coordinates": (
+        DomainError,
+        lambda: _load_cube_positions(lambda rows: rows[0].pop()),
+    ),
+    "load_json-positions-row-missing": (DomainError, lambda: _load_cube_positions(list.pop)),
+    "load_json-positions-nan": (
+        DomainError,
+        lambda: _load_cube_positions(lambda rows: rows[3].__setitem__(1, "nan")),
+    ),
     "realize-edge=nan": (DomainError, lambda: embedder.realize(*_cube_with(math.nan))),
     "realize-edge=0": (DomainError, lambda: embedder.realize(*_cube_with(0.0))),
     # only a hosohedron has an edge whose cosine rounds to -1 or 1

@@ -1,5 +1,6 @@
 """numpy, ``dataclasses`` and ``inspect`` stay off the start-up path: only
-the embedder loads numpy, and with it the other two."""
+the embedder loads numpy, and with it the other two.  The export text
+module ``sphtile._text`` loads with ``export`` alone."""
 
 import os
 import pathlib
@@ -79,3 +80,22 @@ def test_start_up_path_loads_no_dataclasses_and_no_inspect(tmp_path):
         tmp_path,
     )
     assert out == "[]\n"
+
+
+def test_only_export_loads_the_text_module(tmp_path):
+    commands = [
+        ["verify", "C"],
+        ["verify", "hosohedron(4)"],
+        ["catalog", "show", "C", "--json"],
+        ["export", "C", "--format", "json", "--out", str(tmp_path / "c.json")],
+    ]
+    out = _run(
+        "import contextlib, io, sys\n"
+        "from sphtile import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'sphtile._text' in sys.modules)\n",
+        tmp_path,
+    )
+    assert out.splitlines() == ["verify 0 False", "verify 0 False", "catalog 0 False", "export 0 True"]
