@@ -21,76 +21,55 @@ def _halves(a: np.ndarray) -> tuple:
 
 
 def _least_at_or_above(k: int) -> float:
-    """The least double at or above 10**k (inf above the doubles)."""
-    if k > 308:
-        return math.inf
+    """The least double at or above 10**k."""
     num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
     b = num / den  # correctly rounded
     top, bottom = b.as_integer_ratio()
     return math.nextafter(b, math.inf) if top * den < num * bottom else b
 
 
-class _Decades:
-    """The kernel's tables for zero and the decades lo .. hi of |v|.
-
-    The class of |v| is the count of ``bounds`` at or below it: 0 is zero,
-    1 lies below 10**lo, 2 + e - lo is the decade 10**e <= |v| < 10**(e + 1)
-    and the last lies above the range or is nan.  Each bound is the least
-    double at or above its power of ten, so a class is exact.  Per class:
-    ``p2``, a power of two that |v| is first scaled by, exactly (None: 1);
-    s1 + s2, 10**(16 - e) / p2 as a double-double (s2 is 0 where s1 is
-    exact), and s1's halves; the first 8 bytes of the text by sign and lead
-    digit, and the 8 after the digits, the exponent of the 'e' form.  The
-    form is ``'%.17g'``'s: "0." and zeros for -4 <= e < 0, else the lead
-    digit and "." (at byte 7), then for e < -4 or e > 16 an exponent.
-    """
-
-    def __init__(self, lo: int, hi: int, prescale: bool):
-        es = list(range(lo, hi + 1))
-        self.bounds = np.array([5e-324] + [_least_at_or_above(k) for k in range(lo, hi + 2)])
-        # |v| * 2**k lies near 1, and stays a normal double
-        ks = [max(-1023, min(1023, round(-e * math.log2(10)))) if prescale else 0 for e in es]
-        s1, s2 = [], []
-        for e, k in zip(es, ks):
-            num = 10 ** max(16 - e, 0) << max(-k, 0)
-            den = 10 ** max(e - 16, 0) << max(k, 0)
-            s1.append(num / den)
-            top, bottom = s1[-1].as_integer_ratio()
-            s2.append((num * bottom - top * den) / (den * bottom))
-        # zero, below, the decades, above: a class outside the decades scales
-        # its stand-in 1.0 to 10**16
-        s1 = np.array([1e16, 1e16, *s1, 1e16])
-        self.scales = np.array([s1, *_halves(s1), [0.0, 0.0, *s2, 0.0]])
-        p2 = [math.ldexp(1.0, k) for k in ks]
-        self.p2 = np.array([1.0, 1.0, *p2, 1.0]) if prescale else None
-        self.inexact = self.scales[3] != 0.0
-        self.bad = np.array([False, True, *[False] * len(es), True])
-        e = np.array([0, 0, *es, 0])
-        self.e = e
-        fixed = np.array([True, True, *[-4 <= e < 17 for e in es], True])
-        heads = [b"0", b""] + [b"0." + b"0" * (-e - 1) + b"%d" if -4 <= e < 0 else None for e in es]
-        self.prefixes = np.frombuffer(
-            b"".join(
-                (sign + h % lead if b"%" in h else sign + h).ljust(8, b"\0")
-                if h is not None
-                else b"\0" * 5 + (sign or b"\0") + b"%d." % lead
-                for h in heads + [b""]
-                for sign in (b"", b"-")
-                for lead in range(10)
-            ),
-            np.uint64,
-        )
-        self.suffixes = np.frombuffer(
-            b"".join(b"\0" * 8 if f else (b"e%+03d" % v).ljust(8, b"\0") for v, f in zip(e, fixed)),
-            np.uint64,
-        )
-        self.shifted = ~fixed
-        # the "." at byte 7 goes when no fraction digit is left; from 10 up to
-        # 10**17 it moves behind the further integer digits
-        self.dot = ~fixed | (e == 0)
-        self.dot[[0, 1, -1]] = False
-        self.moved = (e > 0) & fixed if hi > 0 else None
-
+# The kernel's tables, for zero and the decades 10**e <= |v| < 10**(e + 1)
+# with e in _ES: the fixed form from 1e-4 up to 10 and the 'e' form from
+# 1e-24 up to 1e-4, every value of a unit-sphere point but subnormals.  The
+# class of |v| is the count of _BOUNDS at or below it: 0 is zero, 1 lies
+# below 1e-24, 2 + e + 24 is the decade e and the last lies at or above 10
+# or is nan; classes 1 and last are _BAD, left to '%'.  Each bound is the
+# least double at or above its power of ten, so a class is exact.  Per
+# class: s1 + s2, 10**(16 - e) as a double-double (s2 is 0 where s1 is
+# exact), and s1's halves; the first 8 bytes of the text by sign and lead
+# digit, and the 8 after the digits, the exponent of the 'e' form.  The form
+# is '%.17g''s: "0." and zeros for -4 <= e < 0, else the lead digit and "."
+# (at byte 7), then for e < -4 an exponent.
+_ES = range(-24, 1)
+_BOUNDS = np.array([5e-324] + [_least_at_or_above(k) for k in range(_ES[0], _ES[-1] + 2)])
+_S1 = [float(10 ** (16 - e)) for e in _ES]
+_S2 = [float(10 ** (16 - e) - int(s)) for e, s in zip(_ES, _S1)]
+# zero, below, the decades, above: a class outside the decades scales its
+# stand-in 1.0 to 10**16
+_S1 = np.array([1e16, 1e16, *_S1, 1e16])
+_SCALES = np.array([_S1, *_halves(_S1), [0.0, 0.0, *_S2, 0.0]])
+_INEXACT = _SCALES[3] != 0.0
+_BAD = np.array([False, True, *[False] * len(_ES), True])
+_SHIFTED = np.array([False, False, *[e < -4 for e in _ES], False])
+_HEADS = [b"0", b""] + [b"0." + b"0" * (-e - 1) + b"%d" if -4 <= e < 0 else None for e in _ES]
+_PREFIXES = np.frombuffer(
+    b"".join(
+        (sign + h % lead if b"%" in h else sign + h).ljust(8, b"\0")
+        if h is not None
+        else b"\0" * 5 + (sign or b"\0") + b"%d." % lead
+        for h in _HEADS + [b""]
+        for sign in (b"", b"-")
+        for lead in range(10)
+    ),
+    np.uint64,
+)
+_SUFFIXES = np.frombuffer(
+    b"".join((b"e%+03d" % e if f else b"").ljust(8, b"\0") for e, f in zip([0, 0, *_ES, 0], _SHIFTED)),
+    np.uint64,
+)
+# the "." at byte 7 goes when no fraction digit is left
+_DOT = np.array([False, False, *[e == 0 or e < -4 for e in _ES], False])
+del _S1, _S2, _HEADS
 
 # the 4-digit groups 0000 .. 9999 as uint32 texts, at g + 10000 * state:
 # state 0 in full, 1 without trailing zero digits, 2 none (zero bytes)
@@ -107,34 +86,22 @@ _ZERO_ENDS = 10000 * np.array([[0, 0, 1, 1], [0, 1, 2, 1], [0, 0, 1, 1], [1, 2, 
 # where 10**(16 - e) is inexact, lo + |v| * s2 is within 1e-14 of the true
 # remainder, so a fraction within this of one half is left undecided
 _TIE = 1e-9
-# the fixed form from 1e-4 up to 10, the 'e' form from 1e-24 up to 1e-4,
-# and zero: every value of a unit-sphere point but subnormals
-_MAIN = _Decades(-24, 0, prescale=False)
 SLOT = 24  # bytes of the longest '%.17g' text, '-1.2345678901234567e-300'
 # values per kernel call: its temporaries stay small enough for the
 # allocator to reuse them from call to call
 _CHUNK = 1536
-# per e from 0 to 16, the order of a row's first 24 bytes with the "."
-# (byte 7) behind the e integer digits after the lead digit (byte 6)
-_MOVES = np.array([[*range(7), *range(8, 8 + e), 7, *range(8 + e, 24)] for e in range(17)])
-
-
-@functools.cache
-def _every_decade() -> _Decades:
-    """The tables for every double, made on first use."""
-    return _Decades(-324, 308, prescale=True)
 
 
 def _percent(v: float) -> bytes:
-    """``'%.17g' % v``, for the values the kernel leaves: nan, inf and a
-    rounding it cannot decide."""
+    """``'%.17g' % v``, for the values the kernel leaves: subnormals,
+    |v| >= 10, nan, inf and a rounding it cannot decide."""
     return b"%.17g" % v
 
 
-def _rows(x: np.ndarray, tab: _Decades) -> tuple:
-    """The texts of the entries of ``x`` whose class ``tab`` holds, in the
-    first 24 bytes of the rows of an (N, 32) uint8 array, and the indices of
-    the others (undecided ones included).
+def _rows(x: np.ndarray) -> tuple:
+    """The texts of the entries of ``x`` that are zero or 1e-24 <= |v| < 10,
+    in the first 24 bytes of the rows of an (N, 32) uint8 array, and the
+    indices of the others (undecided ones included).
 
     The digits are N = |v| * 10**(16 - e) rounded half to even, in
     [10**16, 10**17] as e is exact; N = 10**17 is the text 1 of the next
@@ -149,12 +116,10 @@ def _rows(x: np.ndarray, tab: _Decades) -> tuple:
     then moves 5 bytes up, as its prefix starts at byte 5.
     """
     ax = np.abs(x)
-    cls = np.searchsorted(tab.bounds, ax, side="right")
-    bad = tab.bad.take(cls)
+    cls = np.searchsorted(_BOUNDS, ax, side="right")
+    bad = _BAD.take(cls)
     ax = np.where(bad, 1.0, ax)
-    if tab.p2 is not None:
-        ax = ax * tab.p2.take(cls)
-    s1, b1, b2, s2 = tab.scales.take(cls, axis=1)
+    s1, b1, b2, s2 = _SCALES.take(cls, axis=1)
     # Dekker's two-product: |v| * s1 == hi + lo exactly
     hi = ax * s1
     a1, a2 = _halves(ax)
@@ -165,7 +130,7 @@ def _rows(x: np.ndarray, tab: _Decades) -> tuple:
     n += r.astype(np.int64)
     left = np.flatnonzero(bad | (np.abs(lo - r) > 0.5 - _TIE))
     if left.size:
-        left = left[tab.inexact.take(cls[left]) | bad[left]]
+        left = left[_INEXACT.take(cls[left]) | bad[left]]
     # N's lead digit and its 4-digit groups; the last group loses its
     # trailing zeros (state 1), and where it is 0 the states follow from
     # which of the others are 0
@@ -188,28 +153,16 @@ def _rows(x: np.ndarray, tab: _Decades) -> tuple:
         if top.size:
             lead[top] = 1
             cls[top] += 1
-            left = np.union1d(left, top[tab.bad.take(cls[top])])
+            left = np.union1d(left, top[_BAD.take(cls[top])])
     wide = np.zeros((x.size, 4), np.uint64)
-    wide[:, 0] = tab.prefixes.take(lead + 10 * np.signbit(x) + 20 * cls)
+    wide[:, 0] = _PREFIXES.take(lead + 10 * np.signbit(x) + 20 * cls)
     wide[:, 1:3] = _QUADS.take(groups).view(np.uint64)
     text = wide.view(np.uint8)
     if ends.size:
-        text[bare[tab.dot.take(cls[bare])], 7] = 0
-    if tab.moved is not None:
-        moved = np.flatnonzero(tab.moved.take(cls))
-        if moved.size:
-            # the first e digits after the lead digit are integer digits,
-            # zeros kept, and the "." goes behind them unless no fraction
-            # digit follows
-            e = tab.e.take(cls[moved])
-            part = text[moved, :24]
-            integer = np.arange(24) < 8 + e[:, None]
-            part[integer & (part == 0) & (np.arange(24) >= 8)] = 48
-            part[:, 7] = np.where((part[:, 8:] != 0).sum(axis=1) > e, 46, 0)
-            text[moved, :24] = np.take_along_axis(part, _MOVES.take(e, 0), 1)
-    shifted = np.flatnonzero(tab.shifted.take(cls))
+        text[bare[_DOT.take(cls[bare])], 7] = 0
+    shifted = np.flatnonzero(_SHIFTED.take(cls))
     if shifted.size:
-        wide[shifted, 3] = tab.suffixes.take(cls[shifted])
+        wide[shifted, 3] = _SUFFIXES.take(cls[shifted])
         text[shifted, :24] = text[shifted, 5:29]
     return text, left
 
@@ -220,30 +173,22 @@ def format17(x: np.ndarray) -> np.ndarray:
     zero bytes (padding) among and after them, so ``rows[rows != 0]`` is
     the texts of ``rows`` back to back.
 
-    Every finite double is written in whole-array steps by ``_rows``: the
-    entries in chunks of ``_CHUNK`` against the tables of zero and of
-    1e-24 <= |v| < 10, which hold every coordinate of a unit-sphere point
-    but subnormals, then the few others at once against the tables of every
-    decade (built on first use).  Left are nan, inf and a rounding the
-    kernel cannot decide (a fraction within ``_TIE`` of one half where the
-    power of ten is inexact): each goes alone through ``_percent``.
+    Zero and 1e-24 <= |v| < 10, which hold every coordinate of a
+    unit-sphere point but subnormals, are written in whole-array steps by
+    ``_rows``, in chunks of ``_CHUNK``.  Every other value goes alone
+    through ``_percent``: subnormals, |v| >= 10, nan, inf and a rounding
+    the kernel cannot decide (a fraction within ``_TIE`` of one half where
+    the power of ten is inexact).  No export writes such a value, which
+    ``test_no_exported_coordinate_reaches_percent`` checks.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     rows = np.empty((x.size, SLOT), np.uint8)
-    rest = []
     for i in range(0, x.size, _CHUNK):
-        text, left = _rows(x[i : i + _CHUNK], _MAIN)
+        text, left = _rows(x[i : i + _CHUNK])
         rows[i : i + _CHUNK] = text[:, :SLOT]
         if left.size:
-            rest.append(left + i)
-    if rest:
-        rest = np.concatenate(rest)
-        text, left = _rows(x[rest], _every_decade())
-        rows[rest] = text[:, :SLOT]
-        if left.size:
-            left = rest[left]
-            texts = [_percent(v).ljust(SLOT, b"\0") for v in x[left].tolist()]
-            rows[left] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, SLOT)
+            texts = [_percent(v).ljust(SLOT, b"\0") for v in x[i + left].tolist()]
+            rows[i + left] = np.frombuffer(b"".join(texts), np.uint8).reshape(-1, SLOT)
     return rows
 
 

@@ -26,11 +26,12 @@ arcs there.
 
 The export text is written by the private module ``_text``, imported on
 the first export.  ``_text.format17`` writes each coordinate, the OBJ
-points' and the JSON positions', as exactly the bytes of ``'%.17g' % x``,
-in whole-array steps: the 17 digits come from an exact (Dekker) product
-with a power of ten, and only nan, inf and a rounding it cannot decide go
-through ``%`` itself.  ``_text.json_text`` writes the JSON document with
-string joins.
+points' and the JSON positions', as exactly the bytes of ``'%.17g' % x``.
+Zero and 1e-24 <= |x| < 10 are written in whole-array steps: the 17
+digits come from an exact (Dekker) product with a power of ten.  Every
+other value, and a rounding the kernel cannot decide, goes through ``%``
+itself; no export writes such a value, and a test checks this.
+``_text.json_text`` writes the JSON document with string joins.
 """
 
 from __future__ import annotations

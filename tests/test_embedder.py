@@ -698,13 +698,9 @@ def test_format17_rounds_half_way_ties_to_even():
 def test_format17_decade_bounds_are_exact():
     # each is the least double at or above its power of ten; the first
     # bound is the least positive double, the class of zero below it
-    for tab, lo in ((_text._MAIN, -24), (_text._every_decade(), -324)):
-        assert tab.bounds[0] == 5e-324
-        for k, bound in enumerate(tab.bounds[1:].tolist(), lo):
-            if bound == math.inf:
-                assert k == 309
-                continue
-            assert Fraction(math.nextafter(bound, 0.0)) < Fraction(10) ** k <= Fraction(bound)
+    assert _text._BOUNDS[0] == 5e-324
+    for k, bound in enumerate(_text._BOUNDS[1:].tolist(), -24):
+        assert Fraction(math.nextafter(bound, 0.0)) < Fraction(10) ** k <= Fraction(bound)
 
 
 def test_format17_edges():
@@ -737,9 +733,11 @@ def test_format17_sweep():
 
 
 def test_no_exported_coordinate_reaches_percent(monkeypatch):
-    # every OBJ point and JSON position of the catalog and of the export
-    # family members is written by the kernel; only nan, inf and an
-    # undecided rounding would go through '%'
+    # every OBJ point and JSON position of the catalog and of the family
+    # members (at 6 and 12, and the larger sizes below) is written by the
+    # kernel.  Its tables hold only zero and 1e-24 <= |v| < 10 and leave
+    # every other value to '%'; that no export writes such a value rests on
+    # this test, so a finite value here means an export left the tables
     reached = []
 
     def percent(v):
@@ -748,7 +746,8 @@ def test_no_exported_coordinate_reaches_percent(monkeypatch):
 
     monkeypatch.setattr(_text, "_percent", percent)
     kinds = ("prism", "antiprism", "dihedron", "hosohedron")
-    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)]:
+    sweep = ["prism(400)", "antiprism(400)", "dihedron(1600)", "hosohedron(1600)"]
+    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)] + sweep:
         t = cat.make(name)
         emb = em.realize(t.map, t.angles)
         em.export_obj(t.map, emb, arc_steps=16, include_faces=True)
@@ -773,7 +772,8 @@ def _json_oracle(t, assign, emb, name):
 
 def test_export_json_matches_the_json_dumps_oracle():
     kinds = ("prism", "antiprism", "dihedron", "hosohedron")
-    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)]:
+    sweep = ["prism(400)", "antiprism(400)", "dihedron(1600)", "hosohedron(1600)"]
+    for name in cat.all_entries() + [f"{k}({n})" for k in kinds for n in (6, 12)] + sweep:
         t = cat.make(name)
         for emb in (None, em.realize(t.map, t.angles)):
             want = _json_oracle(t.map, t.angles, emb, name)

@@ -200,6 +200,55 @@ def test_validate_area_residual_positive_check():
     assert rep.checks["area"].residual < 1e-12
 
 
+def _nudged(name, by):
+    """A catalog entry's map and assignment, its square angle moved by
+    ``by`` and its edge kept."""
+    t = catalog.make(name)
+    angles = dict(t.angles.angles)
+    angles[4] += by
+    return t.map, AngleAssignment(angles, t.angles.edge)
+
+
+def _square_torus():
+    """A 3 x 3 torus of squares (v - e + f = 0), with the cube's angles."""
+    faces = [
+        tuple(3 * ((i + a) % 3) + (j + b) % 3 for a, b in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        for i in range(3)
+        for j in range(3)
+    ]
+    return tm.build_from_faces(faces), catalog.make("C").angles
+
+
+@pytest.mark.parametrize(
+    "case, expected, failing, readings",
+    [
+        # each square angle sum is off by 3 * 4e-10 > tol = 1e-9; the area
+        # (6 * 4 * 4e-10) and the companion relation stay within theirs
+        (lambda: _nudged("C", 4e-10), None, ["angle_sums"], {"angle_sums": 1.2e-9}),
+        (lambda: _nudged("C", 3e-10), None, [], {"angle_sums": 9.0e-10}),
+        # each of the 400 squares' areas is 4 * 1e-10 too large: the total
+        # area alone is off by more than area_tol = 1e-8
+        (lambda: _nudged("prism(400)", 1e-10), None, ["area"],
+         {"area": 1.6e-7, "angle_sums": 2.0e-10, "companion": 4.0e-10}),
+        (lambda: _nudged("C", 0.0), "O", ["census"], {"census": "census mismatch"}),
+        (_square_torus, None, ["euler", "angle_sums", "area", "vertex_feasibility"],
+         {"euler": -2.0, "vertex_feasibility": "inadmissible [(4, 4, 4, 4)]"}),
+    ],
+    ids=["cube-angle-sums", "cube-within-tol", "prism400-area", "cube-as-O", "torus"],
+)
+def test_validate_negative_controls(case, expected, failing, readings):
+    t, assign = case()
+    census = None if expected is None else catalog.expected_census(expected)
+    rep = tm.validate(t, assign, expected=census)
+    assert rep.failures() == failing
+    for key, want in readings.items():
+        check = rep.checks[key]
+        if isinstance(want, str):
+            assert check.detail == want, key
+        else:
+            assert check.residual == pytest.approx(want, rel=1e-4), key
+
+
 def test_j19_area_identity():
     # oracle: spherical excess summed over the golden face counts
     from sphtile.sphkernel import polygon_area
