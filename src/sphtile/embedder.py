@@ -266,9 +266,6 @@ def realize(
             levels.append((len(ends), m0 + len(owner)))
         entries = children
 
-    if min(first) < 0:
-        raise ClosureFailure("propagation did not reach every vertex")
-
     # the seed face: centre at the north pole, vertices on the circumradius circle
     rows = np.empty((m0 + len(owner), 3))
     sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
@@ -607,7 +604,8 @@ def load_json(data: bytes):
     """Inverse of ``export_json``: (name, map, assignment, positions).
 
     The family is read from the faces, not the ``"family"`` key: digons
-    must equal ``digon_fan``'s face cycles, else ``NotEdgeToEdge``.
+    must equal ``digon_fan``'s face cycles, and other faces must pass
+    ``build_from_faces`` (a pinched vertex is refused), else ``NotEdgeToEdge``.
     ``positions`` is None without the ``"positions"`` key, else a dict by
     vertex id whose values are the rows of one (V, 3) array, read in one
     call: ``DomainError`` unless the key holds one row of three finite

@@ -20,14 +20,14 @@ faces (``TilingMap.family``), never passed in.
 Validation covers the counting identities (Euler, degree and face
 handshakes), metric consistency of an angle assignment (vertex angle sums
 of 2*pi, total spherical area 4*pi, the companion relation), the degree
-bound, vertex-type admissibility, the rule that at most one face is
-not strictly convex, and 2-connectivity, read from the face cycles: on a
-connected map whose faces are simple cycles no vertex is a cut vertex.
+bound, vertex-type admissibility and the rule that at most one face is
+not strictly convex.  The surface is no check but the builders' guarantee
+(see ``TilingMap``), so ``euler`` alone decides the sphere.
 Admissibility is one exact predicate, ``vertexcomb.admissible``, applied
 to each distinct vertex arrangement.  ``euler``, ``degree_sum``,
-``face_sum``, ``degrees``, ``vertex_feasibility``, ``two_connected`` and
-``census`` are decided exactly, on integers.  ``angle_sums`` (within 1e-9),
-``area`` (1e-8), ``companion`` (1e-9), the convexity rule (an angle from
+``face_sum``, ``degrees``, ``vertex_feasibility`` and ``census`` are
+decided exactly, on integers.  ``angle_sums`` (within 1e-9), ``area``
+(1e-8), ``companion`` (1e-9), the convexity rule (an angle from
 pi - 1e-12 on is not strictly convex) and ``cli.verify_entry``'s
 ``embedding_closure`` (closure 1e-7, edges 1e-9, area 1e-6) are measured
 in floats.
@@ -94,10 +94,14 @@ class TilingMap(_MapFields):
     next dart of the same face; ``edge_pair[d]`` the opposite dart of the
     same edge.
 
-    Both builders, ``build_from_faces`` and ``digon_fan``, return a
-    connected map in which every face is a simple cycle: it visits no
-    vertex twice.  ``validate`` reads 2-connectivity from that invariant; a
-    map built by hand that breaks it is outside the contract.
+    Both builders, ``build_from_faces`` and ``digon_fan``, return a map of
+    a connected, orientable, closed surface with simple faces (none visits
+    a vertex twice) and no pinched vertex (the darts leaving a vertex form
+    one ``vertex_next`` cycle); a map built by hand that breaks this is
+    outside the contract.  Such a map has no cut vertex: a face is a cycle
+    of distinct vertices, so its edges lie on one side of a cut vertex, as
+    do those of every face connected to it, which is every face, yet the
+    other side's vertices lie on faces too.
     """
 
     @cached_property
@@ -343,8 +347,10 @@ def build_from_faces(faces: Sequence[Sequence]) -> TilingMap:
     orientations are fixed up automatically, starting from face 0.  Vertex
     labels may be arbitrary hashables; they are relabelled densely in
     first-seen order.  A digon would use its one edge twice, so faces need
-    three or more vertices; hosohedra come from ``digon_fan``.  The map's
-    family is read from its faces: two faces make a dihedron.
+    three or more vertices, none repeated; hosohedra come from
+    ``digon_fan``.  A pinched vertex, whose faces form several fans around
+    it, is refused by its label.  The map's family is read from its faces:
+    two faces make a dihedron.
     """
     cycles = [tuple(f) for f in faces]
     if not cycles:
@@ -412,13 +418,23 @@ def build_from_faces(faces: Sequence[Sequence]) -> TilingMap:
         face_next[b - 1] = a
         if flip:
             where[a : b - 1] = range(b - 2, a - 1, -1)
-    return TilingMap(
+    t = TilingMap(
         origin=tuple(map(vid.__getitem__, chain.from_iterable(oriented))),
         face_next=tuple(face_next),
         edge_pair=tuple(map(where.__getitem__, map(partner.__getitem__, where))),
         face_of=tuple(face_of),
         faces=tuple(map(tuple, map(range, start, start[1:]))),
     )
+    # A label that joins k > 1 fans of faces (a pinched vertex) gives the
+    # surface k - 1 more vertices than the map has labels.  A connected,
+    # closed, orientable surface has v - e + f <= 2, so a pinched map has
+    # v - e + f <= 1, and a map with v - e + f == 2 needs no rotation walk.
+    if len(vid) - len(tails) // 2 + len(cycles) != 2:
+        degree = Counter(t.origin)
+        for v, r in enumerate(t.vertex_rotations):
+            if len(r) != degree[v]:
+                raise NotEdgeToEdge(f"vertex {list(vid)[v]!r} is pinched between fans of faces")
+    return t
 
 
 def digon_fan(n: int) -> TilingMap:
@@ -456,7 +472,7 @@ REPORT_GROUPS = {
     "dehn_sommerville": ("degree_sum", "face_sum"),
     "embedding_closure": ("embedding_closure",),
     "euler": ("euler",),
-    "structure": ("degrees", "vertex_feasibility", "convexity", "two_connected"),
+    "structure": ("degrees", "vertex_feasibility", "convexity"),
 }
 
 
@@ -504,17 +520,6 @@ class ValidationReport:
         return {"name": self.name, "pass": self.overall_pass, "checks": checks}
 
 
-def _first_repeat(t: TilingMap) -> tuple:
-    """The first face, in face order, whose cycle visits a vertex twice,
-    and the first vertex it visits again."""
-    for f in range(t.num_faces):
-        seen = set()
-        for v in t.face_vertex_cycle(f):
-            if v in seen:
-                return f, v
-            seen.add(v)
-
-
 def validate(
     t: TilingMap,
     assign: AngleAssignment,
@@ -528,8 +533,9 @@ def validate(
     Failures are report entries, not exceptions.  The degree bound, the
     vertex-type admissibility check and the convexity rule are skipped for
     the hosohedron/dihedron families, whose maps intentionally break them.
-    ``two_connected`` fails when a face visits a vertex twice, and its
-    detail names the first such face and that vertex.
+    On a built map ``degree_sum`` and ``face_sum`` are identities (the
+    vertex rotations and the faces each partition the darts); they stay as
+    the report's ``dehn_sommerville`` key.
 
     ``tol`` and ``area_tol`` must be finite and > 0 (``_check_tol``), the
     edge of ``assign`` lies in (0, pi] (``AngleAssignment``), and each
@@ -590,18 +596,6 @@ def validate(
 
     comp = max(assign.max_companion_residual(), assign.max_edge_residual())
     rep.add("companion", comp <= tol, comp)
-
-    # A face is a cycle of distinct vertices, so all its edges lie on one
-    # side of a cut vertex v.  Faces that share an edge lie on the same
-    # side, and the face complex is connected, so the other side's vertices
-    # would lie on no face, yet every vertex of a map lies on one.  So a
-    # connected map with at least 3 vertices and simple faces has no cut
-    # vertex; a 2-vertex fan has none either.  On a spherical map, a face
-    # that repeats a vertex makes that vertex a cut vertex.
-    if len(set(zip(t.origin, t.face_of))) == t.num_darts:
-        rep.add("two_connected", True)
-    else:
-        rep.add("two_connected", False, detail="face %d repeats vertex %d" % _first_repeat(t))
 
     if expected is not None:
         same = (

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphtile import cli, embedder, tilemap
+from sphtile import catalog, cli, embedder, tilemap
 from sphtile.algsolve import AngleAssignment
 
 
@@ -136,6 +136,30 @@ def test_each_embedding_gate_fails_verify_alone(monkeypatch, change):
     assert cli.verify_entry("C").failures() == ["embedding_closure"]
 
 
+@pytest.mark.parametrize(
+    "by, residual, detail",
+    [
+        # the closure gate, 1e-7: realize raises past it
+        (2e-8, None, "closure error 1.652e-07 at vertex 4 (face 1) exceeds 1.0e-07"),
+        # inside it (closure 8.3e-8), the edge error of 5.7e-8 fails the edge gate
+        (1e-8, 8.26e-8, ""),
+    ],
+    ids=["closure", "within-closure"],
+)
+def test_closure_gate_of_verify(monkeypatch, by, residual, detail):
+    # the cube embedded with its square angle off by ``by``; validate sees
+    # the catalog's angles, so only the embedding check can fail
+    realize = embedder.realize
+    cube = catalog.make("C").angles
+    bad = AngleAssignment({4: cube.angle(4) + by}, cube.edge)
+    monkeypatch.setattr(embedder, "realize", lambda t, assign, **kw: realize(t, bad, **kw))
+    rep = cli.verify_entry("C")
+    assert rep.failures() == ["embedding_closure"]
+    check = rep.checks["embedding_closure"]
+    assert check.detail == detail
+    assert check.residual == (None if residual is None else pytest.approx(residual, rel=1e-3))
+
+
 def test_report_view_folds_component_checks():
     rep = tilemap.ValidationReport(name="X")
     rep.add("euler", True, 0.0)
@@ -143,8 +167,7 @@ def test_report_view_folds_component_checks():
     rep.add("face_sum", True, 0.0)
     rep.add("degrees", True)
     rep.add("vertex_feasibility", True)
-    rep.add("convexity", True, 0.0)
-    rep.add("two_connected", False)
+    rep.add("convexity", False, 2.0)
     doc = rep.as_dict()
     assert doc == {
         "name": "X",

@@ -205,6 +205,15 @@ def test_load_json_rejects_digons_that_are_not_a_fan(faces):
         em.load_json(json.dumps(doc).encode())
 
 
+def test_load_json_refuses_a_pinched_vertex():
+    # the cube's document with its opposite corners 0 and 5 as one vertex
+    c = cat.make("C")
+    doc = json.loads(em.export_json(c.map, c.angles, name="C"))
+    doc["faces"] = [[0 if v == 5 else v for v in f] for f in doc["faces"]]
+    with pytest.raises(tm.NotEdgeToEdge, match="vertex 0 is pinched"):
+        em.load_json(json.dumps(doc).encode())
+
+
 def test_json_schema_fields():
     t = cat.make("T")
     doc = json.loads(em.export_json(t.map, t.angles, name="T").decode())

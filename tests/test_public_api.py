@@ -99,6 +99,13 @@ REJECTED_INPUTS = {
     "make_dihedron": (DomainError, lambda: catalog.make_dihedron(2)),
     "build_from_faces-empty": (NotEdgeToEdge, lambda: tilemap.build_from_faces([])),
     "build_from_faces-repeat": (NotEdgeToEdge, lambda: tilemap.build_from_faces([(0, 1, 0)])),
+    # the cube with opposite corners 0 and 6 as one vertex, where two fans meet
+    "build_from_faces-pinched": (
+        NotEdgeToEdge,
+        lambda: tilemap.build_from_faces(
+            [(0, 1, 2, 3), (4, 5, 0, 7), (0, 1, 5, 4), (1, 2, 0, 5), (2, 3, 7, 0), (3, 0, 4, 7)]
+        ),
+    ),
     "digon_fan": (ValueError, lambda: tilemap.digon_fan(1)),
     "enumerate_candidate_types": (DomainError, lambda: vertexcomb.enumerate_candidate_types(2)),
     "enumerate_candidate_types-10001": (

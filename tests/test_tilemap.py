@@ -13,6 +13,18 @@ CUBE_FACES = [
     (0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4),
     (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7),
 ]
+# the cube with opposite corners 0 and 6 given one label, 9: two fans of
+# three squares meet at vertex 9, which is pinched (v - e + f = 1)
+PINCHED_CUBE = [tuple(9 if v in (0, 6) else v for v in f) for f in CUBE_FACES]
+
+
+def _torus_faces(rows, cols):
+    """The squares of a rows x cols torus, vertex (i, j) labelled cols * i + j."""
+    return [
+        tuple(cols * ((i + a) % rows) + (j + b) % cols for a, b in ((0, 0), (1, 0), (1, 1), (0, 1)))
+        for i in range(rows)
+        for j in range(cols)
+    ]
 
 
 def test_build_tetrahedron_counts():
@@ -57,6 +69,15 @@ BUILD_ERRORS = [
         (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
     ], "oriented consistently"),
     (tm.NotEdgeToEdge, [(0, 1)], "digon_fan"),  # digons come only from digon_fan
+    # a bowtie: two triangles meet at vertex 0, and the hexagon around both
+    # visits vertex 0 twice
+    (tm.NotEdgeToEdge, [(0, 1, 2), (0, 3, 4), (0, 2, 1, 0, 4, 3)], "repeats a vertex"),
+    # a pinched vertex is named by the caller's label: the cube's corners 0
+    # and 6 as 9, and a 3 x 4 torus's vertices 0 and 6 as 0 (v - e + f = -1).
+    # No 3 x 3 torus can be pinched: each two of its vertices share a square.
+    (tm.NotEdgeToEdge, PINCHED_CUBE, "vertex 9 is pinched"),
+    (tm.NotEdgeToEdge, [tuple(0 if v == 6 else v for v in f) for f in _torus_faces(3, 4)],
+     "vertex 0 is pinched"),
 ]
 
 
@@ -99,6 +120,20 @@ def _frozenset_build_from_faces(faces):
                 raise tm.NotEdgeToEdge("faces cannot be oriented consistently")
     if None in flipped:
         raise tm.Disconnected("face complex is not connected")
+    # a pinched vertex: the faces at it, joined across the edges at it, fall
+    # into more than one group
+    root: dict = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for key, ((fa, _, _), (fb, _, _)) in incident.items():
+        for v in key:
+            root[find((v, fa))] = find((v, fb))
+    if len({find(x) for x in list(root)}) != len({v for v, _ in root}):
+        raise tm.NotEdgeToEdge("a vertex is pinched")
     oriented = [f[::-1] if flip else f for f, flip in zip(cycles, flipped)]
     vid: dict = {}
     for f in oriented:
@@ -211,12 +246,13 @@ def _nudged(name, by):
 
 def _square_torus():
     """A 3 x 3 torus of squares (v - e + f = 0), with the cube's angles."""
-    faces = [
-        tuple(3 * ((i + a) % 3) + (j + b) % 3 for a, b in ((0, 0), (1, 0), (1, 1), (0, 1)))
-        for i in range(3)
-        for j in range(3)
-    ]
-    return tm.build_from_faces(faces), catalog.make("C").angles
+    return tm.build_from_faces(_torus_faces(3, 3)), catalog.make("C").angles
+
+
+def _hexagonal_bipyramid():
+    """Six triangles around each of two poles, with too wide an angle."""
+    faces = [(i, (i + 1) % 6, 6) for i in range(6)] + [((i + 1) % 6, i, 7) for i in range(6)]
+    return tm.build_from_faces(faces), AngleAssignment.from_angles({3: PI / 3 + 0.3})
 
 
 @pytest.mark.parametrize(
@@ -233,10 +269,21 @@ def _square_torus():
         (lambda: _nudged("C", 0.0), "O", ["census"], {"census": "census mismatch"}),
         (_square_torus, None, ["euler", "angle_sums", "area", "vertex_feasibility"],
          {"euler": -2.0, "vertex_feasibility": "inadmissible [(4, 4, 4, 4)]"}),
+        # degree 6 at the poles, where each angle sum is 6 * 0.3 too large
+        (_hexagonal_bipyramid, None, ["angle_sums", "area", "degrees", "vertex_feasibility"],
+         {"angle_sums": 1.8, "degrees": "degrees [4, 6]",
+          "vertex_feasibility": "inadmissible [(3, 3, 3, 3, 3, 3)]"}),
+        # six squares of angle pi: more than one face is not strictly convex
+        (lambda: _nudged("C", PI - catalog.make("C").angles.angle(4)), None,
+         ["angle_sums", "area", "convexity", "companion"], {"convexity": 6.0}),
     ],
-    ids=["cube-angle-sums", "cube-within-tol", "prism400-area", "cube-as-O", "torus"],
+    ids=["cube-angle-sums", "cube-within-tol", "prism400-area", "cube-as-O", "torus",
+         "bipyramid-degrees", "cube-convexity"],
 )
 def test_validate_negative_controls(case, expected, failing, readings):
+    # No row fails degree_sum or face_sum, and no built map can: the faces
+    # partition the darts (face_sum), and since build_from_faces refuses a
+    # pinched vertex, so do the vertex rotations (degree_sum).
     t, assign = case()
     census = None if expected is None else catalog.expected_census(expected)
     rep = tm.validate(t, assign, expected=census)
@@ -505,6 +552,7 @@ def test_counting_identities_across_catalog():
 
 
 def test_two_connected_matches_networkx():
+    # the TilingMap invariant: a map from either builder is 2-connected
     nx = pytest.importorskip("networkx")
 
     def biconnected(t):
@@ -515,38 +563,8 @@ def test_two_connected_matches_networkx():
 
     families = ["prism(400)", "antiprism(400)", "dihedron(1600)", "hosohedron(1600)"]
     for name in catalog.all_entries() + families:
-        t = catalog.make(name)
-        rep = tm.validate(t.map, t.angles, name=name)
-        assert rep.checks["two_connected"].passed == biconnected(t.map), name
-    fan = tm.digon_fan(2)
-    rep = tm.validate(fan, AngleAssignment.from_angles({2: PI}))
-    assert rep.checks["two_connected"].passed == biconnected(fan)
-
-
-def test_two_connected_names_the_face_that_repeats_a_vertex():
-    # a bowtie on the sphere: two triangles meet at vertex 0, and the
-    # hexagon around both visits vertex 0 twice, which makes it a cut vertex
-    cycles = [(0, 1, 2), (0, 3, 4), (0, 2, 1, 0, 4, 3)]
-    starts = [0, 3, 6, 12]
-    faces = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    origin = tuple(v for c in cycles for v in c)
-    face_next = tuple(f[(i + 1) % len(f)] for f in faces for i in range(len(f)))
-    dart = {(origin[d], origin[face_next[d]]): d for d in range(len(origin))}
-    t = tm.TilingMap(
-        origin=origin,
-        face_next=face_next,
-        edge_pair=tuple(dart[origin[face_next[d]], origin[d]] for d in range(len(origin))),
-        face_of=tuple(fi for fi, f in enumerate(faces) for _ in f),
-        faces=faces,
-    )
-    assert (t.num_vertices, t.num_edges, t.num_faces) == (5, 6, 3)
-    assert list(map(len, t.vertex_rotations)) == [4, 2, 2, 2, 2]
-    rep = tm.validate(t, AngleAssignment({3: PI / 2, 6: PI}, PI / 2))
-    assert rep.checks["euler"].passed and rep.checks["degree_sum"].passed
-    check = rep.checks["two_connected"]
-    assert not check.passed and check.detail == "face 2 repeats vertex 0"
-    nx = pytest.importorskip("networkx")
-    assert not nx.is_biconnected(nx.Graph(t.edges))
+        assert biconnected(catalog.make(name).map), name
+    assert biconnected(tm.digon_fan(2))
 
 
 # --------------------------------------------------------------------------
