@@ -12,11 +12,12 @@ vertex in the walk places it, and every later one measures the closure
 discrepancy, so the walk doubles as a consistency check of the angle
 assignment.
 
-Every corner angle is measured by one function over a list of darts,
-``_measure_corners``.  ``realize`` measures every dart once, edge lengths
-included, and keeps the angles for ``total_area`` and ``face_angles``, and
-the (V, 3) position array for the export; an embedding built any other way
-is measured at the corners asked for.
+Every embedding is measured in one way: ``_measure_corners`` reads every
+corner of the map from one array, the (V, 3) positions (a hosohedron's
+(E, 3) edge midpoints), and the embedding keeps the angles for
+``total_area`` and ``face_angles`` and the positions for the export.
+``realize`` measures every dart once, edge lengths included; an embedding
+built any other way is measured whole at its first read.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly.  Their
 edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
@@ -69,17 +70,18 @@ class ClosureFailure(RuntimeError):
     """Propagation revisited a vertex with an inconsistent position."""
 
 
-@dataclass
+@dataclass(eq=False)
 class Embedding:
     """Vertex positions on the unit sphere plus walk-quality metrics.
 
-    ``positions`` maps each vertex id to its position, a 3-vector.  In the
-    embedding ``realize`` returns they are the rows of one (V, 3) array,
-    which it keeps with its measured corner angles: the export and the
-    metrics read those whole.  An Embedding built any other way (by hand,
-    from ``load_json``'s positions, or by ``dataclasses.replace``) keeps
-    neither, and its dict is read instead, by vertex id.  So a vertex is
-    moved by a new dict, not by assigning into the one ``realize`` made.
+    ``positions`` maps each vertex id to its position, a 3-vector.  An
+    embedding keeps what it makes from them: its positions as one (V, 3)
+    array, stacked at its first export or measurement, and the corner
+    angle of every dart, measured over the whole map at its first
+    measurement (a hosohedron's from its ``arc_midpoints``).  ``realize``'s
+    embedding arrives with both.  So positions and midpoints are read
+    once: to move a vertex, make a new Embedding (``dataclasses.replace``
+    resets both arrays).  Embeddings compare by identity.
     """
 
     positions: dict
@@ -88,9 +90,9 @@ class Embedding:
     angle_error: float
     # midpoint per edge id, for every edge of a hosohedron and no other map
     arc_midpoints: dict = field(default_factory=dict)
-    # corner angle per dart and the (V, 3) positions, as realize made them
-    _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _points: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # corner angle per dart and the (V, 3) positions, kept once made
+    _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _points: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
 
 # component k of a cross product is a[I[k]] * b[J[k]] - a[J[k]] * b[I[k]]
@@ -316,28 +318,20 @@ def realize(
     return _measured(t, assign, pos, worst_closure)
 
 
-def _measure_corners(t: TilingMap, points, darts=None) -> tuple:
-    """Per dart of ``darts`` (every dart when None): the interior angle at
-    its origin, reflex angles included, and the arc to the next corner.
+def _measure_corners(t: TilingMap, points: np.ndarray) -> tuple:
+    """Per dart: the interior angle at its origin, reflex angles included,
+    and the arc to the next corner, as two arrays.
 
-    A corner is read from the positions of its origin and of the previous
-    and the next vertex of its face, so the arc is the dart's edge.  A
-    hosohedron's corners are read from its edge midpoints, by edge id: a
-    digon's angle is the arc between its two edges' midpoints.  ``points``
-    is an (N, 3) array, or for a list of darts an ``Embedding``'s dict, of
-    which only the rows these corners use are read (``KeyError`` if one is
-    missing).  Every step is row by row, so a corner's angle does not
-    depend on which other corners are measured with it.
+    ``points`` is the (V, 3) array of positions by vertex id.  A corner is
+    read from the positions of its origin and of the previous and the next
+    vertex of its face, so the arc is the dart's edge.  A hosohedron's
+    ``points`` are its (E, 3) edge midpoints by edge id: a digon's angle is
+    the arc between its two edges' midpoints.  ``ClosureFailure`` if a
+    corner has a coincident or antipodal neighbour.
     """
-    key = t.edge_of if t.family == "hosohedron" else t.origin
-    near = (t.face_prev, t.face_next)
-    if darts is None:
-        # the whole map: each table converted to an array once
-        key = np.asarray(key)
-        at, toward = points.take(key, 0), points.take(key.take(np.array(near)), 0)
-    else:
-        at = np.array([points[key[d]] for d in darts])
-        toward = np.array([[points[key[n[d]]] for d in darts] for n in near])
+    key = np.asarray(t.edge_of if t.family == "hosohedron" else t.origin)
+    at = points.take(key, 0)
+    toward = points.take(key.take(np.array((t.face_prev, t.face_next))), 0)
     lengths = _arc_lengths(at, toward[1])
     if t.family == "hosohedron":
         return lengths, lengths
@@ -358,11 +352,12 @@ _NO_MIDPOINT = "a hosohedron embedding needs the midpoint of every edge"
 
 
 def _corners(t: TilingMap, emb: Embedding) -> np.ndarray:
-    """The positions by vertex id as a (V, 3) array: the one ``realize``
-    keeps, else read from the dict (``KeyError`` if one is missing)."""
-    if emb._points is not None and len(emb._points) == t.num_vertices:
-        return emb._points
-    return np.array([emb.positions[v] for v in range(t.num_vertices)])
+    """The positions by vertex id as the embedding's (V, 3) array, stacked
+    from the dict at the first read and kept (``KeyError`` if one is
+    missing)."""
+    if emb._points is None:
+        emb._points = np.array([emb.positions[v] for v in range(t.num_vertices)])
+    return emb._points
 
 
 def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
@@ -377,28 +372,21 @@ def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
         raise ValueError(_NO_MIDPOINT) from None
 
 
-def _corner_angles(t: TilingMap, emb: Embedding, darts=None) -> np.ndarray:
-    """Realized interior angle at the origin of each dart of ``darts``
-    (every dart when None): the angles ``realize`` measured, else measured
-    now from the embedding's positions (or midpoints) as one array, or for
-    a list of darts from the rows those corners use."""
-    if emb._angles is not None:
-        return emb._angles if darts is None else emb._angles.take(darts)
-    if darts is None:
+def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
+    """Realized interior angle at the origin of every dart: the
+    embedding's kept angles, measured over the whole map at the first read
+    from its positions (a hosohedron's midpoints)."""
+    if emb._angles is None:
         points = _corners(t, emb) if t.family != "hosohedron" else _midpoints(t, emb)
-        return _measure_corners(t, points)[0]
-    if t.family != "hosohedron":
-        return _measure_corners(t, emb.positions, darts)[0]
-    try:
-        return _measure_corners(t, emb.arc_midpoints, darts)[0]
-    except KeyError:
-        raise ValueError(_NO_MIDPOINT) from None
+        emb._angles = _measure_corners(t, points)[0]
+    return emb._angles
 
 
 def face_angles(t: TilingMap, emb: Embedding, f: int) -> list:
-    """Realized interior angles of a face, reflex angles included: only its
-    own corners are read, so summing ``face_area`` over all faces is linear."""
-    return _corner_angles(t, emb, t.faces[f]).tolist()
+    """Realized interior angles of a face, reflex angles included, read
+    from the embedding's kept angles: the whole map is measured once, so
+    summing ``face_area`` over all faces is linear."""
+    return _corner_angles(t, emb).take(t.faces[f]).tolist()
 
 
 def face_area(t: TilingMap, emb: Embedding, f: int) -> float:
@@ -529,15 +517,14 @@ def export_obj(
     With ``include_faces`` each face is fan-triangulated about its
     spherical centre (one midpoint refinement implicit in the fan apex).
 
-    The corners are the (V, 3) array ``realize`` keeps, or are read from
-    the dict of an embedding built otherwise.  Every ``v`` line, the
-    corners', the arc points' and the fan apexes', comes from one
-    ``_text.v_lines`` call, whose kernel ``_text.format17`` writes each
-    coordinate byte for byte as ``'%.17g' % x`` would.  The ``l`` lines are
-    one ``%`` call on one template over the flattened chains.  The faces
-    (each an apex ``v`` line and its ``f`` lines) come from ``_fans``'s
-    arrays: the ``f`` lines are one ``%`` call, put in order among the apex
-    lines by ``_text.fans``.
+    The corners are the embedding's (V, 3) array (``_corners``).  Every
+    ``v`` line, the corners', the arc points' and the fan apexes', comes
+    from one ``_text.v_lines`` call, whose kernel ``_text.format17`` writes
+    each coordinate byte for byte as ``'%.17g' % x`` would.  The ``l``
+    lines are one ``%`` call on one template over the flattened chains.
+    The faces (each an apex ``v`` line and its ``f`` lines) come from
+    ``_fans``'s arrays: the ``f`` lines are one ``%`` call, put in order
+    among the apex lines by ``_text.fans``.
     """
     arc_steps = _check_size(arc_steps, 1, most=MAX_ARC_STEPS, what="arc_steps")
     nv = t.num_vertices

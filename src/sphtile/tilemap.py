@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import vertexcomb
 from .algsolve import AngleAssignment
-from .sphkernel import TWO_PI, _check_tol, polygon_area
+from .sphkernel import TWO_PI, _check_size, _check_tol, polygon_area
 
 __all__ = [
     "TilingMap",
@@ -438,9 +438,10 @@ def build_from_faces(faces: Sequence[Sequence]) -> TilingMap:
 
 
 def digon_fan(n: int) -> TilingMap:
-    """The hosohedron map: n digons between two poles joined by n edges."""
-    if n < 2:
-        raise ValueError("a hosohedron needs at least 2 digons")
+    """The hosohedron map: n digons between two poles joined by n edges,
+    for n >= 2 by the count rule of ``_check_size`` (2.0 passes; 1, 2.5,
+    nan and "3" raise ``DomainError``)."""
+    n = _check_size(n, 2, what="digon count")
     # dart 2i runs pole 0 -> pole 1 along edge i, dart 2i+1 runs back;
     # face i lies between edges i and i+1
     faces = tuple((2 * i, 2 * ((i + 1) % n) + 1) for i in range(n))

@@ -3,10 +3,15 @@
 Each mutant changes one verdict in a copy of the checkout and runs the
 tier-1 suite there; the working tree is never written.  The verdicts are
 the ``passed`` argument of each ``rep.add`` call in ``tilemap.validate``
-(a constant one excepted) and each comparison in ``cli.verify_entry``.
-Each gets two mutants:
+(a constant one excepted) and each comparison in ``cli.verify_entry``,
+``embedder.realize``, ``embedder._measure_corners``,
+``vertexcomb.admissible`` and ``algsolve._accepted``.  Each gets two
+mutants:
 
 - ``pass``: the verdict replaced by ``True``, so the check can never fail;
+  a comparison that refuses on True (the test of an ``if`` that raises or
+  skips with ``continue``) is replaced by ``False`` instead, and one read
+  through ``.any()`` is replaced together with that call;
 - ``flip``: its comparison negated (``<=`` to ``>``, ``==`` to ``!=``), or
   the whole verdict negated when it is not one comparison.
 
@@ -35,6 +40,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TARGETS = [
     ("src/sphtile/tilemap.py", "validate", "verdicts"),
     ("src/sphtile/cli.py", "verify_entry", "comparisons"),
+    ("src/sphtile/embedder.py", "realize", "comparisons"),
+    ("src/sphtile/embedder.py", "_measure_corners", "comparisons"),
+    ("src/sphtile/vertexcomb.py", "admissible", "comparisons"),
+    ("src/sphtile/algsolve.py", "_accepted", "comparisons"),
 ]
 NEGATED = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
@@ -47,12 +56,30 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
 
 
+def _passing(body: ast.FunctionDef, node: ast.Compare) -> tuple:
+    """(node, text) of the ``pass`` mutant of a comparison: ``True``, or
+    ``False`` where True refuses, over the comparison or its ``.any()``."""
+    parent = {c: p for p in ast.walk(body) for c in ast.iter_child_nodes(p)}
+    up = parent[node]
+    if isinstance(up, ast.Attribute) and isinstance(parent[up], ast.Call):
+        node = parent[up]
+    up = parent[node]
+    refuses = (
+        isinstance(up, ast.If)
+        and up.test is node
+        and any(isinstance(s, (ast.Raise, ast.Continue)) for s in up.body)
+    )
+    return node, "False" if refuses else "True"
+
+
 def _sites(source: str, func: str, kind: str) -> list:
-    """(label, node) per verdict site of ``func``, in source order."""
+    """(label, node, pass mutant's node and text) per verdict site of
+    ``func``, in source order."""
     body = _function(ast.parse(source), func)
     if kind == "comparisons":
         nodes = [n for n in ast.walk(body) if isinstance(n, ast.Compare)]
-        return [(ast.unparse(n), n) for n in sorted(nodes, key=lambda n: (n.lineno, n.col_offset))]
+        nodes.sort(key=lambda n: (n.lineno, n.col_offset))
+        return [(ast.unparse(n), n, _passing(body, n)) for n in nodes]
     sites = []
     for n in ast.walk(body):
         if (
@@ -63,7 +90,7 @@ def _sites(source: str, func: str, kind: str) -> list:
             and isinstance(n.args[0], ast.Constant)
             and not isinstance(n.args[1], ast.Constant)
         ):
-            sites.append((n.args[0].value, n.args[1]))
+            sites.append((n.args[0].value, n.args[1], (n.args[1], "True")))
     return sorted(sites, key=lambda s: (s[1].lineno, s[1].col_offset))
 
 
@@ -88,10 +115,11 @@ def mutants() -> list:
     out = []
     for path, func, kind in TARGETS:
         source = (ROOT / path).read_text()
-        for label, node in _sites(source, func, kind):
+        for label, node, (at, value) in _sites(source, func, kind):
             text = ast.get_source_segment(source, node)
-            for name, new in (("pass", "True"), ("flip", _flipped(node, text))):
-                out.append((path, node.lineno, f"{func}: {label}", name, _splice(source, node, new)))
+            for name, where, new in (("pass", at, value), ("flip", node, _flipped(node, text))):
+                mutated = _splice(source, where, new)
+                out.append((path, node.lineno, f"{func}: {label}", name, mutated))
     return out
 
 

@@ -290,6 +290,25 @@ def test_system_3344_and_3355():
     assert math.cos(s[0].angles[3]) == pytest.approx(1 / SQ5, abs=1e-12)
 
 
+def test_accepted_gates_candidates_from_both_sides():
+    # the two 1e-9 gates of _accepted on the type 3.3.4.4.  A candidate on
+    # the edge moved by h keeps the companion relation and misses the angle
+    # sum by 2.45 h; one with the triangle angle raised and the square angle
+    # lowered by d keeps the sum and misses the companion relation by 2.83 d
+    (exact,) = alg.solve_vertex_system((3, 3, 4, 4))
+    x = exact.edge
+
+    def moved_edge(h):
+        return {m: sk.angle_from_edge(m, x + h) for m in (3, 4)}, x + h
+
+    def shifted(d):
+        return {3: exact.angles[3] + d, 4: exact.angles[4] - d}, x
+
+    inside = [moved_edge(3e-10), shifted(3e-10)]
+    kept = alg._accepted([3, 4], [2, 2], [moved_edge(1e-9), shifted(1e-9)] + inside)
+    assert sorted((a.edge, a.angles[3]) for a in kept) == sorted((e, a[3]) for a, e in inside)
+
+
 def test_vertex_type_takes_integral_floats():
     # other non-integral sizes are rows of REJECTED_INPUTS in test_public_api
     assert alg.solve_vertex_system((4.0, 4, 5)) == alg.solve_vertex_system((4, 4, 5))

@@ -112,28 +112,37 @@ def test_verify_failure_line_carries_closure_witness(capsys, monkeypatch):
     )
 
 
-def _nudged_cube(emb):
-    """The cube's embedding with vertex 0 moved by 1e-4 and no stored angles."""
-    positions = {**emb.positions, 0: emb.positions[0] + [1e-4, 0.0, 0.0]}
-    return dataclasses.replace(emb, positions=positions)
+def _nudged_cube(by):
+    """A change to the cube's embedding: vertex 0 moved by ``by`` along x,
+    with no stored angles."""
+
+    def change(emb):
+        positions = {**emb.positions, 0: emb.positions[0] + [by, 0.0, 0.0]}
+        return dataclasses.replace(emb, positions=positions)
+
+    return change
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, failing",
     [
-        # the edge gate, 1e-9: an edge error just above it
-        lambda emb: dataclasses.replace(emb, edge_error=2e-9),
+        # the edge gate, 1e-9: an edge error just above it, and just inside
+        (lambda emb: dataclasses.replace(emb, edge_error=2e-9), ["embedding_closure"]),
+        (lambda emb: dataclasses.replace(emb, edge_error=5e-10), []),
         # the embedded-area gate, 1e-6: one corner moved, so the area measured
-        # from the positions is off by far more than the gate
-        _nudged_cube,
+        # from the positions is off by 1.1e-4 (far outside), 1.06e-6 (just
+        # outside) or 5.3e-7 (just inside)
+        (_nudged_cube(1e-4), ["embedding_closure"]),
+        (_nudged_cube(1e-6), ["embedding_closure"]),
+        (_nudged_cube(5e-7), []),
     ],
-    ids=["edge_error", "embedded_area"],
+    ids=["edge_error", "within-edge", "embedded_area", "just-outside-area", "within-area"],
 )
-def test_each_embedding_gate_fails_verify_alone(monkeypatch, change):
+def test_each_embedding_gate_fails_verify_alone(monkeypatch, change, failing):
     realize = embedder.realize
     monkeypatch.setattr(embedder, "realize", lambda *args, **kw: change(realize(*args, **kw)))
     # every other check passes: only the embedding gate sees the change
-    assert cli.verify_entry("C").failures() == ["embedding_closure"]
+    assert cli.verify_entry("C").failures() == failing
 
 
 @pytest.mark.parametrize(

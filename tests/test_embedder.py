@@ -631,23 +631,40 @@ def test_embedding_from_loaded_positions_measures_the_realized_angles():
             assert got == np.array(em.face_angles(t.map, emb, f)).tobytes(), (name, f)
 
 
-def test_face_angles_without_stored_angles_measure_that_face_alone():
-    # an Embedding with no stored angles measures only the face asked for,
-    # by realize's row-wise formulas, so summing face_area over all faces
-    # is linear: a positions dict (or a hosohedron's midpoints) holding that
-    # face's vertices (edges) alone gives the realized angles bit for bit
+def test_a_rebuilt_embedding_is_measured_once(monkeypatch):
+    # an Embedding built from copies of realize's positions (and a
+    # hosohedron's midpoints) measures the whole map at its first read and
+    # keeps the angles: summing face_angles over every face measures once,
+    # and each face reads realize's angles bit for bit
+    calls = []
+    measure = em._measure_corners
+
+    def counting(*args):
+        calls.append(args[0])
+        return measure(*args)
+
+    monkeypatch.setattr(em, "_measure_corners", counting)
     for name in list(cat.all_entries()) + ["prism(50)", "hosohedron(7)"]:
-        t = cat.make(name).map
-        emb = em.realize(t, cat.make(name).angles)
-        for f in range(t.num_faces):
-            if t.family == "hosohedron":
-                mids = {t.edge_of[d]: emb.arc_midpoints[t.edge_of[d]] for d in t.faces[f]}
-                alone = dataclasses.replace(emb, positions={}, arc_midpoints=mids)
-            else:
-                cycle = t.face_vertex_cycle(f)
-                alone = dataclasses.replace(emb, positions={v: emb.positions[v] for v in cycle})
-            got = np.array(em.face_angles(t, alone, f)).tobytes()
-            assert got == np.array(em.face_angles(t, emb, f)).tobytes(), (name, f)
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        positions = {v: p.copy() for v, p in emb.positions.items()}
+        mids = {e: p.copy() for e, p in emb.arc_midpoints.items()}
+        rebuilt = em.Embedding(positions, 0.0, math.nan, math.nan, mids)
+        calls.clear()
+        for f in range(t.map.num_faces):
+            got = np.array(em.face_angles(t.map, rebuilt, f)).tobytes()
+            assert got == np.array(em.face_angles(t.map, emb, f)).tobytes(), (name, f)
+        assert len(calls) == 1, name
+
+
+def test_embeddings_compare_by_identity():
+    # two embeddings of equal but distinct position arrays are not equal,
+    # and comparing them does not ask numpy for an array's truth value
+    t = cat.make("C")
+    blob = em.export_json(t.map, t.angles, em.realize(t.map, t.angles))
+    a, b = (em.Embedding(em.load_json(blob)[3], 0.0, 0.0, 0.0) for _ in range(2))
+    assert (a == b) is False
+    assert a == a and a != b
 
 
 def _format17_mismatches(x):

@@ -106,7 +106,10 @@ REJECTED_INPUTS = {
             [(0, 1, 2, 3), (4, 5, 0, 7), (0, 1, 5, 4), (1, 2, 0, 5), (2, 3, 7, 0), (3, 0, 4, 7)]
         ),
     ),
-    "digon_fan": (ValueError, lambda: tilemap.digon_fan(1)),
+    "digon_fan": (DomainError, lambda: tilemap.digon_fan(1)),
+    "digon_fan-2.5": (DomainError, lambda: tilemap.digon_fan(2.5)),
+    "digon_fan-nan": (DomainError, lambda: tilemap.digon_fan(math.nan)),
+    "digon_fan-'3'": (DomainError, lambda: tilemap.digon_fan("3")),
     "enumerate_candidate_types": (DomainError, lambda: vertexcomb.enumerate_candidate_types(2)),
     "enumerate_candidate_types-10001": (
         DomainError,
@@ -411,6 +414,11 @@ def test_an_integral_float_count_is_its_int(maker, n):
     # the count rule of sphkernel._check_size: 4.0 passes as 4
     t = maker(float(n))
     assert t.map == maker(n).map and t.angles == maker(n).angles
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_integral_float_digon_count_is_its_int(n):
+    assert tilemap.digon_fan(float(n)) == tilemap.digon_fan(n)
 
 
 def test_enumerate_takes_an_integral_float_max_size():

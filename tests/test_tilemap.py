@@ -266,6 +266,10 @@ def _hexagonal_bipyramid():
         # area alone is off by more than area_tol = 1e-8
         (lambda: _nudged("prism(400)", 1e-10), None, ["area"],
          {"area": 1.6e-7, "angle_sums": 2.0e-10, "companion": 4.0e-10}),
+        # 4 * 5e-12 too large each: the total area, off by 8e-9, lies just
+        # inside area_tol
+        (lambda: _nudged("prism(400)", 5e-12), None, [],
+         {"area": 7.9997e-9, "angle_sums": 9.999e-12, "companion": 2.0e-11}),
         (lambda: _nudged("C", 0.0), "O", ["census"], {"census": "census mismatch"}),
         (_square_torus, None, ["euler", "angle_sums", "area", "vertex_feasibility"],
          {"euler": -2.0, "vertex_feasibility": "inadmissible [(4, 4, 4, 4)]"}),
@@ -277,8 +281,8 @@ def _hexagonal_bipyramid():
         (lambda: _nudged("C", PI - catalog.make("C").angles.angle(4)), None,
          ["angle_sums", "area", "convexity", "companion"], {"convexity": 6.0}),
     ],
-    ids=["cube-angle-sums", "cube-within-tol", "prism400-area", "cube-as-O", "torus",
-         "bipyramid-degrees", "cube-convexity"],
+    ids=["cube-angle-sums", "cube-within-tol", "prism400-area", "prism400-within-area",
+         "cube-as-O", "torus", "bipyramid-degrees", "cube-convexity"],
 )
 def test_validate_negative_controls(case, expected, failing, readings):
     # No row fails degree_sum or face_sum, and no built map can: the faces
