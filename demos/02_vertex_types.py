@@ -35,12 +35,3 @@ print()
 print("== arrangements: cyclic orders up to rotation/reflection ==")
 for t in [(3, 4, 4, 5), (3, 3, 4, 4), (3, 3, 3, 3, 5)]:
     print(f"  {t}: {vc.arrangements(t)}")
-
-print()
-print("== remainders against the square-cupola angles ==")
-import math
-a4 = 2.0 * math.atan(math.sqrt(7.0 - 4.0 * math.sqrt(2.0)))
-assign = {3: 2 * math.pi - 3 * a4, 4: a4}
-print(f"  R() = {vc.remainder((), assign) / math.pi:.4f} pi")
-print(f"  R(4,4,4) = {vc.remainder((4, 4, 4), assign):.12f}  (= the triangle angle"
-      f" {assign[3]:.12f})")

@@ -83,8 +83,8 @@ del _DIGITS, _TRAILING
 # groups of zeros at the end of N (2) and the one before them (1)
 _ZERO_ENDS = 10000 * np.array([[0, 0, 1, 1], [0, 1, 2, 1], [0, 0, 1, 1], [1, 2, 2, 1],
                                [0, 0, 1, 1], [0, 1, 2, 1], [0, 0, 1, 1], [2, 2, 2, 1]])
-# where 10**(16 - e) is inexact, lo + |v| * s2 is within 1e-14 of the true
-# remainder, so a fraction within this of one half is left undecided
+# where 10**(16 - e) is inexact, lo + |v| * s2 is within 1e-14 of its true
+# value, so a fraction within this of one half is left undecided
 _TIE = 1e-9
 SLOT = 24  # bytes of the longest '%.17g' text, '-1.2345678901234567e-300'
 # values per kernel call: its temporaries stay small enough for the

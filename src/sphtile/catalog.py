@@ -3,21 +3,25 @@
 ``make(name)`` builds any member of the classification: the five Platonic
 and thirteen Archimedean tilings, the twenty-five circumscribable Johnson
 tilings, and the prism / antiprism / hosohedron / dihedron families.
-Constructors are coordinate-free combinatorial recipes: rectification,
-expansion, snubbing and truncation derive the Archimedean solids from
-Platonic seeds, and the Johnson tilings come from the structural
-operators (pyramid / cupola / prism subdivision, shrinking and
-truncation, cupola rotation and diminishing, hemisphere rotation and
-cutting) applied to their parents.  Cupola caps and hemispheres are both
-caps of one cut-and-reglue operator, ``_apply_cupola_ops``.  A builder
-reaches its parent through ``make``, whose cache is the one place a built
-entry is kept, so a pass over ``all_entries()`` builds each map once.  The
-twelve eD derivatives J72-J83 are the rows of ``_ED_RECIPES``:
-``derive_from_ed`` looks a recipe up there, and ``_from_ed`` builds a row.
+Constructors are coordinate-free combinatorial recipes: duality,
+truncation, rectification, expansion and snubbing derive D and the
+Archimedean tilings from a seed entry.  J1, J2, J4, J5 and J19 are face
+lists, J11, J62 and J63 the icosahedron under ``pyramid_diminish``, and
+the other Johnson tilings their parents under cupola rotation and
+diminishing or hemisphere rotation and cutting, which treat a cupola and
+a hemisphere as caps of one cut-and-reglue operator, ``_apply_cupola_ops``.
+A builder reaches its parent through ``make``, whose cache is the one
+place a built entry is kept, so a pass over ``all_entries()`` builds each
+map once.  The twelve eD derivatives J72-J83 are the rows of
+``_ED_RECIPES``: ``derive_from_ed`` looks a recipe up there, and
+``_from_ed`` builds a row.
 
-Every entry carries golden metric data (exact closed-form angles and edge
-length) and a golden census, against which ``tilemap.validate`` runs.  A
-census is kept as its vertex arrangement counts; the rest is derived.
+Every entry carries golden angles, edge length and census (kept as its
+vertex arrangement counts), against which ``tilemap.validate`` runs.  The
+named entries' angles are closed forms (sD's a sextic root) or a parent's;
+a hosohedron's digon is 2*pi/n and a dihedron's n-gon pi; other prisms and
+antiprisms up to 12 read ``_PINNED_FAMILY_ANGLES``, larger ones the one
+solution of ``solve_vertex_system``.
 """
 
 from __future__ import annotations

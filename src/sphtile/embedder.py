@@ -307,8 +307,7 @@ def realize(
         # a NaN gap never counts, as it would not in a scalar `gap > worst`
         gaps = np.fmax(np.sqrt(_dot(gap, gap)), 0.0)
         i = int(np.argmax(gaps))
-        if gaps[i] > 0.0:
-            worst_closure, witness = float(gaps[i]), (int(v[i]), int(f[i]))
+        worst_closure, witness = float(gaps[i]), (int(v[i]), int(f[i]))
     if worst_closure > closure_tol:
         raise ClosureFailure(
             f"closure error {worst_closure:.3e} at vertex {witness[0]} "

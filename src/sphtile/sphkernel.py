@@ -216,10 +216,14 @@ def circumradius(m: int, alpha: float) -> float:
 
 
 def polygon_area(m: int, alpha: float) -> float:
-    """Spherical excess area m*alpha - (m - 2)*pi; valid for m >= 2."""
+    """Spherical excess area m*alpha - (m - 2)*pi; valid for m >= 2, and
+    ``DomainError`` where it overflows (a size near the largest double)."""
     _check_size(m, 2)
     _check_angle(alpha)
-    return m * alpha - (m - 2) * math.pi
+    area = m * alpha - (m - 2) * math.pi
+    if not math.isfinite(area):
+        raise DomainError(f"the area of a {m}-gon of angle {alpha} overflows")
+    return area
 
 
 def companion_residual(m: int, alpha_m: float, n: float, alpha_n: float) -> float:

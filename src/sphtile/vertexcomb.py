@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .sphkernel import TWO_PI, DomainError, _check_angle, _check_size, _check_tol
+from .sphkernel import DomainError, _check_size
 
 __all__ = [
     "MissingAngle",
@@ -33,10 +33,8 @@ __all__ = [
     "enumerate_candidate_types",
     "with_triangle",
     "triangle_free",
-    "remainder",
     "canonical_arrangement",
     "arrangements",
-    "feasible_types",
 ]
 
 VertexType = tuple  # sorted tuple of face sizes
@@ -119,30 +117,6 @@ def triangle_free(types: Iterable[VertexType]) -> list[VertexType]:
     return [t for t in types if 3 not in t]
 
 
-def _angle_map(assign) -> Mapping[int, float]:
-    # accept either an AngleAssignment-like object or a plain mapping
-    return getattr(assign, "angles", assign)
-
-
-def remainder(partial: Sequence[int], assign) -> float:
-    """2*pi minus the angles of the given partial multiset of face sizes.
-
-    May be negative or zero, which signals that the partial vertex cannot
-    be extended.  A size with no angle raises ``MissingAngle``, and an angle
-    outside (0, 2*pi) ``DomainError`` (``_check_angle``).
-    """
-    angles = _angle_map(assign)
-    total = 0.0
-    for m in partial:
-        try:
-            alpha = angles[m]
-        except KeyError:
-            raise MissingAngle(m) from None
-        _check_angle(alpha)
-        total += alpha
-    return TWO_PI - total
-
-
 def canonical_arrangement(cycle: Sequence[int]) -> Arrangement:
     """Lexicographically minimal representative under rotation and reflection."""
     seq = tuple(cycle)
@@ -169,26 +143,3 @@ def arrangements(t: Sequence[int]) -> list[Arrangement]:
         raise DomainError(f"a vertex type has at most {MAX_DEGREE} entries, got {len(t)}")
     sizes = sorted(_check_size(m) for m in t)
     return sorted({canonical_arrangement(p) for p in itertools.permutations(sizes)})
-
-
-def feasible_types(assign, tol: float = 1e-9) -> list[VertexType]:
-    """Candidate types over the assignment's sizes with angle sum 2*pi.
-
-    Enumerates multisets of degree 3..5 drawn from the face sizes present
-    in ``assign`` and keeps those whose angle sum is within ``tol`` of
-    2*pi.  ``tol`` must be finite and > 0 (``_check_tol``) and each angle
-    lie in (0, 2*pi) (``_check_angle``), else ``DomainError``.
-    """
-    _check_tol(tol)
-    angles = _angle_map(assign)
-    for alpha in angles.values():
-        _check_angle(alpha)
-    sizes = sorted(angles)
-    out = []
-    for degree in range(MIN_DEGREE, MAX_DEGREE + 1):
-        for combo in itertools.combinations_with_replacement(sizes, degree):
-            total = sum(angles[m] for m in combo)
-            if abs(total - TWO_PI) <= tol:
-                out.append(combo)
-    out.sort()
-    return out

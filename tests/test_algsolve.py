@@ -973,6 +973,22 @@ def test_determinism():
     assert [s.edge for s in a] == [s.edge for s in b]
 
 
+# at eD's edge the decagon closes a vertex convex as 4.5.10 (J76's decagon)
+# and reflex as 3.4.10 (J5's cupola base)
+@pytest.mark.parametrize(
+    "t, entry, decagon",
+    [((3, 4, 4, 5), "eD", None), ((4, 5, 10), "J76", 0.8598), ((3, 4, 10), "J5", 1.1402)],
+)
+def test_ed_edge_types_have_their_catalog_angles(t, entry, decagon):
+    (s,) = alg.solve_vertex_system(t)
+    assert s.edge == pytest.approx(catalog.make("eD").angles.edge, abs=1e-12)
+    want = catalog.make(entry).angles.angles
+    for m in set(t):
+        assert s.angles[m] == pytest.approx(want[m], abs=1e-12), m
+    if decagon is not None:
+        assert s.angles[10] / PI == pytest.approx(decagon, abs=5e-5)
+
+
 def test_cross_validation_companion_size_ten():
     s = alg.solve_vertex_system((3, 4, 4, 5))[0]
     a3, a4, a5 = s.angles[3], s.angles[4], s.angles[5]

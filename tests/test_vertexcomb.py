@@ -9,7 +9,6 @@ from sphtile import vertexcomb as vc
 from sphtile.algsolve import AngleAssignment
 
 PI = math.pi
-SQ5 = math.sqrt(5.0)
 
 
 def brute_force_types(max_size):
@@ -171,42 +170,8 @@ def test_canonical_arrangement_matches_brute_force_oracle():
     assert vc.canonical_arrangement(()) == ()
 
 
-def test_remainder():
-    assert vc.remainder((), {}) == pytest.approx(2 * PI)
-    # triangular-prism relation: two squares leave exactly the triangle angle
-    a3 = 4 * math.atan(1 / math.sqrt(7))
-    assign = {3: a3, 4: PI - a3 / 2}
-    assert vc.remainder((4, 4), assign) == pytest.approx(a3, abs=1e-12)
-    # square-cupola relation: three squares leave the triangle angle
-    a4 = 2 * math.atan(math.sqrt(7 - 4 * math.sqrt(2)))
-    assign = {3: 2 * PI - 3 * a4, 4: a4}
-    assert vc.remainder((4, 4, 4), assign) == pytest.approx(assign[3], abs=1e-12)
-    with pytest.raises(vc.MissingAngle):
-        vc.remainder((3, 7), assign)
-
-
-def _ed_angles():
-    a3 = math.acos((5 + 2 * SQ5) / 20)
-    a4 = math.acos((2 * SQ5 - 5) / 10)
-    a5 = math.acos((5 - 9 * SQ5) / 40)
-    return a3, a4, a5
-
-
-def test_feasible_types_decagon_families():
-    a3, a4, a5 = _ed_angles()
-    # the convex decagon of the diminished family and the concave decagon
-    # of the cupola are reflex complements; together they realize the
-    # full set of possible decagon vertex types
-    convex = AngleAssignment.from_angles({3: a3, 4: a4, 5: a5, 10: a3 + a4})
-    concave = AngleAssignment.from_angles({3: a3, 4: a4, 5: a5, 10: 2 * PI - a3 - a4})
-    union = set(vc.feasible_types(convex)) | set(vc.feasible_types(concave))
-    assert union == {(3, 4, 4, 5), (3, 4, 10), (4, 5, 10)}
-    assert vc.feasible_types(convex) == [(3, 4, 4, 5), (4, 5, 10)]
-    assert vc.feasible_types(concave) == [(3, 4, 4, 5), (3, 4, 10)]
-
-
-def test_feasible_types_simple_cases():
-    assert vc.feasible_types({3: 2 * PI / 3}) == [(3, 3, 3)]
-    got = vc.feasible_types({3: 2 * PI / 5, 5: 4 * PI / 5})
-    for expected in [(3, 3, 3, 3, 3), (3, 3, 3, 5), (3, 5, 5)]:
-        assert expected in got
+def test_angle_assignment_raises_missing_angle_for_an_absent_size():
+    assign = AngleAssignment.from_angles({3: 2 * PI / 3})
+    with pytest.raises(vc.MissingAngle) as info:
+        assign.angle(7)
+    assert isinstance(info.value, KeyError) and info.value.args == (7,)
