@@ -13,11 +13,17 @@ discrepancy, so the walk doubles as a consistency check of the angle
 assignment.
 
 Every embedding is measured in one way: ``_measure_corners`` reads every
-corner of the map from one array, the (V, 3) positions (a hosohedron's
-(E, 3) edge midpoints), and the embedding keeps the angles for
+corner of the map from one array, the (3, V) positions (a hosohedron's
+(3, E) edge midpoints), and the embedding keeps the angles for
 ``total_area`` and ``face_angles`` and the positions for the export.
 ``realize`` measures every dart once, edge lengths included; an embedding
 built any other way is measured whole at its first read.
+
+Every kernel holds the three coordinates on the leading axis of a (3, N)
+array, so each gather, cross product, dot and sum over the components
+works on whole contiguous rows.  Positions are (V, 3) rows only where the
+export formats them: the embedding keeps them so (``realize``'s
+transposed once), and the export hands them to the kernels transposed.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly.  Their
 edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
@@ -75,8 +81,9 @@ class Embedding:
     """Vertex positions on the unit sphere plus walk-quality metrics.
 
     ``positions`` maps each vertex id to its position, a 3-vector.  An
-    embedding keeps what it makes from them: its positions as one (V, 3)
-    array, stacked at its first export or measurement, and the corner
+    embedding keeps what it makes from them: its positions as the rows of
+    one (V, 3) array, stacked at its first export or measurement (the
+    measurement reads its transposed view as (3, V) columns), and the corner
     angle of every dart, measured over the whole map at its first
     measurement (a hosohedron's from its ``arc_midpoints``).  ``realize``'s
     embedding arrives with both.  So positions and midpoints are read
@@ -101,35 +108,37 @@ _J = np.array([2, 0, 1])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products of two 3-vectors, or of matching rows of two (N, 3) arrays.
+    """Cross products of two 3-vectors, or of matching columns of two
+    (3, ...) arrays, the components on the leading axis.
 
     The same products and differences, in the same order, as ``np.cross``,
     so the result is bit-identical, in seven numpy calls.  ``take`` copies
     the same values as fancy indexing at a fraction of its call overhead,
-    so here and in ``realize`` it does the gathering.
+    so here and in ``realize`` it does the gathering; on the leading axis
+    each call copies whole component rows.
     """
-    return a.take(_I, -1) * b.take(_J, -1) - a.take(_J, -1) * b.take(_I, -1)
+    return a.take(_I, 0) * b.take(_J, 0) - a.take(_J, 0) * b.take(_I, 0)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of matching rows of two (N, 3) arrays.
+    """Dot products of matching columns of two (3, N) arrays.
 
-    Stacked ``matmul`` reaches the same BLAS dot as ``np.dot`` on single
-    3-vectors, so each row is bit-identical to it; ``np.sum(a * b, axis=1)``
-    and ``einsum`` round differently.
+    Stacked ``matmul`` over the transposed views reaches the same BLAS dot
+    as ``np.dot`` on single 3-vectors, so each column is bit-identical to
+    it; ``np.add.reduce(a * b, axis=0)`` and ``einsum`` round differently.
     """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a.T[:, None, :] @ b.T[:, :, None])[:, 0, 0]
 
 
 def _arc_lengths(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Great-circle distances between matching rows of two (N, 3) arrays.
+    """Great-circle distances between matching columns of two (3, N) arrays.
 
-    ``np.sqrt(np.add.reduce(w * w, axis=1))`` and ``np.add.reduce`` are what
-    ``np.linalg.norm(w, axis=1)`` and ``np.sum`` compute, without their
-    argument handling.
+    Each sum over axis 0 adds the three components in order, so a column
+    rounds as ``np.linalg.norm`` and ``np.sum`` round a row of an (N, 3)
+    array; ``np.add.reduce`` skips their argument handling.
     """
     w = _cross(u, v)
-    return np.arctan2(np.sqrt(np.add.reduce(w * w, axis=1)), np.add.reduce(u * v, axis=1))
+    return np.arctan2(np.sqrt(np.add.reduce(w * w, axis=0)), np.add.reduce(u * v, axis=0))
 
 
 def _measured(
@@ -139,22 +148,25 @@ def _measured(
     closure_error: float,
     mids: Optional[np.ndarray] = None,
 ) -> Embedding:
-    """The embedding at positions ``pos`` (a (V, 3) array) and edge
-    midpoints ``mids`` (an (E, 3) array by edge id, for a hosohedron), its
+    """The embedding at positions ``pos`` (a (3, V) array) and edge
+    midpoints ``mids`` (a (3, E) array by edge id, for a hosohedron), its
     corner angles and edge lengths measured once against ``assign``.  Each
     edge is measured from both of its darts, to the same bits, and every
-    edge of a hosohedron joins its two poles."""
+    edge of a hosohedron joins its two poles.  The embedding keeps the
+    positions, and a hosohedron's midpoints, as rows: one transposed copy
+    each."""
     if mids is None:
         angles, lengths = _measure_corners(t, pos)
     else:
-        angles, lengths = _measure_corners(t, mids)[0], _arc_lengths(pos[:1], pos[1:])
+        angles, lengths = _measure_corners(t, mids)[0], _arc_lengths(pos[:, :1], pos[:, 1:])
     edge_error = float(np.max(np.abs(lengths - assign.edge)))
     sizes = t.face_size_of
-    want = np.array([*map({m: assign.angle(m) for m in set(sizes)}.__getitem__, sizes)])
-    angle_error = float(np.max(np.abs(angles - want)))
-    arcs = {} if mids is None else dict(enumerate(mids))
-    emb = Embedding(dict(enumerate(pos)), closure_error, edge_error, angle_error, arcs)
-    emb._angles, emb._points = angles, pos
+    want = map({m: assign.angle(m) for m in set(sizes)}.__getitem__, sizes)
+    angle_error = float(np.max(np.abs(angles - np.fromiter(want, float, len(sizes)))))
+    points = pos.T.copy()
+    arcs = {} if mids is None else dict(enumerate(mids.T.copy()))
+    emb = Embedding(dict(enumerate(points)), closure_error, edge_error, angle_error, arcs)
+    emb._angles, emb._points = angles, points
     return emb
 
 
@@ -198,10 +210,11 @@ def realize(
         # meridian at longitude i * alpha, fixed by its midpoint
         a = assign.angle(2)
         _check_angle(a)
-        mids = np.zeros((t.num_edges, 3))
-        mids[:, 0] = [math.cos(i * a) for i in range(t.num_edges)]
-        mids[:, 1] = [math.sin(i * a) for i in range(t.num_edges)]
-        return _measured(t, assign, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), 0.0, mids)
+        mids = np.zeros((3, t.num_edges))
+        mids[0] = [math.cos(i * a) for i in range(t.num_edges)]
+        mids[1] = [math.sin(i * a) for i in range(t.num_edges)]
+        poles = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, -1.0]])
+        return _measured(t, assign, poles, 0.0, mids)
 
     origin, edge_pair, face_of, faces = t.origin, t.edge_pair, t.face_of, t.faces
     cosx = math.cos(assign.edge)
@@ -223,17 +236,17 @@ def realize(
             [math.sin(i * step) for i in range(1, m)],
         )
 
-    # rows: every position the walk computes, in walk order, the seed face's
-    # first; first[v] is the row that placed vertex v
+    # cols: every position the walk computes, a column each, in walk order,
+    # the seed face's first; first[v] is the column that placed vertex v
     m0 = len(faces[0])
     first = [-1] * t.num_vertices
     for j, v in enumerate(t.face_vertex_cycle(0)):
         first[v] = j
 
-    # the walk: per face the rows of its start edge's ends and its centre
-    # coefficients; per further row its face's index within the level and
-    # its turn; per revisit the vertex, the face and the row, kept flat (a
-    # tuple per revisit about doubles their memory on large maps)
+    # the walk: per face the columns of its start edge's ends and its centre
+    # coefficients; per further column its face's index within the level
+    # and its turn; per revisit the vertex, the face and the column, kept
+    # flat (a tuple per revisit about doubles their memory on large maps)
     ends, coefs, owner, cos_r, sin_r, revisits, levels = [], [], [], [], [], [], []
     done = [False] * len(faces)
     done[0] = True
@@ -269,41 +282,41 @@ def realize(
         entries = children
 
     # the seed face: centre at the north pole, vertices on the circumradius circle
-    rows = np.empty((m0 + len(owner), 3))
+    cols = np.empty((3, m0 + len(owner)))
     sr, cr = math.sin(radii[m0]), math.cos(radii[m0])
     phis = [TWO_PI * j / m0 for j in range(m0)]
-    rows[:m0, 0] = [sr * math.cos(phi) for phi in phis]
-    rows[:m0, 1] = [sr * math.sin(phi) for phi in phis]
-    rows[:m0, 2] = cr
-    # the start edges' end rows and the centre coefficients as (2, F)
-    # blocks, and per further row its turn's cosine, sine and 1 - cosine
+    cols[0, :m0] = [sr * math.cos(phi) for phi in phis]
+    cols[1, :m0] = [sr * math.sin(phi) for phi in phis]
+    cols[2, :m0] = cr
+    # the start edges' end columns and the centre coefficients as (2, F)
+    # blocks, and per further column its turn's cosine, sine and 1 - cosine
     ends = np.array(ends, dtype=np.intp).reshape(-1, 2).T
-    coefs = np.array(coefs).reshape(-1, 2).T[:, :, None]
+    coefs = np.array(coefs).reshape(-1, 2).T
     owner = np.array(owner, dtype=np.intp)
     turn = np.array([cos_r, sin_r])
-    turn = np.concatenate([turn, 1.0 - turn[:1]])[:, :, None]
+    turn = np.concatenate([turn, 1.0 - turn[:1]])
 
     f0, r0 = 0, m0
     for f1, r1 in levels:
-        uv, ab = rows.take(ends[:, f0:f1], 0), coefs[:, f0:f1]
-        u, v, a, b = uv[0], uv[1], ab[0], ab[1]
+        u, v = cols.take(ends[0, f0:f1], 1), cols.take(ends[1, f0:f1], 1)
+        a, b = coefs[:, f0:f1]
         centre = a * (u + v) + b * _cross(u, v)
-        centre = centre / np.sqrt(_dot(centre, centre))[:, None]
+        centre = centre / np.sqrt(_dot(centre, centre))
         # rotate each face's first vertex about its centre to the others:
-        # each row reads its face's u and centre and its own turn
+        # each column reads its face's u and centre and its own turn
         o = owner[r0 - m0 : r1 - m0]
-        u, centre = u.take(o, 0), centre.take(o, 0)
+        u, centre = u.take(o, 1), centre.take(o, 1)
         cos_c, sin_c, cos1_c = turn[:, r0 - m0 : r1 - m0]
-        rows[r0:r1] = (
-            u * cos_c + _cross(centre, u) * sin_c + (centre * _dot(centre, u)[:, None]) * cos1_c
+        cols[:, r0:r1] = (
+            u * cos_c + _cross(centre, u) * sin_c + (centre * _dot(centre, u)) * cos1_c
         )
         f0, r0 = f1, r1
 
-    pos = rows.take(first, 0)
+    pos = cols.take(first, 1)
     worst_closure, witness = 0.0, None
     if revisits:
-        v, f, row = np.array(revisits, dtype=np.intp).reshape(-1, 3).T
-        gap = pos.take(v, 0) - rows.take(row, 0)
+        v, f, col = np.array(revisits, dtype=np.intp).reshape(-1, 3).T
+        gap = pos.take(v, 1) - cols.take(col, 1)
         # a NaN gap never counts, as it would not in a scalar `gap > worst`
         gaps = np.fmax(np.sqrt(_dot(gap, gap)), 0.0)
         i = int(np.argmax(gaps))
@@ -321,27 +334,33 @@ def _measure_corners(t: TilingMap, points: np.ndarray) -> tuple:
     """Per dart: the interior angle at its origin, reflex angles included,
     and the arc to the next corner, as two arrays.
 
-    ``points`` is the (V, 3) array of positions by vertex id.  A corner is
+    ``points`` is the (3, V) array of positions by vertex id.  A corner is
     read from the positions of its origin and of the previous and the next
     vertex of its face, so the arc is the dart's edge.  A hosohedron's
-    ``points`` are its (E, 3) edge midpoints by edge id: a digon's angle is
+    ``points`` are its (3, E) edge midpoints by edge id: a digon's angle is
     the arc between its two edges' midpoints.  ``ClosureFailure`` if a
-    corner has a coincident or antipodal neighbour.
+    corner has a coincident or antipodal neighbour.  The corners are
+    gathered as (3, D) and (3, 2, D) arrays.
     """
-    key = np.asarray(t.edge_of if t.family == "hosohedron" else t.origin)
-    at = points.take(key, 0)
-    toward = points.take(key.take(np.array((t.face_prev, t.face_next))), 0)
-    lengths = _arc_lengths(at, toward[1])
+    n = t.num_darts
+    key = np.fromiter(t.edge_of if t.family == "hosohedron" else t.origin, np.intp, n)
+    # per dart the previous and the next dart of its face
+    around = np.empty((2, n), np.intp)
+    around[1] = np.fromiter(t.face_next, np.intp, n)
+    around[0, around[1]] = np.arange(n)
+    at = points.take(key, 1)
+    toward = points.take(key.take(around), 1)
+    lengths = _arc_lengths(at, toward[:, 1])
     if t.family == "hosohedron":
         return lengths, lengths
     # tangents at each corner toward the previous and the next face vertex
-    tv = toward - at * np.add.reduce(at * toward, axis=2, keepdims=True)
-    norm = np.sqrt(np.add.reduce(tv * tv, axis=2, keepdims=True))
+    tv = toward - at[:, None] * np.add.reduce(at[:, None] * toward, axis=0)
+    norm = np.sqrt(np.add.reduce(tv * tv, axis=0))
     if (norm < 1e-14).any():
         raise ClosureFailure("degenerate tangent between coincident/antipodal points")
-    t_prev, t_next = tv / norm
-    turn = np.add.reduce(at * _cross(t_prev, t_next), axis=1)
-    raw = np.arctan2(turn, np.add.reduce(t_prev * t_next, axis=1))
+    t_prev, t_next = (tv / norm).swapaxes(0, 1)
+    turn = np.add.reduce(at * _cross(t_prev, t_next), axis=0)
+    raw = np.arctan2(turn, np.add.reduce(t_prev * t_next, axis=0))
     # faces run counterclockwise about their centres, so the interior angle
     # is the clockwise turn from t_prev to t_next
     return (-raw) % TWO_PI, lengths
@@ -377,7 +396,7 @@ def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
     from its positions (a hosohedron's midpoints)."""
     if emb._angles is None:
         points = _corners(t, emb) if t.family != "hosohedron" else _midpoints(t, emb)
-        emb._angles = _measure_corners(t, points)[0]
+        emb._angles = _measure_corners(t, points.T)[0]
     return emb._angles
 
 
@@ -414,17 +433,18 @@ def _arcs(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     (N, 3) arrays, as an (N, steps - 1, 3) array.
 
     Each arc is split into ``steps`` equal parts by spherical linear
-    interpolation: its angle g is measured once, with ``math.atan2``.  The
-    products s * g and (1 - s) * g over all arcs and fractions s are two
-    outer products, and ``math.sin`` is mapped over them; where 1 - s is
-    exactly another fraction (at every s when ``steps`` is a power of two)
-    the sine of that fraction's product is reused.  All the points of all
-    the arcs then come out of one broadcast.
+    interpolation: its angle g is measured once, with ``math.atan2`` (the
+    kernels read the rows as (3, N) transposed views).  The products s * g
+    and (1 - s) * g over all arcs and fractions s are two outer products,
+    and ``math.sin`` is mapped over them; where 1 - s is exactly another
+    fraction (at every s when ``steps`` is a power of two) the sine of that
+    fraction's product is reused.  All the points of all the arcs then come
+    out of one broadcast.
     """
     fracs = np.arange(1, steps) / steps
-    w = _cross(u, v)
+    w = _cross(u.T, v.T)
     angs = np.array(
-        [math.atan2(y, x) for y, x in zip(np.sqrt(_dot(w, w)).tolist(), _dot(u, v).tolist())]
+        [math.atan2(y, x) for y, x in zip(np.sqrt(_dot(w, w)).tolist(), _dot(u.T, v.T).tolist())]
     )
     b = _sines(np.multiply.outer(angs, fracs))[:, :, None]
     # column i of a is sin((1 - s_i) * g), read from b's mirrored column
@@ -471,7 +491,7 @@ def _fans(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray], apex0: 
     by_size = {}
     for f, face in enumerate(t.faces):
         by_size.setdefault(len(face), []).append(f)
-    origin = np.asarray(t.origin)
+    origin = np.fromiter(t.origin, np.intp, t.num_darts)
     sizes = np.array([*map(len, t.faces)])
     starts = np.cumsum(sizes) - sizes
     apexes = np.empty((t.num_faces, 3))
@@ -484,7 +504,7 @@ def _fans(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray], apex0: 
         # between the midpoints of its two edges
         pts = mids[np.asarray(t.edge_of)[darts]] if m == 2 else corners[ends]
         c = pts.sum(axis=1)
-        norms = np.sqrt(_dot(c, c))
+        norms = np.sqrt(_dot(c.T, c.T))
         for j in np.flatnonzero(norms < 1e-9).tolist():
             p = pts[j]
             if m == 2:

@@ -388,7 +388,7 @@ def _scalar_realize(t, assign, gaps=None):
 
     pos = np.array([positions[v] for v in range(t.num_vertices)])
     u, v = np.array(t.edges).T
-    edge_error = float(np.max(np.abs(em._arc_lengths(pos[u], pos[v]) - assign.edge)))
+    edge_error = float(np.max(np.abs(em._arc_lengths(pos[u].T, pos[v].T) - assign.edge)))
     emb = em.Embedding(positions, worst, edge_error, math.nan)
     want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
     emb.angle_error = float(np.max(np.abs(em._corner_angles(t, emb) - want)))
@@ -440,43 +440,115 @@ def test_closure_sees_a_small_angle_shift(shift, fails):
         assert 0.0 < em.realize(t.map, shifted).closure_error <= 1e-7
 
 
+def _row_measure_corners(t, points):
+    """Reference: every corner measured on rows, ``points`` an (N, 3)
+    array, each sum over the components a reduce over the last axis."""
+    key = np.asarray(t.edge_of if t.family == "hosohedron" else t.origin)
+    at = points.take(key, 0)
+    toward = points.take(key.take(np.array((t.face_prev, t.face_next))), 0)
+    w = np.cross(at, toward[1])
+    dot = np.add.reduce(at * toward[1], axis=1)
+    lengths = np.arctan2(np.sqrt(np.add.reduce(w * w, axis=1)), dot)
+    if t.family == "hosohedron":
+        return lengths, lengths
+    tv = toward - at * np.add.reduce(at * toward, axis=2, keepdims=True)
+    norm = np.sqrt(np.add.reduce(tv * tv, axis=2, keepdims=True))
+    t_prev, t_next = tv / norm
+    turn = np.add.reduce(at * np.cross(t_prev, t_next), axis=1)
+    raw = np.arctan2(turn, np.add.reduce(t_prev * t_next, axis=1))
+    return (-raw) % (2 * PI), lengths
+
+
+def test_measure_corners_matches_the_row_oracle_bit_for_bit():
+    # the angles and arc lengths of every dart, on the catalog, the family
+    # maps and the largest dihedron and hosohedra, from the (3, V) columns
+    # realize measures and from the transposed view of the kept rows
+    sweep = ["dihedron(1600)", "hosohedron(3)", "hosohedron(400)", "hosohedron(1600)"]
+    for name in list(cat.all_entries()) + FAMILY_MAPS + sweep:
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        rows = em._midpoints(t.map, emb) if t.map.family == "hosohedron" else emb._points
+        angles, lengths = _row_measure_corners(t.map, rows)
+        assert emb._angles.tobytes() == angles.tobytes(), name
+        for points in (np.ascontiguousarray(rows.T), rows.T):
+            got = em._measure_corners(t.map, points)
+            assert got[0].tobytes() == angles.tobytes(), name
+            assert got[1].tobytes() == lengths.tobytes(), name
+
+
+_U = np.array([0.3, -1.7, 2.9])
+_Z = np.array([0.0, -0.0, 0.0])
+# signed zeros, parallel and antiparallel pairs
+SPECIALS = [
+    (_Z, _U), (_U, _Z), (-_Z, _Z), (_Z, -_Z),
+    (np.array([-0.0, 0.0, -0.0]), np.array([1.0, -1.0, 0.0])),
+    (_U, _U), (_U, 3.0 * _U), (_U, -_U), (_U, -0.25 * _U),
+    (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
+]
+
+
+def _scaled_rows(seed):
+    """Two (10000, 3) arrays of normal rows, each row scaled by 1e-8 .. 1e8."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+            for _ in range(2)]
+
+
 def test_cross_matches_numpy_bit_for_bit():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
-    b = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+    a, b = _scaled_rows(7)
     want = np.cross(a, b)
     for i in range(len(a)):
         assert em._cross(a[i], b[i]).tobytes() == want[i].tobytes(), i
-    u = np.array([0.3, -1.7, 2.9])
-    z = np.array([0.0, -0.0, 0.0])
-    specials = [
-        (z, u), (u, z), (-z, z), (z, -z),
-        (np.array([-0.0, 0.0, -0.0]), np.array([1.0, -1.0, 0.0])),
-        (u, u), (u, 3.0 * u), (u, -u), (u, -0.25 * u),
-        (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
-    ]
-    for p, q in specials:
+    for p, q in SPECIALS:
         assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes(), (p, q)
-    # the same function on whole (N, 3) arrays, row by row
-    assert em._cross(a, b).tobytes() == want.tobytes()
-    p, q = np.array([s[0] for s in specials]), np.array([s[1] for s in specials])
-    assert em._cross(p, q).tobytes() == np.cross(p, q).tobytes()
+    # the same function on (3, N) columns: contiguous, transposed views,
+    # strided and gathered
+    cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    assert em._cross(cols_a, cols_b).tobytes() == want.T.tobytes()
+    assert em._cross(a.T, b.T).tobytes() == want.T.tobytes()
+    assert em._cross(cols_a[:, ::3], cols_b[:, ::3]).tobytes() == want[::3].T.tobytes()
+    cols = np.arange(0, 10_000, 7)
+    got = em._cross(cols_a.take(cols, 1), cols_b.take(cols, 1))
+    assert got.tobytes() == want[cols].T.tobytes()
+    p, q = (np.array(c) for c in zip(*SPECIALS))
+    assert em._cross(p.T, q.T).tobytes() == np.cross(p, q).T.tobytes()
 
 
-def test_row_dot_matches_numpy_dot_bit_for_bit():
-    # np.sum(a * b, axis=1) rounds differently from np.dot on about a third
-    # of these rows; the positions and gaps of realize depend on _dot's bits
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
-    b = rng.standard_normal((10_000, 3)) * 10.0 ** rng.integers(-8, 9, (10_000, 1))
+def test_column_dot_matches_numpy_dot_bit_for_bit():
+    # np.add.reduce(a * b, axis=0) rounds differently from np.dot on about a
+    # third of these columns; the positions and gaps of realize depend on
+    # _dot's bits
+    a, b = _scaled_rows(11)
     want = np.array([np.dot(p, q) for p, q in zip(a, b)])
-    assert em._dot(a, b).tobytes() == want.tobytes()
-    # gathered and strided rows, and a row's dot with itself
-    assert em._dot(a[::3], b[::3]).tobytes() == want[::3].tobytes()
-    rows = np.arange(0, 10_000, 7)
-    assert em._dot(a[rows], b[rows]).tobytes() == want[rows].tobytes()
-    assert em._dot(a, a).tobytes() == np.array([p.dot(p) for p in a]).tobytes()
-    assert em._dot(a[:1], b[:1]).tobytes() == want[:1].tobytes()
+    cols_a, cols_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    assert em._dot(cols_a, cols_b).tobytes() == want.tobytes()
+    # transposed views, strided and gathered columns, a column's dot with
+    # itself, one column, and the specials
+    assert em._dot(a.T, b.T).tobytes() == want.tobytes()
+    assert em._dot(cols_a[:, ::3], cols_b[:, ::3]).tobytes() == want[::3].tobytes()
+    cols = np.arange(0, 10_000, 7)
+    got = em._dot(cols_a.take(cols, 1), cols_b.take(cols, 1))
+    assert got.tobytes() == want[cols].tobytes()
+    assert em._dot(cols_a, cols_a).tobytes() == np.array([p.dot(p) for p in a]).tobytes()
+    assert em._dot(cols_a[:, :1], cols_b[:, :1]).tobytes() == want[:1].tobytes()
+    p, q = (np.array(c) for c in zip(*SPECIALS))
+    assert em._dot(p.T, q.T).tobytes() == np.array([np.dot(*s) for s in SPECIALS]).tobytes()
+
+
+def test_component_sums_match_row_sums_bit_for_bit():
+    # _measure_corners and _arc_lengths add the components over the leading
+    # axis of (3, N) and (3, 2, N) arrays: the same additions, in the same
+    # order, as a sum over each row of an (N, 3) array.  Rows of signed
+    # zeros included: three -0.0 add to +0.0 either way
+    a, _ = _scaled_rows(13)
+    a[:4] = [[-0.0, -0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, -0.0], [1e-300, -1e-300, -0.0]]
+    want = np.add.reduce(a, axis=1)
+    assert want[:4].tobytes() == np.zeros(4).tobytes()
+    cols = np.ascontiguousarray(a.T)
+    assert np.add.reduce(cols, axis=0).tobytes() == want.tobytes()
+    assert np.add.reduce(a.T, axis=0).tobytes() == want.tobytes()
+    pairs = np.stack([cols, cols[:, ::-1]], axis=1)
+    assert np.add.reduce(pairs, axis=0).tobytes() == np.stack([want, want[::-1]]).tobytes()
 
 
 def test_total_area_reads_the_measured_angles_bit_for_bit():
