@@ -38,7 +38,7 @@ print("== hemisphere faces sit on great circles ==")
 t = cat.make("J1")
 emb = em.realize(t.map, t.angles)
 square = cat.faces_of_size(t.map, 4)[0]
-pts = np.array([emb.positions[v] for v in t.map.face_vertex_cycle(square)])
+pts = emb.points[list(t.map.face_vertex_cycle(square))]
 print(f"  J1 square co-planarity (smallest singular value): "
       f"{np.linalg.svd(pts)[1][2]:.2e}")
 

@@ -12,24 +12,25 @@ vertex in the walk places it, and every later one measures the closure
 discrepancy, so the walk doubles as a consistency check of the angle
 assignment.
 
-Every embedding is measured in one way: ``_measure_corners`` reads every
-corner of the map from one array, the (3, V) positions (a hosohedron's
-(3, E) edge midpoints), and the embedding keeps the angles for
-``total_area`` and ``face_angles`` and the positions for the export.
-``realize`` measures every dart once, edge lengths included; an embedding
-built any other way is measured whole at its first read.
+An embedding is its arrays: the (V, 3) positions by vertex id and, for a
+hosohedron, the (E, 3) edge midpoints by edge id.  Every embedding is
+measured in one way: ``_measure_corners`` reads every corner of the map
+from one of them, transposed, and the embedding keeps the angles for
+``total_area`` and ``face_angles``.  ``realize`` measures every dart
+once, edge lengths included; an embedding built any other way is
+measured whole at its first read.
 
 Every kernel holds the three coordinates on the leading axis of a (3, N)
 array, so each gather, cross product, dot and sum over the components
-works on whole contiguous rows.  Positions are (V, 3) rows only where the
-export formats them: the embedding keeps them so (``realize``'s
-transposed once), and the export hands them to the kernels transposed.
+works on whole contiguous rows.  The embedding keeps its arrays as rows,
+which the export formats (``realize``'s transposed once), and hands them
+to the kernels as transposed views.
 
 Hosohedra (antipodal poles, meridian edges) are placed directly.  Their
-edges carry explicit midpoints, by edge id (``TilingMap.edge_of``),
-because antipodal endpoints do not determine a great-circle arc: a
-digon's corners are measured from them, and ``export_obj`` splits the
-arcs there.
+edges carry explicit midpoints, because antipodal endpoints do not
+determine a great-circle arc: a digon's corners are measured from them,
+and ``export_obj`` splits the arcs there.  ``digon_fan`` numbers edge i
+as darts 2i and 2i + 1, so a dart's edge is ``d >> 1``.
 
 The export text is written by the private module ``_text``, imported on
 the first export.  ``_text.format17`` writes each coordinate, the OBJ
@@ -46,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
@@ -80,26 +82,28 @@ class ClosureFailure(RuntimeError):
 class Embedding:
     """Vertex positions on the unit sphere plus walk-quality metrics.
 
-    ``positions`` maps each vertex id to its position, a 3-vector.  An
-    embedding keeps what it makes from them: its positions as the rows of
-    one (V, 3) array, stacked at its first export or measurement (the
-    measurement reads its transposed view as (3, V) columns), and the corner
+    ``points`` is the (V, 3) array of positions, row v for vertex v, and
+    ``arc_midpoints`` a hosohedron's (E, 3) array of edge midpoints, row e
+    for edge e (None for every other map).  An embedding keeps the corner
     angle of every dart, measured over the whole map at its first
-    measurement (a hosohedron's from its ``arc_midpoints``).  ``realize``'s
-    embedding arrives with both.  So positions and midpoints are read
-    once: to move a vertex, make a new Embedding (``dataclasses.replace``
-    resets both arrays).  Embeddings compare by identity.
+    measurement (a hosohedron's from its midpoints); ``realize``'s arrives
+    with them.  So the arrays are read once: to move a vertex, make a new
+    Embedding (``dataclasses.replace`` resets the angles).  ``positions``
+    is the dict of ``points``' rows by vertex id, built at its first read.
+    Embeddings compare by identity.
     """
 
-    positions: dict
+    points: np.ndarray
     closure_error: float
     edge_error: float
     angle_error: float
-    # midpoint per edge id, for every edge of a hosohedron and no other map
-    arc_midpoints: dict = field(default_factory=dict)
-    # corner angle per dart and the (V, 3) positions, kept once made
+    arc_midpoints: Optional[np.ndarray] = None
+    # corner angle per dart, kept once measured
     _angles: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    _points: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def positions(self) -> dict:
+        return dict(enumerate(self.points))
 
 
 # component k of a cross product is a[I[k]] * b[J[k]] - a[J[k]] * b[I[k]]
@@ -159,14 +163,13 @@ def _measured(
         angles, lengths = _measure_corners(t, pos)
     else:
         angles, lengths = _measure_corners(t, mids)[0], _arc_lengths(pos[:, :1], pos[:, 1:])
+        mids = mids.T.copy()
     edge_error = float(np.max(np.abs(lengths - assign.edge)))
     sizes = t.face_size_of
     want = map({m: assign.angle(m) for m in set(sizes)}.__getitem__, sizes)
     angle_error = float(np.max(np.abs(angles - np.fromiter(want, float, len(sizes)))))
-    points = pos.T.copy()
-    arcs = {} if mids is None else dict(enumerate(mids.T.copy()))
-    emb = Embedding(dict(enumerate(points)), closure_error, edge_error, angle_error, arcs)
-    emb._angles, emb._points = angles, points
+    emb = Embedding(pos.T.copy(), closure_error, edge_error, angle_error, mids)
+    emb._angles = angles
     return emb
 
 
@@ -337,13 +340,13 @@ def _measure_corners(t: TilingMap, points: np.ndarray) -> tuple:
     ``points`` is the (3, V) array of positions by vertex id.  A corner is
     read from the positions of its origin and of the previous and the next
     vertex of its face, so the arc is the dart's edge.  A hosohedron's
-    ``points`` are its (3, E) edge midpoints by edge id: a digon's angle is
-    the arc between its two edges' midpoints.  ``ClosureFailure`` if a
-    corner has a coincident or antipodal neighbour.  The corners are
-    gathered as (3, D) and (3, 2, D) arrays.
+    ``points`` are its (3, E) edge midpoints by edge id (dart d's edge is
+    d >> 1): a digon's angle is the arc between its two edges' midpoints.
+    ``ClosureFailure`` if a corner has a coincident or antipodal
+    neighbour.  The corners are gathered as (3, D) and (3, 2, D) arrays.
     """
     n = t.num_darts
-    key = np.fromiter(t.edge_of if t.family == "hosohedron" else t.origin, np.intp, n)
+    key = np.arange(n) >> 1 if t.family == "hosohedron" else np.fromiter(t.origin, np.intp, n)
     # per dart the previous and the next dart of its face
     around = np.empty((2, n), np.intp)
     around[1] = np.fromiter(t.face_next, np.intp, n)
@@ -366,36 +369,32 @@ def _measure_corners(t: TilingMap, points: np.ndarray) -> tuple:
     return (-raw) % TWO_PI, lengths
 
 
-_NO_MIDPOINT = "a hosohedron embedding needs the midpoint of every edge"
-
-
-def _corners(t: TilingMap, emb: Embedding) -> np.ndarray:
-    """The positions by vertex id as the embedding's (V, 3) array, stacked
-    from the dict at the first read and kept (``KeyError`` if one is
-    missing)."""
-    if emb._points is None:
-        emb._points = np.array([emb.positions[v] for v in range(t.num_vertices)])
-    return emb._points
+def _points(t: TilingMap, emb: Embedding) -> np.ndarray:
+    """The embedding's (V, 3) points; ``ValueError`` unless they hold one
+    row per vertex of ``t``."""
+    if emb.points.shape != (t.num_vertices, 3):
+        raise ValueError(f"points must be {t.num_vertices} rows of three, one per vertex")
+    return emb.points
 
 
 def _midpoints(t: TilingMap, emb: Embedding) -> Optional[np.ndarray]:
-    """A hosohedron's edge midpoints as an (E, 3) array by edge id, None
-    for any other map; ``ValueError`` if one is missing (as when rebuilt
-    from ``load_json`` positions, which carry none)."""
+    """A hosohedron's (E, 3) edge midpoints, the embedding's own array,
+    None for any other map; ``ValueError`` unless they hold one row per
+    edge (as when rebuilt from ``load_json`` positions, which carry none)."""
     if t.family != "hosohedron":
         return None
-    try:
-        return np.array([emb.arc_midpoints[e] for e in range(t.num_edges)])
-    except KeyError:
-        raise ValueError(_NO_MIDPOINT) from None
+    mids = emb.arc_midpoints
+    if mids is None or mids.shape != (t.num_edges, 3):
+        raise ValueError("a hosohedron embedding needs the midpoint of every edge")
+    return mids
 
 
 def _corner_angles(t: TilingMap, emb: Embedding) -> np.ndarray:
     """Realized interior angle at the origin of every dart: the
     embedding's kept angles, measured over the whole map at the first read
-    from its positions (a hosohedron's midpoints)."""
+    from its points (a hosohedron's midpoints)."""
     if emb._angles is None:
-        points = _corners(t, emb) if t.family != "hosohedron" else _midpoints(t, emb)
+        points = _points(t, emb) if t.family != "hosohedron" else _midpoints(t, emb)
         emb._angles = _measure_corners(t, points.T)[0]
     return emb._angles
 
@@ -502,7 +501,7 @@ def _fans(t: TilingMap, corners: np.ndarray, mids: Optional[np.ndarray], apex0: 
         ends = origin[darts]
         # a digon's corners are antipodal poles; its centre lies midway
         # between the midpoints of its two edges
-        pts = mids[np.asarray(t.edge_of)[darts]] if m == 2 else corners[ends]
+        pts = mids[darts >> 1] if m == 2 else corners[ends]
         c = pts.sum(axis=1)
         norms = np.sqrt(_dot(c.T, c.T))
         for j in np.flatnonzero(norms < 1e-9).tolist():
@@ -536,7 +535,7 @@ def export_obj(
     With ``include_faces`` each face is fan-triangulated about its
     spherical centre (one midpoint refinement implicit in the fan apex).
 
-    The corners are the embedding's (V, 3) array (``_corners``).  Every
+    The corners are the embedding's (V, 3) ``points`` (``_points``).  Every
     ``v`` line, the corners', the arc points' and the fan apexes', comes
     from one ``_text.v_lines`` call, whose kernel ``_text.format17`` writes
     each coordinate byte for byte as ``'%.17g' % x`` would.  The ``l``
@@ -547,7 +546,7 @@ def export_obj(
     """
     arc_steps = _check_size(arc_steps, 1, most=MAX_ARC_STEPS, what="arc_steps")
     nv = t.num_vertices
-    corners = _corners(t, emb)
+    corners = _points(t, emb)
     u, v = np.array(t.edges).T
     mids = _midpoints(t, emb)
     a, b = corners[u], corners[v]
@@ -603,7 +602,7 @@ def export_json(
 
     sizes = [*map(len, t.faces)]
     vertices = [*map(t.origin.__getitem__, chain.from_iterable(t.faces))]
-    return json_text(name, t.family, sizes, vertices, angles, assign.edge, _corners(t, emb))
+    return json_text(name, t.family, sizes, vertices, angles, assign.edge, _points(t, emb))
 
 
 def load_json(data: bytes):

@@ -4,9 +4,9 @@ Each mutant changes one verdict in a copy of the checkout and runs the
 tier-1 suite there; the working tree is never written.  The verdicts are
 the ``passed`` argument of each ``rep.add`` call in ``tilemap.validate``
 (a constant one excepted) and each comparison in ``cli.verify_entry``,
-``embedder.realize``, ``embedder._measure_corners``,
-``vertexcomb.admissible`` and ``algsolve._accepted``.  Each gets two
-mutants:
+``embedder.realize``, ``embedder._measure_corners``, ``embedder._points``,
+``embedder._midpoints``, ``vertexcomb.admissible`` and
+``algsolve._accepted``.  Each gets two mutants:
 
 - ``pass``: the verdict replaced by ``True``, so the check can never fail;
   a comparison that refuses on True (the test of an ``if`` that raises or
@@ -14,6 +14,11 @@ mutants:
   through ``.any()`` is replaced together with that call;
 - ``flip``: its comparison negated (``<=`` to ``>``, ``==`` to ``!=``), or
   the whole verdict negated when it is not one comparison.
+
+The tolerances that gate ``verify`` get one mutant each, ``loose``: the
+float constant multiplied by 10.  They are the float constants of
+``cli.verify_entry`` (its ``tol`` default and the floors of its four
+gates) and of ``cli.main`` (the ``--tol`` default).
 
 A mutant is killed when the suite fails (it stops at the first failure).
 Run from anywhere, with only the standard library and pytest::
@@ -36,14 +41,19 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (module path, function, whether the sites are rep.add verdicts or comparisons)
+# (module path, function, whether the sites are rep.add verdicts,
+# comparisons or tolerance constants)
 TARGETS = [
     ("src/sphtile/tilemap.py", "validate", "verdicts"),
     ("src/sphtile/cli.py", "verify_entry", "comparisons"),
     ("src/sphtile/embedder.py", "realize", "comparisons"),
     ("src/sphtile/embedder.py", "_measure_corners", "comparisons"),
+    ("src/sphtile/embedder.py", "_points", "comparisons"),
+    ("src/sphtile/embedder.py", "_midpoints", "comparisons"),
     ("src/sphtile/vertexcomb.py", "admissible", "comparisons"),
     ("src/sphtile/algsolve.py", "_accepted", "comparisons"),
+    ("src/sphtile/cli.py", "verify_entry", "constants"),
+    ("src/sphtile/cli.py", "main", "constants"),
 ]
 NEGATED = {
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
@@ -115,6 +125,16 @@ def mutants() -> list:
     out = []
     for path, func, kind in TARGETS:
         source = (ROOT / path).read_text()
+        if kind == "constants":
+            body = _function(ast.parse(source), func)
+            nodes = [
+                n for n in ast.walk(body) if isinstance(n, ast.Constant) and type(n.value) is float
+            ]
+            for node in sorted(nodes, key=lambda n: (n.lineno, n.col_offset)):
+                text = ast.get_source_segment(source, node)
+                mutated = _splice(source, node, f"{text} * 10")
+                out.append((path, node.lineno, f"{func}: {text}", "loose", mutated))
+            continue
         for label, node, (at, value) in _sites(source, func, kind):
             text = ast.get_source_segment(source, node)
             for name, where, new in (("pass", at, value), ("flip", node, _flipped(node, text))):

@@ -117,8 +117,9 @@ def _nudged_cube(by):
     with no stored angles."""
 
     def change(emb):
-        positions = {**emb.positions, 0: emb.positions[0] + [by, 0.0, 0.0]}
-        return dataclasses.replace(emb, positions=positions)
+        points = emb.points.copy()
+        points[0] += [by, 0.0, 0.0]
+        return dataclasses.replace(emb, points=points)
 
     return change
 
@@ -143,6 +144,38 @@ def test_each_embedding_gate_fails_verify_alone(monkeypatch, change, failing):
     monkeypatch.setattr(embedder, "realize", lambda *args, **kw: change(realize(*args, **kw)))
     # every other check passes: only the embedding gate sees the change
     assert cli.verify_entry("C").failures() == failing
+
+
+def test_verify_command_gates_at_its_default_tol(capsys, monkeypatch):
+    # without --tol the command's edge gate is 1e-9: an edge error of 2e-9
+    # fails the embedding check, and exits 1
+    realize = embedder.realize
+    monkeypatch.setattr(
+        embedder, "realize",
+        lambda *args, **kw: dataclasses.replace(realize(*args, **kw), edge_error=2e-9),
+    )
+    code, out, _ = run(capsys, "verify", "C")
+    assert code == 1
+    assert "FAIL  C  [embedding_closure" in out
+
+
+@pytest.mark.parametrize("by, failing", [(5e-11, ["area"]), (1e-11, [])], ids=["area", "within-area"])
+def test_area_gate_of_verify(monkeypatch, by, failing):
+    # validate's area gate, 1e-8 in verify: prism(400)'s 400-gon angle
+    # nudged by ``by`` puts the total area 4e-8 (outside) or 8e-9 (inside)
+    # off, with every vertex's angle sum within 1e-9 and the embedding's
+    # checks passed
+    make = catalog.make
+
+    def nudged(name):
+        t = make(name)
+        angles = {**t.angles.angles, 400: t.angles.angle(400) + by}
+        return t._replace(angles=AngleAssignment(angles, t.angles.edge))
+
+    monkeypatch.setattr(catalog, "make", nudged)
+    rep = cli.verify_entry("prism(400)")
+    assert rep.failures() == failing
+    assert rep.checks["area"].residual == pytest.approx(800 * by, rel=1e-3)
 
 
 @pytest.mark.parametrize(

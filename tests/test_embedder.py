@@ -256,16 +256,30 @@ def test_corner_angles_match_scalar_oracle():
             assert np.max(np.abs(one - want[list(t.map.faces[f])])) <= 1e-15, (name, f)
 
 
-def test_missing_vertex_position_raises_key_error():
-    t = cat.make("C")
-    emb = em.realize(t.map, t.angles)
-    positions = dict(emb.positions)
-    del positions[0]
-    bad = dataclasses.replace(emb, positions=positions)
-    with pytest.raises(KeyError):
-        em.total_area(t.map, bad)
-    with pytest.raises(KeyError):
-        em.face_angles(t.map, bad, t.map.face_of[t.map.vertex_rotations[0][0]])
+def test_an_embedding_without_one_row_per_vertex_raises():
+    # points holds one row per vertex id, and a hosohedron's midpoints one
+    # per edge id: a row missing or one too many is refused by the
+    # measurement and by both exports
+    c = cat.make("C")
+    emb = em.realize(c.map, c.angles)
+    calls = [
+        lambda bad: em.total_area(c.map, bad),
+        lambda bad: em.face_angles(c.map, bad, 0),
+        lambda bad: em.export_obj(c.map, bad),
+        lambda bad: em.export_json(c.map, c.angles, bad),
+    ]
+    for points in (emb.points[:-1], np.vstack([emb.points, emb.points[:1]])):
+        bad = dataclasses.replace(emb, points=points)
+        for call in calls:
+            with pytest.raises(ValueError, match="points must be 8 rows of three, one per vertex"):
+                call(bad)
+    h = cat.make("hosohedron(6)")
+    emb = em.realize(h.map, h.angles)
+    for mids in (emb.arc_midpoints[:-1], np.vstack([emb.arc_midpoints, emb.arc_midpoints[:1]])):
+        bad = dataclasses.replace(emb, arc_midpoints=mids)
+        for call in (lambda: em.total_area(h.map, bad), lambda: em.export_obj(h.map, bad)):
+            with pytest.raises(ValueError, match="midpoint of every edge"):
+                call()
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-15])
@@ -273,9 +287,9 @@ def test_face_angles_coincident_neighbours_raise(offset):
     t = cat.make("C")
     emb = em.realize(t.map, t.angles)
     a, b = t.map.face_vertex_cycle(0)[:2]
-    positions = dict(emb.positions)
-    positions[b] = positions[a] + np.array([offset, 0.0, 0.0])
-    bad = dataclasses.replace(emb, positions=positions)
+    points = emb.points.copy()
+    points[b] = points[a] + np.array([offset, 0.0, 0.0])
+    bad = dataclasses.replace(emb, points=points)
     with pytest.raises(em.ClosureFailure):
         em.face_angles(t.map, bad, 0)
     with pytest.raises(em.ClosureFailure):
@@ -389,7 +403,7 @@ def _scalar_realize(t, assign, gaps=None):
     pos = np.array([positions[v] for v in range(t.num_vertices)])
     u, v = np.array(t.edges).T
     edge_error = float(np.max(np.abs(em._arc_lengths(pos[u].T, pos[v].T) - assign.edge)))
-    emb = em.Embedding(positions, worst, edge_error, math.nan)
+    emb = em.Embedding(pos, worst, edge_error, math.nan)
     want = np.array([assign.angle(len(t.faces[f])) for f in t.face_of])
     emb.angle_error = float(np.max(np.abs(em._corner_angles(t, emb) - want)))
     return emb, witness
@@ -407,9 +421,8 @@ def test_realize_matches_scalar_oracle_bit_for_bit():
             continue
         got = em.realize(t.map, t.angles)
         want, witness = _scalar_realize(t.map, t.angles)
-        assert sorted(got.positions) == sorted(want.positions), name
-        for v in want.positions:
-            assert got.positions[v].tobytes() == want.positions[v].tobytes(), (name, v)
+        assert got.points.shape == want.points.shape, name
+        assert got.points.tobytes() == want.points.tobytes(), name
         assert got.closure_error == want.closure_error, name
         assert got.edge_error == want.edge_error, name
         assert got.angle_error == want.angle_error, name
@@ -467,7 +480,7 @@ def test_measure_corners_matches_the_row_oracle_bit_for_bit():
     for name in list(cat.all_entries()) + FAMILY_MAPS + sweep:
         t = cat.make(name)
         emb = em.realize(t.map, t.angles)
-        rows = em._midpoints(t.map, emb) if t.map.family == "hosohedron" else emb._points
+        rows = emb.points if emb.arc_midpoints is None else emb.arc_midpoints
         angles, lengths = _row_measure_corners(t.map, rows)
         assert emb._angles.tobytes() == angles.tobytes(), name
         for points in (np.ascontiguousarray(rows.T), rows.T):
@@ -597,7 +610,7 @@ def _scalar_export_obj(t, emb, arc_steps, include_faces):
         if d > t.edge_pair[d]:
             continue
         u, v = t.origin[d], t.target(d)
-        mid = emb.arc_midpoints.get(ids[d])
+        mid = None if emb.arc_midpoints is None else emb.arc_midpoints[ids[d]]
         arc = _scalar_arc_points(emb.positions[u], emb.positions[v], mid, arc_steps)
         chains.append([vid[u]] + [emit(p) for p in arc] + [vid[v]])
     lines.extend("l " + " ".join(str(i) for i in chain) for chain in chains)
@@ -654,6 +667,14 @@ def test_arc_points_match_scalar_oracle_on_degenerate_arcs():
             assert arc.tobytes() == np.array(want).reshape(-1, 3).tobytes(), (steps, m)
 
 
+def _loaded(blob):
+    """The map of an ``export_json`` document and an Embedding of its
+    stored positions, stacked by vertex id, with no measurements."""
+    _, t, _, positions = em.load_json(blob)
+    points = np.array([positions[v] for v in range(t.num_vertices)])
+    return t, em.Embedding(points, 0.0, math.nan, math.nan)
+
+
 def test_export_from_loaded_positions_equals_the_realized_bytes():
     # the export reads positions by vertex id, so stored positions write the
     # same OBJ and JSON bytes as the embedding realize returned
@@ -663,7 +684,7 @@ def test_export_from_loaded_positions_equals_the_realized_bytes():
             continue
         emb = em.realize(t.map, t.angles)
         blob = em.export_json(t.map, t.angles, emb, name=name)
-        loaded = em.Embedding(em.load_json(blob)[3], 0.0, math.nan, math.nan)
+        loaded = _loaded(blob)[1]
         assert em.export_json(t.map, t.angles, loaded, name=name) == blob, name
         want = em.export_obj(t.map, emb, arc_steps=8, include_faces=True)
         assert em.export_obj(t.map, loaded, arc_steps=8, include_faces=True) == want, name
@@ -673,8 +694,7 @@ def test_loaded_hosohedron_needs_its_edge_midpoints():
     # stored positions hold only the two poles, which fix no meridian
     t = cat.make("hosohedron(6)")
     emb = em.realize(t.map, t.angles)
-    _, t2, _, positions = em.load_json(em.export_json(t.map, t.angles, emb, name="h"))
-    loaded = em.Embedding(positions, 0.0, math.nan, math.nan)
+    t2, loaded = _loaded(em.export_json(t.map, t.angles, emb, name="h"))
     calls = [
         lambda: em.face_angles(t2, loaded, 0),
         lambda: em.total_area(t2, loaded),
@@ -694,9 +714,8 @@ def test_embedding_from_loaded_positions_measures_the_realized_angles():
         if t.map.family == "hosohedron":
             continue
         emb = em.realize(t.map, t.angles)
-        _, t2, _, positions = em.load_json(em.export_json(t.map, t.angles, emb, name=name))
         # stored positions carry no measurements
-        loaded = em.Embedding(positions, 0.0, math.nan, math.nan)
+        t2, loaded = _loaded(em.export_json(t.map, t.angles, emb, name=name))
         assert abs(em.total_area(t2, loaded) - 4 * PI) <= 1e-6, name
         for f in range(t.map.num_faces):
             got = np.array(em.face_angles(t2, loaded, f)).tobytes()
@@ -719,9 +738,8 @@ def test_a_rebuilt_embedding_is_measured_once(monkeypatch):
     for name in list(cat.all_entries()) + ["prism(50)", "hosohedron(7)"]:
         t = cat.make(name)
         emb = em.realize(t.map, t.angles)
-        positions = {v: p.copy() for v, p in emb.positions.items()}
-        mids = {e: p.copy() for e, p in emb.arc_midpoints.items()}
-        rebuilt = em.Embedding(positions, 0.0, math.nan, math.nan, mids)
+        mids = None if emb.arc_midpoints is None else emb.arc_midpoints.copy()
+        rebuilt = em.Embedding(emb.points.copy(), 0.0, math.nan, math.nan, mids)
         calls.clear()
         for f in range(t.map.num_faces):
             got = np.array(em.face_angles(t.map, rebuilt, f)).tobytes()
@@ -734,9 +752,29 @@ def test_embeddings_compare_by_identity():
     # and comparing them does not ask numpy for an array's truth value
     t = cat.make("C")
     blob = em.export_json(t.map, t.angles, em.realize(t.map, t.angles))
-    a, b = (em.Embedding(em.load_json(blob)[3], 0.0, 0.0, 0.0) for _ in range(2))
+    a, b = (_loaded(blob)[1] for _ in range(2))
     assert (a == b) is False
     assert a == a and a != b
+
+
+def test_positions_is_the_dict_of_the_points_rows():
+    # the public dict: every vertex id in order, each value the bytes of its
+    # row of points, built once; load_json's positions read back the same
+    for name in ("C", "dihedron(400)", "hosohedron(7)"):
+        t = cat.make(name)
+        emb = em.realize(t.map, t.angles)
+        v = list(range(t.map.num_vertices))
+        for positions in (emb.positions, em.load_json(em.export_json(t.map, t.angles, emb))[3]):
+            assert sorted(positions) == v, name
+            for i in v:
+                assert positions[i].tobytes() == emb.points[i].tobytes(), (name, i)
+        assert emb.positions is emb.positions, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 1600])
+def test_digon_fan_numbers_edge_i_as_darts_2i_and_2i_plus_1(n):
+    # _measure_corners and export_obj key a digon's dart d by edge d >> 1
+    assert tm.digon_fan(n).edge_of == tuple(d >> 1 for d in range(2 * n))
 
 
 def _format17_mismatches(x):
